@@ -1,94 +1,130 @@
-"""Hot numeric kernels: torus grid scans and greedy separation.
+"""Hot numeric kernels: the torus grid evaluator and greedy separation.
 
-Two implementations of each kernel are kept in lockstep: a numba @njit
-version and a pure-numpy fallback.  Selection is by the ALGDYN_BACKEND
-environment variable ("numba", "numpy", or "auto"; default auto picks
-numba when importable).  Both paths accumulate terms in the same sorted
-order so results agree to the last few ulps; tests pin the two paths
-against each other.
+grid_values gives f^(theta) = sum_n c_n exp(2 pi i n.theta) on the whole
+uniform grid theta = (j + offset)/m, j in {0, ..., m-1}^d, with one FFT.
+On that grid exp(2 pi i n.theta) depends on n only through n mod m, up to
+the twist exp(2 pi i offset (n_1 + ... + n_d)/m).  So the twisted
+coefficients are scattered to the index n mod m, and the unnormalized
+inverse DFT of that m^d array is f^ on the grid, in C order.
+grid_error_bound bounds the rounding error of every computed grid value;
+Wiener certification and log-Mahler quadrature both scan this grid.
 """
 
 from __future__ import annotations
 
-import os
+import math
 
 import numpy as np
 
-_REQUESTED = os.environ.get("ALGDYN_BACKEND", "auto").strip().lower()
-if _REQUESTED not in ("auto", "numba", "numpy"):
-    raise ValueError(f"ALGDYN_BACKEND must be auto|numba|numpy, got {_REQUESTED!r}")
+BACKEND = "numpy"  # recorded by the benchmark with each result
 
-_HAVE_NUMBA = False
-if _REQUESTED in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _REQUESTED == "numba":
-            raise RuntimeError("ALGDYN_BACKEND=numba but numba is not importable")
-
-BACKEND = "numba" if _HAVE_NUMBA else "numpy"
+EPS = 2.0 ** -53  # unit roundoff of float64
+MU = 4 * EPS  # assumed accuracy of np.exp(i x) and of the FFT's twiddle factors
 
 
-# -- |f^| on a uniform grid ------------------------------------------------
+def _gamma(k: int) -> float:
+    return k * EPS / (1 - k * EPS)
 
 
-def _grid_abs_values_np(exps: np.ndarray, coefs: np.ndarray, m: int, offset: float) -> np.ndarray:
-    """|sum_t c_t exp(2 pi i n_t . theta)| on the grid theta = (j+offset)/m, C order."""
+def _term_input(exps, coefs, m) -> tuple[np.ndarray, np.ndarray, int]:
+    m = int(m)
+    exps = np.ascontiguousarray(exps, dtype=np.int64)
+    coefs = np.ascontiguousarray(coefs, dtype=np.float64)
+    if exps.ndim != 2 or coefs.ndim != 1 or exps.shape[0] != coefs.shape[0]:
+        raise ValueError("exps must be (terms, d) matching coefs")
+    if m < 1:
+        raise ValueError("grid size must be positive")
+    return exps, coefs, m
+
+
+# -- f^ on a uniform grid ----------------------------------------------------
+
+
+def grid_values(exps, coefs, m: int, offset: float = 0.0) -> np.ndarray:
+    """f^(theta) on the grid theta = (j + offset)/m, as a complex (m,)*d array."""
+    exps, coefs, m = _term_input(exps, coefs, m)
+    weights = coefs.astype(np.complex128)
+    if offset:
+        s = exps.sum(axis=1)
+        weights *= np.exp(2j * np.pi * (np.mod(offset * s, m) / m))
+    spectrum = np.zeros((m,) * exps.shape[1], dtype=np.complex128)
+    np.add.at(spectrum, tuple(np.mod(exps, m).T), weights)
+    # norm="forward" leaves the inverse transform unscaled: m^d * ifftn
+    return np.fft.ifftn(spectrum, norm="forward")
+
+
+def grid_abs_values(exps, coefs, m: int, offset: float = 0.0) -> np.ndarray:
+    """|f^| on the grid theta = (j + offset)/m, flattened in C order."""
+    return np.abs(grid_values(exps, coefs, m, offset)).ravel()
+
+
+def grid_error_bound(exps, coefs, m: int, offset: float = 0.0) -> float:
+    """Bound on |computed - exact| for every value of grid_values and grid_abs_values.
+
+    Notation: u = 2^-53, gamma_k = k u/(1 - k u), T terms, C = sum |c_n|,
+    N = m^d, S = max |n_1 + ... + n_d|.  Assumption: np.exp(i x) and the
+    FFT's twiddle factors are within MU = 4u of their exact values.
+
+    1. Twist (offset != 0 only).  phi_n = 2 pi ((offset s_n) mod m)/m has
+       five roundings: offset*s_n (at most u |offset| S), the mod (at most
+       u m), and /m, the rounded 2 pi and their product (together gamma_3
+       relative to phi <= 2 pi).  So |phi^ - phi| <= 2 pi (gamma_4 +
+       u |offset| S/m), and as |e^ia - e^ib| <= |a - b| the twist w_n is
+       off by at most tau = 2 pi (gamma_4 + u |offset| S/m) + MU.  Without
+       offset tau = 0.
+    2. Scatter.  Each product c_n w^_n rounds once (u), and each cell adds
+       at most T of them from zero, so each component is off by at most
+       gamma_{T-1} times its sum of moduli, sqrt(2) gamma_{T-1} in modulus.
+       Hence ||A^ - A||_1 <= eps_s C with eps_s = tau + 2 gamma_{T+1},
+       whose slack over u + sqrt(2) gamma_{T-1} also covers integer c_n of
+       2^53 or more being rounded to float (u |c_n|).
+    3. FFT.  ifftn(A^, norm="forward") computes y = F A^ with
+       F_jk = exp(2 pi i j.k/m) and no scaling.  For m = 2^k, numpy's
+       pocketfft runs radix-4 and radix-2 Cooley-Tukey passes along each
+       axis.  A radix-4 pass is two radix-2 stages whose inner twiddles
+       are +-1, +-i (exact), so the d passes form t = log2 N butterfly
+       stages.  Higham, Accuracy and Stability of Numerical Algorithms,
+       Thm 24.2, whose proof goes stage by stage, gives
+       ||y^ - F A^||_2 <= t eta/(1 - t eta) ||F A^||_2 with
+       eta = MU + gamma_4 (sqrt 2 + MU), and ||F A^||_2 = sqrt(N) ||A^||_2
+       <= sqrt(N) (1 + eps_s) C.
+    4. Total.  At each grid point |y^_j - f^(theta_j)| <= ||y^ - F A^||_inf
+       + |(F(A^ - A))_j| <= E = t eta/(1 - t eta) sqrt(N) (1 + eps_s) C
+       + eps_s C, and |.| adds one rounding: at most 2u (C + E).
+
+    The result is nudged up so that rounding in this formula cannot
+    understate it.  For m not a power of two pocketfft uses radix-3, 5, 7,
+    11 and generic passes or Bluestein's algorithm, which Thm 24.2 does not
+    cover; there the same formula with t = d ceil(log2 m) is an estimate.
+    """
+    exps, coefs, m = _term_input(exps, coefs, m)
     nterms, d = exps.shape
-    axis = (np.arange(m) + offset) / m
-    acc = np.zeros((m,) * d, dtype=np.complex128)
-    for t in range(nterms):
-        phase = np.zeros((m,) * d, dtype=np.float64)
-        for i in range(d):
-            shape = [1] * d
-            shape[i] = m
-            phase = phase + exps[t, i] * axis.reshape(shape)
-        acc = acc + coefs[t] * np.exp(2j * np.pi * phase)
-    return np.abs(acc).ravel()
-
-
-def _make_grid_abs_values_nb():
-    @njit(cache=True)
-    def _grid_abs_values_nb(exps, coefs, m, offset):  # pragma: no cover - jit
-        nterms, d = exps.shape
-        npts = 1
-        for _ in range(d):
-            npts *= m
-        out = np.empty(npts, dtype=np.float64)
-        two_pi = 2.0 * np.pi
-        coords = np.empty(d, dtype=np.int64)
-        for p in range(npts):
-            rem = p
-            for i in range(d - 1, -1, -1):
-                coords[i] = rem % m
-                rem //= m
-            s_re = 0.0
-            s_im = 0.0
-            for t in range(nterms):
-                ang = 0.0
-                for i in range(d):
-                    ang += exps[t, i] * ((coords[i] + offset) / m)
-                ang *= two_pi
-                s_re += coefs[t] * np.cos(ang)
-                s_im += coefs[t] * np.sin(ang)
-            out[p] = np.sqrt(s_re * s_re + s_im * s_im)
-        return out
-
-    return _grid_abs_values_nb
+    c1 = float(np.abs(coefs).sum()) * (1 + _gamma(nterms))
+    tau = 0.0
+    if offset:
+        s_max = float(np.abs(exps.sum(axis=1)).max(initial=0))
+        tau = 2 * math.pi * (_gamma(4) + EPS * abs(offset) * s_max / m) + MU
+    eps_s = tau + 2 * _gamma(nterms + 1)
+    t = d * (m - 1).bit_length()
+    eta = MU + _gamma(4) * (math.sqrt(2) + MU)
+    err = t * eta / (1 - t * eta) * math.sqrt(m ** d) * (1 + eps_s) * c1 + eps_s * c1
+    return (err + 2 * EPS * (c1 + err)) * (1.0 + 1e-9)
 
 
 # -- greedy separated subfamily -------------------------------------------
 
 
-def _greedy_separated_np(vals: np.ndarray, eps: float) -> np.ndarray:
+def greedy_separated(vals, eps: float) -> np.ndarray:
     """Greedy maximal subfamily of rows pairwise (., eps)-separated.
 
     Rows are tuples of torus coordinates (reals mod 1); two rows are
     separated when some coordinate differs by more than eps on the circle.
     Returns the indices kept, in scan order.
     """
+    vals = np.ascontiguousarray(vals, dtype=np.float64)
+    if vals.ndim != 2:
+        raise ValueError("vals must be 2-d")
+    eps = float(eps)
     n = vals.shape[0]
     if n == 0:
         return np.empty(0, dtype=np.int64)
@@ -99,80 +135,3 @@ def _greedy_separated_np(vals: np.ndarray, eps: float) -> np.ndarray:
         if np.all(np.max(np.abs(diff), axis=1) > eps):
             kept.append(i)
     return np.array(kept, dtype=np.int64)
-
-
-def _make_greedy_separated_nb():
-    @njit(cache=True)
-    def _greedy_separated_nb(vals, eps):  # pragma: no cover - jit
-        n, w = vals.shape
-        kept = np.empty(n, dtype=np.int64)
-        nkept = 0
-        if n == 0:
-            return kept[:0]
-        kept[0] = 0
-        nkept = 1
-        for i in range(1, n):
-            ok = True
-            for jj in range(nkept):
-                j = kept[jj]
-                best = 0.0
-                for t in range(w):
-                    x = vals[i, t] - vals[j, t]
-                    x = x - np.round(x)
-                    if x < 0.0:
-                        x = -x
-                    if x > best:
-                        best = x
-                if best <= eps:
-                    ok = False
-                    break
-            if ok:
-                kept[nkept] = i
-                nkept += 1
-        return kept[:nkept]
-
-    return _greedy_separated_nb
-
-
-if BACKEND == "numba":
-    _grid_abs_values_impl = _make_grid_abs_values_nb()
-    _greedy_separated_impl = _make_greedy_separated_nb()
-else:
-    _grid_abs_values_impl = _grid_abs_values_np
-    _greedy_separated_impl = _greedy_separated_np
-
-
-def grid_abs_values(exps, coefs, m: int, offset: float = 0.0) -> np.ndarray:
-    exps = np.ascontiguousarray(exps, dtype=np.int64)
-    coefs = np.ascontiguousarray(coefs, dtype=np.float64)
-    if exps.ndim != 2 or exps.shape[0] != coefs.shape[0]:
-        raise ValueError("exps must be (terms, d) matching coefs")
-    return _grid_abs_values_impl(exps, coefs, int(m), float(offset))
-
-
-def greedy_separated(vals, eps: float) -> np.ndarray:
-    vals = np.ascontiguousarray(vals, dtype=np.float64)
-    if vals.ndim != 2:
-        raise ValueError("vals must be 2-d")
-    return _greedy_separated_impl(vals, float(eps))
-
-
-def backend_variants():
-    """Both implementations of each kernel, for benchmarks and cross-checks."""
-    variants = {
-        "grid_abs_values": {"numpy": _grid_abs_values_np},
-        "greedy_separated": {"numpy": _greedy_separated_np},
-    }
-    if _HAVE_NUMBA:
-        variants["grid_abs_values"]["numba"] = _make_grid_abs_values_nb()
-        variants["greedy_separated"]["numba"] = _make_greedy_separated_nb()
-    return variants
-
-
-def warmup() -> str:
-    """Trigger jit compilation on tiny inputs; returns the active backend."""
-    e = np.array([[1], [0]], dtype=np.int64)
-    c = np.array([1.0, -2.0])
-    grid_abs_values(e, c, 4, 0.0)
-    greedy_separated(np.array([[0.0], [0.4]]), 0.1)
-    return BACKEND

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from . import __version__, _kernels, entropy, expansive, freegroup, homoclinic, independence, torus
+from . import __version__, entropy, expansive, freegroup, homoclinic, independence, torus
 from .groupring import CapExceeded, GroupRingMatrix, parse_element
 
 OK, UNKNOWN_STATUS, ERROR = 0, 2, 1
@@ -340,7 +340,6 @@ def main(argv=None) -> int:
         return ERROR
     full = {
         "command": name,
-        "backend": _kernels.BACKEND,
         "parameters": {
             k: v for k, v in params.items() if k not in ("out", "format") and v is not None
         },

@@ -4,9 +4,10 @@ A Laurent polynomial f over Z^d is invertible in the convolution algebra
 l1(Z^d) exactly when its Fourier series f^ has no zero on the d-torus
 (Wiener's lemma).  This module makes that criterion checkable:
 
-* certify_invertible scans a uniform grid, bounds the variation of f^
-  between grid points by an explicit Lipschitz constant, and only returns
-  the verdict Invertible with a positive certified margin.  NotInvertible
+* certify_invertible scans a uniform grid with one FFT, bounds the
+  variation of f^ between grid points by an explicit Lipschitz constant,
+  and only returns the verdict Invertible when the margin exceeds the
+  FFT's rounding bound.  NotInvertible
   is only returned with an exact zero witness at a rational point,
   confirmed in integer cyclotomic arithmetic.  Everything else is Unknown.
 
@@ -56,10 +57,13 @@ def mem_cap_bytes() -> int:
 class TorusCertificate:
     """Outcome of a nonvanishing scan of f^ on the d-torus.
 
-    margin = grid_min - lipschitz/(2*grid_size) is a lower bound for
-    |f^| over the whole torus (up to floating evaluation error, which the
-    verdict additionally guards against).  A NotInvertible verdict carries
-    an exact rational zero of f^ as witness.
+    grid_min is the smallest computed |f^| on the grid and margin =
+    grid_min - lipschitz/(2*grid_size).  Every computed grid value is within
+    the guard of _kernels.grid_error_bound of the exact one (a proof for
+    power-of-two grid sizes), so Invertible is returned only when margin
+    exceeds that guard, and then margin - guard is a lower bound for |f^|
+    over the whole torus.  A NotInvertible verdict carries an exact
+    rational zero of f^ as witness.
     """
 
     verdict: str
@@ -281,10 +285,6 @@ def _check_grid_memory(m: int, d: int) -> None:
         )
 
 
-def _eval_guard(f: GroupRingElement) -> float:
-    return 1e-13 * float(f.l1_norm()) * (f.num_terms() + 1) + 1e-300
-
-
 def certify_invertible(f: GroupRingElement, m: int | None = None) -> TorusCertificate:
     """Certified invertibility of f in l1(Z^d) via nonvanishing of f^."""
     if m is None:
@@ -312,7 +312,8 @@ def certify_invertible(f: GroupRingElement, m: int | None = None) -> TorusCertif
     idx = int(np.argmin(vals))
     grid_min = float(vals[idx])
     margin = grid_min - lip / (2.0 * m)
-    guard = _eval_guard(f)
+    # every grid value is within the bound; the subtraction above rounds once more
+    guard = _kernels.grid_error_bound(exps, coefs, m, 0.0) + _kernels.EPS * grid_min
     if margin > guard:
         return TorusCertificate(INVERTIBLE, m, grid_min, lip, margin)
 
@@ -332,9 +333,11 @@ def certify_invertible(f: GroupRingElement, m: int | None = None) -> TorusCertif
             NOT_INVERTIBLE, m, grid_min, lip, margin,
             witness=w, note="exact zero at rational point",
         )
+    theta = ", ".join(f"{c}/{m}" for c in coords)
     return TorusCertificate(
         UNKNOWN, m, grid_min, lip, margin,
-        note="margin not positive; increase the grid size m",
+        note=f"the exact scan found no rational zero; grid minimum at theta = ({theta}); "
+        f"margin {margin:.3e} is {guard - margin:.3e} below the rounding guard {guard:.3e}",
     )
 
 
@@ -351,19 +354,6 @@ def certify_matrix_invertible(A: GroupRingMatrix, m: int | None = None) -> Torus
 
 
 # -- truncated l1 inverses ---------------------------------------------------
-
-
-def _grid_complex_values(f: GroupRingElement, m: int) -> np.ndarray:
-    axis = np.arange(m) / m
-    acc = np.zeros((m,) * f.d, dtype=np.complex128)
-    for e in sorted(f.terms):
-        phase = np.zeros((m,) * f.d, dtype=np.float64)
-        for i in range(f.d):
-            shape = [1] * f.d
-            shape[i] = m
-            phase = phase + e[i] * axis.reshape(shape)
-        acc = acc + f.terms[e] * np.exp(2j * np.pi * phase)
-    return acc
 
 
 def _delta(d: int) -> dict[tuple[int, ...], Fraction]:
@@ -460,7 +450,7 @@ def l1_inverse(
         m = min(m, 128)
     _check_grid_memory(m, d)
 
-    vals = _grid_complex_values(f, m)
+    vals = _kernels.grid_values(*_term_arrays(f), m, 0.0)
     coef = np.fft.fftn(1.0 / vals) / (m ** d)
 
     g: dict[tuple[int, ...], Fraction] = {}

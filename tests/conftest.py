@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from algdyn import _kernels
 from algdyn.groupring import GroupRingElement, parse_element
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_backend():
-    # jit compilation happens here, outside any timed section
-    return _kernels.warmup()
 
 
 @pytest.fixture

@@ -1,8 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  Tolerances are pinned here and nowhere else; timed criteria are
-measured after the session-wide kernel warmup.
+lines.  Tolerances are pinned here and nowhere else.
 """
 
 import math

@@ -1,13 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algdyn import _kernels
-from algdyn.groupring import parse_element
+from algdyn.groupring import GroupRingElement, parse_element
 from algdyn.torus import evaluate
-
-
-def test_backend_is_valid():
-    assert _kernels.BACKEND in ("numba", "numpy")
 
 
 def test_grid_matches_direct_evaluation():
@@ -33,24 +33,76 @@ def test_grid_2d_matches_direct_evaluation():
             assert vals[j1 * m + j2] == pytest.approx(abs(evaluate(f, theta)), abs=1e-12)
 
 
-def test_both_backends_agree():
-    variants = _kernels.backend_variants()
-    exps = np.array([[-1, 0], [0, 0], [1, 2]], dtype=np.int64)
-    coefs = np.array([-1.0, 3.0, 2.0])
-    results = {
-        name: impl(exps, coefs, 16, 0.5)
-        for name, impl in variants["grid_abs_values"].items()
-    }
-    if len(results) == 2:
-        np.testing.assert_allclose(results["numpy"], results["numba"], rtol=0, atol=1e-12)
+def _evaluate_error_bound(exps, coefs) -> float:
+    """Rounding bound of torus.evaluate itself at a float theta in [0, 1)^d.
 
-    rng = np.random.default_rng(3)
-    vals = rng.random((200, 4))
-    kept = {
-        name: impl(vals, 0.2) for name, impl in variants["greedy_separated"].items()
-    }
-    if len(kept) == 2:
-        np.testing.assert_array_equal(kept["numpy"], kept["numba"])
+    Per term the angle 2 pi n.theta is off by at most 2 pi |n|_1 gamma_{d+3}
+    (theta rounded, the dot product, 2 pi and the product), cos and sin by
+    MU, and the product and the sum by 2 gamma_{T+1}; the 2u factors below
+    are generous versions of these gammas.
+    """
+    nterms, d = exps.shape
+    per_term = 2 * math.pi * np.abs(exps).sum(axis=1) * (d + 4) + nterms + 8
+    return float(np.sum(np.abs(coefs) * per_term)) * 2 * _kernels.EPS
+
+
+@st.composite
+def aliased_polys(draw):
+    """Random (exps, coefs, m, offset) with negative and aliased exponents.
+
+    Terms are built from a few base exponents shifted by multiples of m, so
+    several exponents are equal mod m, some are >= m, and rows may repeat.
+    """
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(2, 64))
+    offset = draw(st.sampled_from([0.0, 0.5]))
+    coord = st.integers(-m, m)
+    bases = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=4))
+    shift = st.tuples(*[st.integers(-2, 2)] * d)
+    rows = draw(st.lists(
+        st.tuples(st.sampled_from(bases), shift, st.integers(-9, 9).filter(bool)),
+        min_size=1, max_size=10,
+    ))
+    exps = np.array([[b + k * m for b, k in zip(base, ks)] for base, ks, _ in rows], dtype=np.int64)
+    coefs = np.array([float(c) for _, _, c in rows])
+    return exps, coefs, m, offset
+
+
+@settings(max_examples=80, deadline=None)
+@given(aliased_polys(), st.integers(0, 2**32 - 1))
+def test_grid_values_within_rounding_guard(case, seed):
+    exps, coefs, m, offset = case
+    d = exps.shape[1]
+    terms: dict = {}
+    for e, c in zip(map(tuple, exps.tolist()), coefs.tolist()):
+        terms[e] = terms.get(e, 0) + int(c)
+    f = GroupRingElement(d, terms)
+
+    vals = _kernels.grid_values(exps, coefs, m, offset)
+    assert vals.shape == (m,) * d
+    np.testing.assert_array_equal(_kernels.grid_abs_values(exps, coefs, m, offset), np.abs(vals).ravel())
+
+    guard = _kernels.grid_error_bound(exps, coefs, m, offset)
+    assert guard <= 1e-10 * float(np.abs(coefs).sum())
+    tol = guard + _evaluate_error_bound(exps, coefs)
+    npts = m ** d
+    rng = np.random.default_rng(seed)
+    flat = range(npts) if npts <= 256 else rng.integers(0, npts, size=256)
+    worst = 0.0
+    for p in flat:
+        j = np.unravel_index(int(p), (m,) * d)
+        theta = tuple((int(ji) + offset) / m for ji in j)
+        worst = max(worst, abs(vals[j] - evaluate(f, theta)))
+    assert worst <= tol
+
+
+@pytest.mark.parametrize("d,m", [(1, 65536), (2, 512), (3, 64)])
+def test_grid_error_bound_small_at_default_grids(d, m):
+    # the largest default grids of certification and Mahler quadrature
+    exps = np.vstack([np.zeros((1, d), dtype=np.int64), np.eye(d, dtype=np.int64), -np.eye(d, dtype=np.int64)])
+    coefs = np.array([2.0 * d + 1] + [-1.0] * (2 * d))
+    for offset in (0.0, 0.5):
+        assert 0 < _kernels.grid_error_bound(exps, coefs, m, offset) < 1e-10 * float(np.abs(coefs).sum())
 
 
 def test_greedy_separated_semantics():

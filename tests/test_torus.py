@@ -1,9 +1,12 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from algdyn import torus
+from algdyn._kernels import grid_error_bound
 from algdyn.groupring import GroupRingElement, GroupRingMatrix, parse_element
 from algdyn.torus import (
     INVERTIBLE,
@@ -113,10 +116,21 @@ def test_certify_unknown_regime():
     # 2 + 3u + 2u^2 has both roots on the unit circle at irrational angles
     # (modulus^2 = (9+7)/16 = 1), so no exact rational witness exists and the
     # sound verdict is Unknown at any grid size.
+    # The note gives facts, not a remedy: a finer grid cannot help here.
     g = parse_element("2 + 3*u1 + 2*u1^2")
-    cert = certify_invertible(g, 4096)
+    m = 4096
+    cert = certify_invertible(g, m)
     assert cert.verdict == UNKNOWN
-    assert "increase" in cert.note
+    assert "increase" not in cert.note
+    found = re.search(r"theta = \((\d+)/(\d+)\); margin (\S+) is (\S+) below", cert.note)
+    j, denom, margin, deficit = found.groups()
+    assert int(denom) == m
+    # f^(theta) = z (3 + 4 cos 2 pi theta): zeros at cos 2 pi theta = -3/4
+    zero = math.acos(-0.75) / (2 * math.pi)
+    assert min(abs(int(j) / m - zero), abs(int(j) / m - (1 - zero))) <= 1 / (2 * m)
+    assert float(margin) == pytest.approx(cert.margin, rel=1e-3)
+    guard = grid_error_bound(*torus._term_arrays(g), m, 0.0)
+    assert float(deficit) == pytest.approx(guard - cert.margin, rel=1e-3)
 
 
 def test_certify_zero_element():
