@@ -200,7 +200,11 @@ class CompanionModule:
 
 
 def _dedupe_int(rows: np.ndarray) -> np.ndarray:
-    return np.unique(rows, axis=0)
+    """The distinct rows in lexicographic order, as np.unique(rows, axis=0)."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
 
 
 def peters_entropy(

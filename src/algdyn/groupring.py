@@ -14,6 +14,8 @@ import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from . import _sparse
+
 
 class DimensionMismatch(ValueError):
     """Operands live over different Z^d."""
@@ -117,18 +119,7 @@ class GroupRingElement:
                 return GroupRingElement.zero(self.d)
             return GroupRingElement(self.d, {e: c * other for e, c in self.terms.items()})
         self._check(other)
-        # convolution; iterate the smaller support outside
-        a, b = (self.terms, other.terms) if len(self.terms) <= len(other.terms) else (other.terms, self.terms)
-        out: dict[tuple[int, ...], int] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                k = tuple(x + y for x, y in zip(ea, eb))
-                v = out.get(k, 0) + ca * cb
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
-        return GroupRingElement(self.d, out)
+        return GroupRingElement(self.d, _sparse.conv(other.terms, self.terms))
 
     __rmul__ = __mul__
 

@@ -25,7 +25,7 @@ from .groupring import (
     enumerate_zd,
     frac_center,
 )
-from . import torus
+from . import _sparse, torus
 
 
 @dataclass
@@ -73,32 +73,23 @@ class HomoclinicPoint:
     def float_lift(self) -> list[dict[tuple[int, ...], float]]:
         return [{e: float(c) for e, c in comp.items()} for comp in self.lift]
 
-    def centered_lift(self) -> list[dict[tuple[int, ...], Fraction]]:
-        return [{e: frac_center(c) for e, c in comp.items()} for comp in self.lift]
+    def site_distances(self) -> tuple[dict[tuple[int, ...], int], int]:
+        """Per support site, the torus distance to zero as (numerator, den)."""
+        comps, den = _sparse.scale(self.lift)
+        dist = {}
+        for e in set().union(*comps):
+            dist[e] = max(abs(_sparse.center(comp.get(e, 0), den)) for comp in comps)
+        return dist, den
 
     def rho_sum(self) -> Fraction:
         """Sum over the support of the torus distance to zero, exact."""
-        total = Fraction(0)
-        for e in self.support():
-            total += max(
-                (abs(frac_center(comp.get(e, Fraction(0)))) for comp in self.lift),
-                default=Fraction(0),
-            )
-        return total
+        dist, den = self.site_distances()
+        return Fraction(sum(dist.values()), den)
 
     def __add__(self, other: "HomoclinicPoint") -> "HomoclinicPoint":
         if self.A != other.A:
             raise ValueError("points must share the presenting matrix")
-        lift = []
-        for a, b in zip(self.lift, other.lift):
-            out = dict(a)
-            for e, c in b.items():
-                v = out.get(e, Fraction(0)) + c
-                if v:
-                    out[e] = v
-                else:
-                    del out[e]
-            lift.append(out)
+        lift = _lift_sum(self.lift, other.lift, 1)
         prov = [p + q for p, q in zip(self.provenance, other.provenance)]
         return HomoclinicPoint(self.A, lift, self.tail_bound + other.tail_bound, prov)
 
@@ -115,19 +106,39 @@ class HomoclinicPoint:
         return HomoclinicPoint(self.A, lift, self.tail_bound, prov)
 
     def to_obj(self) -> dict:
+        comps, den = _sparse.scale(self.lift)
         return {
             "k": self.k,
             "d": self.d,
-            "tail_bound": self.tail_bound,
+            "tail_bound": _finite_or_none(self.tail_bound),
             "provenance": [p.to_obj() for p in self.provenance],
             "lift": [
                 [
-                    {"exp": list(e), "value": float(frac_center(c))}
-                    for e, c in sorted(comp.items())
+                    {"exp": list(e), "value": _sparse.center(n, den) / den}
+                    for e, n in sorted(comp.items())
                 ]
-                for comp in self.lift
+                for comp in comps
             ],
         }
+
+
+def _lift_sum(a: list[dict], b: list[dict], sign: int) -> list[dict]:
+    """Componentwise a + sign * b of two lifts, exact."""
+    comps, den = _sparse.scale(a + b)
+    k = len(a)
+    return [
+        _sparse.unscale(_sparse.add_to(dict(comps[j]), comps[k + j], sign), den)
+        for j in range(k)
+    ]
+
+
+def _finite_or_none(v: float) -> float | None:
+    return v if math.isfinite(v) else None
+
+
+def _tail(inv: torus.MatrixL1Inverse) -> float:
+    """The inverse's tail bound; inf when its residual certifies none."""
+    return math.inf if inv.tail_bound is None else inv.tail_bound
 
 
 @functools.lru_cache(maxsize=32)
@@ -152,7 +163,7 @@ def fundamental_homoclinic(
             GroupRingElement.one(A.d) if j == i else GroupRingElement.zero(A.d)
             for j in range(k)
         ]
-        out.append(HomoclinicPoint(A, lift, inv.tail_bound or 0.0, prov))
+        out.append(HomoclinicPoint(A, lift, _tail(inv), prov))
     return out
 
 
@@ -181,21 +192,16 @@ def group_element(
     inv = _star_inverse(A, tol, radius_cap)
     k = inv.k
     mv = _as_vector(m, k, A.d)
-    lift: list[dict[tuple[int, ...], Fraction]] = []
+    cells, den = _sparse.scale([cell.terms for row in inv.entries for cell in row])
+    lift = []
     for j in range(k):
-        acc: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[tuple[int, ...], int] = {}
         for i in range(k):
-            if mv[i].is_zero():
-                continue
-            for e, c in torus.conv_with_element(inv.entries[i][j].terms, mv[i]).items():
-                v = acc.get(e, Fraction(0)) + c
-                if v:
-                    acc[e] = v
-                else:
-                    del acc[e]
-        lift.append(acc)
+            if not mv[i].is_zero():
+                _sparse.add_to(acc, _sparse.conv(cells[i * k + j], mv[i].terms))
+        lift.append(_sparse.unscale(acc, den))
     norm_m = sum(comp.l1_norm() for comp in mv)
-    tail = (inv.tail_bound or 0.0) * max(1, norm_m)
+    tail = _tail(inv) * max(1, norm_m)
     return HomoclinicPoint(A, lift, tail, mv)
 
 
@@ -208,18 +214,14 @@ def annihilation_residual(x: HomoclinicPoint, window=None) -> float:
     """
     Astar = x.A.star()
     k = x.k
+    comps, den = _sparse.scale(x.lift)
     worst = 0.0
     sites: set[tuple[int, ...]] = set()
     cols = []
     for j in range(k):
-        acc: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[tuple[int, ...], int] = {}
         for i in range(k):
-            for e, c in torus.conv_with_element(x.lift[i], Astar.entries[i][j]).items():
-                v = acc.get(e, Fraction(0)) + c
-                if v:
-                    acc[e] = v
-                else:
-                    del acc[e]
+            _sparse.add_to(acc, _sparse.conv(comps[i], Astar.entries[i][j].terms))
         cols.append(acc)
         sites.update(acc)
     if window is not None:
@@ -228,7 +230,7 @@ def annihilation_residual(x: HomoclinicPoint, window=None) -> float:
         for acc in cols:
             v = acc.get(e)
             if v is not None:
-                worst = max(worst, abs(float(frac_center(v))))
+                worst = max(worst, abs(_sparse.center(v, den)) / den)
     return worst
 
 
@@ -246,15 +248,15 @@ def _phi_vector(phi, k: int, d: int) -> list[GroupRingElement]:
     return _as_vector(phi, k, d)
 
 
-def _norm_window(window, d: int) -> list[tuple[int, ...]]:
+def _norm_sites(F, d: int) -> list[tuple[int, ...]]:
     out = []
-    for e in window:
-        if isinstance(e, int):
+    for s in F:
+        if isinstance(s, int):
             if d != 1:
-                raise ValueError("integer window sites only valid when d=1")
-            out.append((e,))
+                raise ValueError("integer sites only valid when d=1")
+            out.append((s,))
         else:
-            out.append(tuple(int(v) for v in e))
+            out.append(tuple(int(v) for v in s))
     return out
 
 
@@ -274,7 +276,7 @@ def psi(x: HomoclinicPoint, phi, window) -> dict[tuple[int, ...], complex]:
     """The character mismatch function s -> <s.x, phi> - 1 on the window."""
     phiv = _phi_vector(phi, x.k, x.d)
     out = {}
-    for s in _norm_window(window, x.d):
+    for s in _norm_sites(window, x.d):
         ang = 2.0 * math.pi * _pairing_exponent(x.lift, phiv, s)
         out[s] = complex(math.cos(ang) - 1.0, math.sin(ang))
     return out
@@ -290,8 +292,8 @@ class Delta1Certificate:
     def to_obj(self) -> dict:
         return {
             "rho_sum": self.rho_sum,
-            "tail_bound": self.tail_bound,
-            "total": self.total,
+            "tail_bound": _finite_or_none(self.tail_bound),
+            "total": _finite_or_none(self.total),
             "finite": self.finite,
         }
 
@@ -300,11 +302,13 @@ def delta1_membership(x: HomoclinicPoint) -> Delta1Certificate:
     """Summability certificate: sum of torus distances to zero plus tail.
 
     Finiteness of this sum places the point in the l1-homoclinic group,
-    which for expansive actions is the whole homoclinic group.
+    which for expansive actions is the whole homoclinic group.  Without a
+    certified tail bound (inverse residual >= 1) the total is infinite and
+    nothing is certified.
     """
     s = float(x.rho_sum())
     tail = float(x.tail_bound)
-    return Delta1Certificate(s, tail, s + tail, finite=True)
+    return Delta1Certificate(s, tail, s + tail, finite=math.isfinite(tail))
 
 
 def summable_metric_distance(
@@ -322,14 +326,7 @@ def summable_metric_distance(
     if y is not None:
         if x.A != y.A:
             raise ValueError("points must share the presenting matrix")
-        diff = [dict(a) for a in x.lift]
-        for j, comp in enumerate(y.lift):
-            for e, c in comp.items():
-                v = diff[j].get(e, Fraction(0)) - c
-                if v:
-                    diff[j][e] = v
-                else:
-                    diff[j].pop(e, None)
+        diff = _lift_sum(x.lift, y.lift, -1)
     else:
         diff = x.lift
     k, d = x.k, x.d
@@ -382,7 +379,7 @@ def pairing_symmetry_check(
     k, d = x2.k, A.d
     m1v = _as_vector(m1, k, d)
     m2v = _as_vector(m2, k, d)
-    win = _norm_window(window, d)
+    win = _norm_sites(window, d)
     lhs = psi(x2, m1v, win)
     rhs_sites = [tuple(-v for v in s) for s in win]
     rhs = psi(x1, m2v, rhs_sites)

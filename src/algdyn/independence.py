@@ -16,25 +16,16 @@ finite-index subgroup produces an exactly periodic shadow.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
 import numpy as np
 
+from . import _sparse
 from .groupring import GroupRingElement, GroupRingMatrix, ball, frac_center
-from .homoclinic import HomoclinicPoint, _star_inverse, group_element
-
-
-def _norm_sites(F, d: int) -> list[tuple[int, ...]]:
-    out = []
-    for s in F:
-        if isinstance(s, int):
-            if d != 1:
-                raise ValueError("integer sites only valid when d=1")
-            out.append((s,))
-        else:
-            out.append(tuple(int(v) for v in s))
-    return out
+from .homoclinic import HomoclinicPoint, _norm_sites, _star_inverse, group_element
 
 
 def greedy_separated_subset(F: list, K: list) -> list[tuple[int, ...]]:
@@ -70,22 +61,30 @@ def interaction_radius(x: HomoclinicPoint, eps: float, radius_cap: int = 200) ->
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    centered = x.centered_lift()
-    total = x.rho_sum() + Fraction(x.tail_bound).limit_denominator(10**15)
-    support = x.support()
-    max_r = max((max(abs(v) for v in e) for e in support), default=0)
-    inside = Fraction(0)
-    by_radius: dict[int, Fraction] = {}
-    for e in support:
-        r = max(abs(v) for v in e)
-        by_radius[r] = by_radius.get(r, Fraction(0)) + max(
-            (abs(comp.get(e, Fraction(0))) for comp in centered), default=Fraction(0)
-        )
-    for r in range(0, min(max_r, radius_cap) + 1):
-        inside += by_radius.get(r, Fraction(0))
-        if float(total - inside) < eps:
+    if not math.isfinite(x.tail_bound):
+        raise ValueError("the point has no certified tail bound (inverse residual >= 1)")
+    dist, den = x.site_distances()
+    by_radius: dict[int, int] = {}
+    for e, v in dist.items():
+        r = max(map(abs, e))
+        by_radius[r] = by_radius.get(r, 0) + v
+    r = _first_radius_below(by_radius, den, x.tail_bound, eps, radius_cap)
+    if r is None:
+        raise ValueError("no interaction ball with tail below eps within the support")
+    return r
+
+
+def _first_radius_below(by_radius: dict[int, int], den: int, tail: float, bound: float,
+                        radius_cap: int) -> int | None:
+    """Smallest r <= radius_cap with the mass beyond radius r, plus the tail,
+    below bound; masses are numerators over den, summed exactly."""
+    tail_q = Fraction(tail).limit_denominator(10**15)
+    outside = sum(by_radius.values())
+    for r in range(0, min(max(by_radius, default=0), radius_cap) + 1):
+        outside -= by_radius.get(r, 0)
+        if float(Fraction(outside, den) + tail_q) < bound:
             return r
-    raise ValueError("no interaction ball with tail below eps within the support")
+    return None
 
 
 @dataclass
@@ -119,24 +118,24 @@ class IndependenceReport:
 
 
 def _sigma_violation_direct(
-    x: HomoclinicPoint,
+    lift: list[dict[tuple[int, ...], float]],
     F1: list[tuple[int, ...]],
     K: list[tuple[int, ...]],
     sigma: dict[tuple[int, ...], int],
 ) -> float:
-    """Pure-dict evaluation of max_t rho((s y_sigma)_t, target_t), all s in F1."""
+    """Pure-dict evaluation of max_t rho((s y_sigma)_t, target_t), all s in F1,
+    on the float lift of the point."""
     worst = 0.0
     for s in F1:
+        shifts = [tuple(map(sub, sp, s)) for sp in F1 if sigma[sp]]
         for t in K:
-            for j in range(x.k):
+            for comp in lift:
                 acc = 0.0
-                for sp in F1:
-                    if sigma[sp]:
-                        e = tuple(a - b + c for a, b, c in zip(t, s, sp))
-                        v = x.lift[j].get(e)
-                        if v is not None:
-                            acc += float(v)
-                target = float(x.lift[j].get(t, Fraction(0))) if sigma[s] else 0.0
+                for dt in shifts:
+                    v = comp.get(tuple(map(add, t, dt)))
+                    if v is not None:
+                        acc += v
+                target = comp.get(t, 0.0) if sigma[s] else 0.0
                 diff = acc - target
                 diff -= round(diff)
                 worst = max(worst, abs(diff))
@@ -205,9 +204,10 @@ def independence_witnesses(
     all_pass = bool((viol <= eps).all())
 
     if double_check:
+        flift = x.float_lift()
         for idx in range(nsig):
             sd = {F1[b]: int(sigma[idx, b]) for b in range(nf1)}
-            direct = _sigma_violation_direct(x, F1, K, sd)
+            direct = _sigma_violation_direct(flift, F1, K, sd)
             recorded = float(viol[idx].max()) if nf1 else 0.0
             if abs(direct - recorded) > 1e-9:
                 raise AssertionError("independent witness re-verification disagrees")
@@ -295,20 +295,18 @@ def inverse_tail_radius(A: GroupRingMatrix, bound: float, tol: float = 1e-10, ra
     """Smallest R with the l1 mass of the truncated (A*)^-1 beyond radius R,
     plus its truncation tail, below the given bound."""
     inv = _star_inverse(A, tol, radius_cap)
-    d = A.d
-    by_radius: dict[int, Fraction] = {}
-    for row in inv.entries:
-        for cell in row:
-            for e, c in cell.terms.items():
-                r = max(abs(v) for v in e)
-                by_radius[r] = by_radius.get(r, Fraction(0)) + abs(c)
-    total = sum(by_radius.values(), Fraction(0)) + Fraction(inv.tail_bound or 0.0).limit_denominator(10**15)
-    inside = Fraction(0)
-    for r in range(0, max(by_radius, default=0) + 1):
-        inside += by_radius.get(r, Fraction(0))
-        if float(total - inside) < bound:
-            return r
-    raise ValueError("epsilon tail unreachable within the truncated inverse radius")
+    if inv.tail_bound is None:
+        raise ValueError("the inverse has no certified tail bound (residual >= 1)")
+    cells, den = _sparse.scale([cell.terms for row in inv.entries for cell in row])
+    by_radius: dict[int, int] = {}
+    for cell in cells:
+        for e, c in cell.items():
+            r = max(map(abs, e))
+            by_radius[r] = by_radius.get(r, 0) + abs(c)
+    r = _first_radius_below(by_radius, den, inv.tail_bound, bound, max(by_radius, default=0))
+    if r is None:
+        raise ValueError("epsilon tail unreachable within the truncated inverse radius")
+    return r
 
 
 def _region(block: ShadowBlock, d: int) -> set[tuple[int, ...]]:
@@ -376,16 +374,13 @@ def shadow(
             shifted = {tuple(a + b for a, b in zip(s, gz)) for s in all_sites}
             if _min_distance(all_sites, shifted) <= R:
                 raise ValueError("periodic domain too small for the blocks' gap radius")
-        folded: list[dict[tuple[int, ...], Fraction]] = [dict() for _ in range(k)]
-        for j in range(k):
-            for e, c in lift[j].items():
-                fe = _fold_lattice(e, B)
-                v = folded[j].get(fe, Fraction(0)) + c
-                if v:
-                    folded[j][fe] = v
-                else:
-                    folded[j].pop(fe, None)
-        lift = folded
+        comps, den = _sparse.scale(lift)
+        lift = []
+        for comp in comps:
+            folded: dict[tuple[int, ...], int] = {}
+            for e, c in comp.items():
+                _sparse.add_to(folded, {_fold_lattice(e, B): c})
+            lift.append(_sparse.unscale(folded, den))
 
     result = ShadowResult(lift, [], R, req.eps, B)
     errors = []

@@ -11,9 +11,11 @@ l1(Z^d) exactly when its Fourier series f^ has no zero on the d-torus
   is only returned with an exact zero witness at a rational point,
   confirmed in integer cyclotomic arithmetic.  Everything else is Unknown.
 
-* l1_inverse produces a finitely supported rational approximation g of
-  f^-1 whose residual ||delta - g*f||_1 is computed in exact rational
-  arithmetic; the residual yields an a posteriori bound on ||f^-1 - g||_1.
+* l1_inverse produces a finitely supported dyadic approximation g of
+  f^-1.  Its coefficients, Newton iterates and residual ||delta - g*f||_1
+  are exact: integer numerators over one common power-of-two denominator
+  (the _sparse core).  The residual yields an a posteriori bound on
+  ||f^-1 - g||_1.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, _sparse
 from .groupring import (
     GroupRingElement,
     GroupRingMatrix,
@@ -90,10 +92,12 @@ class TorusCertificate:
 class L1Approximant:
     """Finitely supported rational function on Z^d standing for an l1 element.
 
-    tail_bound, when known, bounds the l1 mass ||true - this||_1 of the
-    discarded part.  For inverses it is derived a posteriori from the exact
-    residual: if r = ||delta - g*f||_1 < 1 then ||f^-1 - g||_1 <=
-    r*||g||_1/(1-r).
+    The coefficients are computed as integer numerators over a common
+    dyadic denominator and handed out as Fractions.  tail_bound, when
+    known, bounds the l1 mass ||true - this||_1 of the discarded part.  For
+    inverses it is derived a posteriori from the exact residual: if
+    r = ||delta - g*f||_1 < 1 then ||f^-1 - g||_1 <= r*||g||_1/(1-r);
+    otherwise it is None.
     """
 
     d: int
@@ -356,56 +360,24 @@ def certify_matrix_invertible(A: GroupRingMatrix, m: int | None = None) -> Torus
 # -- truncated l1 inverses ---------------------------------------------------
 
 
-def _delta(d: int) -> dict[tuple[int, ...], Fraction]:
-    return {(0,) * d: Fraction(1)}
-
-
+# Fraction-in, Fraction-out convolutions on the integer core; the package no
+# longer calls them, but perfbench/tracing.py wraps both by name.
 def conv_with_element(g: dict[tuple[int, ...], Fraction], f: GroupRingElement) -> dict:
-    out: dict[tuple[int, ...], Fraction] = {}
-    for eg, cg in g.items():
-        for ef, cf in f.terms.items():
-            k = tuple(a + b for a, b in zip(eg, ef))
-            v = out.get(k, Fraction(0)) + cg * cf
-            if v:
-                out[k] = v
-            else:
-                del out[k]
-    return out
+    (num,), den = _sparse.scale([g])
+    return _sparse.unscale(_sparse.conv(num, f.terms), den)
 
 
 def conv_frac(a: dict, b: dict) -> dict:
-    out: dict[tuple[int, ...], Fraction] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            k = tuple(x + y for x, y in zip(ea, eb))
-            v = out.get(k, Fraction(0)) + ca * cb
-            if v:
-                out[k] = v
-            else:
-                del out[k]
-    return out
+    (na, nb), den = _sparse.scale([a, b])
+    return _sparse.unscale(_sparse.conv(na, nb), den * den)
 
 
-def _residual(g: dict, f: GroupRingElement) -> Fraction:
-    """||delta - g*f||_1, exact."""
-    prod = conv_with_element(g, f)
+def _residual(g: dict[tuple[int, ...], int], den: int, f: GroupRingElement) -> Fraction:
+    """||delta - (g/den)*f||_1 for integer numerators g, exact."""
+    prod = _sparse.conv(g, f.terms)
     e0 = (0,) * f.d
-    prod[e0] = prod.get(e0, Fraction(0)) - 1
-    return sum((abs(c) for c in prod.values()), Fraction(0))
-
-
-def _truncate(g: dict, radius: int) -> dict:
-    return {e: c for e, c in g.items() if max(abs(x) for x in e) <= radius and c}
-
-
-def _quantize(g: dict, bits: int) -> dict:
-    q = 1 << bits
-    out = {}
-    for e, c in g.items():
-        v = Fraction(round(c * q), q)
-        if v:
-            out[e] = v
-    return out
+    prod[e0] = prod.get(e0, 0) - den
+    return Fraction(_sparse.l1(prod), den)
 
 
 def _monomial_unit_inverse(f: GroupRingElement) -> L1Approximant | None:
@@ -429,10 +401,10 @@ def l1_inverse(
 
     Seeds coefficients by sampling 1/f^ on a uniform grid and applying the
     inverse discrete Fourier transform, truncates to the max-norm ball of
-    the given radius, then refines by g <- g(2 delta - f g) in exact
-    rational arithmetic until the exact residual drops below tol.  If tol
-    cannot be met within the radius the best approximant is returned with
-    converged=False and its achieved residual.
+    the given radius, then refines by g <- g(2 delta - f g), requantized
+    to 2^-bits, on integer numerators until the exact residual drops below
+    tol.  If tol cannot be met within the radius the best approximant is
+    returned with converged=False and its achieved residual.
     """
     unit = _monomial_unit_inverse(f)
     if unit is not None:
@@ -453,54 +425,55 @@ def l1_inverse(
     vals = _kernels.grid_values(*_term_arrays(f), m, 0.0)
     coef = np.fft.fftn(1.0 / vals) / (m ** d)
 
-    g: dict[tuple[int, ...], Fraction] = {}
+    # the float seed is dyadic: put every coefficient over one 2^shift
+    seed: dict[tuple[int, ...], tuple[int, int]] = {}
     for e in ball(d, radius_cap):
-        idx = tuple(x % m for x in e)
-        v = float(coef[idx].real)
+        v = float(coef[tuple(x % m for x in e)].real)
         if v != 0.0:
-            g[e] = Fraction(v)
+            seed[e] = v.as_integer_ratio()
+    shift = max((q.bit_length() - 1 for _, q in seed.values()), default=0)
+    g = {e: p << (shift + 1 - q.bit_length()) for e, (p, q) in seed.items()}
+    den = 1 << shift
 
     bits = max(64, 2 * int(math.ceil(-math.log2(max(tol, 1e-300)))) + 16)
-    best = g
-    best_r = _residual(g, f)
+    e0 = (0,) * d
+    best, best_den = g, den
+    best_r = _residual(g, den, f)
     it = 0
     while best_r > tol and it < max_iter:
         it += 1
-        two_minus = {e: -c for e, c in conv_with_element(g, f).items()}
-        e0 = (0,) * d
-        two_minus[e0] = two_minus.get(e0, Fraction(0)) + 2
-        g = conv_frac(g, two_minus)
-        g = _quantize(_truncate(g, radius_cap), bits)
-        r = _residual(g, f)
+        # g <- g (2 delta - f g), truncated and requantized to 2^-bits
+        two_minus = {e: -c for e, c in _sparse.conv(g, f.terms).items()}
+        two_minus[e0] = two_minus.get(e0, 0) + 2 * den
+        g = {e: c for e, c in _sparse.conv(g, two_minus).items() if max(map(abs, e)) <= radius_cap}
+        g, den = _sparse.requantize(g, den * den, bits), 1 << bits
+        r = _residual(g, den, f)
         if r < best_r:
-            best, best_r = g, r
+            best, best_den, best_r = g, den, r
         else:
             break
 
     converged = best_r <= tol
-    tail = float(best_r * sum((abs(c) for c in best.values()), Fraction(0)) / (1 - best_r)) if best_r < 1 else None
-    return L1Approximant(d, best, tail_bound=tail, residual=best_r, converged=converged)
+    norm = Fraction(_sparse.l1(best), best_den)
+    tail = float(best_r * norm / (1 - best_r)) if best_r < 1 else None
+    return L1Approximant(d, _sparse.unscale(best, best_den), tail_bound=tail, residual=best_r,
+                         converged=converged)
 
 
-def _matrix_residual(G: list[list[dict]], A: GroupRingMatrix) -> Fraction:
-    """||I - G A||_1 with the sum-of-entries l1 norm, exact."""
+def _matrix_residual(G: list[list[dict]], den: int, A: GroupRingMatrix) -> Fraction:
+    """||I - G A||_1 with the sum-of-entries l1 norm, for G = nums/den, exact."""
     k = A.rows
-    total = Fraction(0)
+    total = 0
     for i in range(k):
         for j in range(k):
-            acc: dict[tuple[int, ...], Fraction] = {}
+            acc: dict[tuple[int, ...], int] = {}
             for t in range(k):
-                for e, c in conv_with_element(G[i][t], A.entries[t][j]).items():
-                    v = acc.get(e, Fraction(0)) + c
-                    if v:
-                        acc[e] = v
-                    else:
-                        del acc[e]
+                _sparse.add_to(acc, _sparse.conv(G[i][t], A.entries[t][j].terms))
             if i == j:
                 e0 = (0,) * A.d
-                acc[e0] = acc.get(e0, Fraction(0)) - 1
-            total += sum((abs(c) for c in acc.values()), Fraction(0))
-    return total
+                acc[e0] = acc.get(e0, 0) - den
+            total += _sparse.l1(acc)
+    return Fraction(total, den)
 
 
 def matrix_l1_inverse(
@@ -525,21 +498,18 @@ def matrix_l1_inverse(
         raise NotInvertibleError(f"determinant not certified invertible: {det_cert.verdict}")
 
     gdet = l1_inverse(det, tol / k, radius_cap, cert=det_cert)
+    (g,), den = _sparse.scale([gdet.terms])
     adj = A.adjugate()
-    G = [
-        [conv_with_element(gdet.terms, adj.entries[i][j]) for j in range(k)]
-        for i in range(k)
-    ]
-    residual = _matrix_residual(G, A)
+    G = [[_sparse.conv(g, adj.entries[i][j].terms) for j in range(k)] for i in range(k)]
+    residual = _matrix_residual(G, den, A)
     converged = residual <= tol
 
-    norm_g = sum(
-        (abs(c) for row in G for cell in row for c in cell.values()), Fraction(0)
-    )
+    norm_g = Fraction(sum(_sparse.l1(cell) for row in G for cell in row), den)
     tail = float(residual * norm_g / (1 - residual)) if residual < 1 else None
     entries = [
         [
-            L1Approximant(A.d, G[i][j], tail_bound=tail, residual=residual, converged=converged)
+            L1Approximant(A.d, _sparse.unscale(G[i][j], den), tail_bound=tail, residual=residual,
+                          converged=converged)
             for j in range(k)
         ]
         for i in range(k)

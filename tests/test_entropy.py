@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from algdyn.entropy import (
     CompanionModule,
+    _dedupe_int,
     additivity_check,
     duality_check,
     mahler_measure,
@@ -183,6 +187,20 @@ def test_peters_seed_validation():
         peters_entropy(cm, E_seed=[[1]])
     with pytest.raises(ValueError):
         peters_entropy(cm, E_seed=[[0]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(
+    np.int64,
+    st.tuples(st.integers(0, 60), st.integers(1, 4)),
+    elements=st.integers(-2, 2) | st.sampled_from([np.iinfo(np.int64).min, np.iinfo(np.int64).max]),
+))
+def test_dedupe_matches_np_unique(rows):
+    got = _dedupe_int(rows)
+    want = np.unique(rows, axis=0)
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def test_peters_memory_cap(monkeypatch):

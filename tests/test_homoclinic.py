@@ -15,6 +15,7 @@ from algdyn.homoclinic import (
     psi,
     summable_metric_distance,
 )
+from algdyn.independence import interaction_radius, inverse_tail_radius
 
 E = GroupRingElement
 R_SYM = (3 - math.sqrt(5)) / 2
@@ -205,3 +206,19 @@ def test_decay_monotone_tail(A_sym):
     (x,) = fundamental_homoclinic(A_sym)
     tails = [max(x.rho_to_zero(n), x.rho_to_zero(-n)) for n in range(1, 12)]
     assert all(b < a for a, b in zip(tails, tails[1:]))
+
+
+def test_missing_tail_bound_is_not_zero():
+    # radius 0 leaves the inverse residual at about 1.33: no tail bound is certified
+    A = GroupRingMatrix([[parse_element("3 + 2*u1 + 2*u1^2")]])
+    x = fundamental_homoclinic(A, 1e-10, 0)[0]
+    assert x.tail_bound == math.inf
+    assert group_element(A, [parse_element("1 + u1")], 1e-10, 0).tail_bound == math.inf
+    cert = delta1_membership(x)
+    assert not cert.finite
+    assert cert.to_obj()["tail_bound"] is None and cert.to_obj()["total"] is None
+    assert x.to_obj()["tail_bound"] is None
+    with pytest.raises(ValueError, match="tail bound"):
+        interaction_radius(x, 0.1)
+    with pytest.raises(ValueError, match="tail bound"):
+        inverse_tail_radius(A, 0.1, 1e-10, 0)
