@@ -31,12 +31,12 @@ def _load_matrix(path: str) -> GroupRingMatrix:
 
 
 def _input_matrix(args) -> tuple[GroupRingMatrix, dict]:
-    if getattr(args, "poly", None) and getattr(args, "matrix", None):
+    if args.poly and args.matrix:
         raise ValueError("give exactly one input source (--poly or --matrix)")
-    if getattr(args, "poly", None):
+    if args.poly:
         f = parse_element(args.poly)
         return GroupRingMatrix([[f]]), {"poly": args.poly}
-    if getattr(args, "matrix", None):
+    if args.matrix:
         return _load_matrix(args.matrix), {"matrix": args.matrix}
     raise ValueError("an input source is required (--poly or --matrix)")
 
@@ -50,53 +50,42 @@ def _window_box(n: int, d: int) -> list:
     return out
 
 
-def _status_from_verdict(verdict: str) -> int:
-    return UNKNOWN_STATUS if verdict == "Unknown" else OK
+# -- subcommand handlers: each takes the parsed arguments of its subcommand ----
 
 
-# -- subcommand handlers (also callable from pipeline) -------------------------
-
-
-def run_expansive(params: dict) -> tuple[dict, int]:
-    args = argparse.Namespace(**params)
+def run_expansive(args: argparse.Namespace) -> tuple[dict, int]:
     A, src = _input_matrix(args)
-    grid = getattr(args, "grid", None)
     if A.rows == 1 and A.cols == 1:
-        rep = expansive.is_expansive_principal(A.entries[0][0], grid)
+        rep = expansive.is_expansive_principal(A.entries[0][0], args.grid)
     else:
-        rep = expansive.is_expansive_square(A, grid)
+        rep = expansive.is_expansive_square(A, args.grid)
     out = {"input": src, "report": rep.to_obj()}
-    if getattr(args, "check_entropy", False):
+    if args.check_entropy:
         fin, text = expansive.entropy_finiteness_equals_one_expansiveness_note(
             expansive.PresentedAction.from_matrix(A)
         )
         out["finite_entropy"] = fin.to_obj()
         out["equivalence_note"] = text
-    return out, _status_from_verdict(rep.verdict)
+    return out, UNKNOWN_STATUS if rep.verdict == "Unknown" else OK
 
 
-def run_entropy(params: dict) -> tuple[dict, int]:
-    args = argparse.Namespace(**params)
+def run_entropy(args: argparse.Namespace) -> tuple[dict, int]:
     method = args.method
     A, src = _input_matrix(args)
     chain = None
     if method == "mahler":
         det = A.det()
         chain = {"torus_certificate": torus.certify_invertible(det).to_obj()}
-        est = entropy.mahler_measure(det, getattr(args, "grid", None))
+        est = entropy.mahler_measure(det, args.grid)
     elif method == "peters":
         if A.rows != 1 or A.cols != 1:
             raise ValueError("peters counting expects a single polynomial input")
         cm = entropy.CompanionModule(A.entries[0][0])
-        est = entropy.peters_entropy(cm, n_max=getattr(args, "nmax", 30) or 30)
+        est = entropy.peters_entropy(cm, n_max=args.nmax)
         chain = {"exact_counting": True}
     elif method == "packing":
-        n = getattr(args, "window", 20) or 20
         est = entropy.packing_lower_bound(
-            A,
-            _window_box(n, A.d),
-            eps=getattr(args, "eps", None),
-            M_levels=getattr(args, "levels", 2) or 2,
+            A, _window_box(args.window, A.d), eps=args.eps, M_levels=args.levels
         )
         chain = _certificate_chain(A, 1e-10, 40)
     else:
@@ -115,40 +104,31 @@ def _certificate_chain(A: GroupRingMatrix, tol: float, radius: int) -> dict:
     }
 
 
-def run_homoclinic(params: dict) -> tuple[dict, int]:
-    args = argparse.Namespace(**params)
+def run_homoclinic(args: argparse.Namespace) -> tuple[dict, int]:
     A, src = _input_matrix(args)
-    tol = getattr(args, "tol", 1e-10) or 1e-10
-    radius = getattr(args, "radius", 40) or 40
-    elem = getattr(args, "element", None)
-    if elem:
-        m = [parse_element(t, A.d) for t in elem.split(";")]
-        x = homoclinic.group_element(A, m, tol, radius)
+    if args.element:
+        m = [parse_element(t, A.d) for t in args.element.split(";")]
+        x = homoclinic.group_element(A, m, args.tol, args.radius)
     else:
-        x = homoclinic.fundamental_homoclinic(A, tol, radius)[0]
+        x = homoclinic.fundamental_homoclinic(A, args.tol, args.radius)[0]
     cert = homoclinic.delta1_membership(x)
     residual = homoclinic.annihilation_residual(x)
     return {
         "input": src,
-        "certificate_chain": _certificate_chain(A, tol, radius),
+        "certificate_chain": _certificate_chain(A, args.tol, args.radius),
         "point": x.to_obj(),
         "delta1": cert.to_obj(),
         "annihilation_residual": residual,
-        "membership_tolerance": homoclinic.membership_tolerance(A, tol),
+        "membership_tolerance": homoclinic.membership_tolerance(A, args.tol),
         "window_size": len(x.support()),
     }, OK
 
 
-def run_ie(params: dict) -> tuple[dict, int]:
-    args = argparse.Namespace(**params)
+def run_ie(args: argparse.Namespace) -> tuple[dict, int]:
     A, src = _input_matrix(args)
-    eps = args.eps
-    n = getattr(args, "window", 60) or 60
-    cap = getattr(args, "cap", 4096) or 4096
-    seed = getattr(args, "seed", 0) or 0
     x = homoclinic.fundamental_homoclinic(A)[0]
     rep = independence.independence_witnesses(
-        x, eps, _window_box(n, A.d), cap=cap, seed=seed
+        x, args.eps, _window_box(args.window, A.d), cap=args.cap, seed=args.seed
     )
     return {
         "input": src,
@@ -157,8 +137,8 @@ def run_ie(params: dict) -> tuple[dict, int]:
     }, OK
 
 
-def run_shadow(params: dict) -> tuple[dict, int]:
-    path = params["config"]
+def run_shadow(args: argparse.Namespace) -> tuple[dict, int]:
+    path = args.config
     with open(path) as fh:
         cfg = json.load(fh)
     if "poly" in cfg:
@@ -185,16 +165,14 @@ def run_shadow(params: dict) -> tuple[dict, int]:
     }, OK
 
 
-def run_duality(params: dict) -> tuple[dict, int]:
-    args = argparse.Namespace(**params)
+def run_duality(args: argparse.Namespace) -> tuple[dict, int]:
     A, src = _input_matrix(args)
     chain = {"torus_certificate": torus.certify_invertible(A.det()).to_obj()}
-    rep = entropy.duality_check(A, getattr(args, "grid", None))
+    rep = entropy.duality_check(A, args.grid)
     return {"input": src, "certificate_chain": chain, "report": rep.to_obj()}, OK
 
 
-def run_freegroup_check(params: dict) -> tuple[dict, int]:
-    args = argparse.Namespace(**params)
+def run_freegroup_check(args: argparse.Namespace) -> tuple[dict, int]:
     rep = freegroup.verify_annihilator(args.rank, args.order, args.radius)
     return {"report": rep.to_obj()}, OK
 
@@ -210,18 +188,34 @@ _HANDLERS = {
 }
 
 
-def run_pipeline(params: dict) -> tuple[dict, int]:
-    path = params["config"]
+def _stage_argv(name: str, params: dict) -> list[str]:
+    """A pipeline stage's args as the argv of its subcommand: --key=value (a
+    polynomial may start with '-'), a bare flag for true, nothing for
+    false or null."""
+    argv = [name]
+    for key, val in params.items():
+        flag = "--" + key.replace("_", "-")
+        if val is True:
+            argv.append(flag)
+        elif val is not False and val is not None:
+            argv.append(f"{flag}={val}")
+    return argv
+
+
+def run_pipeline(args: argparse.Namespace) -> tuple[dict, int]:
+    path = args.config
     with open(path) as fh:
         stages = json.load(fh)
+    parser = _build_parser()
     report = {"stages": []}
-    for i, stage in enumerate(stages):
+    for stage in stages:
         name = stage.get("command")
         if name not in _HANDLERS:
             report["stages"].append({"command": name, "error": f"unknown stage {name!r}"})
             return report, ERROR
         try:
-            out, status = _HANDLERS[name](stage.get("args", {}))
+            stage_args = parser.parse_args(_stage_argv(name, stage.get("args", {})))
+            out, status = _HANDLERS[name](stage_args)
         except Exception as exc:  # first failure aborts with partial report
             report["stages"].append({"command": name, "error": str(exc)})
             return report, ERROR
@@ -232,7 +226,7 @@ def run_pipeline(params: dict) -> tuple[dict, int]:
 
 
 def _emit(report: dict, args) -> None:
-    fmt = getattr(args, "format", "json") or "json"
+    fmt = args.format
     if fmt == "csv" and "estimate" in report and report["estimate"].get("series"):
         lines = ["n,count,log,diff"]
         prev = None
@@ -245,26 +239,32 @@ def _emit(report: dict, args) -> None:
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     else:
         text = json.dumps(report, sort_keys=True) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises ValueError on bad arguments instead of exiting, so that a
+    pipeline stage reports them as a stage error."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="algdyn",
         description="Certified computations for algebraic Z^d shift actions",
     )
     p.add_argument("--version", action="version", version=f"algdyn {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_io(sp, matrix=True):
+    def add_io(sp):
         sp.add_argument("--poly", help="inline polynomial, e.g. '3 - u1 - u1^-1'")
-        if matrix:
-            sp.add_argument("--matrix", help="path to a JSON matrix file")
+        sp.add_argument("--matrix", help="path to a JSON matrix file")
         sp.add_argument("--out", help="write the report to this path")
         sp.add_argument("--format", choices=["json", "csv", "pretty"], default="json")
 
@@ -323,15 +323,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if exc.code == 0:  # --help / --version
-            raise
-        return ERROR  # usage errors exit 1; 2 is reserved for Unknown verdicts
+    except ValueError as exc:  # usage errors exit 1; 2 is reserved for Unknown verdicts
+        print(f"error: {exc}", file=sys.stderr)
+        return ERROR
     name = args.command
     handler = _HANDLERS.get(name) if name != "pipeline" else run_pipeline
     params = {k: v for k, v in vars(args).items() if k not in ("command",)}
     try:
-        report, status = handler(params)
+        report, status = handler(args)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR

@@ -23,9 +23,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels, torus
-from .groupring import GroupRingElement, GroupRingMatrix, ball
+from .groupring import GroupRingElement, GroupRingMatrix, ball, norm_sites
 from .homoclinic import fundamental_homoclinic
-from .independence import greedy_separated_subset, interaction_radius
+from .independence import _solve_rational, greedy_separated_subset, interaction_radius
 
 MAHLER_DEFAULT_GRID = {1: 65536, 2: 512, 3: 64}
 SINGULARITY_FLOOR = 1e-12
@@ -251,8 +251,7 @@ def peters_entropy(
     truncated = False
 
     if rational:
-        Mq = [[Fraction(int(M[i, j])) for j in range(k)] for i in range(k)]
-        Minv_q = _rational_inverse(Mq)
+        Minv_q = _solve_rational(M.tolist(), [[int(i == j) for j in range(k)] for i in range(k)])
         S = {tuple(Fraction(v) for v in b) for b in E}
         for n in range(1, n_max + 1):
             if n > 1:
@@ -302,23 +301,6 @@ def peters_entropy(
     )
 
 
-def _rational_inverse(Mq: list[list[Fraction]]) -> list[list[Fraction]]:
-    k = len(Mq)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(k)] for i, row in enumerate(Mq)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [v / p for v in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[k:] for row in aug]
-
-
 # -- homoclinic packing lower bound -------------------------------------------
 
 
@@ -346,7 +328,7 @@ def packing_lower_bound(
     if eps is None:
         eps = 0.5 / A.l1_norm()
     d = A.d
-    Fw = [((s,) if isinstance(s, int) else tuple(s)) for s in F]
+    Fw = norm_sites(F, d)
 
     radius = interaction_radius(x, eps, radius_cap)
     KmK = ball(d, 2 * radius)
@@ -359,6 +341,7 @@ def packing_lower_bound(
     # family values observed through the window: applying the group element t
     # to a member reads its coordinate at -t, so member c contributes
     # sum_s c_s lift(s - t) at window site t.
+    flift = x.float_lift()
     vals = np.zeros((nfam, len(Fw) * x.k), dtype=np.float64)
     shifts = []
     for s in F1:
@@ -366,8 +349,7 @@ def packing_lower_bound(
         for ti, t in enumerate(Fw):
             e = tuple(b - a for a, b in zip(t, s))
             for j in range(x.k):
-                v = x.lift[j].get(e)
-                col[ti * x.k + j] = float(v) if v is not None else 0.0
+                col[ti * x.k + j] = flift[j].get(e, 0.0)
         shifts.append(col)
     digits = np.zeros((nfam, len(F1)), dtype=np.int64)
     for idx in range(nfam):

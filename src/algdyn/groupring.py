@@ -25,15 +25,28 @@ class CapExceeded(RuntimeError):
     """An exact computation exceeded a declared size cap."""
 
 
-def _as_exponent(e, d: int) -> tuple[int, ...]:
+def _as_exponent(e, d: int | None) -> tuple[int, ...]:
+    """e as an exponent tuple of length d (any length when d is None); a bare
+    int stands for the site (e,) of Z^1."""
     if isinstance(e, int):
-        if d != 1:
+        if d not in (None, 1):
             raise ValueError("bare integer exponent only valid when d=1")
         return (e,)
     t = tuple(int(v) for v in e)
-    if len(t) != d:
+    if d is not None and len(t) != d:
         raise ValueError(f"exponent {t} has length {len(t)}, expected {d}")
     return t
+
+
+def norm_sites(sites, d: int | None = None) -> list[tuple[int, ...]]:
+    """Sites of Z^d as exponent tuples, each checked to have length d; when d
+    is None the first site fixes it."""
+    out = []
+    for s in sites:
+        t = _as_exponent(s, d)
+        d = len(t)
+        out.append(t)
+    return out
 
 
 class GroupRingElement:

@@ -6,10 +6,12 @@ under right multiplication by A*; concretely, every homoclinic point is
 m (A*)^-1 reduced mod 1 for an integer group-ring row vector m, and the map
 m -> point identifies the homoclinic group with (ZG)^k/(ZG)^k A*.
 
-Points carry a truncated rational lift plus a tail bound inherited from the
-inverse's residual certificate, so membership, summability, and pairing
-computations all come with explicit error control.  Mod-1 representatives
-live in [-1/2, 1/2), making the torus distance to zero equal to |value|.
+Points carry a truncated rational lift, stored as integer numerators over
+the denominator of the inverse it came from, plus a tail bound inherited
+from the inverse's residual certificate, so membership, summability, and
+pairing computations all come with explicit error control.  Mod-1
+representatives live in [-1/2, 1/2), making the torus distance to zero
+equal to |value|.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from fractions import Fraction
 from .groupring import (
     GroupRingElement,
     GroupRingMatrix,
+    _as_exponent,
     enumerate_zd,
-    frac_center,
+    norm_sites,
 )
 from . import _sparse, torus
 
@@ -32,37 +35,36 @@ from . import _sparse, torus
 class HomoclinicPoint:
     """Truncated lift of a homoclinic point of the action presented by A.
 
-    lift[j] maps exponent vectors to exact rational coefficients; the true
-    point differs from the reduction mod 1 of the lift by at most tail_bound
-    in l1 mass.  provenance records the integer vector m with lift ~=
-    m (A*)^-1.
+    Component j of the lift is nums[j][e] / den at site e, exactly; lift is
+    a read-only Fraction view of it.  The true point differs from the
+    reduction mod 1 of the lift by at most tail_bound in l1 mass.
+    provenance records the integer vector m with lift ~= m (A*)^-1.
     """
 
     A: GroupRingMatrix
-    lift: list[dict[tuple[int, ...], Fraction]]
+    nums: list[dict[tuple[int, ...], int]]
+    den: int
     tail_bound: float
     provenance: list[GroupRingElement]
 
+    @functools.cached_property
+    def lift(self) -> list[dict[tuple[int, ...], Fraction]]:
+        return [_sparse.unscale(comp, self.den) for comp in self.nums]
+
     @property
     def k(self) -> int:
-        return len(self.lift)
+        return len(self.nums)
 
     @property
     def d(self) -> int:
         return self.A.d
 
     def support(self) -> list[tuple[int, ...]]:
-        s = set()
-        for comp in self.lift:
-            s.update(comp)
-        return sorted(s)
+        return sorted(set().union(*self.nums))
 
     def value(self, e) -> tuple[float, ...]:
         """Coordinates at site e, reduced to [-1/2, 1/2)."""
-        if isinstance(e, int):
-            e = (e,)
-        e = tuple(e)
-        return tuple(float(frac_center(comp.get(e, Fraction(0)))) for comp in self.lift)
+        return _centered_at(self.nums, self.den, _as_exponent(e, self.d))
 
     def rho_to_zero(self, e) -> float:
         return max(abs(v) for v in self.value(e))
@@ -71,15 +73,16 @@ class HomoclinicPoint:
         return all(self.rho_to_zero(e) <= tol for e in self.support())
 
     def float_lift(self) -> list[dict[tuple[int, ...], float]]:
-        return [{e: float(c) for e, c in comp.items()} for comp in self.lift]
+        den = self.den
+        return [{e: n / den for e, n in comp.items()} for comp in self.nums]
 
     def site_distances(self) -> tuple[dict[tuple[int, ...], int], int]:
         """Per support site, the torus distance to zero as (numerator, den)."""
-        comps, den = _sparse.scale(self.lift)
-        dist = {}
-        for e in set().union(*comps):
-            dist[e] = max(abs(_sparse.center(comp.get(e, 0), den)) for comp in comps)
-        return dist, den
+        den = self.den
+        return {
+            e: max(abs(_sparse.center(comp.get(e, 0), den)) for comp in self.nums)
+            for e in set().union(*self.nums)
+        }, den
 
     def rho_sum(self) -> Fraction:
         """Sum over the support of the torus distance to zero, exact."""
@@ -89,24 +92,22 @@ class HomoclinicPoint:
     def __add__(self, other: "HomoclinicPoint") -> "HomoclinicPoint":
         if self.A != other.A:
             raise ValueError("points must share the presenting matrix")
-        lift = _lift_sum(self.lift, other.lift, 1)
+        nums, den = _lift_sum(self, other, 1)
         prov = [p + q for p, q in zip(self.provenance, other.provenance)]
-        return HomoclinicPoint(self.A, lift, self.tail_bound + other.tail_bound, prov)
+        return HomoclinicPoint(self.A, nums, den, self.tail_bound + other.tail_bound, prov)
 
     def translate(self, t) -> "HomoclinicPoint":
         """The point shifted by t (the group element u^t acting)."""
-        if isinstance(t, int):
-            t = (t,)
-        t = tuple(t)
-        lift = [
+        t = _as_exponent(t, self.d)
+        nums = [
             {tuple(a + b for a, b in zip(e, t)): c for e, c in comp.items()}
-            for comp in self.lift
+            for comp in self.nums
         ]
         prov = [p.shift(t) for p in self.provenance]
-        return HomoclinicPoint(self.A, lift, self.tail_bound, prov)
+        return HomoclinicPoint(self.A, nums, self.den, self.tail_bound, prov)
 
     def to_obj(self) -> dict:
-        comps, den = _sparse.scale(self.lift)
+        den = self.den
         return {
             "k": self.k,
             "d": self.d,
@@ -117,19 +118,24 @@ class HomoclinicPoint:
                     {"exp": list(e), "value": _sparse.center(n, den) / den}
                     for e, n in sorted(comp.items())
                 ]
-                for comp in comps
+                for comp in self.nums
             ],
         }
 
 
-def _lift_sum(a: list[dict], b: list[dict], sign: int) -> list[dict]:
-    """Componentwise a + sign * b of two lifts, exact."""
-    comps, den = _sparse.scale(a + b)
-    k = len(a)
+def _centered_at(nums: list[dict], den: int, e: tuple[int, ...]) -> tuple[float, ...]:
+    """The values nums[j][e] / den reduced mod 1 to [-1/2, 1/2)."""
+    return tuple(_sparse.center(comp.get(e, 0), den) / den for comp in nums)
+
+
+def _lift_sum(x: HomoclinicPoint, y: HomoclinicPoint, sign: int) -> tuple[list[dict], int]:
+    """Componentwise x + sign * y of two lifts over lcm(den_x, den_y), exact."""
+    den = math.lcm(x.den, y.den)
+    fx, fy = den // x.den, den // y.den
     return [
-        _sparse.unscale(_sparse.add_to(dict(comps[j]), comps[k + j], sign), den)
-        for j in range(k)
-    ]
+        _sparse.add_to({e: n * fx for e, n in cx.items()}, {e: n * fy for e, n in cy.items()}, sign)
+        for cx, cy in zip(x.nums, y.nums)
+    ], den
 
 
 def _finite_or_none(v: float) -> float | None:
@@ -158,12 +164,13 @@ def fundamental_homoclinic(
     k = inv.k
     out = []
     for i in range(k):
-        lift = [dict(inv.entries[i][j].terms) for j in range(k)]
+        # copies: the inverse is shared through the cache
+        nums = [dict(inv.entries[i][j].nums) for j in range(k)]
         prov = [
             GroupRingElement.one(A.d) if j == i else GroupRingElement.zero(A.d)
             for j in range(k)
         ]
-        out.append(HomoclinicPoint(A, lift, _tail(inv), prov))
+        out.append(HomoclinicPoint(A, nums, inv.den, _tail(inv), prov))
     return out
 
 
@@ -192,17 +199,16 @@ def group_element(
     inv = _star_inverse(A, tol, radius_cap)
     k = inv.k
     mv = _as_vector(m, k, A.d)
-    cells, den = _sparse.scale([cell.terms for row in inv.entries for cell in row])
-    lift = []
+    nums = []
     for j in range(k):
         acc: dict[tuple[int, ...], int] = {}
         for i in range(k):
             if not mv[i].is_zero():
-                _sparse.add_to(acc, _sparse.conv(cells[i * k + j], mv[i].terms))
-        lift.append(_sparse.unscale(acc, den))
+                _sparse.add_to(acc, _sparse.conv(inv.entries[i][j].nums, mv[i].terms))
+        nums.append(acc)
     norm_m = sum(comp.l1_norm() for comp in mv)
     tail = _tail(inv) * max(1, norm_m)
-    return HomoclinicPoint(A, lift, tail, mv)
+    return HomoclinicPoint(A, nums, inv.den, tail, mv)
 
 
 def annihilation_residual(x: HomoclinicPoint, window=None) -> float:
@@ -214,7 +220,7 @@ def annihilation_residual(x: HomoclinicPoint, window=None) -> float:
     """
     Astar = x.A.star()
     k = x.k
-    comps, den = _sparse.scale(x.lift)
+    comps, den = x.nums, x.den
     worst = 0.0
     sites: set[tuple[int, ...]] = set()
     cols = []
@@ -225,7 +231,7 @@ def annihilation_residual(x: HomoclinicPoint, window=None) -> float:
         cols.append(acc)
         sites.update(acc)
     if window is not None:
-        sites = {tuple(e) if not isinstance(e, int) else (e,) for e in window}
+        sites = set(norm_sites(window, x.d))
     for e in sites:
         for acc in cols:
             v = acc.get(e)
@@ -248,27 +254,17 @@ def _phi_vector(phi, k: int, d: int) -> list[GroupRingElement]:
     return _as_vector(phi, k, d)
 
 
-def _norm_sites(F, d: int) -> list[tuple[int, ...]]:
-    out = []
-    for s in F:
-        if isinstance(s, int):
-            if d != 1:
-                raise ValueError("integer sites only valid when d=1")
-            out.append((s,))
-        else:
-            out.append(tuple(int(v) for v in s))
-    return out
-
-
-def _pairing_exponent(lift: list[dict], phi: list[GroupRingElement], s: tuple[int, ...]) -> float:
-    """Sum_j sum_t lift_j(t - s) phi_j(t): the phase of <s.x, phi>."""
+def _pairing_exponent(nums: list[dict], den: int, phi: list[GroupRingElement],
+                      s: tuple[int, ...]) -> float:
+    """Sum_j sum_t lift_j(t - s) phi_j(t): the phase of <s.x, phi>, for the
+    lift nums / den."""
     acc = 0.0
-    for comp, p in zip(lift, phi):
+    for comp, p in zip(nums, phi):
         for t, c in p.terms.items():
             e = tuple(a - b for a, b in zip(t, s))
             v = comp.get(e)
             if v is not None:
-                acc += c * float(v)
+                acc += c * (v / den)
     return acc
 
 
@@ -276,8 +272,8 @@ def psi(x: HomoclinicPoint, phi, window) -> dict[tuple[int, ...], complex]:
     """The character mismatch function s -> <s.x, phi> - 1 on the window."""
     phiv = _phi_vector(phi, x.k, x.d)
     out = {}
-    for s in _norm_sites(window, x.d):
-        ang = 2.0 * math.pi * _pairing_exponent(x.lift, phiv, s)
+    for s in norm_sites(window, x.d):
+        ang = 2.0 * math.pi * _pairing_exponent(x.nums, x.den, phiv, s)
         out[s] = complex(math.cos(ang) - 1.0, math.sin(ang))
     return out
 
@@ -326,9 +322,9 @@ def summable_metric_distance(
     if y is not None:
         if x.A != y.A:
             raise ValueError("points must share the presenting matrix")
-        diff = _lift_sum(x.lift, y.lift, -1)
+        diff, den = _lift_sum(x, y, -1)
     else:
-        diff = x.lift
+        diff, den = x.nums, x.den
     k, d = x.k, x.d
     if W is None:
         W = [
@@ -342,7 +338,7 @@ def summable_metric_distance(
         s = next(gen)
         w = 2.0 ** (-j)
         for phiv in Wv:
-            ang = 2.0 * math.pi * _pairing_exponent(diff, phiv, s)
+            ang = 2.0 * math.pi * _pairing_exponent(diff, den, phiv, s)
             total += w * abs(complex(math.cos(ang) - 1.0, math.sin(ang)))
     return total
 
@@ -379,7 +375,7 @@ def pairing_symmetry_check(
     k, d = x2.k, A.d
     m1v = _as_vector(m1, k, d)
     m2v = _as_vector(m2, k, d)
-    win = _norm_sites(window, d)
+    win = norm_sites(window, d)
     lhs = psi(x2, m1v, win)
     rhs_sites = [tuple(-v for v in s) for s in win]
     rhs = psi(x1, m2v, rhs_sites)

@@ -15,6 +15,7 @@ finite-index subgroup produces an exactly periodic shadow.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,8 +25,8 @@ from operator import add, sub
 import numpy as np
 
 from . import _sparse
-from .groupring import GroupRingElement, GroupRingMatrix, ball, frac_center
-from .homoclinic import HomoclinicPoint, _norm_sites, _star_inverse, group_element
+from .groupring import GroupRingElement, GroupRingMatrix, _as_exponent, ball, norm_sites
+from .homoclinic import HomoclinicPoint, _centered_at, _star_inverse, group_element
 
 
 def greedy_separated_subset(F: list, K: list) -> list[tuple[int, ...]]:
@@ -36,9 +37,9 @@ def greedy_separated_subset(F: list, K: list) -> list[tuple[int, ...]]:
     """
     if not F or not K:
         raise ValueError("F and K must be nonempty")
-    d = len(next(iter(K))) if not isinstance(next(iter(K)), int) else 1
-    Fn = _norm_sites(F, d)
-    Kn = set(_norm_sites(K, d))
+    Kn = norm_sites(K)
+    Fn = norm_sites(F, len(Kn[0]))
+    Kn = set(Kn)
     chosen: list[tuple[int, ...]] = []
     for s in Fn:
         ok = True
@@ -64,20 +65,21 @@ def interaction_radius(x: HomoclinicPoint, eps: float, radius_cap: int = 200) ->
     if not math.isfinite(x.tail_bound):
         raise ValueError("the point has no certified tail bound (inverse residual >= 1)")
     dist, den = x.site_distances()
-    by_radius: dict[int, int] = {}
-    for e, v in dist.items():
-        r = max(map(abs, e))
-        by_radius[r] = by_radius.get(r, 0) + v
-    r = _first_radius_below(by_radius, den, x.tail_bound, eps, radius_cap)
+    r = _first_radius_below(dist.items(), den, x.tail_bound, eps, radius_cap)
     if r is None:
         raise ValueError("no interaction ball with tail below eps within the support")
     return r
 
 
-def _first_radius_below(by_radius: dict[int, int], den: int, tail: float, bound: float,
-                        radius_cap: int) -> int | None:
-    """Smallest r <= radius_cap with the mass beyond radius r, plus the tail,
-    below bound; masses are numerators over den, summed exactly."""
+def _first_radius_below(items, den: int, tail: float, bound: float,
+                        radius_cap: float = math.inf) -> int | None:
+    """Smallest r <= radius_cap with the l1 mass of the (site, numerator over
+    den) items beyond max-norm radius r, plus the tail, below bound; the
+    mass is summed exactly."""
+    by_radius: dict[int, int] = {}
+    for e, v in items:
+        r = max(map(abs, e))
+        by_radius[r] = by_radius.get(r, 0) + abs(v)
     tail_q = Fraction(tail).limit_denominator(10**15)
     outside = sum(by_radius.values())
     for r in range(0, min(max(by_radius, default=0), radius_cap) + 1):
@@ -148,7 +150,6 @@ def independence_witnesses(
     F: list,
     cap: int = 4096,
     seed: int = 0,
-    double_check: bool = True,
 ) -> IndependenceReport:
     """Enumerate and verify the on/off pattern witnesses over the window F.
 
@@ -159,7 +160,7 @@ def independence_witnesses(
     witnesses are re-verified by an independent direct evaluation.
     """
     d = x.d
-    Fn = _norm_sites(F, d)
+    Fn = norm_sites(F, d)
     radius = interaction_radius(x, eps)
     K = ball(d, radius)
     conflict = ball(d, 2 * radius)
@@ -179,21 +180,18 @@ def independence_witnesses(
     )
 
     # D[a, b, t, j] = lift_j(t - F1[a] + F1[b])
+    flift = x.float_lift()
     nk, kk = len(K), x.k
     D = np.zeros((nf1, nf1, nk, kk))
-    X = np.zeros((nk, kk))
-    for ti, t in enumerate(K):
-        for j in range(kk):
-            v = x.lift[j].get(t)
-            X[ti, j] = float(v) if v is not None else 0.0
+    X = np.array([[comp.get(t, 0.0) for comp in flift] for t in K]).reshape(nk, kk)
     for a, s in enumerate(F1):
         for b, sp in enumerate(F1):
             for ti, t in enumerate(K):
                 e = tuple(p - q + r for p, q, r in zip(t, s, sp))
                 for j in range(kk):
-                    v = x.lift[j].get(e)
+                    v = flift[j].get(e)
                     if v is not None:
-                        D[a, b, ti, j] = float(v)
+                        D[a, b, ti, j] = v
 
     vals = np.einsum("nb,abtj->natj", sigma, D)
     targets = sigma[:, :, None, None] * X[None, None, :, :]
@@ -203,14 +201,12 @@ def independence_witnesses(
     max_violation = float(viol.max()) if viol.size else 0.0
     all_pass = bool((viol <= eps).all())
 
-    if double_check:
-        flift = x.float_lift()
-        for idx in range(nsig):
-            sd = {F1[b]: int(sigma[idx, b]) for b in range(nf1)}
-            direct = _sigma_violation_direct(flift, F1, K, sd)
-            recorded = float(viol[idx].max()) if nf1 else 0.0
-            if abs(direct - recorded) > 1e-9:
-                raise AssertionError("independent witness re-verification disagrees")
+    for idx in range(nsig):
+        sd = {F1[b]: int(sigma[idx, b]) for b in range(nf1)}
+        direct = _sigma_violation_direct(flift, F1, K, sd)
+        recorded = float(viol[idx].max()) if nf1 else 0.0
+        if abs(direct - recorded) > 1e-9:
+            raise AssertionError("independent witness re-verification disagrees")
 
     return IndependenceReport(
         F=Fn,
@@ -257,26 +253,33 @@ class ShadowRequest:
 
 @dataclass
 class ShadowResult:
-    lift: list[dict[tuple[int, ...], Fraction]]
+    """The shadowing point on Z^d: component j is nums[j][e] / den at site e,
+    exactly, read through the periodic fold when a basis is set; lift is a
+    read-only Fraction view of the stored (folded) numerators."""
+
+    nums: list[dict[tuple[int, ...], int]]
+    den: int
     block_errors: list[float]
     gap_radius: int
     eps: float
+    d: int
     periodic_basis: list[list[int]] | None = None
     note: str = ""
 
+    @functools.cached_property
+    def lift(self) -> list[dict[tuple[int, ...], Fraction]]:
+        return [_sparse.unscale(comp, self.den) for comp in self.nums]
+
     def value(self, e) -> tuple[float, ...]:
-        if isinstance(e, int):
-            e = (e,)
-        e = self._fold(tuple(e))
-        return tuple(float(frac_center(comp.get(e, Fraction(0)))) for comp in self.lift)
+        """Coordinates at site e, reduced to [-1/2, 1/2)."""
+        return _centered_at(self.nums, self.den, self._site(e))
 
     def lift_at(self, e) -> tuple[Fraction, ...]:
-        if isinstance(e, int):
-            e = (e,)
-        e = self._fold(tuple(e))
-        return tuple(comp.get(e, Fraction(0)) for comp in self.lift)
+        e = self._site(e)
+        return tuple(Fraction(comp.get(e, 0), self.den) for comp in self.nums)
 
-    def _fold(self, e: tuple[int, ...]) -> tuple[int, ...]:
+    def _site(self, e) -> tuple[int, ...]:
+        e = _as_exponent(e, self.d)
         if self.periodic_basis is None:
             return e
         return _fold_lattice(e, self.periodic_basis)
@@ -297,20 +300,15 @@ def inverse_tail_radius(A: GroupRingMatrix, bound: float, tol: float = 1e-10, ra
     inv = _star_inverse(A, tol, radius_cap)
     if inv.tail_bound is None:
         raise ValueError("the inverse has no certified tail bound (residual >= 1)")
-    cells, den = _sparse.scale([cell.terms for row in inv.entries for cell in row])
-    by_radius: dict[int, int] = {}
-    for cell in cells:
-        for e, c in cell.items():
-            r = max(map(abs, e))
-            by_radius[r] = by_radius.get(r, 0) + abs(c)
-    r = _first_radius_below(by_radius, den, inv.tail_bound, bound, max(by_radius, default=0))
+    items = [item for row in inv.entries for cell in row for item in cell.nums.items()]
+    r = _first_radius_below(items, inv.den, inv.tail_bound, bound)
     if r is None:
         raise ValueError("epsilon tail unreachable within the truncated inverse radius")
     return r
 
 
 def _region(block: ShadowBlock, d: int) -> set[tuple[int, ...]]:
-    sites = set(_norm_sites(block.window, d))
+    sites = set(norm_sites(block.window, d))
     for comp in block.point.provenance:
         sites.update(comp.terms)
     return sites
@@ -341,7 +339,7 @@ def shadow(
     d = A.d
     if not req.blocks:
         zero = [dict() for _ in range(A.rows)]
-        return ShadowResult(zero, [], 0, req.eps, req.basis_matrix(d))
+        return ShadowResult(zero, 1, [], 0, req.eps, d, req.basis_matrix(d))
     norm_a = A.l1_norm()
     R = inverse_tail_radius(A, req.eps / (2.0 * norm_a), tol, radius_cap)
 
@@ -362,7 +360,7 @@ def shadow(
             m_total[i] = m_total[i] + b.point.provenance[i]
 
     y = group_element(A, m_total, tol, radius_cap)
-    lift = [dict(comp) for comp in y.lift]
+    nums = y.nums
 
     B = req.basis_matrix(d)
     if B is not None:
@@ -374,26 +372,25 @@ def shadow(
             shifted = {tuple(a + b for a, b in zip(s, gz)) for s in all_sites}
             if _min_distance(all_sites, shifted) <= R:
                 raise ValueError("periodic domain too small for the blocks' gap radius")
-        comps, den = _sparse.scale(lift)
-        lift = []
-        for comp in comps:
-            folded: dict[tuple[int, ...], int] = {}
+        folded: list[dict] = [{} for _ in nums]
+        for acc, comp in zip(folded, nums):
             for e, c in comp.items():
-                _sparse.add_to(folded, {_fold_lattice(e, B): c})
-            lift.append(_sparse.unscale(folded, den))
+                _sparse.add_to(acc, {_fold_lattice(e, B): c})
+        nums = folded
 
-    result = ShadowResult(lift, [], R, req.eps, B)
-    errors = []
+    result = ShadowResult(nums, y.den, [], R, req.eps, d, B)
     for b in req.blocks:
+        # |shadow - block| mod 1 at each window site, over lcm(den_y, den_x)
+        x = b.point
+        den = math.lcm(y.den, x.den)
+        fy, fx = den // y.den, den // x.den
         worst = 0.0
-        for t in _norm_sites(b.window, d):
-            yv = result.lift_at(t)
-            xv = tuple(comp.get(t, Fraction(0)) for comp in b.point.lift)
-            for a, c in zip(yv, xv):
-                dv = float(frac_center(a - c))
-                worst = max(worst, abs(dv))
-        errors.append(worst)
-    result.block_errors = errors
+        for t in norm_sites(b.window, d):
+            ts = result._site(t)
+            for cy, cx in zip(nums, x.nums):
+                dv = _sparse.center(cy.get(ts, 0) * fy - cx.get(t, 0) * fx, den)
+                worst = max(worst, abs(dv) / den)
+        result.block_errors.append(worst)
     return result
 
 
@@ -410,19 +407,20 @@ def _small_lattice_vectors(B: list[list[int]], d: int):
 def _fold_lattice(e: tuple[int, ...], B: list[list[int]]) -> tuple[int, ...]:
     """Representative of e with B^-1 e in [0,1)^d, computed exactly."""
     d = len(e)
-    Bq = [[Fraction(B[i][j]) for j in range(d)] for i in range(d)]
-    coords = _solve_rational(Bq, [Fraction(v) for v in e])
-    ks = [c.__floor__() for c in coords]
+    coords = _solve_rational(B, [[v] for v in e])
+    ks = [row[0].__floor__() for row in coords]
     return tuple(e[i] - sum(B[i][j] * ks[j] for j in range(d)) for i in range(d))
 
 
-def _solve_rational(M: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    d = len(rhs)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(M)]
+def _solve_rational(M: list[list], R: list[list]) -> list[list[Fraction]]:
+    """X with M X = R over Q, for square nonsingular M, by Gauss-Jordan
+    elimination on [M | R]; entries may be ints or Fractions."""
+    d = len(M)
+    aug = [[Fraction(v) for v in M[i]] + [Fraction(v) for v in R[i]] for i in range(d)]
     for col in range(d):
         piv = next((r for r in range(col, d) if aug[r][col] != 0), None)
         if piv is None:
-            raise ValueError("singular basis matrix")
+            raise ValueError("singular matrix")
         aug[col], aug[piv] = aug[piv], aug[col]
         p = aug[col][col]
         aug[col] = [v / p for v in aug[col]]
@@ -430,7 +428,7 @@ def _solve_rational(M: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][d] for i in range(d)]
+    return [row[d:] for row in aug]
 
 
 @dataclass
@@ -469,7 +467,7 @@ def homoclinic_specification_check(
     an annulus beyond the gap set (the gap radius dilation of F1).
     """
     d = A.d
-    Fn = _norm_sites(F1, d)
+    Fn = norm_sites(F1, d)
     if x.support() and max(max(abs(v) for v in e) for e in x.support()) > support_cap:
         raise ValueError("support exceeds verification window")
     res = shadow(A, ShadowRequest([ShadowBlock(Fn, x)], eps), tol, radius_cap)

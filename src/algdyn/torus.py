@@ -20,6 +20,7 @@ l1(Z^d) exactly when its Fourier series f^ has no zero on the d-torus
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -32,10 +33,12 @@ from .groupring import (
     GroupRingElement,
     GroupRingMatrix,
     TorusPoint,
+    _as_exponent,
     ball,
 )
 
 DEFAULT_GRID = {1: 1024, 2: 256, 3: 64}
+NEWTON_MAX_ITER = 25
 
 INVERTIBLE = "Invertible"
 NOT_INVERTIBLE = "NotInvertible"
@@ -92,33 +95,32 @@ class TorusCertificate:
 class L1Approximant:
     """Finitely supported rational function on Z^d standing for an l1 element.
 
-    The coefficients are computed as integer numerators over a common
-    dyadic denominator and handed out as Fractions.  tail_bound, when
-    known, bounds the l1 mass ||true - this||_1 of the discarded part.  For
-    inverses it is derived a posteriori from the exact residual: if
+    The coefficient at e is nums[e] / den: integer numerators over one
+    common denominator (a power of two for Newton inverses), the format
+    the homoclinic and shadow layers compute with.  terms is a read-only
+    Fraction view of the same data.  tail_bound, when known, bounds the l1
+    mass ||true - this||_1 of the discarded part.  For inverses it is
+    derived a posteriori from the exact residual: if
     r = ||delta - g*f||_1 < 1 then ||f^-1 - g||_1 <= r*||g||_1/(1-r);
     otherwise it is None.
     """
 
     d: int
-    terms: dict[tuple[int, ...], Fraction]
+    nums: dict[tuple[int, ...], int]
+    den: int
     tail_bound: float | None = None
     residual: Fraction | None = None
     converged: bool = True
 
+    @functools.cached_property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        return _sparse.unscale(self.nums, self.den)
+
     def l1_norm(self) -> Fraction:
-        return sum((abs(c) for c in self.terms.values()), Fraction(0))
+        return Fraction(_sparse.l1(self.nums), self.den)
 
     def coefficient(self, e) -> Fraction:
-        if isinstance(e, int):
-            e = (e,)
-        return self.terms.get(tuple(e), Fraction(0))
-
-    def support_radius(self) -> int:
-        return max((max(abs(x) for x in e) for e in self.terms), default=0)
-
-    def as_floats(self) -> dict[tuple[int, ...], float]:
-        return {e: float(c) for e, c in self.terms.items()}
+        return Fraction(self.nums.get(_as_exponent(e, self.d), 0), self.den)
 
     def to_obj(self) -> dict:
         return {
@@ -134,6 +136,8 @@ class L1Approximant:
 
 @dataclass
 class MatrixL1Inverse:
+    """Entrywise truncated inverse; all entries share one denominator."""
+
     entries: list[list[L1Approximant]]
     residual: Fraction
     converged: bool
@@ -143,6 +147,10 @@ class MatrixL1Inverse:
     @property
     def k(self) -> int:
         return len(self.entries)
+
+    @property
+    def den(self) -> int:
+        return self.entries[0][0].den
 
 
 # -- evaluation ------------------------------------------------------------
@@ -385,7 +393,7 @@ def _monomial_unit_inverse(f: GroupRingElement) -> L1Approximant | None:
         (e, c), = f.terms.items()
         if abs(c) == 1:
             inv_e = tuple(-x for x in e)
-            return L1Approximant(f.d, {inv_e: Fraction(c)}, tail_bound=0.0,
+            return L1Approximant(f.d, {inv_e: c}, 1, tail_bound=0.0,
                                  residual=Fraction(0), converged=True)
     return None
 
@@ -395,7 +403,6 @@ def l1_inverse(
     tol: float = 1e-10,
     radius_cap: int = 40,
     cert: TorusCertificate | None = None,
-    max_iter: int = 25,
 ) -> L1Approximant:
     """Truncated inverse of f in l1(Z^d) with an exact residual certificate.
 
@@ -403,8 +410,9 @@ def l1_inverse(
     inverse discrete Fourier transform, truncates to the max-norm ball of
     the given radius, then refines by g <- g(2 delta - f g), requantized
     to 2^-bits, on integer numerators until the exact residual drops below
-    tol.  If tol cannot be met within the radius the best approximant is
-    returned with converged=False and its achieved residual.
+    tol, for at most NEWTON_MAX_ITER steps.  If tol cannot be met within
+    the radius the best approximant is returned with converged=False and
+    its achieved residual.
     """
     unit = _monomial_unit_inverse(f)
     if unit is not None:
@@ -440,7 +448,7 @@ def l1_inverse(
     best, best_den = g, den
     best_r = _residual(g, den, f)
     it = 0
-    while best_r > tol and it < max_iter:
+    while best_r > tol and it < NEWTON_MAX_ITER:
         it += 1
         # g <- g (2 delta - f g), truncated and requantized to 2^-bits
         two_minus = {e: -c for e, c in _sparse.conv(g, f.terms).items()}
@@ -456,8 +464,7 @@ def l1_inverse(
     converged = best_r <= tol
     norm = Fraction(_sparse.l1(best), best_den)
     tail = float(best_r * norm / (1 - best_r)) if best_r < 1 else None
-    return L1Approximant(d, _sparse.unscale(best, best_den), tail_bound=tail, residual=best_r,
-                         converged=converged)
+    return L1Approximant(d, best, best_den, tail_bound=tail, residual=best_r, converged=converged)
 
 
 def _matrix_residual(G: list[list[dict]], den: int, A: GroupRingMatrix) -> Fraction:
@@ -484,10 +491,12 @@ def matrix_l1_inverse(
 ) -> MatrixL1Inverse:
     """Entrywise truncated inverse of a square matrix over l1(Z^d).
 
-    Uses the adjugate route G = adj(A) * det(A)^-1, so the matrix residual
-    ||I - G A||_1 collapses to k * ||delta - det * g_det||_1 and is fully
-    controlled by the scalar inverse; a Newton sweep G <- G(2I - A G)
-    follows only if that is not already below tol.
+    Uses the adjugate route G = adj(A) * g_det with g_det the truncated
+    inverse of det(A) to tol / k, so every entry shares g_det's
+    denominator and the matrix residual ||I - G A||_1 equals
+    k * ||delta - det * g_det||_1.  That exact residual is reported; when
+    it exceeds tol the result carries converged=False.  No matrix-level
+    refinement follows.
     """
     if not A.is_square():
         raise ValueError("matrix must be square")
@@ -498,9 +507,9 @@ def matrix_l1_inverse(
         raise NotInvertibleError(f"determinant not certified invertible: {det_cert.verdict}")
 
     gdet = l1_inverse(det, tol / k, radius_cap, cert=det_cert)
-    (g,), den = _sparse.scale([gdet.terms])
+    den = gdet.den
     adj = A.adjugate()
-    G = [[_sparse.conv(g, adj.entries[i][j].terms) for j in range(k)] for i in range(k)]
+    G = [[_sparse.conv(gdet.nums, adj.entries[i][j].terms) for j in range(k)] for i in range(k)]
     residual = _matrix_residual(G, den, A)
     converged = residual <= tol
 
@@ -508,7 +517,7 @@ def matrix_l1_inverse(
     tail = float(residual * norm_g / (1 - residual)) if residual < 1 else None
     entries = [
         [
-            L1Approximant(A.d, _sparse.unscale(G[i][j], den), tail_bound=tail, residual=residual,
+            L1Approximant(A.d, G[i][j], den, tail_bound=tail, residual=residual,
                           converged=converged)
             for j in range(k)
         ]

@@ -196,3 +196,39 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_homoclinic_explicit_radius_zero_is_honoured(capsys):
+    code, out = run_cli(
+        capsys, ["homoclinic", "--poly", "3 + 2*u1 + 2*u1^2", "--radius", "0"]
+    )
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["parameters"]["radius"] == 0
+    assert rep["window_size"] == 1
+    assert rep["certificate_chain"]["inverse_tail_bound"] is None
+    assert rep["delta1"]["finite"] is False
+
+
+def test_pipeline_stage_missing_required_argument(tmp_path, capsys):
+    path = tmp_path / "pipe.json"
+    path.write_text(json.dumps([{"command": "ie", "args": {"poly": "3 - u1 - u1^-1"}}]))
+    code, out = run_cli(capsys, ["pipeline", "--config", str(path)])
+    assert code == 1
+    rep = json.loads(out)
+    assert "--eps" in rep["stages"][0]["error"]
+
+
+def test_pipeline_stage_args_parse_like_the_command_line(tmp_path, capsys):
+    cfg = [
+        {"command": "expansive", "args": {"poly": "-3 + u1 + u1^-1", "check_entropy": True}},
+        {"command": "homoclinic", "args": {"poly": "3 - u1 - u1^-1", "radius": 0}},
+    ]
+    path = tmp_path / "pipe.json"
+    path.write_text(json.dumps(cfg))
+    code, out = run_cli(capsys, ["pipeline", "--config", str(path)])
+    assert code == 0
+    first, second = (s["report"] for s in json.loads(out)["stages"])
+    assert first["report"]["verdict"] == "Expansive"
+    assert "finite_entropy" in first
+    assert second["window_size"] == 1
