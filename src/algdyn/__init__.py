@@ -59,7 +59,7 @@ from .independence import (
     independence_witnesses,
     shadow,
 )
-from .freegroup import FreeGroupRingElement, mul_truncated, sphere, verify_annihilator
+from .freegroup import FreeGroupRingElement, verify_annihilator
 
 __all__ = [
     "GroupRingElement",
@@ -102,7 +102,5 @@ __all__ = [
     "independence_witnesses",
     "shadow",
     "FreeGroupRingElement",
-    "mul_truncated",
-    "sphere",
     "verify_annihilator",
 ]

@@ -10,7 +10,9 @@ the seed is part of the report.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import sys
 
 from . import __version__, entropy, expansive, freegroup, homoclinic, independence, torus
@@ -42,12 +44,7 @@ def _input_matrix(args) -> tuple[GroupRingMatrix, dict]:
 
 
 def _window_box(n: int, d: int) -> list:
-    if d == 1:
-        return list(range(n))
-    out = [()]
-    for _ in range(d):
-        out = [t + (i,) for t in out for i in range(n)]
-    return out
+    return list(range(n)) if d == 1 else list(itertools.product(range(n), repeat=d))
 
 
 # -- subcommand handlers: each takes the parsed arguments of its subcommand ----
@@ -246,6 +243,27 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write(text)
 
 
+def _checked(kind, ok, what: str):
+    """argparse type: kind(text), refused unless ok(value)."""
+
+    def check(text: str):
+        try:
+            v = kind(text)
+            if ok(v):
+                return v
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+
+    return check
+
+
+_nonneg_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_pos_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_int_from_2 = _checked(int, lambda v: v >= 2, "an integer >= 2")
+_pos_float = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Raises ValueError on bad arguments instead of exiting, so that a
     pipeline stage reports them as a stage error."""
@@ -270,29 +288,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("expansive", help="expansiveness verdict with certificate")
     add_io(sp)
-    sp.add_argument("--grid", type=int)
+    sp.add_argument("--grid", type=_pos_int)
     sp.add_argument("--check-entropy", action="store_true", dest="check_entropy")
 
     sp = sub.add_parser("entropy", help="entropy by mahler, peters, or packing")
     add_io(sp)
     sp.add_argument("--method", choices=["mahler", "peters", "packing"], required=True)
-    sp.add_argument("--grid", type=int)
-    sp.add_argument("--nmax", type=int, default=30)
-    sp.add_argument("--window", type=int, default=20)
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--levels", type=int, default=2)
+    sp.add_argument("--grid", type=_pos_int)
+    sp.add_argument("--nmax", type=_int_from_2, default=30)  # the estimate needs two terms
+    sp.add_argument("--window", type=_nonneg_int, default=20)
+    sp.add_argument("--eps", type=_pos_float)
+    sp.add_argument("--levels", type=_pos_int, default=2)
 
     sp = sub.add_parser("homoclinic", help="fundamental homoclinic point and certificates")
     add_io(sp)
     sp.add_argument("--element", help="group-ring vector m (';'-separated components)")
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--radius", type=int, default=40)
+    sp.add_argument("--tol", type=_pos_float, default=1e-10)
+    sp.add_argument("--radius", type=_nonneg_int, default=40)
 
     sp = sub.add_parser("ie", help="independence witnesses over a window")
     add_io(sp)
-    sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--window", type=int, default=60)
-    sp.add_argument("--cap", type=int, default=4096)
+    sp.add_argument("--eps", type=_pos_float, required=True)
+    sp.add_argument("--window", type=_nonneg_int, default=60)
+    sp.add_argument("--cap", type=_pos_int, default=4096)
     sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("shadow", help="trace homoclinic blocks by one point")
@@ -302,12 +320,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("duality", help="entropy of a presentation vs its involution")
     add_io(sp)
-    sp.add_argument("--grid", type=int)
+    sp.add_argument("--grid", type=_pos_int)
 
     sp = sub.add_parser("freegroup-check", help="free-group annihilator identity")
-    sp.add_argument("--rank", type=int, required=True)
-    sp.add_argument("--order", type=int, required=True)
-    sp.add_argument("--radius", type=int, required=True)
+    sp.add_argument("--rank", type=_int_from_2, required=True)
+    sp.add_argument("--order", type=_nonneg_int, required=True)
+    sp.add_argument("--radius", type=_nonneg_int, required=True)
     sp.add_argument("--out")
     sp.add_argument("--format", choices=["json", "pretty"], default="json")
 
@@ -331,10 +349,8 @@ def main(argv=None) -> int:
     params = {k: v for k, v in vars(args).items() if k not in ("command",)}
     try:
         report, status = handler(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ERROR
-    except (ValueError, KeyError, CapExceeded, torus.NotInvertibleError, torus.MemoryCapError) as exc:
+    except (FileNotFoundError, ValueError, KeyError, CapExceeded,
+            torus.NotInvertibleError, torus.MemoryCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
     full = {

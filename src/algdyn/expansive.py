@@ -84,12 +84,7 @@ class FiniteEntropyReport:
 
 def is_expansive_principal(f: GroupRingElement, m: int | None = None) -> ExpansivenessReport:
     """Expansiveness of the shift action cut out by a single group-ring element."""
-    cert = torus.certify_invertible(f, m)
-    if cert.verdict == torus.INVERTIBLE:
-        return ExpansivenessReport(EXPANSIVE, Fraction(1, f.l1_norm()), cert)
-    if cert.verdict == torus.NOT_INVERTIBLE:
-        return ExpansivenessReport(NOT_EXPANSIVE, None, cert)
-    return ExpansivenessReport(UNKNOWN, None, cert, note=cert.note)
+    return _report(torus.certify_invertible(f, m), f)
 
 
 def is_expansive_square(action: PresentedAction | GroupRingMatrix, m: int | None = None) -> ExpansivenessReport:
@@ -102,6 +97,11 @@ def is_expansive_square(action: PresentedAction | GroupRingMatrix, m: int | None
     except CapExceeded as exc:
         dummy = torus.TorusCertificate(torus.UNKNOWN, 0, 0.0, 0.0, 0.0, note=str(exc))
         return ExpansivenessReport(UNKNOWN, None, dummy, note=str(exc))
+    return _report(cert, A)
+
+
+def _report(cert: torus.TorusCertificate, A: GroupRingElement | GroupRingMatrix) -> ExpansivenessReport:
+    """The verdict of a torus certificate for A, with constant 1/||A||_1."""
     if cert.verdict == torus.INVERTIBLE:
         return ExpansivenessReport(EXPANSIVE, Fraction(1, A.l1_norm()), cert)
     if cert.verdict == torus.NOT_INVERTIBLE:

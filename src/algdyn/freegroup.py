@@ -1,22 +1,22 @@
-"""Truncated group-ring arithmetic over free groups.
+"""The free-group annihilator identity, decided in the radial algebra.
 
-Words are tuples of nonzero integers (letter i is the i-th generator,
--i its inverse) kept in reduced form.  Coefficients are exact rationals:
-the annihilator identity this module verifies involves powers of
-1/(2d - 1), and the whole point of the check is exact cancellation.
-
-The verified identity: with chi_n the sum of all reduced words of length
-n in the free group of rank d, the series g = sum_n (-1)^n (2d-1)^{-n}
-chi_{2n} satisfies g chi_1 = 0.  Truncating g at order N leaves the
-product exactly zero on every word of length at most 2N-1 minus one, which
-the report checks coefficient by coefficient.
+With chi_n the sum of the reduced words of length n in the free group of
+rank d and q = 2d - 1, g = sum_n (-1)^n q^-n chi_{2n} satisfies g chi_1 = 0.
+Both factors are radial (constant on spheres), and radial elements multiply
+by chi_r chi_1 = chi_{r+1} + c_r chi_{r-1}, with c_0 = 0, c_1 = 2d and
+c_r = q for r >= 2 (Figa-Talamanca and Picardello, Harmonic Analysis on Free
+Groups, ch. 3), so verify_annihilator holds one exact integer per sphere.
+Cut at order N, g chi_1 is (-q)^-N chi_{2N+1}: zero on the radius-L ball
+iff L <= 2N.  Words (tuples of nonzero integers, -i the inverse of letter
+i, reduced) carry the word-level convolution, the tests' oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
+from . import _sparse
 from .groupring import CapExceeded
 
 Word = tuple[int, ...]
@@ -42,6 +42,13 @@ def mul_words(a: Word, b: Word) -> Word:
         i -= 1
         j += 1
     return a[:i] + b[j:]
+
+
+def _element(rank: int, terms: dict) -> "FreeGroupRingElement":
+    """An element from terms already reduced, nonzero and in range."""
+    obj = FreeGroupRingElement.__new__(FreeGroupRingElement)
+    obj.rank, obj.terms = rank, terms
+    return obj
 
 
 class FreeGroupRingElement:
@@ -75,33 +82,17 @@ class FreeGroupRingElement:
     def __add__(self, other: "FreeGroupRingElement") -> "FreeGroupRingElement":
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            v = out.get(w, Fraction(0)) + c
-            if v:
-                out[w] = v
-            else:
-                del out[w]
-        obj = FreeGroupRingElement.__new__(FreeGroupRingElement)
-        obj.rank = self.rank
-        obj.terms = out
-        return obj
+        return _element(self.rank, _sparse.add_to(dict(self.terms), other.terms))
 
     def scale(self, c) -> "FreeGroupRingElement":
         c = Fraction(c)
-        obj = FreeGroupRingElement.__new__(FreeGroupRingElement)
-        obj.rank = self.rank
-        obj.terms = {} if c == 0 else {w: v * c for w, v in self.terms.items()}
-        return obj
+        return _element(self.rank, {} if c == 0 else {w: v * c for w, v in self.terms.items()})
 
     def l1_norm(self) -> Fraction:
         return sum((abs(c) for c in self.terms.values()), Fraction(0))
 
     def num_terms(self) -> int:
         return len(self.terms)
-
-    def max_length(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
 
     def coefficient(self, w) -> Fraction:
         return self.terms.get(reduce_word(w), Fraction(0))
@@ -138,10 +129,7 @@ def sphere(d: int, n: int, cap: int = 5_000_000) -> FreeGroupRingElement:
                 if not w or w[-1] != -a:
                     nxt.append(w + (a,))
         words = nxt
-    obj = FreeGroupRingElement.__new__(FreeGroupRingElement)
-    obj.rank = d
-    obj.terms = {w: Fraction(1) for w in words}
-    return obj
+    return _element(d, {w: Fraction(1) for w in words})
 
 
 def mul_truncated(
@@ -164,15 +152,14 @@ def mul_truncated(
             w = mul_words(wa, wb)
             if len(w) > L:
                 continue
-            v = out.get(w, Fraction(0)) + ca * cb
-            if v:
-                out[w] = v
-            else:
-                del out[w]
-    obj = FreeGroupRingElement.__new__(FreeGroupRingElement)
-    obj.rank = f.rank
-    obj.terms = out
-    return obj
+            out[w] = out.get(w, 0) + ca * cb
+    return _element(f.rank, {w: c for w, c in out.items() if c})
+
+
+# Bit-size cap on verify_annihilator's integers: the report prints
+# checked_words (about L log2(2d-1) bits) in decimal, which Python refuses
+# past 4,300 digits (about 14,280 bits) by default.
+CAP_BITS = 14_000
 
 
 @dataclass
@@ -185,14 +172,7 @@ class AnnihilatorReport:
     checked_words: int
 
     def to_obj(self) -> dict:
-        return {
-            "rank": self.rank,
-            "order": self.order,
-            "radius": self.radius,
-            "all_zero": self.all_zero,
-            "nonzero_radii": self.nonzero_radii,
-            "checked_words": self.checked_words,
-        }
+        return {**asdict(self), "method": "radial"}
 
 
 def annihilator_series(d: int, N: int, max_length: int | None = None, cap: int = 5_000_000) -> FreeGroupRingElement:
@@ -202,32 +182,29 @@ def annihilator_series(d: int, N: int, max_length: int | None = None, cap: int =
     on the ball of radius L: a length-2n word times a letter has length
     2n +- 1, so longer spheres cannot reach the ball.
     """
+    top = N if max_length is None else min(N, max_length // 2)
     acc = FreeGroupRingElement(d, {})
-    base = Fraction(1, 2 * d - 1)
-    for n in range(N + 1):
-        if max_length is not None and 2 * n > max_length:
-            break
-        coef = (-1) ** n * base**n
-        acc = acc + sphere(d, 2 * n, cap=cap).scale(coef)
+    for n in range(top + 1):
+        acc = acc + sphere(d, 2 * n, cap=cap).scale(Fraction(-1, 2 * d - 1) ** n)
     return acc
 
 
-def verify_annihilator(d: int, N: int, L: int, cap: int = 5_000_000) -> AnnihilatorReport:
+def verify_annihilator(d: int, N: int, L: int, cap_bits: int = CAP_BITS) -> AnnihilatorReport:
     """Check that the order-N annihilator series kills chi_1 on the ball of
-    radius L, coefficient by exact coefficient."""
+    radius L, sphere by exact sphere.  Only spheres 2n <= L+1 of g reach the
+    ball, so g is held for n <= K = min(N, (L+1)//2), scaled by q^K."""
     if d < 2:
         raise ValueError("free-group rank must be at least 2")
     if N < 0 or L < 0:
         raise ValueError("N and L must be nonnegative")
-    g = annihilator_series(d, N, max_length=L + 1, cap=cap)
-    prod = mul_truncated(g, sphere(d, 1), L)
-    nonzero = sorted({len(w) for w in prod.terms})
-    checked = sum(sphere_size(d, r) for r in range(L + 1))
-    return AnnihilatorReport(
-        rank=d,
-        order=N,
-        radius=L,
-        all_zero=not prod.terms,
-        nonzero_radii=nonzero,
-        checked_words=checked,
-    )
+    q = 2 * d - 1
+    if L * q.bit_length() > cap_bits:
+        raise CapExceeded(f"radius {L} at rank {d} needs integers of about "
+                          f"{L * q.bit_length()} bits, over the cap of {cap_bits}")
+    K = min(N, (L + 1) // 2)
+    g = [0] * (L + 2)
+    g[: 2 * K + 1 : 2] = [(-1) ** n * q ** (K - n) for n in range(K + 1)]
+    c = [0, 2 * d] + [q] * L
+    # sphere r of g chi_1 collects chi_{r-1} chi_1 and chi_{r+1} chi_1
+    nonzero = [r for r in range(L + 1) if (g[r - 1] if r else 0) + c[r + 1] * g[r + 1]]
+    return AnnihilatorReport(d, N, L, not nonzero, nonzero, 1 + 2 * d * (q**L - 1) // (q - 1))

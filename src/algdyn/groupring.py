@@ -165,22 +165,11 @@ class GroupRingElement:
     def l1_norm(self) -> int:
         return sum(abs(c) for c in self.terms.values())
 
-    def linf_norm(self) -> int:
-        return max((abs(c) for c in self.terms.values()), default=0)
-
     def support(self) -> list[tuple[int, ...]]:
         return sorted(self.terms)
 
-    def support_radius(self) -> int:
-        """Max-norm radius of the support (0 for the zero element)."""
-        return max((max(abs(x) for x in e) for e in self.terms), default=0)
-
     def coefficient(self, e) -> int:
         return self.terms.get(_as_exponent(e, self.d), 0)
-
-    def coefficient_sum(self) -> int:
-        """Exact value of the Fourier series at the zero frequency."""
-        return sum(self.terms.values())
 
     def num_terms(self) -> int:
         return len(self.terms)

@@ -278,11 +278,15 @@ class ShadowResult:
         e = self._site(e)
         return tuple(Fraction(comp.get(e, 0), self.den) for comp in self.nums)
 
+    @functools.cached_property
+    def _fold(self):
+        return _lattice_fold(self.periodic_basis)
+
     def _site(self, e) -> tuple[int, ...]:
         e = _as_exponent(e, self.d)
         if self.periodic_basis is None:
             return e
-        return _fold_lattice(e, self.periodic_basis)
+        return self._fold(e)
 
     def to_obj(self) -> dict:
         return {
@@ -372,10 +376,11 @@ def shadow(
             shifted = {tuple(a + b for a, b in zip(s, gz)) for s in all_sites}
             if _min_distance(all_sites, shifted) <= R:
                 raise ValueError("periodic domain too small for the blocks' gap radius")
+        fold = _lattice_fold(B)
         folded: list[dict] = [{} for _ in nums]
         for acc, comp in zip(folded, nums):
             for e, c in comp.items():
-                _sparse.add_to(acc, {_fold_lattice(e, B): c})
+                _sparse.add_to(acc, {fold(e): c})
         nums = folded
 
     result = ShadowResult(nums, y.den, [], R, req.eps, d, B)
@@ -404,12 +409,20 @@ def _small_lattice_vectors(B: list[list[int]], d: int):
     return out
 
 
-def _fold_lattice(e: tuple[int, ...], B: list[list[int]]) -> tuple[int, ...]:
-    """Representative of e with B^-1 e in [0,1)^d, computed exactly."""
-    d = len(e)
-    coords = _solve_rational(B, [[v] for v in e])
-    ks = [row[0].__floor__() for row in coords]
-    return tuple(e[i] - sum(B[i][j] * ks[j] for j in range(d)) for i in range(d))
+def _lattice_fold(B: list[list[int]]):
+    """The map taking a site e to its representative with B^-1 e in
+    [0,1)^d, computed exactly.  B is inverted once, as an integer matrix P
+    over one denominator D > 0, so floor(B^-1 e) is (P e) // D."""
+    d = len(B)
+    X = _solve_rational(B, [[int(i == j) for j in range(d)] for i in range(d)])
+    D = math.lcm(*(v.denominator for row in X for v in row))
+    P = [[int(v * D) for v in row] for row in X]
+
+    def fold(e: tuple[int, ...]) -> tuple[int, ...]:
+        ks = [sum(p * v for p, v in zip(row, e)) // D for row in P]
+        return tuple(v - sum(b * k for b, k in zip(row, ks)) for v, row in zip(e, B))
+
+    return fold
 
 
 def _solve_rational(M: list[list], R: list[list]) -> list[list[Fraction]]:

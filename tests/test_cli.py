@@ -232,3 +232,60 @@ def test_pipeline_stage_args_parse_like_the_command_line(tmp_path, capsys):
     assert first["report"]["verdict"] == "Expansive"
     assert "finite_entropy" in first
     assert second["window_size"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["homoclinic", "--poly", "3 - u1 - u1^-1", "--radius", "-1"], "--radius"),
+        (["homoclinic", "--poly", "3 - u1 - u1^-1", "--tol", "-1"], "--tol"),
+        (["homoclinic", "--poly", "3 - u1 - u1^-1", "--tol", "nan"], "--tol"),
+        (["entropy", "--method", "peters", "--poly", "u1 - 1", "--nmax", "-2"], "--nmax"),
+        (["entropy", "--method", "peters", "--poly", "u1 - 1", "--nmax", "1"], "--nmax"),
+        (["entropy", "--method", "packing", "--poly", "u1 - 2", "--levels", "0"], "--levels"),
+        (["entropy", "--method", "packing", "--poly", "u1 - 2", "--eps", "inf"], "--eps"),
+        (["entropy", "--method", "mahler", "--poly", "u1 - 2", "--grid", "0"], "--grid"),
+        (["ie", "--poly", "3 - u1 - u1^-1", "--eps", "0", "--window", "5"], "--eps"),
+        (["ie", "--poly", "3 - u1 - u1^-1", "--eps", "0.1", "--window", "-5"], "--window"),
+        (["ie", "--poly", "3 - u1 - u1^-1", "--eps", "0.1", "--cap", "0"], "--cap"),
+        (["freegroup-check", "--rank", "1", "--order", "2", "--radius", "3"], "--rank"),
+        (["freegroup-check", "--rank", "2", "--order", "-1", "--radius", "3"], "--order"),
+        (["freegroup-check", "--rank", "2", "--order", "2", "--radius", "x"], "--radius"),
+    ],
+)
+def test_out_of_range_values_exit_one(capsys, argv, option):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert f"argument {option}: expected" in captured.err
+
+
+def test_pipeline_stage_out_of_range_value(tmp_path, capsys):
+    cfg = [
+        {"command": "expansive", "args": {"poly": "u1 - 2"}},
+        {"command": "homoclinic", "args": {"poly": "3 - u1 - u1^-1", "radius": -1}},
+    ]
+    path = tmp_path / "pipe.json"
+    path.write_text(json.dumps(cfg))
+    code, out = run_cli(capsys, ["pipeline", "--config", str(path)])
+    assert code == 1
+    stages = json.loads(out)["stages"]
+    assert len(stages) == 2
+    assert "argument --radius: expected an integer >= 0" in stages[1]["error"]
+
+
+def test_freegroup_check_reports_the_radial_method(capsys):
+    code, out = run_cli(capsys, ["freegroup-check", "--rank", "3", "--order", "5", "--radius", "8"])
+    assert code == 0
+    rep = json.loads(out)["report"]
+    assert rep["method"] == "radial"
+    assert rep["all_zero"] and rep["checked_words"] == 1 + 6 * (5**8 - 1) // 4
+
+
+def test_freegroup_check_huge_order_and_radius_is_a_cap_error(capsys):
+    code = main(["freegroup-check", "--rank", "2", "--order", str(10**12), "--radius", str(10**12)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: radius 1000000000000 at rank 2 needs integers")

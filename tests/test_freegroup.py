@@ -1,9 +1,11 @@
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from algdyn.freegroup import (
+    CAP_BITS,
     FreeGroupRingElement,
     annihilator_series,
     mul_truncated,
@@ -130,3 +132,53 @@ def test_annihilator_frontier_nonzero_beyond_guarantee():
     rep = verify_annihilator(2, 2, 6)
     assert not rep.all_zero
     assert rep.nonzero_radii == [5]
+
+
+def _word_level(d, N, L):
+    """(all_zero, nonzero_radii, checked_words) of g chi_1 on the ball of
+    radius L, from the word-level convolution."""
+    g = annihilator_series(d, N, max_length=L + 1)
+    prod = mul_truncated(g, sphere(d, 1), L)
+    radii = sorted({len(w) for w in prod.terms})
+    return not prod.terms, radii, sum(sphere_size(d, r) for r in range(L + 1))
+
+
+@pytest.mark.parametrize("d, max_radius", [(2, 6), (3, 4)])
+def test_radial_report_equals_word_level_product(d, max_radius):
+    for N in range(5):
+        for L in range(max_radius + 1):
+            rep = verify_annihilator(d, N, L)
+            assert (rep.all_zero, rep.nonzero_radii, rep.checked_words) == _word_level(d, N, L)
+            assert rep.to_obj()["method"] == "radial"
+
+
+def test_radial_frontier_is_radius_2N_plus_1():
+    for d in (2, 5):
+        for N in range(6):
+            for L in range(2 * N + 4):
+                expected = [2 * N + 1] if L >= 2 * N + 1 else []
+                assert verify_annihilator(d, N, L).nonzero_radii == expected
+
+
+def test_radial_large_rank_order_radius():
+    t0 = time.perf_counter()
+    rep = verify_annihilator(50, 200, 400)
+    assert time.perf_counter() - t0 < 0.5
+    assert rep.all_zero
+    assert rep.checked_words == sum(sphere_size(50, r) for r in range(401))
+
+
+def test_huge_order_needs_no_large_integers():
+    rep = verify_annihilator(2, 10**12, 8)
+    assert rep.all_zero
+    assert rep.checked_words == 13121
+
+
+def test_radius_beyond_the_integer_cap():
+    with pytest.raises(CapExceeded):
+        verify_annihilator(2, 3, 10**12)
+    with pytest.raises(CapExceeded):
+        verify_annihilator(2, 3, 8, cap_bits=15)
+    # the largest ball under the default cap still prints in decimal
+    L = CAP_BITS // 2
+    assert len(str(verify_annihilator(2, 3, L).checked_words)) > 3000

@@ -2,10 +2,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from algdyn.groupring import GroupRingElement, GroupRingMatrix, ball, parse_element
 from algdyn.homoclinic import fundamental_homoclinic, group_element
 from algdyn.independence import (
+    _lattice_fold,
+    _solve_rational,
     ShadowBlock,
     ShadowRequest,
     greedy_separated_subset,
@@ -168,6 +172,30 @@ def test_shadow_periodic_exact_invariance(A_sym):
         for shift in range(-3, 4):
             acc += res_open.lift[0].get((n + 64 * shift,), Fraction(0))
         assert acc == res.lift_at(n)[0]
+
+
+def _fold_by_solve(e, B):
+    """Reference fold: one exact Gauss-Jordan solve of B k = e per site."""
+    ks = [row[0].__floor__() for row in _solve_rational(B, [[v] for v in e])]
+    return tuple(e[i] - sum(B[i][j] * ks[j] for j in range(len(e))) for i in range(len(e)))
+
+
+@st.composite
+def _basis_and_sites(draw):
+    d = draw(st.integers(1, 3))
+    B = draw(st.lists(st.lists(st.integers(-9, 9), min_size=d, max_size=d), min_size=d, max_size=d))
+    assume(round(np.linalg.det(np.array(B, dtype=float))) != 0)
+    sites = draw(st.lists(st.tuples(*[st.integers(-200, 200)] * d), min_size=1, max_size=10))
+    return B, sites
+
+
+@settings(max_examples=200, deadline=None)
+@given(_basis_and_sites())
+def test_lattice_fold_equals_a_solve_per_site(case):
+    B, sites = case
+    fold = _lattice_fold(B)
+    for e in sites:
+        assert fold(e) == _fold_by_solve(e, B)
 
 
 def test_shadow_periodic_domain_too_small(A_sym):
