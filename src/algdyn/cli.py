@@ -10,6 +10,7 @@ the seed is part of the report.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import math
@@ -17,6 +18,10 @@ import sys
 
 from . import __version__, entropy, expansive, freegroup, homoclinic, independence, torus
 from .groupring import CapExceeded, GroupRingMatrix, parse_element
+
+# The ~24,000 objects made by the imports live as long as the process; frozen,
+# they no longer make each full collection a rescan that stalls some request.
+gc.freeze()
 
 OK, UNKNOWN_STATUS, ERROR = 0, 2, 1
 

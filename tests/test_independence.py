@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from algdyn.groupring import GroupRingElement, GroupRingMatrix, ball, parse_element
 from algdyn.homoclinic import fundamental_homoclinic, group_element
 from algdyn.independence import (
+    _direct_violations,
     _lattice_fold,
     _solve_rational,
     ShadowBlock,
@@ -196,6 +197,40 @@ def test_lattice_fold_equals_a_solve_per_site(case):
     fold = _lattice_fold(B)
     for e in sites:
         assert fold(e) == _fold_by_solve(e, B)
+
+
+def _violation_by_pattern(lift, F1, K, code):
+    """Reference: max_{s,t,j} rho((s y_sigma)_t, target_t), one dict lookup
+    per switched-on site."""
+    on = [sp for b, sp in enumerate(F1) if code >> b & 1]
+    worst = 0.0
+    for a, s in enumerate(F1):
+        for t in K:
+            for comp in lift:
+                acc = sum(comp.get(tuple(ti - si + pi for ti, si, pi in zip(t, s, sp)), 0.0) for sp in on)
+                diff = acc - (comp.get(t, 0.0) if code >> a & 1 else 0.0)
+                worst = max(worst, abs(diff - round(diff)))
+    return worst
+
+
+@st.composite
+def _witness_case(draw):
+    d = draw(st.integers(1, 2))
+    site = st.tuples(*[st.integers(-4, 4)] * d)
+    F1 = sorted(set(draw(st.lists(site, max_size=9))))
+    K = sorted(set(draw(st.lists(site, min_size=1, max_size=4))))
+    value = st.floats(-3, 3, allow_nan=False)
+    lift = draw(st.lists(st.dictionaries(site, value, max_size=30), min_size=1, max_size=2))
+    codes = draw(st.lists(st.integers(0, (1 << len(F1)) - 1), min_size=1, max_size=20))
+    return lift, F1, K, codes
+
+
+@settings(max_examples=200, deadline=None)
+@given(_witness_case())
+def test_direct_violations_equal_the_per_pattern_sums(case):
+    lift, F1, K, codes = case
+    got = _direct_violations(lift, F1, K, codes)
+    assert got == pytest.approx([_violation_by_pattern(lift, F1, K, c) for c in codes], abs=1e-12)
 
 
 def test_shadow_periodic_domain_too_small(A_sym):
