@@ -10,6 +10,7 @@ the seed is part of the report.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import itertools
 import json
@@ -277,7 +278,11 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: parse_args leaves
+    it unchanged and every default is an immutable scalar, so main and
+    pipeline stages share it."""
     p = _ArgumentParser(
         prog="algdyn",
         description="Certified computations for algebraic Z^d shift actions",

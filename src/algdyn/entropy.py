@@ -222,6 +222,8 @@ def peters_entropy(
     is applied over the exact rationals, for matrices that are integral but
     not unimodular.
     """
+    if n_max < 2 or diff_window < 1:
+        raise ValueError("the estimate needs n_max >= 2 and diff_window >= 1")
     if isinstance(cm, CompanionModule):
         M = cm.M
         Minv_i = cm.Minv

@@ -460,9 +460,7 @@ class TorusPoint:
 
 def circle_dist(a, b=0) -> float:
     """Distance on R/Z: min over integers m of |a - b - m|."""
-    t = float(a) - float(b)
-    t -= round(t)
-    return abs(t)
+    return abs(frac_center(float(a) - float(b)))
 
 
 def torus_distance(x: Sequence, y: Sequence) -> float:

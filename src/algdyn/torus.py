@@ -21,6 +21,7 @@ l1(Z^d) exactly when its Fourier series f^ has no zero on the d-torus
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -220,60 +221,62 @@ def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
 
 
 def evaluate_exact_is_zero(f: GroupRingElement, theta: tuple[Fraction, ...]) -> bool:
-    """Whether f^(theta) is exactly zero, for rational theta.
-
-    Reduces sum_n f_n zeta^(n.p) modulo the cyclotomic polynomial of the
-    common denominator; all arithmetic is over the integers.
-    """
+    """Whether f^(theta) is exactly zero, for rational theta."""
     if f.is_zero():
         return True
-    qs = [Fraction(t).denominator for t in theta]
-    q = 1
-    for v in qs:
-        q = q * v // math.gcd(q, v)
+    q, ps = _lattice_coords(theta)
     if q > 256:
         raise ValueError("rational point denominator too large for exact check")
-    ps = [int(Fraction(t) * q) % q for t in theta]
+    return _zero_at(f.terms, q, ps)
+
+
+def _lattice_coords(theta) -> tuple[int, tuple[int, ...]]:
+    """(q, ps) with q the lcm of the denominators and theta = ps/q mod 1."""
+    ts = [Fraction(t) for t in theta]
+    q = math.lcm(*(t.denominator for t in ts))
+    return q, tuple(t.numerator * (q // t.denominator) % q for t in ts)
+
+
+def _zero_at(terms: dict[tuple[int, ...], int], q: int, ps: tuple[int, ...]) -> bool:
+    """Whether sum_n f_n zeta^(n.ps) = 0, zeta = exp(2 pi i/q): the sum is
+    reduced modulo the q-th cyclotomic polynomial, all over the integers."""
     acc = [0] * q
-    for e, c in f.terms.items():
-        idx = sum(n * p for n, p in zip(e, ps)) % q
-        acc[idx] += c
+    for e, c in terms.items():
+        acc[sum(n * p for n, p in zip(e, ps)) % q] += c
     if q == 1:
         return acc[0] == 0
-    # remainder of acc(x) mod Phi_q(x)
     phi = _cyclotomic(q)
     deg = len(phi) - 1
-    rem = list(acc)
-    for i in range(len(rem) - 1, deg - 1, -1):
-        c = rem[i]
+    for i in range(q - 1, deg - 1, -1):
+        c = acc[i]
         if c == 0:
             continue
         for j in range(deg + 1):
-            rem[i - deg + j] -= c * phi[j]
-    return all(v == 0 for v in rem[:deg])
+            acc[i - deg + j] -= c * phi[j]
+    return not any(acc[:deg])
+
+
+@functools.cache
+def _scan_points(d: int) -> dict[tuple[Fraction, ...], tuple[int, tuple[int, ...]]]:
+    """The small rational lattices of the exact scan, in scan order, each
+    point theta mapped to its _lattice_coords."""
+    points: dict[tuple[Fraction, ...], tuple[int, tuple[int, ...]]] = {}
+    for q in [1, 2, 3, 4, 6] if d <= 2 else [1, 2, 3, 4]:
+        for ps in itertools.product(range(q), repeat=d):
+            theta = tuple(Fraction(p, q) for p in ps)
+            if theta not in points:
+                points[theta] = _lattice_coords(theta)
+    return points
 
 
 def _exact_zero_scan(f: GroupRingElement, extra: list[tuple[Fraction, ...]] | None = None):
-    """Search small rational lattices for an exact zero of f^."""
-    d = f.d
-    denominators = [1, 2, 3, 4, 6] if d <= 2 else [1, 2, 3, 4]
-    seen: set[tuple[Fraction, ...]] = set()
-    candidates: list[tuple[Fraction, ...]] = []
-    for q in denominators:
-        grid = [Fraction(p, q) for p in range(q)]
-        stack: list[tuple[Fraction, ...]] = [()]
-        for _ in range(d):
-            stack = [t + (g,) for t in stack for g in grid]
-        for t in stack:
-            if t not in seen:
-                seen.add(t)
-                candidates.append(t)
+    """The first exact zero of f^ on small rational lattices, then among extra."""
+    points = _scan_points(f.d)
+    for theta, (q, ps) in points.items():
+        if _zero_at(f.terms, q, ps):
+            return theta
     for t in extra or []:
-        if t not in seen:
-            seen.add(t)
-            candidates.append(t)
-    for t in candidates:
-        if evaluate_exact_is_zero(f, t):
+        if t not in points and evaluate_exact_is_zero(f, t):
             return t
     return None
 

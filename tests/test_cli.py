@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from algdyn.cli import main
+from algdyn import __version__
+from algdyn.cli import _build_parser, main
 
 
 def run_cli(capsys, argv):
@@ -289,3 +290,34 @@ def test_freegroup_check_huge_order_and_radius_is_a_cap_error(capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: radius 1000000000000 at rank 2 needs integers")
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --version
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_leaks_no_state(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([{"command": "homoclinic", "args": {"poly": "3 - u1 - u1^-1", "radius": -1}}]))
+    sequence = [
+        ["ie", "--poly", "3 - u1 - u1^-1", "--eps", "0.1", "--window", "5"],
+        ["ie", "--poly", "3 - u1 - u1^-1", "--eps", "0.1"],
+        ["pipeline", "--config", str(bad)],
+        ["homoclinic", "--poly", "3 - u1 - u1^-1"],
+        ["--version"],
+        ["expansive", "--poly", "3 - u1 - u1^-1"],
+    ]
+    _build_parser.cache_clear()
+    shared = [_outcome(capsys, argv) for argv in sequence]
+    assert _build_parser.cache_info().misses == 1  # main and the pipeline stage share one parser
+    assert json.loads(shared[1][1])["parameters"]["window"] == 60
+    assert shared[2][0] == 1 and "--radius" in json.loads(shared[2][1])["stages"][0]["error"]
+    assert shared[4] == (("exit", 0), f"algdyn {__version__}\n", "")
+    for argv, got in zip(sequence, shared):
+        _build_parser.cache_clear()
+        assert got == _outcome(capsys, argv), argv

@@ -189,6 +189,14 @@ def test_peters_seed_validation():
         peters_entropy(cm, E_seed=[[0]])
 
 
+@pytest.mark.parametrize("kwargs", [{"n_max": 1}, {"n_max": 0}, {"n_max": -2}, {"diff_window": 0}])
+def test_peters_refuses_an_empty_difference_window(kwargs):
+    # no log difference to average: raise instead of reporting value 0.0
+    cm = CompanionModule(parse_element("u1^2 - u1 - 1"))
+    with pytest.raises(ValueError, match="n_max >= 2"):
+        peters_entropy(cm, **kwargs)
+
+
 @settings(max_examples=200, deadline=None)
 @given(hnp.arrays(
     np.int64,

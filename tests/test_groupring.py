@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algdyn.groupring import (
     DimensionMismatch,
@@ -96,24 +98,42 @@ def test_torus_distance_metric_properties():
         assert circle_dist(x, z) <= circle_dist(x, y) + circle_dist(y, z) + 1e-12
 
 
-def test_ring_axioms_random():
-    rng = np.random.default_rng(11)
-    for _ in range(60):
-        d = int(rng.integers(1, 3))
-        a, b, c = (random_element(rng, d) for _ in range(3))
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a * b == b * a
+def _elements(d):
+    exps = st.tuples(*[st.integers(-2, 2)] * d)
+    return st.dictionaries(exps, st.integers(-4, 4), max_size=4).map(lambda t: E(d, t))
 
 
-def test_involution_antihomomorphism_random():
-    rng = np.random.default_rng(13)
-    for _ in range(60):
-        d = int(rng.integers(1, 3))
-        a, b = random_element(rng, d), random_element(rng, d)
-        assert (a * b).star() == b.star() * a.star()
-        assert a.star().l1_norm() == a.l1_norm()
-        assert a.star().star() == a
+@st.composite
+def _element_triples(draw):
+    d = draw(st.integers(1, 3))
+    return tuple(draw(_elements(d)) for _ in range(3))
+
+
+@st.composite
+def _matrix_pairs(draw):
+    d, k = draw(st.integers(1, 2)), draw(st.integers(2, 3))
+    entries = st.lists(st.lists(_elements(d), min_size=k, max_size=k), min_size=k, max_size=k)
+    return GroupRingMatrix(draw(entries)), GroupRingMatrix(draw(entries))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_element_triples())
+def test_ring_axioms_random(abc):
+    a, b, c = abc
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    assert a * b == b * a
+
+
+@settings(max_examples=200, deadline=None)
+@given(_element_triples())
+def test_involution_antihomomorphism_random(abc):
+    a, b, _ = abc
+    assert (a * b).star() == b.star() * a.star()
+    assert (a + b).star() == a.star() + b.star()
+    assert a.star().l1_norm() == a.l1_norm()
+    assert a.star().star() == a
 
 
 def test_submultiplicative_random():
@@ -123,13 +143,24 @@ def test_submultiplicative_random():
         assert (a * b).l1_norm() <= a.l1_norm() * b.l1_norm()
 
 
-def test_matrix_involution_antihomomorphism_random():
-    rng = np.random.default_rng(19)
-    for _ in range(20):
-        d = int(rng.integers(1, 3))
-        A = GroupRingMatrix([[random_element(rng, d) for _ in range(2)] for _ in range(2)])
-        B = GroupRingMatrix([[random_element(rng, d) for _ in range(2)] for _ in range(2)])
-        assert (A * B).star() == B.star() * A.star()
+@settings(max_examples=60, deadline=None)
+@given(_matrix_pairs())
+def test_matrix_involution_antihomomorphism_random(AB):
+    A, B = AB
+    assert (A * B).star() == B.star() * A.star()
+    assert A.star().star() == A
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrix_pairs())
+def test_adjugate_and_det_multiplicativity_random(AB):
+    A, B = AB
+    det = A.det()
+    scalar = GroupRingMatrix([[det if i == j else E.zero(A.d) for j in range(A.rows)] for i in range(A.rows)])
+    assert A * A.adjugate() == scalar
+    assert A.adjugate() * A == scalar
+    assert (A * B).det() == det * B.det()
+    assert A.star().det() == det.star()
 
 
 def test_det_and_adjugate():

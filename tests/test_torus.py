@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from algdyn import torus
 from algdyn._kernels import grid_error_bound
@@ -82,6 +84,103 @@ def test_exact_zero_cyclotomic():
     # u^2 + 1 vanishes at 1/4
     g = parse_element("1 + u1^2")
     assert evaluate_exact_is_zero(g, (Fraction(1, 4),))
+
+
+def _is_zero_oracle(f, theta):
+    """f^(theta) == 0, decided afresh for each point in Fraction arithmetic."""
+    if f.is_zero():
+        return True
+    q = 1
+    for t in theta:
+        q = q * Fraction(t).denominator // math.gcd(q, Fraction(t).denominator)
+    if q > 256:
+        raise ValueError("rational point denominator too large for exact check")
+    ps = [int(Fraction(t) * q) % q for t in theta]
+    acc = [0] * q
+    for e, c in f.terms.items():
+        acc[sum(n * p for n, p in zip(e, ps)) % q] += c
+    if q == 1:
+        return acc[0] == 0
+    phi = torus._cyclotomic(q)
+    deg = len(phi) - 1
+    rem = list(acc)
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c = rem[i]
+        if c == 0:
+            continue
+        for j in range(deg + 1):
+            rem[i - deg + j] -= c * phi[j]
+    return all(v == 0 for v in rem[:deg])
+
+
+def _scan_oracle(f, extra):
+    """The exact scan as a per-candidate Fraction loop, built afresh per call."""
+    seen, candidates = set(), []
+    for q in [1, 2, 3, 4, 6] if f.d <= 2 else [1, 2, 3, 4]:
+        stack = [()]
+        for _ in range(f.d):
+            stack = [t + (Fraction(p, q),) for t in stack for p in range(q)]
+        candidates += [t for t in stack if t not in seen and not seen.add(t)]
+    candidates += [t for t in extra if t not in seen and not seen.add(t)]
+    for t in candidates:
+        if _is_zero_oracle(f, t):
+            return t
+    return None
+
+
+# planted factor of u_i -> the theta_i where it vanishes: on the scan's lattices, or off them
+# (fifths and eighths), where only an extra point finds the zero
+_ON_LATTICE = {
+    "u{i} - 1": [Fraction(0)],
+    "u{i} + 1": [Fraction(1, 2)],
+    "1 + u{i} + u{i}^2": [Fraction(1, 3), Fraction(2, 3)],
+    "1 + u{i}^2": [Fraction(1, 4), Fraction(3, 4)],
+}
+_OFF_LATTICE = {
+    "1 + u{i} + u{i}^2 + u{i}^3 + u{i}^4": [Fraction(k, 5) for k in range(1, 5)],
+    "1 + u{i}^4": [Fraction(k, 8) for k in (1, 3, 5, 7)],
+}
+
+
+@st.composite
+def _planted_scan_input(draw):
+    """f = random element times planted factors; extra = random points (lcm of the
+    denominators past 256 possible at d = 3), plus maybe one zero per factor."""
+    d = draw(st.integers(1, 3))
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(-2, 2)] * d), st.integers(-3, 3), max_size=4))
+    if draw(st.booleans()):  # a dominant constant: no zero but the planted ones
+        terms[(0,) * d] = terms.get((0,) * d, 0) + 13
+    f = E(d, terms)
+    point = st.lists(st.builds(Fraction, st.integers(0, 12), st.sampled_from([1, 2, 3, 4, 5, 7, 8, 11, 12])),
+                     min_size=d, max_size=d)
+    extra = [tuple(t) for t in draw(st.lists(point, max_size=5))]
+    factors = draw(st.lists(st.sampled_from(sorted(_ON_LATTICE)), max_size=2))
+    factors += draw(st.lists(st.sampled_from(sorted(_OFF_LATTICE)), max_size=2))
+    for text in factors:
+        i = draw(st.integers(0, d - 1))
+        f = f * parse_element(text.format(i=i + 1), d)
+        if draw(st.booleans()):
+            t = draw(point)
+            t[i] = draw(st.sampled_from((_ON_LATTICE | _OFF_LATTICE)[text]))
+            extra.insert(draw(st.integers(0, len(extra))), tuple(t))
+    return f, extra
+
+
+def _outcome(fn, f, extra):
+    try:
+        return fn(f, extra)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_planted_scan_input())
+@example((parse_element("13 + u1", 2) * parse_element("1 + u2 + u2^2 + u2^3 + u2^4"),
+          [(Fraction(1, 2), Fraction(1, 3)), (Fraction(3, 8), Fraction(2, 5))]))  # found among extra
+@example((parse_element("13 + u1", 3), [(0, 0, 0), (Fraction(1, 7), Fraction(1, 11), Fraction(1, 4))]))  # q > 256
+def test_exact_zero_scan_matches_fraction_oracle(case):
+    f, extra = case
+    assert _outcome(torus._exact_zero_scan, f, extra) == _outcome(_scan_oracle, f, extra)
 
 
 # -- certification ------------------------------------------------------------
