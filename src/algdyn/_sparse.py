@@ -6,6 +6,13 @@ v(e) = nums[e] / den.  The l1 inverse's float seeds and Newton iterates
 are dyadic, so den is a power of two on that path and every operation
 below is integer arithmetic; Fraction objects are built only by scale and
 unscale, at the boundary.
+
+A group-ring element's terms are such a dict with den 1, so the same core
+does the package's exact matrix algebra: vecmat multiplies a row vector
+of numerator dicts by a matrix of them (group-ring matrix products,
+homoclinic lifts m (A*)^-1 and their annihilation checks), and
+int_inverse inverts a square integer matrix as integers P over one
+denominator D (the Peters shift inverse, the periodic shadow fold).
 """
 
 from __future__ import annotations
@@ -41,6 +48,45 @@ def conv(a: dict, b: dict) -> dict:
             k = tuple(map(add, ea, eb))
             out[k] = get(k, 0) + ca * cb
     return {k: v for k, v in out.items() if v}
+
+
+def vecmat(vec: list[dict], M: list[list[dict]]) -> list[dict]:
+    """The row vector vec times the matrix M: entry j is sum_i vec[i] * M[i][j]."""
+    out = []
+    for j in range(len(M[0])):
+        acc: dict = {}
+        for v, row in zip(vec, M):
+            if v:
+                add_to(acc, conv(v, row[j]))
+        out.append(acc)
+    return out
+
+
+def int_inverse(M: list[list[int]]) -> tuple[list[list[int]], int]:
+    """(P, D) with M P = D I and D > 0, for a square nonsingular integer M.
+
+    Fraction-free Gauss-Jordan elimination on [M | I]: every division by
+    the previous pivot is exact (Sylvester's identity), so all entries stay
+    integers; D is |det M| and P = sign(det M) adj(M).
+    """
+    k = len(M)
+    aug = [[int(v) for v in row] + [int(i == j) for j in range(k)] for i, row in enumerate(M)]
+    prev = 1
+    for col in range(k):
+        piv = next((r for r in range(col, k) if aug[r][col]), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        prow = aug[col]
+        p = prow[col]
+        for r in range(k):
+            if r != col:
+                row = aug[r]
+                h = row[col]
+                aug[r] = [(p * a - h * b) // prev for a, b in zip(row, prow)]
+        prev = p
+    s = 1 if prev > 0 else -1
+    return [[s * v for v in row[k:]] for row in aug], s * prev
 
 
 def add_to(acc: dict, b: dict, sign: int = 1) -> dict:

@@ -22,10 +22,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels, torus
+from . import _kernels, _sparse, torus
 from .groupring import GroupRingElement, GroupRingMatrix, ball, norm_sites
 from .homoclinic import fundamental_homoclinic
-from .independence import _solve_rational, greedy_separated_subset, interaction_radius
+from .independence import greedy_separated_subset, interaction_radius
 
 MAHLER_DEFAULT_GRID = {1: 65536, 2: 512, 3: 64}
 SINGULARITY_FLOOR = 1e-12
@@ -188,12 +188,8 @@ class CompanionModule:
         for i in range(k):
             M[i, k - 1] = -coeffs[i]
         self.M = M
-        det = int(round(np.linalg.det(M)))
-        if abs(det) != 1:
-            raise ValueError("companion matrix is not unimodular")
-        Minv = np.rint(np.linalg.inv(M) * det).astype(np.int64) * det
-        assert (M @ Minv == np.eye(k, dtype=np.int64)).all()
-        self.Minv = Minv
+        # det M = +-c0 = +-1, so the exact inverse has denominator 1
+        self.Minv = np.array(_sparse.int_inverse(M.tolist())[0], dtype=np.int64)
 
     def __repr__(self) -> str:
         return f"CompanionModule({self.f.format()!r}, degree={self.degree})"
@@ -218,25 +214,22 @@ def peters_entropy(
 
     The estimate is the average of the last diff_window successive
     differences of log|S_n| (the raw quotients log|S_n|/n carry O(1/n)
-    corrections; differences converge much faster).  In rational mode M^-1
-    is applied over the exact rationals, for matrices that are integral but
-    not unimodular.
+    corrections; differences converge much faster).  M is inverted
+    exactly, in integers; in rational mode M^-1 is applied over the exact
+    rationals, for matrices that are integral but not unimodular.  A series
+    that the memory cap stops before its second term raises MemoryCapError.
     """
     if n_max < 2 or diff_window < 1:
         raise ValueError("the estimate needs n_max >= 2 and diff_window >= 1")
     if isinstance(cm, CompanionModule):
-        M = cm.M
-        Minv_i = cm.Minv
         k = cm.degree
+        P, D = cm.Minv.tolist(), 1
     else:
         M = np.asarray(cm, dtype=np.int64)
         k = M.shape[0]
-        Minv_i = None
-        if not rational:
-            det = int(round(np.linalg.det(M)))
-            if abs(det) != 1:
-                raise ValueError("constant term not a unit; use rational=True")
-            Minv_i = np.rint(np.linalg.inv(M) * det).astype(np.int64) * det
+        P, D = _sparse.int_inverse(M.tolist())
+        if D != 1 and not rational:
+            raise ValueError("constant term not a unit; use rational=True")
 
     if E_seed is None:
         e1 = [0] * k
@@ -253,7 +246,7 @@ def peters_entropy(
     truncated = False
 
     if rational:
-        Minv_q = _solve_rational(M.tolist(), [[int(i == j) for j in range(k)] for i in range(k)])
+        Minv_q = [[Fraction(v, D) for v in row] for row in P]
         S = {tuple(Fraction(v) for v in b) for b in E}
         for n in range(1, n_max + 1):
             if n > 1:
@@ -271,7 +264,7 @@ def peters_entropy(
                 break
     else:
         S = np.array(sorted(set(E)), dtype=np.int64)
-        MT = Minv_i.T.copy()
+        MT = np.array(P, dtype=np.int64).T.copy()
         for n in range(1, n_max + 1):
             if n > 1:
                 V = S @ MT
@@ -282,10 +275,14 @@ def peters_entropy(
                 truncated = True
                 break
 
+    if len(sizes) < 2:
+        raise torus.MemoryCapError(
+            "the counting set outgrew ALGDYN_MEM_CAP_MB at n = 1; the estimate needs two terms"
+        )
     logs = [math.log(s) for s in sizes]
     diffs = [logs[i + 1] - logs[i] for i in range(len(logs) - 1)]
     w = min(diff_window, len(diffs))
-    estimate = sum(diffs[-w:]) / w if w else 0.0
+    estimate = sum(diffs[-w:]) / w
     notes = "memory cap reached; partial series" if truncated else ""
     return EntropyEstimate(
         estimate,

@@ -250,13 +250,8 @@ def has_finite_entropy(action: PresentedAction | GroupRingMatrix) -> FiniteEntro
     except CapExceeded as exc:
         return FiniteEntropyReport(UNKNOWN, rank, k, None, note=str(exc))
     # verify the witness against the original involuted matrix, exactly
-    Astar = A.star()
-    for j in range(Astar.cols):
-        acc = GroupRingElement.zero(A.d)
-        for i in range(k):
-            acc = acc + x[i] * Astar.entries[i][j]
-        if not acc.is_zero():
-            raise AssertionError("kernel witness failed exact verification")
+    if not all(e.is_zero() for e in (GroupRingMatrix([x]) * A.star()).entries[0]):
+        raise AssertionError("kernel witness failed exact verification")
     return FiniteEntropyReport(INFINITE, rank, k, x)
 
 

@@ -364,16 +364,13 @@ class GroupRingMatrix:
     def __mul__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = GroupRingElement.zero(self.d)
-                for t in range(self.cols):
-                    acc = acc + self.entries[i][t] * other.entries[t][j]
-                row.append(acc)
-            out.append(row)
-        return GroupRingMatrix(out)
+        if self.d != other.d:
+            raise DimensionMismatch(f"dimensions differ: {self.d} vs {other.d}")
+        rhs = [[e.terms for e in row] for row in other.entries]
+        return GroupRingMatrix([
+            [GroupRingElement(self.d, t) for t in _sparse.vecmat([e.terms for e in row], rhs)]
+            for row in self.entries
+        ])
 
     def l1_norm(self) -> int:
         return sum(e.l1_norm() for row in self.entries for e in row)

@@ -157,35 +157,23 @@ def fundamental_homoclinic(
 ) -> list[HomoclinicPoint]:
     """One generator of the homoclinic group per standard basis row.
 
-    Point i is the reduction mod 1 of row i of (A*)^-1, truncated; together
-    they generate the homoclinic group as a module over the group ring.
+    Point i is group_element(A, e_i), the reduction mod 1 of row i of
+    (A*)^-1, truncated; together they generate the homoclinic group as a
+    module over the group ring.
     """
-    inv = _star_inverse(A, tol, radius_cap)
-    k = inv.k
-    out = []
-    for i in range(k):
-        # copies: the inverse is shared through the cache
-        nums = [dict(inv.entries[i][j].nums) for j in range(k)]
-        prov = [
-            GroupRingElement.one(A.d) if j == i else GroupRingElement.zero(A.d)
-            for j in range(k)
-        ]
-        out.append(HomoclinicPoint(A, nums, inv.den, _tail(inv), prov))
-    return out
+    k = A.rows
+    return [group_element(A, [int(j == i) for j in range(k)], tol, radius_cap) for i in range(k)]
 
 
 def _as_vector(m, k: int, d: int) -> list[GroupRingElement]:
-    if isinstance(m, GroupRingElement):
+    """m as a row vector of k group-ring elements; a bare element or int
+    counts as a vector of length 1, and int components become constants."""
+    if isinstance(m, (GroupRingElement, int)):
         m = [m]
     m = list(m)
     if len(m) != k:
         raise ValueError(f"vector length {len(m)} != k = {k}")
-    out = []
-    for comp in m:
-        if isinstance(comp, int):
-            comp = GroupRingElement.constant(d, comp)
-        out.append(comp)
-    return out
+    return [GroupRingElement.constant(d, c) if isinstance(c, int) else c for c in m]
 
 
 def group_element(
@@ -197,15 +185,8 @@ def group_element(
     the zero point (within the tail bound).
     """
     inv = _star_inverse(A, tol, radius_cap)
-    k = inv.k
-    mv = _as_vector(m, k, A.d)
-    nums = []
-    for j in range(k):
-        acc: dict[tuple[int, ...], int] = {}
-        for i in range(k):
-            if not mv[i].is_zero():
-                _sparse.add_to(acc, _sparse.conv(inv.entries[i][j].nums, mv[i].terms))
-        nums.append(acc)
+    mv = _as_vector(m, inv.k, A.d)
+    nums = _sparse.vecmat([c.terms for c in mv], [[cell.nums for cell in row] for row in inv.entries])
     norm_m = sum(comp.l1_norm() for comp in mv)
     tail = _tail(inv) * max(1, norm_m)
     return HomoclinicPoint(A, nums, inv.den, tail, mv)
@@ -218,20 +199,10 @@ def annihilation_residual(x: HomoclinicPoint, window=None) -> float:
     truncated homoclinic lift this residual is controlled by the tail bound
     times ||A||_1.
     """
-    Astar = x.A.star()
-    k = x.k
-    comps, den = x.nums, x.den
+    den = x.den
+    cols = _sparse.vecmat(x.nums, [[e.terms for e in row] for row in x.A.star().entries])
+    sites = set().union(*cols) if window is None else set(norm_sites(window, x.d))
     worst = 0.0
-    sites: set[tuple[int, ...]] = set()
-    cols = []
-    for j in range(k):
-        acc: dict[tuple[int, ...], int] = {}
-        for i in range(k):
-            _sparse.add_to(acc, _sparse.conv(comps[i], Astar.entries[i][j].terms))
-        cols.append(acc)
-        sites.update(acc)
-    if window is not None:
-        sites = set(norm_sites(window, x.d))
     for e in sites:
         for acc in cols:
             v = acc.get(e)
@@ -242,16 +213,6 @@ def annihilation_residual(x: HomoclinicPoint, window=None) -> float:
 
 def membership_tolerance(A: GroupRingMatrix, tol: float = 1e-10) -> float:
     return 10.0 * tol * A.l1_norm()
-
-
-def _phi_vector(phi, k: int, d: int) -> list[GroupRingElement]:
-    if isinstance(phi, (GroupRingElement, int)):
-        if k != 1:
-            raise ValueError("scalar dual element given for k > 1")
-        if isinstance(phi, int):
-            phi = GroupRingElement.constant(d, phi)
-        return [phi]
-    return _as_vector(phi, k, d)
 
 
 def _pairing_exponent(nums: list[dict], den: int, phi: list[GroupRingElement],
@@ -270,7 +231,7 @@ def _pairing_exponent(nums: list[dict], den: int, phi: list[GroupRingElement],
 
 def psi(x: HomoclinicPoint, phi, window) -> dict[tuple[int, ...], complex]:
     """The character mismatch function s -> <s.x, phi> - 1 on the window."""
-    phiv = _phi_vector(phi, x.k, x.d)
+    phiv = _as_vector(phi, x.k, x.d)
     out = {}
     for s in norm_sites(window, x.d):
         ang = 2.0 * math.pi * _pairing_exponent(x.nums, x.den, phiv, s)
@@ -327,11 +288,8 @@ def summable_metric_distance(
         diff, den = x.nums, x.den
     k, d = x.k, x.d
     if W is None:
-        W = [
-            [GroupRingElement.one(d) if j == i else GroupRingElement.zero(d) for j in range(k)]
-            for i in range(k)
-        ]
-    Wv = [_phi_vector(phi, k, d) for phi in W]
+        W = [[int(j == i) for j in range(k)] for i in range(k)]
+    Wv = [_as_vector(phi, k, d) for phi in W]
     gen = enumerate_zd(d)
     total = 0.0
     for j in range(1, terms + 1):
@@ -372,13 +330,10 @@ def pairing_symmetry_check(
     """
     x2 = group_element(A, m2, tol, radius_cap)
     x1 = group_element(A.star(), m1, tol, radius_cap)
-    k, d = x2.k, A.d
-    m1v = _as_vector(m1, k, d)
-    m2v = _as_vector(m2, k, d)
-    win = norm_sites(window, d)
-    lhs = psi(x2, m1v, win)
+    win = norm_sites(window, A.d)
+    lhs = psi(x2, x1.provenance, win)
     rhs_sites = [tuple(-v for v in s) for s in win]
-    rhs = psi(x1, m2v, rhs_sites)
+    rhs = psi(x1, x2.provenance, rhs_sites)
     worst = 0.0
     for s in win:
         neg = tuple(-v for v in s)

@@ -413,35 +413,13 @@ def _lattice_fold(B: list[list[int]]):
     """The map taking a site e to its representative with B^-1 e in
     [0,1)^d, computed exactly.  B is inverted once, as an integer matrix P
     over one denominator D > 0, so floor(B^-1 e) is (P e) // D."""
-    d = len(B)
-    X = _solve_rational(B, [[int(i == j) for j in range(d)] for i in range(d)])
-    D = math.lcm(*(v.denominator for row in X for v in row))
-    P = [[int(v * D) for v in row] for row in X]
+    P, D = _sparse.int_inverse(B)
 
     def fold(e: tuple[int, ...]) -> tuple[int, ...]:
         ks = [sum(map(mul, row, e)) // D for row in P]
         return tuple(v - sum(map(mul, row, ks)) for v, row in zip(e, B))
 
     return fold
-
-
-def _solve_rational(M: list[list], R: list[list]) -> list[list[Fraction]]:
-    """X with M X = R over Q, for square nonsingular M, by Gauss-Jordan
-    elimination on [M | R]; entries may be ints or Fractions."""
-    d = len(M)
-    aug = [[Fraction(v) for v in M[i]] + [Fraction(v) for v in R[i]] for i in range(d)]
-    for col in range(d):
-        piv = next((r for r in range(col, d) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [v / p for v in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[d:] for row in aug]
 
 
 @dataclass

@@ -470,22 +470,6 @@ def l1_inverse(
     return L1Approximant(d, best, best_den, tail_bound=tail, residual=best_r, converged=converged)
 
 
-def _matrix_residual(G: list[list[dict]], den: int, A: GroupRingMatrix) -> Fraction:
-    """||I - G A||_1 with the sum-of-entries l1 norm, for G = nums/den, exact."""
-    k = A.rows
-    total = 0
-    for i in range(k):
-        for j in range(k):
-            acc: dict[tuple[int, ...], int] = {}
-            for t in range(k):
-                _sparse.add_to(acc, _sparse.conv(G[i][t], A.entries[t][j].terms))
-            if i == j:
-                e0 = (0,) * A.d
-                acc[e0] = acc.get(e0, 0) - den
-            total += _sparse.l1(acc)
-    return Fraction(total, den)
-
-
 def matrix_l1_inverse(
     A: GroupRingMatrix,
     tol: float = 1e-10,
@@ -494,12 +478,15 @@ def matrix_l1_inverse(
 ) -> MatrixL1Inverse:
     """Entrywise truncated inverse of a square matrix over l1(Z^d).
 
-    Uses the adjugate route G = adj(A) * g_det with g_det the truncated
+    Uses the adjugate route G = g_det adj(A) with g_det the truncated
     inverse of det(A) to tol / k, so every entry shares g_det's
-    denominator and the matrix residual ||I - G A||_1 equals
-    k * ||delta - det * g_det||_1.  That exact residual is reported; when
-    it exceeds tol the result carries converged=False.  No matrix-level
-    refinement follows.
+    denominator.  Since adj(A) A = det(A) I exactly, G A = (g_det det(A)) I
+    and I - G A is the diagonal matrix with every diagonal entry
+    delta - g_det det(A); its sum-of-entries l1 norm is therefore exactly
+    k * r with r = ||delta - g_det det(A)||_1, the residual l1_inverse
+    already computed.  That exact residual is reported; when it exceeds
+    tol the result carries converged=False.  No matrix-level refinement
+    follows.
     """
     if not A.is_square():
         raise ValueError("matrix must be square")
@@ -513,7 +500,7 @@ def matrix_l1_inverse(
     den = gdet.den
     adj = A.adjugate()
     G = [[_sparse.conv(gdet.nums, adj.entries[i][j].terms) for j in range(k)] for i in range(k)]
-    residual = _matrix_residual(G, den, A)
+    residual = k * gdet.residual
     converged = residual <= tol
 
     norm_g = Fraction(sum(_sparse.l1(cell) for row in G for cell in row), den)

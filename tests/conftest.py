@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,3 +44,22 @@ def jensen_mahler(f: GroupRingElement) -> float:
     return math.log(abs(coeffs[0])) + float(
         sum(math.log(abs(r)) for r in roots if abs(r) > 1)
     )
+
+
+def solve_rational(M: list[list], R: list[list]) -> list[list[Fraction]]:
+    """Independent oracle: X with M X = R over Q, for square nonsingular M,
+    by Gauss-Jordan elimination on [M | R] in Fractions."""
+    d = len(M)
+    aug = [[Fraction(v) for v in M[i]] + [Fraction(v) for v in R[i]] for i in range(d)]
+    for col in range(d):
+        piv = next((r for r in range(col, d) if aug[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        p = aug[col][col]
+        aug[col] = [v / p for v in aug[col]]
+        for r in range(d):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [row[d:] for row in aug]

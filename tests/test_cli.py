@@ -235,6 +235,14 @@ def test_pipeline_stage_args_parse_like_the_command_line(tmp_path, capsys):
     assert second["window_size"] == 1
 
 
+def test_entropy_peters_memory_cap_before_two_terms_exits_one(capsys, monkeypatch):
+    monkeypatch.setenv("ALGDYN_MEM_CAP_MB", "0")
+    assert main(["entropy", "--method", "peters", "--poly", "u1^2 - u1 - 1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ALGDYN_MEM_CAP_MB" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv, option",
     [

@@ -16,7 +16,7 @@ from algdyn.entropy import (
     peters_entropy,
 )
 from algdyn.groupring import GroupRingElement, GroupRingMatrix, parse_element
-from algdyn.torus import NotInvertibleError, certify_invertible
+from algdyn.torus import MemoryCapError, NotInvertibleError, certify_invertible
 from conftest import jensen_mahler, random_element
 
 E = GroupRingElement
@@ -217,6 +217,29 @@ def test_peters_memory_cap(monkeypatch):
     est = peters_entropy(cm, n_max=40)
     assert "partial" in est.notes
     assert est.parameters["n_reached"] < 40
+
+
+def test_peters_memory_cap_before_two_terms_raises(monkeypatch):
+    monkeypatch.setenv("ALGDYN_MEM_CAP_MB", "0")
+    cm = CompanionModule(parse_element("u1^2 - u1 - 1"))
+    with pytest.raises(MemoryCapError, match="two terms"):
+        peters_entropy(cm, n_max=10)
+    with pytest.raises(MemoryCapError, match="two terms"):
+        peters_entropy(np.array([[2]]), E_seed=[[0], [1]], n_max=10, rational=True)
+
+
+def test_peters_inverts_large_unimodular_matrix_exactly():
+    # [[F41, F40], [F40, F39]] has det 1, but its float determinant is 0.0
+    M = np.array([[165580141, 102334155], [102334155, 63245986]])
+    est = peters_entropy(M, n_max=3)
+    assert [row["count"] for row in est.series] == [2, 4, 8]
+
+
+def test_peters_rejects_non_unimodular_and_singular_matrices():
+    with pytest.raises(ValueError, match="not a unit"):
+        peters_entropy(np.array([[2, 1], [0, 1]]), n_max=3)
+    with pytest.raises(ValueError, match="singular"):
+        peters_entropy(np.array([[1, 2], [2, 4]]), n_max=3, rational=True)
 
 
 # -- packing lower bound ----------------------------------------------------------

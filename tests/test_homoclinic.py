@@ -202,6 +202,16 @@ def test_matrix_case_two_by_two():
     assert annihilation_residual(y) <= membership_tolerance(A) * 3
 
 
+def test_fundamental_points_do_not_share_the_cached_inverse():
+    A = GroupRingMatrix.from_obj([["3 - u1", "1"], ["0", "3 - u1^-1"]])
+    before = [[dict(c) for c in x.nums] for x in fundamental_homoclinic(A)]
+    for x in fundamental_homoclinic(A):
+        for comp in x.nums:
+            comp.clear()
+            comp[(99,)] = 7
+    assert [x.nums for x in fundamental_homoclinic(A)] == before
+
+
 def test_decay_monotone_tail(A_sym):
     (x,) = fundamental_homoclinic(A_sym)
     tails = [max(x.rho_to_zero(n), x.rho_to_zero(-n)) for n in range(1, 12)]

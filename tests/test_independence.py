@@ -10,7 +10,6 @@ from algdyn.homoclinic import fundamental_homoclinic, group_element
 from algdyn.independence import (
     _direct_violations,
     _lattice_fold,
-    _solve_rational,
     ShadowBlock,
     ShadowRequest,
     greedy_separated_subset,
@@ -20,6 +19,7 @@ from algdyn.independence import (
     inverse_tail_radius,
     shadow,
 )
+from conftest import solve_rational
 
 E = GroupRingElement
 
@@ -177,7 +177,7 @@ def test_shadow_periodic_exact_invariance(A_sym):
 
 def _fold_by_solve(e, B):
     """Reference fold: one exact Gauss-Jordan solve of B k = e per site."""
-    ks = [row[0].__floor__() for row in _solve_rational(B, [[v] for v in e])]
+    ks = [row[0].__floor__() for row in solve_rational(B, [[v] for v in e])]
     return tuple(e[i] - sum(B[i][j] * ks[j] for j in range(len(e))) for i in range(len(e)))
 
 

@@ -7,11 +7,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from algdyn import _kernels, _sparse, torus
 from algdyn.groupring import GroupRingElement, GroupRingMatrix, ball, frac_center, parse_element
+from conftest import solve_rational
 
 
 @st.composite
@@ -90,6 +91,52 @@ def test_center_matches_frac_center(n, den):
     c = _sparse.center(n, den)
     assert Fraction(c, den) == frac_center(Fraction(n, den))
     assert -den <= 2 * c < den
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_vecmat_matches_group_ring_sum_of_products(data):
+    d = data.draw(st.sampled_from([1, 2]))
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    entry = int_vectors(d)  # empty dicts (zero entries) included
+    vec = [data.draw(entry) for _ in range(rows)]
+    M = [[data.draw(entry) for _ in range(cols)] for _ in range(rows)]
+    got = _sparse.vecmat(vec, M)
+    assert len(got) == cols
+    for j in range(cols):
+        ref = GroupRingElement.zero(d)
+        for i in range(rows):
+            ref = ref + GroupRingElement(d, vec[i]) * GroupRingElement(d, M[i][j])
+        assert got[j] == ref.terms
+        assert all(got[j].values())
+
+
+def _square_ints(k):
+    return st.lists(st.lists(st.integers(-4, 4) | st.just(0), min_size=k, max_size=k),
+                    min_size=k, max_size=k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(_square_ints))
+@example([[0, 1], [1, 0]])  # zero leading pivot, det -1
+@example([[0, 0, 2], [0, 3, 0], [5, 0, 0]])  # two swaps, det -30
+@example([[-7]])
+@example([[1, 2], [2, 4]])  # singular
+@example([[0]])
+def test_int_inverse_matches_fraction_gauss_jordan(M):
+    k = len(M)
+    eye = [[int(i == j) for j in range(k)] for i in range(k)]
+    try:
+        ref = solve_rational(M, eye)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular"):
+            _sparse.int_inverse(M)
+        return
+    P, D = _sparse.int_inverse(M)
+    assert D > 0
+    assert [[Fraction(v, D) for v in row] for row in P] == ref
+    assert [[sum(M[i][t] * P[t][j] for t in range(k)) for j in range(k)]
+            for i in range(k)] == [[D * v for v in row] for row in eye]
 
 
 # -- the l1 inverse against the Fraction implementation it replaced -----------

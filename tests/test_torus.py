@@ -386,6 +386,45 @@ def test_matrix_inverse_upper_triangular():
     assert float(inv.entries[1][0].l1_norm()) <= 1e-12
 
 
+def _direct_matrix_residual(G, den, A):
+    """||I - G A||_1 (sum-of-entries l1 norm) for G = nums/den, by the k^3
+    product loop the adjugate identity made unnecessary; kept as the oracle."""
+    k = A.rows
+    total = 0
+    for i in range(k):
+        for j in range(k):
+            acc = {}
+            for t in range(k):
+                for e, c in (E(A.d, G[i][t]) * A.entries[t][j]).terms.items():
+                    acc[e] = acc.get(e, 0) + c
+            if i == j:
+                e0 = (0,) * A.d
+                acc[e0] = acc.get(e0, 0) - den
+            total += sum(abs(c) for c in acc.values())
+    return Fraction(total, den)
+
+
+@st.composite
+def _dominant_matrices(draw):
+    k, d = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    site = st.tuples(*[st.integers(-1, 1)] * d)
+    small = st.dictionaries(site, st.integers(-1, 1), max_size=2)
+    rows = []
+    for i in range(k):
+        row = [E(d, draw(small)) for _ in range(k)]
+        row[i] = row[i] + draw(st.sampled_from([-1, 1])) * (5 * k + 2)
+        rows.append(row)
+    return GroupRingMatrix(rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_dominant_matrices(), st.sampled_from([1e-6, 1e-30]))
+def test_matrix_residual_is_k_times_det_residual(A, tol):
+    inv = matrix_l1_inverse(A, tol, 4)
+    G = [[cell.nums for cell in row] for row in inv.entries]
+    assert inv.residual == _direct_matrix_residual(G, inv.den, A)
+
+
 def test_matrix_inverse_residual_identity(f_symmetric):
     A = GroupRingMatrix.from_obj([["3 - u1", "1"], ["0", "3 - u1^-1"]])
     inv = matrix_l1_inverse(A, 1e-8, 40)
