@@ -15,6 +15,7 @@ import gc
 import itertools
 import json
 import math
+import os
 import sys
 
 from . import __version__, entropy, expansive, freegroup, homoclinic, independence, torus
@@ -243,8 +244,14 @@ def _emit(report: dict, args) -> None:
     else:
         text = json.dumps(report, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
+        # An existing regular file is overwritten in place: truncating it on
+        # open, or renaming a new file over it, makes ext4 (auto_da_alloc)
+        # flush it, about 45 ms per report.  Devices and FIFOs keep "w".
+        regular = os.path.isfile(args.out)
+        with open(args.out, "r+" if regular else "w") as fh:
             fh.write(text)
+            if regular:
+                fh.truncate()
     else:
         sys.stdout.write(text)
 

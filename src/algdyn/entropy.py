@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -181,18 +180,22 @@ class CompanionModule:
             raise ValueError("constant term not a unit")
         self.f = f
         self.degree = k
-        coeffs = [poly.get(i, 0) for i in range(k + 1)]
-        M = np.zeros((k, k), dtype=np.int64)
-        for i in range(k - 1):
-            M[i + 1, i] = 1
-        for i in range(k):
-            M[i, k - 1] = -coeffs[i]
-        self.M = M
+        M = [[int(i == j + 1) for j in range(k - 1)] + [-poly.get(i, 0)] for i in range(k)]
+        self.M = _int_matrix(M)
         # det M = +-c0 = +-1, so the exact inverse has denominator 1
-        self.Minv = np.array(_sparse.int_inverse(M.tolist())[0], dtype=np.int64)
+        self.Minv = _int_matrix(_sparse.int_inverse(M)[0])
 
     def __repr__(self) -> str:
         return f"CompanionModule({self.f.format()!r}, degree={self.degree})"
+
+
+def _int_matrix(rows: list[list[int]]) -> np.ndarray:
+    """rows as an int64 array, or as an object array of Python ints when an
+    entry does not fit in int64."""
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
 
 
 def _dedupe_int(rows: np.ndarray) -> np.ndarray:
@@ -201,6 +204,9 @@ def _dedupe_int(rows: np.ndarray) -> np.ndarray:
     keep = np.ones(len(rows), dtype=bool)
     keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     return rows[keep]
+
+
+INT64_MAX = 2 ** 63 - 1
 
 
 def peters_entropy(
@@ -215,9 +221,17 @@ def peters_entropy(
     The estimate is the average of the last diff_window successive
     differences of log|S_n| (the raw quotients log|S_n|/n carry O(1/n)
     corrections; differences converge much faster).  M is inverted
-    exactly, in integers; in rational mode M^-1 is applied over the exact
-    rationals, for matrices that are integral but not unimodular.  A series
-    that the memory cap stops before its second term raises MemoryCapError.
+    exactly, in integers, as M^-1 = P/D; in rational mode D may exceed 1,
+    for matrices that are integral but not unimodular.  A series that the
+    memory cap stops before its second term raises MemoryCapError.
+
+    The sets are counted exactly.  With w = D^(n-1) v the recursion
+    v <- P v/D + b becomes w <- P w + D^(n-1) b on integers, so S_n is a
+    set of integer vectors.  While D = 1 and B_n = B_(n-1) ||P||_inf +
+    max |b| (B_1 = max |b|), a bound on every entry and partial sum, stays
+    within int64, the rows are deduplicated as int64 arrays; from the first
+    step that could overflow, or for entries that never fit, the series
+    continues on Python-int tuples.
     """
     if n_max < 2 or diff_window < 1:
         raise ValueError("the estimate needs n_max >= 2 and diff_window >= 1")
@@ -225,9 +239,9 @@ def peters_entropy(
         k = cm.degree
         P, D = cm.Minv.tolist(), 1
     else:
-        M = np.asarray(cm, dtype=np.int64)
-        k = M.shape[0]
-        P, D = _sparse.int_inverse(M.tolist())
+        M = [[int(v) for v in row] for row in np.asarray(cm).tolist()]
+        k = len(M)
+        P, D = _sparse.int_inverse(M)
         if D != 1 and not rational:
             raise ValueError("constant term not a unit; use rational=True")
 
@@ -244,36 +258,38 @@ def peters_entropy(
     cap = torus.mem_cap_bytes()
     sizes: list[int] = []
     truncated = False
-
-    if rational:
-        Minv_q = [[Fraction(v, D) for v in row] for row in P]
-        S = {tuple(Fraction(v) for v in b) for b in E}
-        for n in range(1, n_max + 1):
-            if n > 1:
-                new = set()
-                for v in S:
-                    mv = tuple(
-                        sum(Minv_q[i][j] * v[j] for j in range(k)) for i in range(k)
-                    )
-                    for b in E:
-                        new.add(tuple(mv[i] + b[i] for i in range(k)))
-                S = new
+    p_norm = max(sum(abs(v) for v in row) for row in P)
+    b_max = bound = max(abs(v) for b in E for v in b)
+    S = set(E)
+    rows = None  # S as sorted int64 rows while the bound allows
+    if D == 1 and max(p_norm, b_max) <= INT64_MAX:
+        rows = np.array(sorted(S), dtype=np.int64)
+        PT = np.array(P, dtype=np.int64).T.copy()
+        shifts = np.array(E, dtype=np.int64)
+    for n in range(1, n_max + 1):
+        if n > 1:
+            bound = bound * p_norm + b_max
+            if rows is not None and bound > INT64_MAX:
+                S, rows = set(map(tuple, rows.tolist())), None
+            if rows is not None:
+                V = rows @ PT
+                rows = _dedupe_int(np.concatenate([V + b for b in shifts]))
+            else:
+                scale = D ** (n - 1)
+                S = {
+                    tuple(sum(p * x for p, x in zip(row, w)) + scale * bi for row, bi in zip(P, b))
+                    for w in S
+                    for b in E
+                }
+        if rows is not None:
+            sizes.append(int(rows.shape[0]))
+            over = rows.nbytes * (len(E) + 2) > cap
+        else:
             sizes.append(len(S))
-            if len(S) * k * 128 > cap:
-                truncated = True
-                break
-    else:
-        S = np.array(sorted(set(E)), dtype=np.int64)
-        MT = np.array(P, dtype=np.int64).T.copy()
-        for n in range(1, n_max + 1):
-            if n > 1:
-                V = S @ MT
-                cand = np.concatenate([V + np.array(b, dtype=np.int64) for b in E])
-                S = _dedupe_int(cand)
-            sizes.append(int(S.shape[0]))
-            if S.nbytes * (len(E) + 2) > cap:
-                truncated = True
-                break
+            over = len(S) * k * 128 > cap
+        if over:
+            truncated = True
+            break
 
     if len(sizes) < 2:
         raise torus.MemoryCapError(

@@ -4,10 +4,10 @@ A Laurent polynomial f over Z^d is invertible in the convolution algebra
 l1(Z^d) exactly when its Fourier series f^ has no zero on the d-torus
 (Wiener's lemma).  This module makes that criterion checkable:
 
-* certify_invertible scans a uniform grid with one FFT, bounds the
-  variation of f^ between grid points by an explicit Lipschitz constant,
-  and only returns the verdict Invertible when the margin exceeds the
-  FFT's rounding bound.  NotInvertible
+* certify_invertible scans a uniform grid (_kernels.grid_values, one axis
+  at a time), bounds the variation of f^ between grid points by an
+  explicit Lipschitz constant, and only returns the verdict Invertible
+  when the margin exceeds the scan's rounding bound.  NotInvertible
   is only returned with an exact zero witness at a rational point,
   confirmed in integer cyclotomic arithmetic.  Everything else is Unknown.
 
@@ -66,7 +66,7 @@ class TorusCertificate:
     grid_min is the smallest computed |f^| on the grid and margin =
     grid_min - lipschitz/(2*grid_size).  Every computed grid value is within
     the guard of _kernels.grid_error_bound of the exact one (a proof for
-    power-of-two grid sizes), so Invertible is returned only when margin
+    every grid size), so Invertible is returned only when margin
     exceeds that guard, and then margin - guard is a lower bound for |f^|
     over the whole torus.  A NotInvertible verdict carries an exact
     rational zero of f^ as witness.

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import algdyn
 from algdyn import __version__
 from algdyn.cli import _build_parser, main
 
@@ -56,6 +60,15 @@ def test_entropy_peters_csv(capsys):
     assert lines[1].startswith("1,2,")
     assert lines[2].count(",") == 3
     assert len(lines) == 7
+
+
+def test_entropy_peters_coefficients_beyond_int64(capsys):
+    code, out = run_cli(capsys, [
+        "entropy", "--method", "peters", "--poly", "u1^2 - 10000000000000000000000*u1 - 1",
+        "--nmax", "4",
+    ])
+    assert code == 0
+    assert [row["count"] for row in json.loads(out)["estimate"]["series"]] == [2, 4, 8, 16]
 
 
 def test_usage_error_exit_one(capsys):
@@ -182,6 +195,24 @@ def test_deterministic_output(tmp_path, capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--method", "mahler", "--poly", "7 - u1 - u1^-1 - u2 - u2^-1 - 2*u3 - u3^-1 + u1*u2"],
+    ["expansive", "--poly", "7 - u1 - 2*u1^-1 - u2 + u1*u2^-1"],
+])
+def test_report_bytes_do_not_depend_on_blas_threads(argv):
+    # the grid stages are matmuls; a report must not change with the BLAS split
+    src = os.path.dirname(os.path.dirname(os.path.abspath(algdyn.__file__)))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "algdyn", *argv], env=env,
+                              capture_output=True, timeout=120, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])
+
+
 def test_out_file(tmp_path, capsys):
     dest = tmp_path / "report.json"
     code, out = run_cli(
@@ -191,6 +222,16 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     rep = json.loads(dest.read_text())
     assert rep["report"]["verdict"] == "Expansive"
+
+
+def test_out_file_overwrites_a_longer_report_exactly(tmp_path, capsys):
+    argv = ["expansive", "--poly", "u1 - 2"]
+    _, want = run_cli(capsys, argv)
+    dest = tmp_path / "report.json"
+    run_cli(capsys, argv + ["--format", "pretty", "--out", str(dest)])
+    assert len(dest.read_bytes()) > len(want)
+    assert run_cli(capsys, argv + ["--out", str(dest)]) == (0, "")
+    assert dest.read_bytes() == want.encode()
 
 
 def test_version(capsys):

@@ -235,6 +235,21 @@ def test_peters_inverts_large_unimodular_matrix_exactly():
     assert [row["count"] for row in est.series] == [2, 4, 8]
 
 
+@pytest.mark.parametrize("rational", [False, True])
+def test_peters_counts_past_int64_exactly(rational):
+    # ||M^-1||_inf = 2^32 + 1: the entries of S_3 can pass 2^63 - 1
+    M = [[2**31 + 1, 2**31], [2**31, 2**31 - 1]]
+    est = peters_entropy(M, n_max=10, rational=rational)
+    assert [row["count"] for row in est.series] == [2**n for n in range(1, 11)]
+
+
+def test_peters_companion_with_coefficients_beyond_int64():
+    cm = CompanionModule(parse_element("u1^2 - 10000000000000000000000*u1 - 1"))
+    assert cm.Minv.tolist() == [[-10**22, 1], [1, 0]]
+    est = peters_entropy(cm, n_max=4)
+    assert [row["count"] for row in est.series] == [2, 4, 8, 16]
+
+
 def test_peters_rejects_non_unimodular_and_singular_matrices():
     with pytest.raises(ValueError, match="not a unit"):
         peters_entropy(np.array([[2, 1], [0, 1]]), n_max=3)

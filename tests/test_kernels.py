@@ -96,13 +96,26 @@ def test_grid_values_within_rounding_guard(case, seed):
     assert worst <= tol
 
 
-@pytest.mark.parametrize("d,m", [(1, 65536), (2, 512), (3, 64)])
+@pytest.mark.parametrize("d,m", [(1, 65536), (2, 512), (3, 64), (1, 1000), (1, 97)])
 def test_grid_error_bound_small_at_default_grids(d, m):
-    # the largest default grids of certification and Mahler quadrature
-    exps = np.vstack([np.zeros((1, d), dtype=np.int64), np.eye(d, dtype=np.int64), -np.eye(d, dtype=np.int64)])
-    coefs = np.array([2.0 * d + 1] + [-1.0] * (2 * d))
+    # the largest default grids of certification and Mahler quadrature, and
+    # d = 1 sizes that split unevenly (1000 = 25 * 40) or not at all (prime 97);
+    # the polynomial differs per axis and under n -> -n, and axis 0 has the
+    # most distinct exponents
+    eye = np.eye(d, dtype=np.int64)
+    exps = np.vstack([np.zeros((1, d), dtype=np.int64), eye, -eye, 2 * eye[:1]])
+    coefs = np.array([3.0 * d + 5] + [-1.0 - k for k in range(d)] + [-1.0] * d + [2.0])
+    f = GroupRingElement(d, {tuple(e): int(c) for e, c in zip(exps.tolist(), coefs)})
+    rng = np.random.default_rng(m)
     for offset in (0.0, 0.5):
-        assert 0 < _kernels.grid_error_bound(exps, coefs, m, offset) < 1e-10 * float(np.abs(coefs).sum())
+        guard = _kernels.grid_error_bound(exps, coefs, m, offset)
+        assert 0 < guard < 1e-10 * float(np.abs(coefs).sum())
+        vals = _kernels.grid_values(exps, coefs, m, offset)
+        tol = guard + _evaluate_error_bound(exps, coefs)
+        for p in rng.integers(0, m ** d, size=256):
+            j = np.unravel_index(int(p), (m,) * d)
+            theta = tuple((int(ji) + offset) / m for ji in j)
+            assert abs(vals[j] - evaluate(f, theta)) <= tol
 
 
 def test_greedy_separated_semantics():
