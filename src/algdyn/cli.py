@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import os
+import stat
 import sys
 
 from . import __version__, entropy, expansive, freegroup, homoclinic, independence, torus
@@ -244,13 +245,13 @@ def _emit(report: dict, args) -> None:
     else:
         text = json.dumps(report, sort_keys=True) + "\n"
     if args.out:
-        # An existing regular file is overwritten in place: truncating it on
-        # open, or renaming a new file over it, makes ext4 (auto_da_alloc)
-        # flush it, about 45 ms per report.  Devices and FIFOs keep "w".
-        regular = os.path.isfile(args.out)
-        with open(args.out, "r+" if regular else "w") as fh:
+        # An existing regular file is overwritten in place and cut after the
+        # report: truncating it on open, or renaming a new file over it,
+        # makes ext4 (auto_da_alloc) flush it, about 45 ms per report.
+        fd = os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w") as fh:
             fh.write(text)
-            if regular:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
                 fh.truncate()
     else:
         sys.stdout.write(text)

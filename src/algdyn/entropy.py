@@ -227,11 +227,13 @@ def peters_entropy(
 
     The sets are counted exactly.  With w = D^(n-1) v the recursion
     v <- P v/D + b becomes w <- P w + D^(n-1) b on integers, so S_n is a
-    set of integer vectors.  While D = 1 and B_n = B_(n-1) ||P||_inf +
-    max |b| (B_1 = max |b|), a bound on every entry and partial sum, stays
-    within int64, the rows are deduplicated as int64 arrays; from the first
-    step that could overflow, or for entries that never fit, the series
-    continues on Python-int tuples.
+    set of integer vectors.  While D = 1, the rows are deduplicated as
+    int64 arrays as long as max |row entry| * ||P||_inf + max |b|, which
+    bounds every entry and partial sum of the next step, stays within
+    int64; from the first step that could overflow, or for entries that
+    never fit, the series continues on Python-int tuples.  That switch
+    stops the series instead when the next set of tuples could outgrow
+    the memory cap.
     """
     if n_max < 2 or diff_window < 1:
         raise ValueError("the estimate needs n_max >= 2 and diff_window >= 1")
@@ -259,7 +261,7 @@ def peters_entropy(
     sizes: list[int] = []
     truncated = False
     p_norm = max(sum(abs(v) for v in row) for row in P)
-    b_max = bound = max(abs(v) for b in E for v in b)
+    b_max = max(abs(v) for b in E for v in b)
     S = set(E)
     rows = None  # S as sorted int64 rows while the bound allows
     if D == 1 and max(p_norm, b_max) <= INT64_MAX:
@@ -268,9 +270,13 @@ def peters_entropy(
         shifts = np.array(E, dtype=np.int64)
     for n in range(1, n_max + 1):
         if n > 1:
-            bound = bound * p_norm + b_max
-            if rows is not None and bound > INT64_MAX:
-                S, rows = set(map(tuple, rows.tolist())), None
+            if rows is not None:
+                bound = max(int(rows.max()), -int(rows.min())) * p_norm + b_max
+                if bound > INT64_MAX:
+                    if rows.shape[0] * len(E) * k * 128 > cap:
+                        truncated = True
+                        break
+                    S, rows = set(map(tuple, rows.tolist())), None
             if rows is not None:
                 V = rows @ PT
                 rows = _dedupe_int(np.concatenate([V + b for b in shifts]))

@@ -234,6 +234,18 @@ def test_out_file_overwrites_a_longer_report_exactly(tmp_path, capsys):
     assert dest.read_bytes() == want.encode()
 
 
+@pytest.mark.skipif(os.geteuid() == 0, reason="root reads any file")
+def test_out_file_needs_no_read_permission(tmp_path, capsys):
+    argv = ["expansive", "--poly", "u1 - 2"]
+    _, want = run_cli(capsys, argv)
+    dest = tmp_path / "report.json"
+    dest.write_text("x" * 1000)
+    dest.chmod(0o200)
+    assert run_cli(capsys, argv + ["--out", str(dest)]) == (0, "")
+    dest.chmod(0o600)
+    assert dest.read_bytes() == want.encode()
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

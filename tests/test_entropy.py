@@ -250,6 +250,39 @@ def test_peters_companion_with_coefficients_beyond_int64():
     assert [row["count"] for row in est.series] == [2, 4, 8, 16]
 
 
+def test_peters_stays_on_int64_while_the_held_entries_allow(monkeypatch):
+    # ||M^-1||_inf = 2 > rho(M^-1) = 1: the a-priori bound 2^n passes 2^63 - 1
+    # at n = 63, but the entries of S_n grow only linearly
+    from algdyn import entropy
+
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return _dedupe_int(rows)
+
+    monkeypatch.setattr(entropy, "_dedupe_int", counted)
+    cm = CompanionModule(parse_element("u1^2 - u1 + 1"))
+    est = peters_entropy(cm, n_max=70)
+    assert len(calls) == 69
+    P = cm.Minv.tolist()
+    S = {(0, 0), (1, 0)}
+    counts = [len(S)]
+    for _ in range(69):
+        S = {(P[0][0] * x + P[0][1] * y + b, P[1][0] * x + P[1][1] * y) for x, y in S for b in (0, 1)}
+        counts.append(len(S))
+    assert [row["count"] for row in est.series] == counts
+
+
+def test_peters_stops_before_a_set_of_big_ints_outgrows_the_cap(monkeypatch):
+    # the entries pass int64 at n = 3; the 8 exact tuples of S_3 would need
+    # more than the 1000-byte cap, so the series stops at n = 2
+    monkeypatch.setattr("algdyn.torus.mem_cap_bytes", lambda: 1000)
+    est = peters_entropy(CompanionModule(parse_element(f"u1^2 - {2**40}*u1 - 1")), n_max=5)
+    assert [row["count"] for row in est.series] == [2, 4]
+    assert est.notes == "memory cap reached; partial series"
+
+
 def test_peters_rejects_non_unimodular_and_singular_matrices():
     with pytest.raises(ValueError, match="not a unit"):
         peters_entropy(np.array([[2, 1], [0, 1]]), n_max=3)
