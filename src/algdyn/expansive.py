@@ -6,7 +6,9 @@ presentations with A invertible in the l1 algebra are expansive, with
 expansiveness constant 1/||A||_1.  Finiteness of entropy is equivalent to
 injectivity of right multiplication by the involuted matrix on row vectors
 over the group ring, which reduces to an exact rank computation over the
-rational function field; rank deficiency yields an explicit kernel witness
+rational function field.  That rank comes from _sparse.gauss_jordan, the
+package's one fraction-free elimination over the Laurent ring; rank
+deficiency yields an explicit kernel witness, read off its reduced rows,
 and infinite entropy.
 """
 
@@ -16,8 +18,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groupring import CapExceeded, GroupRingElement, GroupRingMatrix
-from . import torus
+from ._sparse import CapExceeded, ExactDivisionError
+from .groupring import GroupRingElement, GroupRingMatrix
+from . import _sparse, torus
 
 EXPANSIVE = "Expansive"
 NOT_EXPANSIVE = "NotExpansive"
@@ -112,143 +115,41 @@ def _report(cert: torus.TorusCertificate, A: GroupRingElement | GroupRingMatrix)
 # -- exact rank over the rational function field ------------------------------
 
 
-class ExactDivisionError(ArithmeticError):
-    pass
-
-
-def _lex_leading(p: GroupRingElement) -> tuple[int, ...]:
-    return max(p.terms)
-
-
 def exact_divide(p: GroupRingElement, q: GroupRingElement) -> GroupRingElement:
-    """Exact quotient p/q in Z[u1..ud]; raises if q does not divide p."""
-    if q.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if p.is_zero():
-        return GroupRingElement.zero(p.d)
-    lt_q = _lex_leading(q)
-    cq = q.terms[lt_q]
-    rem = dict(p.terms)
-    out: dict[tuple[int, ...], int] = {}
-    while rem:
-        lt = max(rem)
-        c = rem[lt]
-        diff = tuple(a - b for a, b in zip(lt, lt_q))
-        if c % cq != 0:
-            raise ExactDivisionError("leading coefficient does not divide")
-        ch = c // cq
-        out[diff] = out.get(diff, 0) + ch
-        for eq, cqq in q.terms.items():
-            k = tuple(a + b for a, b in zip(diff, eq))
-            v = rem.get(k, 0) - ch * cqq
-            if v:
-                rem[k] = v
-            else:
-                rem.pop(k, None)
-    return GroupRingElement(p.d, out)
-
-
-def _clear_columns(C: GroupRingMatrix) -> GroupRingMatrix:
-    """Right-multiply by a diagonal of monomials so all exponents are >= 0.
-
-    Column scaling by invertible monomials preserves left kernels.
-    """
-    d = C.d
-    cols = []
-    for j in range(C.cols):
-        shift = [0] * d
-        for i in range(C.rows):
-            for e in C.entries[i][j].terms:
-                for t in range(d):
-                    shift[t] = max(shift[t], -e[t])
-        cols.append(tuple(shift))
-    out = [
-        [C.entries[i][j].shift(cols[j]) for j in range(C.cols)]
-        for i in range(C.rows)
-    ]
-    return GroupRingMatrix(out)
-
-
-def _bareiss_echelon(M: list[list[GroupRingElement]], term_cap: int = 50_000):
-    """Fraction-free echelon form with column pivoting.
-
-    Returns (rows, pivot_cols): the surviving nonzero rows and the columns
-    where their pivots sit.  Entries stay in Z[u1..ud] throughout; each
-    update divides exactly by the previous pivot (Sylvester identity).
-    """
-    if not M:
-        return [], []
-    d = M[0][0].d
-    rows = [list(r) for r in M]
-    nrows, ncols = len(rows), len(rows[0])
-    prev = GroupRingElement.one(d)
-    piv_cols: list[int] = []
-    r = 0
-    for col in range(ncols):
-        if r >= nrows:
-            break
-        # pick the nonzero pivot with the smallest support, for swell control
-        cand = [(rows[i][col].num_terms(), i) for i in range(r, nrows) if not rows[i][col].is_zero()]
-        if not cand:
-            continue
-        _, pi = min(cand)
-        rows[r], rows[pi] = rows[pi], rows[r]
-        piv = rows[r][col]
-        for i in range(r + 1, nrows):
-            if all(rows[i][c].is_zero() for c in range(ncols)):
-                continue
-            head = rows[i][col]
-            for c in range(ncols):
-                if c == col:
-                    continue
-                num = piv * rows[i][c] - head * rows[r][c]
-                rows[i][c] = exact_divide(num, prev) if not num.is_zero() else num
-                if rows[i][c].num_terms() > term_cap:
-                    raise CapExceeded("elimination expression swell beyond cap")
-            rows[i][col] = GroupRingElement.zero(d)
-        prev = piv
-        piv_cols.append(col)
-        r += 1
-    return rows[:r], piv_cols
-
-
-def _kernel_vector(echelon_rows, piv_cols, ncols, d) -> list[GroupRingElement]:
-    """A nonzero right-kernel vector of the echelon rows, by signed maximal minors."""
-    free = [c for c in range(ncols) if c not in piv_cols]
-    c0 = free[0]
-    cols = sorted(piv_cols + [c0])
-    r = len(echelon_rows)
-    x = [GroupRingElement.zero(d)] * ncols
-    for i, col in enumerate(cols):
-        keep = [c for c in cols if c != col]
-        sub = [[row[c] for c in keep] for row in echelon_rows]
-        minor = GroupRingMatrix(sub).det() if r > 0 else GroupRingElement.one(d)
-        x[col] = minor if i % 2 == 0 else -minor
-    return x
+    """Exact quotient p/q in the group ring; raises ExactDivisionError if q
+    does not divide p."""
+    p._check(q)
+    return GroupRingElement(p.d, _sparse.exact_div(p.terms, q.terms))
 
 
 def has_finite_entropy(action: PresentedAction | GroupRingMatrix) -> FiniteEntropyReport:
     """Finite iff right multiplication by the involuted presenting matrix is
     injective on (ZG)^k, i.e. the k x n matrix A* has full row rank k over
     the rational function field.  Rank deficiency returns an exact kernel
-    witness (a nonzero row vector annihilating A*)."""
+    witness (a nonzero row vector annihilating A*).
+
+    A row vector x has x A* = 0 iff B x = 0 for the n x k matrix B of the
+    entries of A, each reflected.  gauss_jordan reduces B to rows R_i with
+    D at pivot column p_i; for a free column c0, x[c0] = D and
+    x[p_i] = -R_i[c0] (zero elsewhere) is the witness.
+    """
     if isinstance(action, GroupRingMatrix):
         action = PresentedAction.from_matrix(action)
     A = action.A
     k = action.k
-    C = _clear_columns(A.star())  # k x n, entries in Z[u]
-    B = [[C.entries[i][j] for i in range(C.rows)] for j in range(C.cols)]  # transpose: n x k
+    rows = [[e.star().terms for e in row] for row in A.entries]
     try:
-        ech, piv = _bareiss_echelon(B)
+        pivots, _ = _sparse.gauss_jordan(rows, term_cap=50_000)
     except CapExceeded as exc:
         return FiniteEntropyReport(UNKNOWN, None, k, None, note=str(exc))
-    rank = len(piv)
+    rank = len(pivots)
     if rank == k:
         return FiniteEntropyReport(FINITE, rank, k, None)
-    try:
-        x = _kernel_vector(ech, piv, k, A.d)
-    except CapExceeded as exc:
-        return FiniteEntropyReport(UNKNOWN, rank, k, None, note=str(exc))
+    c0 = min(set(range(k)).difference(pivots))
+    x = [GroupRingElement.zero(A.d)] * k
+    x[c0] = GroupRingElement(A.d, rows[rank - 1][pivots[-1]]) if rank else GroupRingElement.one(A.d)
+    for row, p in zip(rows, pivots):
+        x[p] = -GroupRingElement(A.d, row[c0])
     # verify the witness against the original involuted matrix, exactly
     if not all(e.is_zero() for e in (GroupRingMatrix([x]) * A.star()).entries[0]):
         raise AssertionError("kernel witness failed exact verification")

@@ -15,14 +15,11 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import _sparse
+from ._sparse import CapExceeded
 
 
 class DimensionMismatch(ValueError):
     """Operands live over different Z^d."""
-
-
-class CapExceeded(RuntimeError):
-    """An exact computation exceeded a declared size cap."""
 
 
 def _as_exponent(e, d: int | None) -> tuple[int, ...]:
@@ -252,6 +249,8 @@ def parse_element(text: str, d: int | None = None) -> GroupRingElement:
         if t.startswith("u"):
             head = t.split("^")[0]
             idx = int(head[1:]) if len(head) > 1 else 1
+            if idx == 0:
+                raise ValueError(f"variable {head}: indices start at u1")
             max_var = max(max_var, idx)
     if d is None:
         d = max(max_var, 1)
@@ -376,30 +375,16 @@ class GroupRingMatrix:
         return sum(e.l1_norm() for row in self.entries for e in row)
 
     def det(self, term_cap: int = 200_000) -> GroupRingElement:
-        """Exact determinant by minor expansion with column-subset memoization."""
+        """Exact determinant: the row-swap sign times the last pivot of
+        _sparse.gauss_jordan, or 0 below full rank.  An elimination entry
+        of more than term_cap terms raises CapExceeded."""
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        k = self.rows
-        memo: dict[tuple[int, ...], GroupRingElement] = {(): GroupRingElement.one(self.d)}
-
-        def minor(cols: tuple[int, ...]) -> GroupRingElement:
-            if cols in memo:
-                return memo[cols]
-            i = k - len(cols)  # expand along row i
-            acc = GroupRingElement.zero(self.d)
-            for pos, j in enumerate(cols):
-                e = self.entries[i][j]
-                if e.is_zero():
-                    continue
-                sub = minor(tuple(c for c in cols if c != j))
-                term = e * sub
-                acc = acc + (term if pos % 2 == 0 else -term)
-                if acc.num_terms() > term_cap:
-                    raise CapExceeded("determinant support exceeds size cap")
-            memo[cols] = acc
-            return acc
-
-        return minor(tuple(range(k)))
+        rows = [[e.terms for e in row] for row in self.entries]
+        pivots, sign = _sparse.gauss_jordan(rows, term_cap)
+        if len(pivots) < self.rows:
+            return GroupRingElement.zero(self.d)
+        return GroupRingElement(self.d, rows[-1][-1]) * sign
 
     def adjugate(self) -> "GroupRingMatrix":
         """adj(A) with A*adj(A) = adj(A)*A = det(A)*I (commutative base ring)."""

@@ -196,28 +196,13 @@ def _cyclotomic(q: int, _cache: dict = {}) -> list[int]:
     """Integer coefficients of the q-th cyclotomic polynomial."""
     if q in _cache:
         return _cache[q]
-    # (x^q - 1) / prod_{d | q, d < q} Phi_d, by exact monic division
-    poly = [-1] + [0] * (q - 1) + [1]
+    # (x^q - 1) / prod_{d | q, d < q} Phi_d, by exact division
+    poly = {(0,): -1, (q,): 1}
     for dd in range(1, q):
         if q % dd == 0:
-            poly = _polydiv_exact(poly, _cyclotomic(dd))
-    _cache[q] = poly
-    return poly
-
-
-def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
-    num = list(num)
-    dn, dd = len(num) - 1, len(den) - 1
-    out = [0] * (dn - dd + 1)
-    for i in range(dn - dd, -1, -1):
-        c = num[i + dd]
-        assert c % den[dd] == 0
-        c //= den[dd]
-        out[i] = c
-        for j in range(dd + 1):
-            num[i + j] -= c * den[j]
-    assert all(v == 0 for v in num)
-    return out
+            poly = _sparse.exact_div(poly, {(i,): c for i, c in enumerate(_cyclotomic(dd)) if c})
+    _cache[q] = [poly.get((i,), 0) for i in range(max(poly)[0] + 1)]
+    return _cache[q]
 
 
 def evaluate_exact_is_zero(f: GroupRingElement, theta: tuple[Fraction, ...]) -> bool:

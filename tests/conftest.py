@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from algdyn.groupring import GroupRingElement, parse_element
+from algdyn.groupring import GroupRingElement, GroupRingMatrix, parse_element
 
 
 @pytest.fixture
@@ -63,3 +64,50 @@ def solve_rational(M: list[list], R: list[list]) -> list[list[Fraction]]:
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
     return [row[d:] for row in aug]
+
+
+def det_by_minors(A: GroupRingMatrix) -> GroupRingElement:
+    """Independent oracle: the determinant of a square group-ring matrix by
+    Laplace expansion along its rows, memoized on column subsets."""
+    k = A.rows
+    memo = {(): GroupRingElement.one(A.d)}
+
+    def minor(cols: tuple[int, ...]) -> GroupRingElement:
+        if cols not in memo:
+            i = k - len(cols)  # expand along row i
+            acc = GroupRingElement.zero(A.d)
+            for pos, j in enumerate(cols):
+                e = A.entries[i][j]
+                if not e.is_zero():
+                    term = e * minor(cols[:pos] + cols[pos + 1:])
+                    acc = acc + (term if pos % 2 == 0 else -term)
+            memo[cols] = acc
+        return memo[cols]
+
+    return minor(tuple(range(k)))
+
+
+@st.composite
+def group_ring_matrices(draw, rows: int, cols: int) -> GroupRingMatrix:
+    """A rows x cols matrix over Z[Z^d], d in 1..2, with small sparse
+    entries.  A third of the time one row or one column is planted as a
+    combination of the others, so singular and rank-deficient matrices
+    are common."""
+    d = draw(st.integers(1, 2))
+    exps = st.tuples(*[st.integers(-2, 2)] * d)
+    coefs = st.integers(-3, 3).filter(bool)
+    elements = st.dictionaries(exps, coefs, max_size=3).map(lambda t: GroupRingElement(d, t))
+    A = [[draw(elements) for _ in range(cols)] for _ in range(rows)]
+    if draw(st.sampled_from([True, False, False])):
+        by_rows = draw(st.booleans())
+        T = A if by_rows else [list(c) for c in zip(*A)]
+        if len(T) > 1:
+            j = draw(st.integers(0, len(T) - 1))
+            comb = [GroupRingElement.zero(d)] * len(T[0])
+            for i, line in enumerate(T):
+                if i != j:
+                    f = draw(elements)
+                    comb = [c + f * a for c, a in zip(comb, line)]
+            T[j] = comb
+        A = T if by_rows else [list(r) for r in zip(*T)]
+    return GroupRingMatrix(A)

@@ -183,6 +183,14 @@ def test_parse_error_exit_one(capsys):
     assert "error" in err
 
 
+def test_variable_index_zero_exit_one(capsys):
+    code = main(["expansive", "--poly", "5 - u0 - u2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: variable u0")
+
+
 def test_missing_input_exit_one(capsys):
     code = main(["expansive"])
     assert code == 1

@@ -1,7 +1,10 @@
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from algdyn.expansive import (
     EXPANSIVE,
@@ -17,7 +20,7 @@ from algdyn.expansive import (
     is_expansive_square,
 )
 from algdyn.groupring import GroupRingElement, GroupRingMatrix, parse_element
-from conftest import random_element
+from conftest import det_by_minors, group_ring_matrices, random_element
 
 E = GroupRingElement
 
@@ -61,11 +64,49 @@ def test_exact_divide():
 
 
 def test_exact_divide_multivariate():
-    a = parse_element("u1 + u2", d=2)
-    b = parse_element("u1 - u2", d=2)
-    prod = a * b
-    assert exact_divide(prod, a) == b
-    assert exact_divide(prod, b) == a
+    for a, b in [("u1 + u2", "u1 - u2"), ("u1^-2 - 3*u2 + u1*u2^-1", "2 + u1^-1*u2^3")]:
+        a, b = parse_element(a, d=2), parse_element(b, d=2)
+        prod = a * b
+        assert exact_divide(prod, a) == b
+        assert exact_divide(prod, b) == a
+    with pytest.raises(ZeroDivisionError):
+        exact_divide(a, E.zero(2))
+
+
+def test_exact_divide_refuses_inexact_laurent_quotients():
+    # lex order on Z^d is not well-founded: without the Newton-box check
+    # these long divisions never run out of terms
+    for p, q in [("1", "1 - u1^-1"), ("1 + u1*u2^-1", "1 - u2^5 + u1^-3")]:
+        with pytest.raises(ExactDivisionError):
+            exact_divide(parse_element(p, d=2), parse_element(q, d=2))
+
+
+def _rank_by_minors(M: GroupRingMatrix) -> int:
+    """The largest r with a nonzero r x r minor of M."""
+    for r in range(min(M.rows, M.cols), 0, -1):
+        for rs in combinations(range(M.rows), r):
+            for cs in combinations(range(M.cols), r):
+                if not det_by_minors(GroupRingMatrix([[M[i, j] for j in cs] for i in rs])).is_zero():
+                    return r
+    return 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(lambda nk: group_ring_matrices(*nk)))
+@example(GroupRingMatrix([[E.zero(1), E.zero(1)]]))
+def test_finite_entropy_rank_and_witness_against_minor_oracle(A):
+    rep = has_finite_entropy(A)
+    Astar = A.star()
+    assert rep.rank == _rank_by_minors(Astar)
+    assert rep.verdict == (FINITE if rep.rank == A.cols else INFINITE)
+    if rep.verdict == INFINITE:
+        w = rep.witness
+        assert len(w) == A.cols and not all(e.is_zero() for e in w)
+        for j in range(Astar.cols):
+            acc = E.zero(A.d)
+            for i in range(A.cols):
+                acc = acc + w[i] * Astar[i, j]
+            assert acc.is_zero()
 
 
 def test_finite_entropy_principal(f_geometric):

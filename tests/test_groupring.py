@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from algdyn.groupring import (
@@ -17,7 +17,7 @@ from algdyn.groupring import (
     parse_element,
     torus_distance,
 )
-from conftest import random_element
+from conftest import det_by_minors, group_ring_matrices, random_element
 
 E = GroupRingElement
 
@@ -163,6 +163,13 @@ def test_adjugate_and_det_multiplicativity_random(AB):
     assert A.star().det() == det.star()
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: group_ring_matrices(k, k)))
+@example(GroupRingMatrix.from_obj([["3 - u1 + u1^2", "2 + u1^-1"], ["1", "0"]]))  # one row swap
+def test_det_equals_minor_expansion_oracle(A):
+    assert A.det() == det_by_minors(A)
+
+
 def test_det_and_adjugate():
     f = parse_element("3 - u1")
     g = parse_element("3 - u1^-1")
@@ -189,6 +196,12 @@ def test_parse_products_and_aliases():
         parse_element("3 + + ")
     with pytest.raises(ValueError):
         parse_element("u3", d=2)
+
+
+def test_parse_refuses_variable_index_zero():
+    for text in ["u0 + u2", "u0", "3 - u00^2"]:
+        with pytest.raises(ValueError, match="indices start at u1"):
+            parse_element(text)
 
 
 def test_json_roundtrip(f_harmonic):

@@ -116,6 +116,28 @@ def _square_ints(k):
                     min_size=k, max_size=k)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_exact_div_recovers_the_cofactor(data):
+    d = data.draw(st.integers(1, 3))
+    x = GroupRingElement(d, data.draw(int_vectors(d)))
+    y = GroupRingElement(d, data.draw(int_vectors(d).filter(bool)))
+    assert _sparse.exact_div((x * y).terms, y.terms) == x.terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_exact_div_returns_the_quotient_or_refuses(data):
+    d = data.draw(st.integers(1, 2))
+    small = st.dictionaries(st.tuples(*[st.integers(-3, 3)] * d), st.integers(-3, 3).filter(bool), max_size=5)
+    p, q = data.draw(small), data.draw(small.filter(bool))
+    try:
+        s = _sparse.exact_div(p, q)
+    except _sparse.ExactDivisionError:
+        return
+    assert _sparse.conv(s, q) == p
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 5).flatmap(_square_ints))
 @example([[0, 1], [1, 0]])  # zero leading pivot, det -1
