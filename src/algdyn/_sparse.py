@@ -15,7 +15,8 @@ is the one elimination: a fraction-free Gauss-Jordan over the Laurent
 ring Z[Z^d] whose every division goes through exact_div.  Group-ring
 determinants, the finite-entropy rank and its kernel witness, and
 int_inverse (a square integer matrix as integers P over one denominator
-D: the Peters shift inverse, the periodic shadow fold) all read their
+D: the inverse of a Peters shift matrix given as a matrix, the periodic
+shadow fold) all read their
 answers off its reduced rows.
 """
 

@@ -20,6 +20,7 @@ import stat
 import sys
 
 from . import __version__, entropy, expansive, freegroup, homoclinic, independence, torus
+from ._report import plain
 from .groupring import CapExceeded, GroupRingMatrix, parse_element
 
 # The ~24,000 objects made by the imports live as long as the process; frozen,
@@ -102,11 +103,11 @@ def _certificate_chain(A: GroupRingMatrix, tol: float, radius: int) -> dict:
     """Torus certificate of the presenting matrix plus the inverse residual
     that every downstream verdict rests on."""
     inv = homoclinic._star_inverse(A, tol, radius)
-    return {
-        "torus_certificate": inv.det_certificate.to_obj() if inv.det_certificate else None,
-        "inverse_residual": str(inv.residual),
+    return plain({
+        "torus_certificate": inv.det_certificate,
+        "inverse_residual": inv.residual,
         "inverse_tail_bound": inv.tail_bound,
-    }
+    })
 
 
 def run_homoclinic(args: argparse.Namespace) -> tuple[dict, int]:

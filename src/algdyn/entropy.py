@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels, _sparse, torus
+from ._report import Report
 from .groupring import GroupRingElement, GroupRingMatrix, ball, norm_sites
 from .homoclinic import fundamental_homoclinic
 from .independence import greedy_separated_subset, interaction_radius
@@ -29,29 +30,22 @@ from .independence import greedy_separated_subset, interaction_radius
 MAHLER_DEFAULT_GRID = {1: 65536, 2: 512, 3: 64}
 SINGULARITY_FLOOR = 1e-12
 
+# Largest family packing_lower_bound enumerates: M^|F1| is cut down to it.
+PACKING_FAMILY_CAP = 1 << 20
+
 MAHLER = "MahlerQuadrature"
 PETERS = "PetersCounting"
 PACKING = "PackingLowerBound"
 
 
 @dataclass
-class EntropyEstimate:
+class EntropyEstimate(Report):
     value: float
     method: str
     error_bound: float | None = None
     parameters: dict = field(default_factory=dict)
     series: list | None = None
     notes: str = ""
-
-    def to_obj(self) -> dict:
-        return {
-            "value": self.value,
-            "method": self.method,
-            "error_bound": self.error_bound,
-            "parameters": self.parameters,
-            "series": self.series,
-            "notes": self.notes,
-        }
 
 
 # -- log-Mahler quadrature ---------------------------------------------------
@@ -96,42 +90,29 @@ def mahler_measure(f: GroupRingElement, m: int | None = None) -> EntropyEstimate
 
 
 @dataclass
-class DualityReport:
+class DualityReport(Report):
     entropy: float
     entropy_star: float
     difference: float
 
-    def to_obj(self) -> dict:
-        return {
-            "entropy": self.entropy,
-            "entropy_star": self.entropy_star,
-            "difference": self.difference,
-        }
-
 
 def duality_check(A: GroupRingMatrix, m: int | None = None) -> DualityReport:
-    """Entropy of the presentation vs its involution: m(det A) vs m(det A*)."""
+    """Entropy of the presentation vs its involution: m(det A) vs m(det A*),
+    with det(A*) = det(A)* exactly."""
     if not A.is_square():
         raise ValueError("square matrix required")
-    h = mahler_measure(A.det(), m)
-    h_star = mahler_measure(A.star().det(), m)
+    det = A.det()
+    h = mahler_measure(det, m)
+    h_star = mahler_measure(det.star(), m)
     return DualityReport(h.value, h_star.value, abs(h.value - h_star.value))
 
 
 @dataclass
-class AdditivityReport:
+class AdditivityReport(Report):
     entropy_product: float
     entropy_f: float
     entropy_g: float
     defect: float
-
-    def to_obj(self) -> dict:
-        return {
-            "entropy_product": self.entropy_product,
-            "entropy_f": self.entropy_f,
-            "entropy_g": self.entropy_g,
-            "defect": self.defect,
-        }
 
 
 def additivity_check(
@@ -161,7 +142,14 @@ class CompanionModule:
     """Z^k with the shift acting by the companion matrix of a monic integer
     polynomial whose constant term is a unit, so the inverse action is
     integral as well.  This coordinatizes the dual module of the principal
-    system exactly."""
+    system exactly.
+
+    M e_j = e_{j+1} for j < k-1 and M e_{k-1} = -(p_0, ..., p_{k-1}), so
+    M^-1 e_{j+1} = e_j and M^-1 e_0 = -p_0 (p_1, ..., p_{k-1}, 1), as
+    1/p_0 = p_0 for p_0 = +-1: the inverse is written down, not eliminated.
+    Both k x k matrices must fit in ALGDYN_MEM_CAP_MB as int64, counted in
+    whole megabytes, or MemoryCapError is raised before either is built.
+    """
 
     def __init__(self, f: GroupRingElement):
         if f.d != 1:
@@ -178,12 +166,18 @@ class CompanionModule:
         c0 = poly.get(0, 0)
         if abs(c0) != 1:
             raise ValueError("constant term not a unit")
+        need_mb = 2 * k * k * 8 >> 20  # M and M^-1 as int64, in whole MB
+        if need_mb > torus.mem_cap_bytes() >> 20:
+            raise torus.MemoryCapError(
+                f"companion matrices of degree {k} need {need_mb} MB, over ALGDYN_MEM_CAP_MB"
+            )
         self.f = f
         self.degree = k
-        M = [[int(i == j + 1) for j in range(k - 1)] + [-poly.get(i, 0)] for i in range(k)]
+        p = [poly.get(i, 0) for i in range(k)] + [1]
+        M = [[int(i == j + 1) for j in range(k - 1)] + [-p[i]] for i in range(k)]
         self.M = _int_matrix(M)
-        # det M = +-c0 = +-1, so the exact inverse has denominator 1
-        self.Minv = _int_matrix(_sparse.int_inverse(M)[0])
+        Minv = [[-c0 * p[i + 1]] + [int(i == j) for j in range(k - 1)] for i in range(k)]
+        self.Minv = _int_matrix(Minv)
 
     def __repr__(self) -> str:
         return f"CompanionModule({self.f.format()!r}, degree={self.degree})"
@@ -330,7 +324,6 @@ def packing_lower_bound(
     F: list,
     eps: float | None = None,
     M_levels: int = 2,
-    cap: int = 1 << 20,
     tol: float = 1e-10,
     radius_cap: int = 40,
 ) -> EntropyEstimate:
@@ -355,8 +348,8 @@ def packing_lower_bound(
     KmK = ball(d, 2 * radius)
     F1 = greedy_separated_subset(Fw, KmK)
 
-    if M_levels ** len(F1) > cap:
-        F1 = F1[: max(1, int(math.log(cap, max(2, M_levels))))]
+    if M_levels ** len(F1) > PACKING_FAMILY_CAP:
+        F1 = F1[: max(1, int(math.log(PACKING_FAMILY_CAP, max(2, M_levels))))]
     nfam = M_levels ** len(F1)
 
     # family values observed through the window: applying the group element t

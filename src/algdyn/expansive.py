@@ -21,6 +21,7 @@ from fractions import Fraction
 from ._sparse import CapExceeded, ExactDivisionError
 from .groupring import GroupRingElement, GroupRingMatrix
 from . import _sparse, torus
+from ._report import Report
 
 EXPANSIVE = "Expansive"
 NOT_EXPANSIVE = "NotExpansive"
@@ -52,37 +53,20 @@ class PresentedAction:
 
 
 @dataclass
-class ExpansivenessReport:
+class ExpansivenessReport(Report):
     verdict: str
     expansive_constant: Fraction | None
     certificate: torus.TorusCertificate
     note: str = ""
 
-    def to_obj(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "expansive_constant": None if self.expansive_constant is None else str(self.expansive_constant),
-            "certificate": self.certificate.to_obj(),
-            "note": self.note,
-        }
-
 
 @dataclass
-class FiniteEntropyReport:
+class FiniteEntropyReport(Report):
     verdict: str  # Finite | Infinite | Unknown
     rank: int | None
     k: int
     witness: list[GroupRingElement] | None
     note: str = ""
-
-    def to_obj(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "rank": self.rank,
-            "k": self.k,
-            "witness": None if self.witness is None else [w.to_obj() for w in self.witness],
-            "note": self.note,
-        }
 
 
 def is_expansive_principal(f: GroupRingElement, m: int | None = None) -> ExpansivenessReport:

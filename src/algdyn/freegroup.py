@@ -13,10 +13,11 @@ i, reduced) carry the word-level convolution, the tests' oracle.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _sparse
+from ._report import Report
 from .groupring import CapExceeded
 
 Word = tuple[int, ...]
@@ -163,16 +164,14 @@ CAP_BITS = 14_000
 
 
 @dataclass
-class AnnihilatorReport:
+class AnnihilatorReport(Report):
     rank: int
     order: int
     radius: int
     all_zero: bool
     nonzero_radii: list[int]
     checked_words: int
-
-    def to_obj(self) -> dict:
-        return {**asdict(self), "method": "radial"}
+    method: str = "radial"
 
 
 def annihilator_series(d: int, N: int, max_length: int | None = None, cap: int = 5_000_000) -> FreeGroupRingElement:

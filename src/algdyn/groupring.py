@@ -18,6 +18,10 @@ from . import _sparse
 from ._sparse import CapExceeded
 
 
+# Largest elimination entry, in terms, that det builds before CapExceeded.
+DET_TERM_CAP = 200_000
+
+
 class DimensionMismatch(ValueError):
     """Operands live over different Z^d."""
 
@@ -374,14 +378,14 @@ class GroupRingMatrix:
     def l1_norm(self) -> int:
         return sum(e.l1_norm() for row in self.entries for e in row)
 
-    def det(self, term_cap: int = 200_000) -> GroupRingElement:
+    def det(self) -> GroupRingElement:
         """Exact determinant: the row-swap sign times the last pivot of
         _sparse.gauss_jordan, or 0 below full rank.  An elimination entry
-        of more than term_cap terms raises CapExceeded."""
+        of more than DET_TERM_CAP terms raises CapExceeded."""
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
         rows = [[e.terms for e in row] for row in self.entries]
-        pivots, sign = _sparse.gauss_jordan(rows, term_cap)
+        pivots, sign = _sparse.gauss_jordan(rows, DET_TERM_CAP)
         if len(pivots) < self.rows:
             return GroupRingElement.zero(self.d)
         return GroupRingElement(self.d, rows[-1][-1]) * sign

@@ -29,6 +29,7 @@ from .groupring import (
     norm_sites,
 )
 from . import _sparse, torus
+from ._report import Report, plain
 
 
 @dataclass
@@ -111,8 +112,8 @@ class HomoclinicPoint:
         return {
             "k": self.k,
             "d": self.d,
-            "tail_bound": _finite_or_none(self.tail_bound),
-            "provenance": [p.to_obj() for p in self.provenance],
+            "tail_bound": plain(self.tail_bound),
+            "provenance": plain(self.provenance),
             "lift": [
                 [
                     {"exp": list(e), "value": _sparse.center(n, den) / den}
@@ -136,15 +137,6 @@ def _lift_sum(x: HomoclinicPoint, y: HomoclinicPoint, sign: int) -> tuple[list[d
         _sparse.add_to({e: n * fx for e, n in cx.items()}, {e: n * fy for e, n in cy.items()}, sign)
         for cx, cy in zip(x.nums, y.nums)
     ], den
-
-
-def _finite_or_none(v: float) -> float | None:
-    return v if math.isfinite(v) else None
-
-
-def _tail(inv: torus.MatrixL1Inverse) -> float:
-    """The inverse's tail bound; inf when its residual certifies none."""
-    return math.inf if inv.tail_bound is None else inv.tail_bound
 
 
 @functools.lru_cache(maxsize=32)
@@ -188,7 +180,7 @@ def group_element(
     mv = _as_vector(m, inv.k, A.d)
     nums = _sparse.vecmat([c.terms for c in mv], [[cell.nums for cell in row] for row in inv.entries])
     norm_m = sum(comp.l1_norm() for comp in mv)
-    tail = _tail(inv) * max(1, norm_m)
+    tail = inv.tail_bound * max(1, norm_m)
     return HomoclinicPoint(A, nums, inv.den, tail, mv)
 
 
@@ -240,19 +232,11 @@ def psi(x: HomoclinicPoint, phi, window) -> dict[tuple[int, ...], complex]:
 
 
 @dataclass
-class Delta1Certificate:
+class Delta1Certificate(Report):
     rho_sum: float
     tail_bound: float
     total: float
     finite: bool
-
-    def to_obj(self) -> dict:
-        return {
-            "rho_sum": self.rho_sum,
-            "tail_bound": _finite_or_none(self.tail_bound),
-            "total": _finite_or_none(self.total),
-            "finite": self.finite,
-        }
 
 
 def delta1_membership(x: HomoclinicPoint) -> Delta1Certificate:
@@ -302,15 +286,9 @@ def summable_metric_distance(
 
 
 @dataclass
-class PairingReport:
+class PairingReport(Report):
     window: list[tuple[int, ...]]
     max_discrepancy: float
-
-    def to_obj(self) -> dict:
-        return {
-            "window": [list(e) for e in self.window],
-            "max_discrepancy": self.max_discrepancy,
-        }
 
 
 def pairing_symmetry_check(

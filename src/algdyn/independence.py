@@ -25,6 +25,7 @@ from operator import add, mul, sub
 import numpy as np
 
 from . import _sparse
+from ._report import Report, plain
 from .groupring import GroupRingElement, GroupRingMatrix, _as_exponent, ball, norm_sites
 from .homoclinic import HomoclinicPoint, _centered_at, _star_inverse, group_element
 
@@ -90,7 +91,7 @@ def _first_radius_below(items, den: int, tail: float, bound: float,
 
 
 @dataclass
-class IndependenceReport:
+class IndependenceReport(Report):
     F: list[tuple[int, ...]]
     K: list[tuple[int, ...]]
     F1: list[tuple[int, ...]]
@@ -102,21 +103,6 @@ class IndependenceReport:
     subsampled: bool = False
     seed: int | None = None
     note: str = ""
-
-    def to_obj(self) -> dict:
-        return {
-            "F": [list(s) for s in self.F],
-            "K": [list(s) for s in self.K],
-            "F1": [list(s) for s in self.F1],
-            "density": self.density,
-            "witnesses_checked": self.witnesses_checked,
-            "max_violation": self.max_violation,
-            "all_pass": self.all_pass,
-            "eps": self.eps,
-            "subsampled": self.subsampled,
-            "seed": self.seed,
-            "note": self.note,
-        }
 
 
 def _direct_violations(
@@ -289,20 +275,20 @@ class ShadowResult:
         return self._fold(e)
 
     def to_obj(self) -> dict:
-        return {
+        return plain({
             "block_errors": self.block_errors,
             "gap_radius": self.gap_radius,
             "eps": self.eps,
             "periodic_basis": self.periodic_basis,
             "note": self.note,
-        }
+        })
 
 
 def inverse_tail_radius(A: GroupRingMatrix, bound: float, tol: float = 1e-10, radius_cap: int = 40) -> int:
     """Smallest R with the l1 mass of the truncated (A*)^-1 beyond radius R,
     plus its truncation tail, below the given bound."""
     inv = _star_inverse(A, tol, radius_cap)
-    if inv.tail_bound is None:
+    if not math.isfinite(inv.tail_bound):
         raise ValueError("the inverse has no certified tail bound (residual >= 1)")
     items = [item for row in inv.entries for cell in row for item in cell.nums.items()]
     r = _first_radius_below(items, inv.den, inv.tail_bound, bound)
@@ -432,14 +418,14 @@ class SpecificationReport:
     annulus: list[tuple[int, ...]]
 
     def to_obj(self) -> dict:
-        return {
+        return plain({
             "passed": self.passed,
             "block_error": self.block_error,
             "outside_max": self.outside_max,
             "gap_radius": self.gap_radius,
             "eps": self.eps,
             "annulus_size": len(self.annulus),
-        }
+        })
 
 
 def homoclinic_specification_check(

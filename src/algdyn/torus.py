@@ -30,6 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels, _sparse
+from ._report import Report
 from .groupring import (
     GroupRingElement,
     GroupRingMatrix,
@@ -60,7 +61,7 @@ def mem_cap_bytes() -> int:
 
 
 @dataclass(frozen=True)
-class TorusCertificate:
+class TorusCertificate(Report):
     """Outcome of a nonvanishing scan of f^ on the d-torus.
 
     grid_min is the smallest computed |f^| on the grid and margin =
@@ -80,17 +81,6 @@ class TorusCertificate:
     witness: tuple[Fraction, ...] | None = None
     note: str = ""
 
-    def to_obj(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "grid_size": self.grid_size,
-            "grid_min": self.grid_min,
-            "lipschitz": self.lipschitz,
-            "margin": self.margin,
-            "witness": None if self.witness is None else [str(w) for w in self.witness],
-            "note": self.note,
-        }
-
 
 @dataclass
 class L1Approximant:
@@ -99,17 +89,17 @@ class L1Approximant:
     The coefficient at e is nums[e] / den: integer numerators over one
     common denominator (a power of two for Newton inverses), the format
     the homoclinic and shadow layers compute with.  terms is a read-only
-    Fraction view of the same data.  tail_bound, when known, bounds the l1
-    mass ||true - this||_1 of the discarded part.  For inverses it is
-    derived a posteriori from the exact residual: if
-    r = ||delta - g*f||_1 < 1 then ||f^-1 - g||_1 <= r*||g||_1/(1-r);
-    otherwise it is None.
+    Fraction view of the same data.  tail_bound bounds the l1 mass
+    ||true - this||_1 of the discarded part; it is inf when no bound is
+    certified.  For inverses it is derived a posteriori from the exact
+    residual: if r = ||delta - g*f||_1 < 1 then
+    ||f^-1 - g||_1 <= r*||g||_1/(1-r); otherwise it is inf.
     """
 
     d: int
     nums: dict[tuple[int, ...], int]
     den: int
-    tail_bound: float | None = None
+    tail_bound: float = math.inf
     residual: Fraction | None = None
     converged: bool = True
 
@@ -123,27 +113,17 @@ class L1Approximant:
     def coefficient(self, e) -> Fraction:
         return Fraction(self.nums.get(_as_exponent(e, self.d), 0), self.den)
 
-    def to_obj(self) -> dict:
-        return {
-            "d": self.d,
-            "terms": [
-                {"exp": list(e), "coef": str(self.terms[e])} for e in sorted(self.terms)
-            ],
-            "tail_bound": self.tail_bound,
-            "residual": None if self.residual is None else str(self.residual),
-            "converged": self.converged,
-        }
-
 
 @dataclass
 class MatrixL1Inverse:
-    """Entrywise truncated inverse; all entries share one denominator."""
+    """Entrywise truncated inverse; all entries share one denominator.
+    tail_bound is inf when no bound is certified."""
 
     entries: list[list[L1Approximant]]
     residual: Fraction
     converged: bool
-    tail_bound: float | None
-    det_certificate: TorusCertificate | None = None
+    tail_bound: float
+    det_certificate: TorusCertificate
 
     @property
     def k(self) -> int:
@@ -271,7 +251,12 @@ def _exact_zero_scan(f: GroupRingElement, extra: list[tuple[Fraction, ...]] | No
 
 def _term_arrays(f: GroupRingElement) -> tuple[np.ndarray, np.ndarray]:
     exps = sorted(f.terms)
-    e = np.array(exps, dtype=np.int64).reshape(len(exps), f.d)
+    try:
+        e = np.array(exps, dtype=np.int64).reshape(len(exps), f.d)
+    except OverflowError:
+        raise ValueError(
+            "an exponent is outside the int64 range [-2^63, 2^63 - 1] of the torus grid"
+        ) from None
     c = np.array([float(f.terms[t]) for t in exps], dtype=np.float64)
     return e, c
 
@@ -451,16 +436,11 @@ def l1_inverse(
 
     converged = best_r <= tol
     norm = Fraction(_sparse.l1(best), best_den)
-    tail = float(best_r * norm / (1 - best_r)) if best_r < 1 else None
+    tail = float(best_r * norm / (1 - best_r)) if best_r < 1 else math.inf
     return L1Approximant(d, best, best_den, tail_bound=tail, residual=best_r, converged=converged)
 
 
-def matrix_l1_inverse(
-    A: GroupRingMatrix,
-    tol: float = 1e-10,
-    radius_cap: int = 40,
-    cert: TorusCertificate | None = None,
-) -> MatrixL1Inverse:
+def matrix_l1_inverse(A: GroupRingMatrix, tol: float = 1e-10, radius_cap: int = 40) -> MatrixL1Inverse:
     """Entrywise truncated inverse of a square matrix over l1(Z^d).
 
     Uses the adjugate route G = g_det adj(A) with g_det the truncated
@@ -477,7 +457,7 @@ def matrix_l1_inverse(
         raise ValueError("matrix must be square")
     k = A.rows
     det = A.det()
-    det_cert = cert if cert is not None else certify_invertible(det)
+    det_cert = certify_invertible(det)
     if det_cert.verdict != INVERTIBLE:
         raise NotInvertibleError(f"determinant not certified invertible: {det_cert.verdict}")
 
@@ -489,7 +469,7 @@ def matrix_l1_inverse(
     converged = residual <= tol
 
     norm_g = Fraction(sum(_sparse.l1(cell) for row in G for cell in row), den)
-    tail = float(residual * norm_g / (1 - residual)) if residual < 1 else None
+    tail = float(residual * norm_g / (1 - residual)) if residual < 1 else math.inf
     entries = [
         [
             L1Approximant(A.d, G[i][j], den, tail_bound=tail, residual=residual,

@@ -390,3 +390,77 @@ def test_reused_parser_leaks_no_state(tmp_path, capsys):
     for argv, got in zip(sequence, shared):
         _build_parser.cache_clear()
         assert got == _outcome(capsys, argv), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["expansive", "--poly", "u1^99999999999999999999 - 3"],
+    ["entropy", "--method", "mahler", "--poly", "u1^99999999999999999999 - 3"],
+    ["homoclinic", "--poly", "3 - u1^99999999999999999999"],
+])
+def test_exponent_beyond_int64_is_an_error_line(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "int64" in err
+    assert "Traceback" not in err
+
+
+def test_peters_companion_matrices_over_the_memory_cap(monkeypatch, capsys):
+    monkeypatch.setenv("ALGDYN_MEM_CAP_MB", "1")
+    code = main(["entropy", "--method", "peters", "--poly", "u1^400 - u1 - 1", "--nmax", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: companion matrices of degree 400")
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+_SHADOW_CONFIG = {
+    "poly": "3 - u1 - u1^-1",
+    "eps": 0.05,
+    "blocks": [
+        {"window": [0, 1, 2, 3, 4], "m": "u1^2"},
+        {"window": [40, 41, 42, 43, 44], "m": "u1^42"},
+    ],
+    "periodic": [64],
+}
+_STAGES = [
+    {"command": "expansive", "args": {"poly": "3 - u1 - u1^-1", "check_entropy": True}},
+    {"command": "homoclinic", "args": {"poly": "3 - u1 - u1^-1"}},
+    {"command": "ie", "args": {"poly": "3 - u1 - u1^-1", "eps": 0.1, "window": 20}},
+]
+# case -> (argv, input files named in argv)
+_STRICT_CASES = {
+    "expansive": (["expansive", "--poly", "3 - u1 - u1^-1", "--check-entropy"], {}),
+    "mahler": (["entropy", "--method", "mahler", "--poly", "u1 - 2", "--grid", "65536"], {}),
+    "peters": (["entropy", "--method", "peters", "--poly", "u1^2 - u1 - 1", "--nmax", "30"], {}),
+    "packing": (["entropy", "--method", "packing", "--poly", "3 - u1 - u1^-1", "--window", "20"], {}),
+    "homoclinic": (["homoclinic", "--poly", "3 - u1 - u1^-1"], {}),
+    "ie": (["ie", "--poly", "3 - u1 - u1^-1", "--eps", "0.1", "--window", "60"], {}),
+    "shadow": (["shadow", "--config", "blocks.json"], {"blocks.json": _SHADOW_CONFIG}),
+    "duality": (["duality", "--matrix", "matrix.json"],
+                {"matrix.json": [["2", "u1"], ["u1^-1", "2"]]}),
+    "freegroup-check": (["freegroup-check", "--rank", "2", "--order", "5", "--radius", "8"], {}),
+    "pipeline": (["pipeline", "--config", "stages.json"], {"stages.json": _STAGES}),
+    "uncertified": (["homoclinic", "--poly", "3 + 2*u1 + 2*u1^2", "--radius", "0"], {}),
+}
+
+
+@pytest.mark.parametrize("case", list(_STRICT_CASES))
+def test_every_report_is_strict_json(tmp_path, capsys, case):
+    argv, files = _STRICT_CASES[case]
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    assert "NaN" not in out and "Infinity" not in out
+    rep = json.loads(out, parse_constant=_refuse_constant)
+    if case == "uncertified":
+        assert rep["certificate_chain"]["inverse_tail_bound"] is None
+        assert rep["point"]["tail_bound"] is None
+        assert rep["delta1"]["tail_bound"] is None
+        assert rep["delta1"]["total"] is None

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from algdyn.entropy import (
     packing_lower_bound,
     peters_entropy,
 )
+from algdyn._sparse import int_inverse
 from algdyn.groupring import GroupRingElement, GroupRingMatrix, parse_element
 from algdyn.torus import MemoryCapError, NotInvertibleError, certify_invertible
 from conftest import jensen_mahler, random_element
@@ -241,6 +243,27 @@ def test_peters_counts_past_int64_exactly(rational):
     M = [[2**31 + 1, 2**31], [2**31, 2**31 - 1]]
     est = peters_entropy(M, n_max=10, rational=rational)
     assert [row["count"] for row in est.series] == [2**n for n in range(1, 11)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    c0=st.sampled_from([-1, 1]),
+    middle=st.lists(st.integers(-10**20, 10**20), max_size=7),
+    shift=st.integers(-5, 5),
+)
+def test_companion_inverse_closed_form_equals_elimination(c0, middle, shift):
+    f = E(1, {(i + shift,): c for i, c in enumerate([c0, *middle, 1])})
+    cm = CompanionModule(f)
+    P, D = int_inverse(cm.M.tolist())
+    assert D == 1
+    assert cm.Minv.tolist() == P
+
+
+def test_peters_degree_200_is_fast():
+    t0 = time.perf_counter()
+    est = peters_entropy(CompanionModule(parse_element("u1^200 - u1 - 1")), n_max=2)
+    assert time.perf_counter() - t0 < 1.0
+    assert [row["count"] for row in est.series] == [2, 4]
 
 
 def test_peters_companion_with_coefficients_beyond_int64():
