@@ -163,7 +163,7 @@ def gauss_jordan(rows: list[list[dict]], term_cap: int | None = None) -> tuple[l
                     if num and prev is not None:
                         num = exact_div(num, prev)
                     if term_cap is not None and len(num) > term_cap:
-                        raise CapExceeded("elimination expression swell beyond cap")
+                        raise CapExceeded(f"an elimination entry of {len(num)} terms exceeds the cap of {term_cap} terms")
                 new.append(num)
             rows[i] = new
         prev = p

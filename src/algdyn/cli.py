@@ -116,7 +116,7 @@ def run_homoclinic(args: argparse.Namespace) -> tuple[dict, int]:
         m = [parse_element(t, A.d) for t in args.element.split(";")]
         x = homoclinic.group_element(A, m, args.tol, args.radius)
     else:
-        x = homoclinic.fundamental_homoclinic(A, args.tol, args.radius)[0]
+        x = homoclinic.group_element(A, [1] + [0] * (A.rows - 1), args.tol, args.radius)
     cert = homoclinic.delta1_membership(x)
     residual = homoclinic.annihilation_residual(x)
     return {
@@ -132,7 +132,7 @@ def run_homoclinic(args: argparse.Namespace) -> tuple[dict, int]:
 
 def run_ie(args: argparse.Namespace) -> tuple[dict, int]:
     A, src = _input_matrix(args)
-    x = homoclinic.fundamental_homoclinic(A)[0]
+    x = homoclinic.group_element(A, [1] + [0] * (A.rows - 1))
     rep = independence.independence_witnesses(
         x, args.eps, _window_box(args.window, A.d), cap=args.cap, seed=args.seed
     )

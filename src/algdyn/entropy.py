@@ -24,7 +24,7 @@ import numpy as np
 from . import _kernels, _sparse, torus
 from ._report import Report
 from .groupring import GroupRingElement, GroupRingMatrix, ball, norm_sites
-from .homoclinic import fundamental_homoclinic
+from .homoclinic import group_element
 from .independence import greedy_separated_subset, interaction_radius
 
 MAHLER_DEFAULT_GRID = {1: 65536, 2: 512, 3: 64}
@@ -220,14 +220,14 @@ def peters_entropy(
     memory cap stops before its second term raises MemoryCapError.
 
     The sets are counted exactly.  With w = D^(n-1) v the recursion
-    v <- P v/D + b becomes w <- P w + D^(n-1) b on integers, so S_n is a
-    set of integer vectors.  While D = 1, the rows are deduplicated as
-    int64 arrays as long as max |row entry| * ||P||_inf + max |b|, which
-    bounds every entry and partial sum of the next step, stays within
-    int64; from the first step that could overflow, or for entries that
-    never fit, the series continues on Python-int tuples.  That switch
-    stops the series instead when the next set of tuples could outgrow
-    the memory cap.
+    v <- P v/D + b becomes w <- P w + D^(n-1) b on integers, so S_n, from
+    S_0 = {0}, is a set of integer rows, kept sorted and distinct by
+    _dedupe_int.  The rows are int64 while max |row entry| * ||P||_inf +
+    D^(n-1) max |b|, which bounds every entry and partial sum of the next
+    step, stays within int64, and Python ints (dtype object) from the
+    first step that could overflow.  The series stops at that switch
+    instead when the Python-int rows of the next set could outgrow the
+    memory cap.
     """
     if n_max < 2 or diff_window < 1:
         raise ValueError("the estimate needs n_max >= 2 and diff_window >= 1")
@@ -256,38 +256,22 @@ def peters_entropy(
     truncated = False
     p_norm = max(sum(abs(v) for v in row) for row in P)
     b_max = max(abs(v) for b in E for v in b)
-    S = set(E)
-    rows = None  # S as sorted int64 rows while the bound allows
-    if D == 1 and max(p_norm, b_max) <= INT64_MAX:
-        rows = np.array(sorted(S), dtype=np.int64)
-        PT = np.array(P, dtype=np.int64).T.copy()
-        shifts = np.array(E, dtype=np.int64)
+    dtype = np.int64 if max(p_norm, b_max) <= INT64_MAX else object
+    rows = np.zeros((1, k), dtype=dtype)  # S_0 = {0}
+    PT, shifts = np.array(P, dtype=dtype).T.copy(), np.array(E, dtype=dtype)
     for n in range(1, n_max + 1):
-        if n > 1:
-            if rows is not None:
-                bound = max(int(rows.max()), -int(rows.min())) * p_norm + b_max
-                if bound > INT64_MAX:
-                    if rows.shape[0] * len(E) * k * 128 > cap:
-                        truncated = True
-                        break
-                    S, rows = set(map(tuple, rows.tolist())), None
-            if rows is not None:
-                V = rows @ PT
-                rows = _dedupe_int(np.concatenate([V + b for b in shifts]))
-            else:
-                scale = D ** (n - 1)
-                S = {
-                    tuple(sum(p * x for p, x in zip(row, w)) + scale * bi for row, bi in zip(P, b))
-                    for w in S
-                    for b in E
-                }
-        if rows is not None:
-            sizes.append(int(rows.shape[0]))
-            over = rows.nbytes * (len(E) + 2) > cap
-        else:
-            sizes.append(len(S))
-            over = len(S) * k * 128 > cap
-        if over:
+        scale = D ** (n - 1)
+        if rows.dtype != object and (
+            max(int(rows.max()), -int(rows.min())) * p_norm + scale * b_max > INT64_MAX
+        ):
+            if len(rows) * len(E) * k * 128 > cap:
+                truncated = True
+                break
+            rows, PT, shifts = rows.astype(object), PT.astype(object), shifts.astype(object)
+        V = rows @ PT
+        rows = _dedupe_int(np.concatenate([V + scale * b for b in shifts]))
+        sizes.append(len(rows))
+        if (rows.nbytes * (len(E) + 2) if rows.dtype != object else len(rows) * k * 128) > cap:
             truncated = True
             break
 
@@ -338,7 +322,7 @@ def packing_lower_bound(
     """
     if M_levels < 1:
         raise ValueError("M_levels must be >= 1")
-    x = fundamental_homoclinic(A, tol, radius_cap)[0]
+    x = group_element(A, [1] + [0] * (A.rows - 1), tol, radius_cap)
     if eps is None:
         eps = 0.5 / A.l1_norm()
     d = A.d

@@ -30,6 +30,8 @@ UNKNOWN = "Unknown"
 FINITE = "Finite"
 INFINITE = "Infinite"
 
+RANK_TERM_CAP = 50_000  # largest elimination entry, in terms, before the rank is Unknown
+
 
 @dataclass(frozen=True)
 class PresentedAction:
@@ -123,7 +125,7 @@ def has_finite_entropy(action: PresentedAction | GroupRingMatrix) -> FiniteEntro
     k = action.k
     rows = [[e.star().terms for e in row] for row in A.entries]
     try:
-        pivots, _ = _sparse.gauss_jordan(rows, term_cap=50_000)
+        pivots, _ = _sparse.gauss_jordan(rows, term_cap=RANK_TERM_CAP)
     except CapExceeded as exc:
         return FiniteEntropyReport(UNKNOWN, None, k, None, note=str(exc))
     rank = len(pivots)

@@ -6,10 +6,10 @@ l1(Z^d) exactly when its Fourier series f^ has no zero on the d-torus
 
 * certify_invertible scans a uniform grid (_kernels.grid_values, one axis
   at a time), bounds the variation of f^ between grid points by an
-  explicit Lipschitz constant, and only returns the verdict Invertible
-  when the margin exceeds the scan's rounding bound.  NotInvertible
-  is only returned with an exact zero witness at a rational point,
-  confirmed in integer cyclotomic arithmetic.  Everything else is Unknown.
+  explicit Lipschitz constant, and returns Invertible when the margin
+  exceeds the scan's rounding bound or one term outweighs all others.
+  NotInvertible is only returned with an exact zero witness at a rational
+  point, confirmed in integer cyclotomic arithmetic.  Else it is Unknown.
 
 * l1_inverse produces a finitely supported dyadic approximation g of
   f^-1.  Its coefficients, Newton iterates and residual ||delta - g*f||_1
@@ -69,8 +69,11 @@ class TorusCertificate(Report):
     the guard of _kernels.grid_error_bound of the exact one (a proof for
     every grid size), so Invertible is returned only when margin
     exceeds that guard, and then margin - guard is a lower bound for |f^|
-    over the whole torus.  A NotInvertible verdict carries an exact
-    rational zero of f^ as witness.
+    over the whole torus.  When the grid margin falls short but one term
+    c u^e outweighs all the others together, the verdict is Invertible
+    with margin = 2|c| - ||f||_1, itself an exact lower bound for |f^|,
+    and the note names the term.  A NotInvertible verdict carries an
+    exact rational zero of f^ as witness.
     """
 
     verdict: str
@@ -301,6 +304,15 @@ def certify_invertible(f: GroupRingElement, m: int | None = None) -> TorusCertif
     guard = _kernels.grid_error_bound(exps, coefs, m, 0.0) + _kernels.EPS * grid_min
     if margin > guard:
         return TorusCertificate(INVERTIBLE, m, grid_min, lip, margin)
+
+    # c u^e outweighs all the other terms: |f^| >= 2|c| - ||f||_1 > 0 everywhere
+    e, c = max(f.terms.items(), key=lambda t: abs(t[1]))
+    slack = 2 * abs(c) - f.l1_norm()
+    if slack > 0:
+        term = GroupRingElement(f.d, {e: c}).format()
+        return TorusCertificate(INVERTIBLE, m, grid_min, lip, float(slack), note=(
+            f"the term {term} outweighs the others: margin 2|c| - ||f||_1 = {slack} "
+            "is an exact lower bound for |f^| on the torus (Neumann series)"))
 
     # near-zero minimum: try an exact confirmation at a nearby nice rational
     coords = []

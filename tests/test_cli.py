@@ -34,6 +34,16 @@ def test_expansive_not_expansive_exit_zero(capsys):
     assert rep["report"]["certificate"]["witness"] == ["0", "0"]
 
 
+def test_expansive_dominant_term_of_high_degree(capsys):
+    # the grid's Lipschitz bound is 6.3e6 here, but |3| > ||f - 3||_1 = 1
+    code, out = run_cli(capsys, ["expansive", "--poly", "3 - u1^1000000"])
+    assert code == 0
+    rep = json.loads(out)["report"]
+    assert rep["verdict"] == "Expansive"
+    assert rep["certificate"]["margin"] == 2.0
+    assert "term 3" in rep["certificate"]["note"]
+
+
 def test_expansive_unknown_exit_two(capsys):
     code, out = run_cli(capsys, ["expansive", "--poly", "2 + 3*u1 + 2*u1^2"])
     assert code == 2

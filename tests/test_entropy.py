@@ -1,9 +1,10 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -19,7 +20,7 @@ from algdyn.entropy import (
 from algdyn._sparse import int_inverse
 from algdyn.groupring import GroupRingElement, GroupRingMatrix, parse_element
 from algdyn.torus import MemoryCapError, NotInvertibleError, certify_invertible
-from conftest import jensen_mahler, random_element
+from conftest import jensen_mahler, random_element, solve_rational
 
 E = GroupRingElement
 
@@ -211,6 +212,11 @@ def test_dedupe_matches_np_unique(rows):
     assert got.dtype == want.dtype
     assert got.shape == want.shape
     assert np.array_equal(got, want)
+    # the same rows as Python ints past 2^63, as the counting loop holds them
+    big = rows.astype(object) * (2**64 + 1)
+    got = _dedupe_int(big)
+    assert got.dtype == object
+    assert list(map(tuple, got.tolist())) == sorted(set(map(tuple, big.tolist())))
 
 
 def test_peters_memory_cap(monkeypatch):
@@ -243,6 +249,58 @@ def test_peters_counts_past_int64_exactly(rational):
     M = [[2**31 + 1, 2**31], [2**31, 2**31 - 1]]
     est = peters_entropy(M, n_max=10, rational=rational)
     assert [row["count"] for row in est.series] == [2**n for n in range(1, 11)]
+
+
+def _peters_counts_oracle(M, E, n_max):
+    """|S_n| for n = 1..n_max by brute force: S_0 = {0} and
+    S_n = {M^-1 v + b : v in S_(n-1), b in E}, in Fractions."""
+    k = len(M)
+    Minv = solve_rational(M, [[int(i == j) for j in range(k)] for i in range(k)])
+    S, counts = {(Fraction(0),) * k}, []
+    for _ in range(n_max):
+        S = {
+            tuple(sum(p * x for p, x in zip(row, v)) + bi for row, bi in zip(Minv, b))
+            for v in S
+            for b in E
+        }
+        counts.append(len(S))
+    return counts
+
+
+@st.composite
+def _peters_inputs(draw):
+    """(M, rational, E, n_max): M integer k x k, k <= 3, either unimodular
+    (L U times signs) or any nonsingular M counted with rational=True."""
+    k = draw(st.integers(1, 3))
+    entry = st.integers(-3, 3)
+    if draw(st.booleans()):
+        L = [[1 if i == j else draw(entry) if j < i else 0 for j in range(k)] for i in range(k)]
+        U = [[draw(st.sampled_from([-1, 1])) if i == j else draw(entry) if j > i else 0
+              for j in range(k)] for i in range(k)]
+        M = [[sum(L[i][t] * U[t][j] for t in range(k)) for j in range(k)] for i in range(k)]
+        rational = False
+    else:
+        M = [[draw(entry) for _ in range(k)] for _ in range(k)]
+        try:
+            int_inverse(M)
+        except ValueError:  # singular
+            assume(False)
+        rational = True
+    vec = st.lists(st.integers(-2, 2), min_size=k, max_size=k)
+    E = [[0] * k] + draw(st.lists(vec.filter(any), min_size=1, max_size=2))
+    return M, rational, E, draw(st.integers(2, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_peters_inputs())
+# ||M^-1||_inf = 2^32 + 1: the rows leave int64 at n = 3
+@example(([[2**31 + 1, 2**31], [2**31, 2**31 - 1]], False, [[0, 0], [1, 0], [0, 1]], 5))
+# D = 2^20: the rows leave int64 at n = 5, by D^(n-1) b
+@example(([[2**20, 1], [0, 1]], True, [[0, 0], [1, 0], [1, 1]], 6))
+def test_peters_counts_equal_a_brute_force_set_oracle(inputs):
+    M, rational, E, n_max = inputs
+    est = peters_entropy(M, E_seed=E, n_max=n_max, rational=rational)
+    assert [row["count"] for row in est.series] == _peters_counts_oracle(M, E, n_max)
 
 
 @settings(max_examples=200, deadline=None)
@@ -281,13 +339,14 @@ def test_peters_stays_on_int64_while_the_held_entries_allow(monkeypatch):
     calls = []
 
     def counted(rows):
+        assert rows.dtype == np.int64
         calls.append(len(rows))
         return _dedupe_int(rows)
 
     monkeypatch.setattr(entropy, "_dedupe_int", counted)
     cm = CompanionModule(parse_element("u1^2 - u1 + 1"))
     est = peters_entropy(cm, n_max=70)
-    assert len(calls) == 69
+    assert len(calls) == 70  # one per step, from S_0 = {0}
     P = cm.Minv.tolist()
     S = {(0, 0), (1, 0)}
     counts = [len(S)]

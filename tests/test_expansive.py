@@ -130,6 +130,16 @@ def test_infinite_entropy_duplicated_column(f_geometric):
         assert acc.is_zero()
 
 
+def test_finite_entropy_cap_note_gives_the_term_count_and_the_cap(monkeypatch):
+    from algdyn import expansive
+
+    monkeypatch.setattr(expansive, "RANK_TERM_CAP", 3)
+    A = GroupRingMatrix.from_obj([["2 - u1 + u1^2", "1 + u1"], ["3 + u1^-1", "2 - u1"]])
+    rep = has_finite_entropy(A)
+    assert rep.verdict == "Unknown"
+    assert rep.note == "an elimination entry of 4 terms exceeds the cap of 3 terms"
+
+
 def test_finite_entropy_diagonal():
     A = GroupRingMatrix.from_obj([["2 - u1", "0"], ["0", "2 - u1^2"]])
     rep = has_finite_entropy(PresentedAction(2, 2, A))

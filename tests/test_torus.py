@@ -232,6 +232,33 @@ def test_certify_unknown_regime():
     assert float(deficit) == pytest.approx(guard - cert.margin, rel=1e-3)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 2),
+    extra=st.integers(1, 4),
+    sign=st.sampled_from([-1, 1]),
+    e0=st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),
+    others=st.dictionaries(
+        st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),
+        st.integers(-3, 3).filter(bool),
+        max_size=6,
+    ),
+)
+@example(d=1, extra=2, sign=1, e0=(0, 0), others={(10**6, 0): -1})  # 3 - u1^1000000
+def test_certify_dominant_term_at_any_degree(d, extra, sign, e0, others):
+    # c u^e0 outweighs the other terms together, however far out their
+    # exponents push the grid's Lipschitz bound: f is invertible (Neumann
+    # series) and 2|c| - ||f||_1 = extra bounds |f^| from below
+    rest = {e[:d]: v for e, v in others.items() if e[:d] != e0[:d]}
+    c = sign * (sum(abs(v) for v in rest.values()) + extra)
+    f = E(d, {e0[:d]: c, **rest})
+    cert = certify_invertible(f)
+    assert cert.verdict == INVERTIBLE
+    if cert.note:
+        assert E(d, {e0[:d]: c}).format() in cert.note
+        assert cert.margin == extra
+
+
 def test_certify_zero_element():
     cert = certify_invertible(E.zero(1))
     assert cert.verdict == NOT_INVERTIBLE
