@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .groupring import (
     GroupRingElement,
     GroupRingMatrix,
-    TorusPoint,
     parse_element,
     torus_distance,
 )
@@ -27,7 +26,6 @@ from .torus import (
 )
 from .expansive import (
     ExpansivenessReport,
-    PresentedAction,
     has_finite_entropy,
     is_expansive_principal,
     is_expansive_square,
@@ -64,7 +62,6 @@ from .freegroup import FreeGroupRingElement, verify_annihilator
 __all__ = [
     "GroupRingElement",
     "GroupRingMatrix",
-    "TorusPoint",
     "parse_element",
     "torus_distance",
     "L1Approximant",
@@ -76,7 +73,6 @@ __all__ = [
     "lipschitz_bound",
     "matrix_l1_inverse",
     "ExpansivenessReport",
-    "PresentedAction",
     "has_finite_entropy",
     "is_expansive_principal",
     "is_expansive_square",

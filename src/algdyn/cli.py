@@ -30,15 +30,12 @@ gc.freeze()
 OK, UNKNOWN_STATUS, ERROR = 0, 2, 1
 
 
-def _load_matrix(path: str) -> GroupRingMatrix:
-    with open(path) as fh:
-        obj = json.load(fh)
+def _matrix(obj) -> GroupRingMatrix:
+    """A matrix from its JSON form: nested lists of entries, or
+    {"d": d, "entries": nested lists}."""
     if isinstance(obj, dict):
-        entries = obj["entries"]
-        d = obj.get("d")
-    else:
-        entries, d = obj, None
-    return GroupRingMatrix.from_obj(entries, d)
+        return GroupRingMatrix.from_obj(obj["entries"], obj.get("d"))
+    return GroupRingMatrix.from_obj(obj)
 
 
 def _input_matrix(args) -> tuple[GroupRingMatrix, dict]:
@@ -48,7 +45,8 @@ def _input_matrix(args) -> tuple[GroupRingMatrix, dict]:
         f = parse_element(args.poly)
         return GroupRingMatrix([[f]]), {"poly": args.poly}
     if args.matrix:
-        return _load_matrix(args.matrix), {"matrix": args.matrix}
+        with open(args.matrix) as fh:
+            return _matrix(json.load(fh)), {"matrix": args.matrix}
     raise ValueError("an input source is required (--poly or --matrix)")
 
 
@@ -61,15 +59,10 @@ def _window_box(n: int, d: int) -> list:
 
 def run_expansive(args: argparse.Namespace) -> tuple[dict, int]:
     A, src = _input_matrix(args)
-    if A.rows == 1 and A.cols == 1:
-        rep = expansive.is_expansive_principal(A.entries[0][0], args.grid)
-    else:
-        rep = expansive.is_expansive_square(A, args.grid)
+    rep = expansive.is_expansive_square(A, args.grid)
     out = {"input": src, "report": rep.to_obj()}
     if args.check_entropy:
-        fin, text = expansive.entropy_finiteness_equals_one_expansiveness_note(
-            expansive.PresentedAction.from_matrix(A)
-        )
+        fin, text = expansive.entropy_finiteness_equals_one_expansiveness_note(A)
         out["finite_entropy"] = fin.to_obj()
         out["equivalence_note"] = text
     return out, UNKNOWN_STATUS if rep.verdict == "Unknown" else OK
@@ -107,6 +100,7 @@ def _certificate_chain(A: GroupRingMatrix, tol: float, radius: int) -> dict:
         "torus_certificate": inv.det_certificate,
         "inverse_residual": inv.residual,
         "inverse_tail_bound": inv.tail_bound,
+        "inverse_converged": inv.converged,
     })
 
 
@@ -150,7 +144,7 @@ def run_shadow(args: argparse.Namespace) -> tuple[dict, int]:
     if "poly" in cfg:
         A = GroupRingMatrix([[parse_element(cfg["poly"])]])
     else:
-        A = GroupRingMatrix.from_obj(cfg["matrix"])
+        A = _matrix(cfg["matrix"])
     eps = float(cfg["eps"])
     blocks = []
     for b in cfg["blocks"]:

@@ -245,7 +245,7 @@ def peters_entropy(
         e1 = [0] * k
         e1[0] = 1
         E_seed = [[0] * k, e1]
-    E = [tuple(int(v) for v in b) for b in E_seed]
+    E = norm_sites(E_seed, k)
     if (0,) * k not in E:
         raise ValueError("seed set must contain the zero vector")
     if len(E) < 2:

@@ -1,7 +1,8 @@
 """Decision procedures for expansiveness and finite entropy.
 
-A finitely presented action is described by a matrix A over the group ring
-of Z^d: the acting group shifts the dual of (ZG)^k/(ZG)^n A.  Square
+A finitely presented action is described by an n x k matrix A over the
+group ring of Z^d (a GroupRingMatrix, with n = A.rows and k = A.cols): the
+acting group shifts the dual of (ZG)^k/(ZG)^n A.  Square
 presentations with A invertible in the l1 algebra are expansive, with
 expansiveness constant 1/||A||_1.  Finiteness of entropy is equivalent to
 injectivity of right multiplication by the involuted matrix on row vectors
@@ -33,27 +34,6 @@ INFINITE = "Infinite"
 RANK_TERM_CAP = 50_000  # largest elimination entry, in terms, before the rank is Unknown
 
 
-@dataclass(frozen=True)
-class PresentedAction:
-    """Presentation data: A is n x k, presenting the dual of (ZG)^k/(ZG)^n A."""
-
-    k: int
-    n: int
-    A: GroupRingMatrix
-
-    def __post_init__(self):
-        if self.k < 1 or self.n < 1:
-            raise ValueError("k and n must be positive")
-        if (self.A.rows, self.A.cols) != (self.n, self.k):
-            raise ValueError(
-                f"matrix shape {(self.A.rows, self.A.cols)} != (n, k) = {(self.n, self.k)}"
-            )
-
-    @classmethod
-    def from_matrix(cls, A: GroupRingMatrix) -> "PresentedAction":
-        return cls(k=A.cols, n=A.rows, A=A)
-
-
 @dataclass
 class ExpansivenessReport(Report):
     verdict: str
@@ -76,9 +56,8 @@ def is_expansive_principal(f: GroupRingElement, m: int | None = None) -> Expansi
     return _report(torus.certify_invertible(f, m), f)
 
 
-def is_expansive_square(action: PresentedAction | GroupRingMatrix, m: int | None = None) -> ExpansivenessReport:
+def is_expansive_square(A: GroupRingMatrix, m: int | None = None) -> ExpansivenessReport:
     """Expansiveness for a square presentation, via the exact determinant."""
-    A = action.A if isinstance(action, PresentedAction) else action
     if not A.is_square():
         raise ValueError("square presentation required")
     try:
@@ -108,7 +87,7 @@ def exact_divide(p: GroupRingElement, q: GroupRingElement) -> GroupRingElement:
     return GroupRingElement(p.d, _sparse.exact_div(p.terms, q.terms))
 
 
-def has_finite_entropy(action: PresentedAction | GroupRingMatrix) -> FiniteEntropyReport:
+def has_finite_entropy(A: GroupRingMatrix) -> FiniteEntropyReport:
     """Finite iff right multiplication by the involuted presenting matrix is
     injective on (ZG)^k, i.e. the k x n matrix A* has full row rank k over
     the rational function field.  Rank deficiency returns an exact kernel
@@ -119,10 +98,7 @@ def has_finite_entropy(action: PresentedAction | GroupRingMatrix) -> FiniteEntro
     D at pivot column p_i; for a free column c0, x[c0] = D and
     x[p_i] = -R_i[c0] (zero elsewhere) is the witness.
     """
-    if isinstance(action, GroupRingMatrix):
-        action = PresentedAction.from_matrix(action)
-    A = action.A
-    k = action.k
+    k = A.cols
     rows = [[e.star().terms for e in row] for row in A.entries]
     try:
         pivots, _ = _sparse.gauss_jordan(rows, term_cap=RANK_TERM_CAP)
@@ -143,7 +119,7 @@ def has_finite_entropy(action: PresentedAction | GroupRingMatrix) -> FiniteEntro
 
 
 def entropy_finiteness_equals_one_expansiveness_note(
-    action: PresentedAction | GroupRingMatrix,
+    A: GroupRingMatrix,
 ) -> tuple[FiniteEntropyReport, str]:
     """Finite-entropy verdict plus the equivalence chain it certifies.
 
@@ -152,12 +128,9 @@ def entropy_finiteness_equals_one_expansiveness_note(
     of the map a -> a A* on integer (equivalently real) row vectors.  The
     returned text ties the computed rank verdict to that chain.
     """
-    if isinstance(action, GroupRingMatrix):
-        action = PresentedAction.from_matrix(action)
-    rep = has_finite_entropy(action)
-    A = action.A
+    rep = has_finite_entropy(A)
     if rep.verdict == FINITE:
-        bound = action.n * math.log(2 * A.l1_norm() + 1)
+        bound = A.rows * math.log(2 * A.l1_norm() + 1)
         text = (
             f"rank(A*) = k = {rep.k} over the rational function field: the map "
             "a -> a A* is injective on integer row vectors, so the action is "

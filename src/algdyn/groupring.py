@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import _sparse
 from ._sparse import CapExceeded
@@ -426,24 +426,6 @@ def _pad(e: tuple[int, ...], d: int) -> tuple[int, ...]:
     return e + (0,) * (d - len(e))
 
 
-class TorusPoint:
-    """A point of the d-torus, coordinates stored canonically in [0, 1)."""
-
-    __slots__ = ("theta",)
-
-    def __init__(self, theta: Iterable[float]):
-        self.theta = tuple(float(t) % 1.0 for t in theta)
-
-    def __len__(self) -> int:
-        return len(self.theta)
-
-    def __iter__(self):
-        return iter(self.theta)
-
-    def __repr__(self) -> str:
-        return f"TorusPoint{self.theta}"
-
-
 def circle_dist(a, b=0) -> float:
     """Distance on R/Z: min over integers m of |a - b - m|."""
     return abs(frac_center(float(a) - float(b)))
@@ -451,8 +433,7 @@ def circle_dist(a, b=0) -> float:
 
 def torus_distance(x: Sequence, y: Sequence) -> float:
     """Max-metric distance on the k-torus, with per-coordinate wraparound."""
-    xs = list(x.theta if isinstance(x, TorusPoint) else x)
-    ys = list(y.theta if isinstance(y, TorusPoint) else y)
+    xs, ys = list(x), list(y)
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
     return max((circle_dist(a, b) for a, b in zip(xs, ys)), default=0.0)

@@ -76,16 +76,17 @@ def _first_radius_below(items, den: int, tail: float, bound: float,
                         radius_cap: float = math.inf) -> int | None:
     """Smallest r <= radius_cap with the l1 mass of the (site, numerator over
     den) items beyond max-norm radius r, plus the tail, below bound; the
-    mass is summed exactly."""
+    mass is summed and compared exactly, the float tail and bound taken at
+    their exact binary values."""
     by_radius: dict[int, int] = {}
     for e, v in items:
         r = max(map(abs, e))
         by_radius[r] = by_radius.get(r, 0) + abs(v)
-    tail_q = Fraction(tail).limit_denominator(10**15)
+    tail_q = Fraction(tail)
     outside = sum(by_radius.values())
     for r in range(0, min(max(by_radius, default=0), radius_cap) + 1):
         outside -= by_radius.get(r, 0)
-        if float(Fraction(outside, den) + tail_q) < bound:
+        if Fraction(outside, den) + tail_q < bound:  # a Fraction meets a float exactly
             return r
     return None
 
@@ -377,7 +378,7 @@ def shadow(
         fy, fx = den // y.den, den // x.den
         worst = 0.0
         for t in norm_sites(b.window, d):
-            ts = result._site(t)
+            ts = t if B is None else fold(t)
             for cy, cx in zip(nums, x.nums):
                 dv = _sparse.center(cy.get(ts, 0) * fy - cx.get(t, 0) * fx, den)
                 worst = max(worst, abs(dv) / den)

@@ -34,7 +34,6 @@ from ._report import Report
 from .groupring import (
     GroupRingElement,
     GroupRingMatrix,
-    TorusPoint,
     _as_exponent,
     ball,
 )
@@ -141,9 +140,7 @@ class MatrixL1Inverse:
 
 
 def _theta_tuple(f: GroupRingElement, theta) -> tuple[float, ...]:
-    if isinstance(theta, TorusPoint):
-        t = theta.theta
-    elif isinstance(theta, (int, float, Fraction)):
+    if isinstance(theta, (int, float, Fraction)):
         t = (float(theta),)
     else:
         t = tuple(float(v) for v in theta)
@@ -175,17 +172,15 @@ def lipschitz_bound(f: GroupRingElement) -> float:
 # -- exact evaluation at rational points ------------------------------------
 
 
-def _cyclotomic(q: int, _cache: dict = {}) -> list[int]:
+@functools.cache
+def _cyclotomic(q: int) -> list[int]:
     """Integer coefficients of the q-th cyclotomic polynomial."""
-    if q in _cache:
-        return _cache[q]
     # (x^q - 1) / prod_{d | q, d < q} Phi_d, by exact division
     poly = {(0,): -1, (q,): 1}
     for dd in range(1, q):
         if q % dd == 0:
             poly = _sparse.exact_div(poly, {(i,): c for i, c in enumerate(_cyclotomic(dd)) if c})
-    _cache[q] = [poly.get((i,), 0) for i in range(max(poly)[0] + 1)]
-    return _cache[q]
+    return [poly.get((i,), 0) for i in range(max(poly)[0] + 1)]
 
 
 def evaluate_exact_is_zero(f: GroupRingElement, theta: tuple[Fraction, ...]) -> bool:
@@ -237,16 +232,19 @@ def _scan_points(d: int) -> dict[tuple[Fraction, ...], tuple[int, tuple[int, ...
     return points
 
 
-def _exact_zero_scan(f: GroupRingElement, extra: list[tuple[Fraction, ...]] | None = None):
-    """The first exact zero of f^ on small rational lattices, then among extra."""
-    points = _scan_points(f.d)
-    for theta, (q, ps) in points.items():
+def _exact_zero_scan(f: GroupRingElement):
+    """The first exact zero of f^ on small rational lattices."""
+    for theta, (q, ps) in _scan_points(f.d).items():
         if _zero_at(f.terms, q, ps):
             return theta
-    for t in extra or []:
-        if t not in points and evaluate_exact_is_zero(f, t):
-            return t
     return None
+
+
+def _exact_zero_off_scan(f: GroupRingElement, points):
+    """The first of points off the scan's lattices at which f^ is exactly
+    zero; _exact_zero_scan has already cleared the points on them."""
+    scanned = _scan_points(f.d)
+    return next((t for t in points if t not in scanned and evaluate_exact_is_zero(f, t)), None)
 
 
 # -- certification -----------------------------------------------------------
@@ -321,10 +319,9 @@ def certify_invertible(f: GroupRingElement, m: int | None = None) -> TorusCertif
         coords.append(rem % m)
         rem //= m
     coords.reverse()
-    near = []
-    for denom in (2, 3, 4, 6, 8, 12):
-        near.append(tuple(Fraction(c, m).limit_denominator(denom) for c in coords))
-    w = _exact_zero_scan(f, extra=near)
+    near = [tuple(Fraction(c, m).limit_denominator(denom) for c in coords)
+            for denom in (2, 3, 4, 6, 8, 12)]
+    w = _exact_zero_off_scan(f, near)
     if w is not None:
         return TorusCertificate(
             NOT_INVERTIBLE, m, grid_min, lip, margin,

@@ -18,7 +18,7 @@ from algdyn.entropy import (
     mahler_measure,
     peters_entropy,
 )
-from algdyn.expansive import FINITE, INFINITE, PresentedAction, has_finite_entropy
+from algdyn.expansive import FINITE, INFINITE, has_finite_entropy
 from algdyn.groupring import GroupRingElement, GroupRingMatrix, ball, parse_element
 from algdyn.homoclinic import (
     annihilation_residual,
@@ -188,7 +188,7 @@ def test_criterion_07_finite_entropy_iff_one_expansive():
         if a.is_zero() or b.is_zero() or p.is_zero():
             continue
         A = GroupRingMatrix([[a, a * p], [b, b * p]])  # proportional columns
-        rep = has_finite_entropy(PresentedAction(2, 2, A))
+        rep = has_finite_entropy(A)
         assert rep.verdict == INFINITE
         # verify the witness annihilates A* exactly
         Astar = A.star()
@@ -206,7 +206,7 @@ def test_criterion_07_finite_entropy_iff_one_expansive():
         A = GroupRingMatrix([[random_element(rng, d) for _ in range(2)] for _ in range(2)])
         if A.det().is_zero():
             continue
-        rep = has_finite_entropy(PresentedAction(2, 2, A))
+        rep = has_finite_entropy(A)
         assert rep.verdict == FINITE
         full += 1
     _report(7, "10 rank-deficient presentations Infinite with verified witnesses; 10 full-rank Finite")

@@ -469,8 +469,39 @@ def test_every_report_is_strict_json(tmp_path, capsys, case):
     assert code == 0
     assert "NaN" not in out and "Infinity" not in out
     rep = json.loads(out, parse_constant=_refuse_constant)
+    if case in ("packing", "ie", "shadow"):
+        assert rep["certificate_chain"]["inverse_converged"] is True
     if case == "uncertified":
         assert rep["certificate_chain"]["inverse_tail_bound"] is None
         assert rep["point"]["tail_bound"] is None
         assert rep["delta1"]["tail_bound"] is None
         assert rep["delta1"]["total"] is None
+
+
+@pytest.mark.parametrize("poly, converged", [
+    ("3 - u1 - u1^-1", True),
+    # radius 40 reaches five nonzero multiples of 7 on each side: residual 1.0e-2
+    ("3 - u1^7 - u1^-7", False),
+    # radius 40 reaches no nonzero multiple of 10^6: residual 1/3
+    ("3 - u1^1000000", False),
+])
+def test_homoclinic_chain_says_whether_the_inverse_converged(capsys, poly, converged):
+    code, out = run_cli(capsys, ["homoclinic", "--poly", poly])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["certificate_chain"]["inverse_converged"] is converged
+    assert (rep["annihilation_residual"] <= rep["membership_tolerance"]) is converged
+
+
+def test_shadow_config_matrix_reads_like_a_matrix_file(tmp_path, capsys):
+    # "matrix" takes nested lists or {"d", "entries"}, as --matrix files do
+    f = "3 - u1 - u1^-1"
+    base = {k: v for k, v in _SHADOW_CONFIG.items() if k != "poly"}
+    path = tmp_path / "blocks.json"
+    reports = []
+    for source in ({"poly": f}, {"matrix": [[f]]}, {"matrix": {"d": 1, "entries": [[f]]}}):
+        path.write_text(json.dumps({**base, **source}))
+        code, out = run_cli(capsys, ["shadow", "--config", str(path)])
+        assert code == 0
+        reports.append(json.loads(out))
+    assert reports[0] == reports[1] == reports[2]

@@ -192,6 +192,13 @@ def test_peters_seed_validation():
         peters_entropy(cm, E_seed=[[0]])
 
 
+@pytest.mark.parametrize("seed", [[[0], [1]], [[0, 0], [1]]])
+def test_peters_seed_rows_of_the_wrong_length_are_named(seed):
+    cm = CompanionModule(parse_element("u1^2 - u1 - 1"))
+    with pytest.raises(ValueError, match="has length 1, expected 2"):
+        peters_entropy(cm, E_seed=seed)
+
+
 @pytest.mark.parametrize("kwargs", [{"n_max": 1}, {"n_max": 0}, {"n_max": -2}, {"diff_window": 0}])
 def test_peters_refuses_an_empty_difference_window(kwargs):
     # no log difference to average: raise instead of reporting value 0.0

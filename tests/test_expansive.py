@@ -12,7 +12,6 @@ from algdyn.expansive import (
     INFINITE,
     NOT_EXPANSIVE,
     ExactDivisionError,
-    PresentedAction,
     entropy_finiteness_equals_one_expansiveness_note,
     exact_divide,
     has_finite_entropy,
@@ -110,8 +109,7 @@ def test_finite_entropy_rank_and_witness_against_minor_oracle(A):
 
 
 def test_finite_entropy_principal(f_geometric):
-    act = PresentedAction(1, 1, GroupRingMatrix([[f_geometric]]))
-    rep = has_finite_entropy(act)
+    rep = has_finite_entropy(GroupRingMatrix([[f_geometric]]))
     assert rep.verdict == FINITE
     assert rep.rank == 1
 
@@ -119,7 +117,7 @@ def test_finite_entropy_principal(f_geometric):
 def test_infinite_entropy_duplicated_column(f_geometric):
     # k=2, n=1, A = [u-2, u-2]: the kernel row (1, -1) annihilates A*
     A = GroupRingMatrix([[f_geometric, f_geometric]])
-    rep = has_finite_entropy(PresentedAction(2, 1, A))
+    rep = has_finite_entropy(A)
     assert rep.verdict == INFINITE
     assert rep.witness is not None
     Astar = A.star()
@@ -142,7 +140,7 @@ def test_finite_entropy_cap_note_gives_the_term_count_and_the_cap(monkeypatch):
 
 def test_finite_entropy_diagonal():
     A = GroupRingMatrix.from_obj([["2 - u1", "0"], ["0", "2 - u1^2"]])
-    rep = has_finite_entropy(PresentedAction(2, 2, A))
+    rep = has_finite_entropy(A)
     assert rep.verdict == FINITE
 
 
@@ -151,10 +149,10 @@ def test_rank_invariance_under_row_operations():
     for _ in range(10):
         d = int(rng.integers(1, 3))
         A = GroupRingMatrix([[random_element(rng, d) for _ in range(2)] for _ in range(2)])
-        base = has_finite_entropy(PresentedAction(2, 2, A)).verdict
+        base = has_finite_entropy(A).verdict
         # swap rows
         swapped = GroupRingMatrix([A.entries[1], A.entries[0]])
-        assert has_finite_entropy(PresentedAction(2, 2, swapped)).verdict == base
+        assert has_finite_entropy(swapped).verdict == base
         # unimodular row combination: r0 += u^e * r1
         mono = E.monomial(d, tuple(int(v) for v in rng.integers(-1, 2, size=d)))
         combined = GroupRingMatrix(
@@ -163,7 +161,7 @@ def test_rank_invariance_under_row_operations():
                 A.entries[1],
             ]
         )
-        assert has_finite_entropy(PresentedAction(2, 2, combined)).verdict == base
+        assert has_finite_entropy(combined).verdict == base
 
 
 def test_expansive_implies_finite_entropy():
@@ -177,27 +175,36 @@ def test_expansive_implies_finite_entropy():
         if rep.verdict != EXPANSIVE:
             continue
         checked += 1
-        fin = has_finite_entropy(PresentedAction(1, 1, GroupRingMatrix([[f]])))
+        fin = has_finite_entropy(GroupRingMatrix([[f]]))
         assert fin.verdict == FINITE
 
 
 def test_equivalence_note_finite(f_geometric):
-    act = PresentedAction(1, 1, GroupRingMatrix([[f_geometric]]))
-    rep, text = entropy_finiteness_equals_one_expansiveness_note(act)
+    rep, text = entropy_finiteness_equals_one_expansiveness_note(GroupRingMatrix([[f_geometric]]))
     assert rep.verdict == FINITE
     assert "1-expansive" in text and "finite" in text
 
 
 def test_equivalence_note_infinite(f_geometric):
     A = GroupRingMatrix([[f_geometric, f_geometric]])
-    rep, text = entropy_finiteness_equals_one_expansiveness_note(PresentedAction(2, 1, A))
+    rep, text = entropy_finiteness_equals_one_expansiveness_note(A)
     assert rep.verdict == INFINITE
     assert "not 1-expansive" in text and "infinite" in text
 
 
-def test_presented_action_shape_validation(f_geometric):
-    with pytest.raises(ValueError):
-        PresentedAction(2, 2, GroupRingMatrix([[f_geometric]]))
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 2),
+    terms=st.dictionaries(st.tuples(*[st.integers(-3, 3)] * 2), st.integers(-4, 4), max_size=4),
+    m=st.sampled_from([None, 8, 33]),
+)
+@example(d=1, terms={}, m=None)  # the zero element
+@example(d=1, terms={(0, 0): 3, (1, 0): -1, (-1, 0): -1}, m=None)
+def test_one_by_one_square_report_equals_the_principal_report(d, terms, m):
+    # a 1x1 determinant is its entry, so the CLI needs no principal branch
+    f = E(d, {e[:d]: c for e, c in terms.items()})
+    square = is_expansive_square(GroupRingMatrix([[f]]), m).to_obj()
+    assert square == is_expansive_principal(f, m).to_obj()
 
 
 def test_report_serialization(f_symmetric):

@@ -9,7 +9,6 @@ from algdyn.groupring import (
     DimensionMismatch,
     GroupRingElement,
     GroupRingMatrix,
-    TorusPoint,
     ball,
     circle_dist,
     enumerate_zd,
@@ -236,8 +235,3 @@ def test_enumerate_zd_spiral():
     first2 = [next(gen2) for _ in range(9)]
     assert first2[0] == (0, 0)
     assert set(first2) == set(ball(2, 1))
-
-
-def test_torus_point_canonical():
-    p = TorusPoint([1.25, -0.25])
-    assert p.theta == (0.25, 0.75)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from algdyn.groupring import GroupRingElement, GroupRingMatrix, ball, parse_elem
 from algdyn.homoclinic import fundamental_homoclinic, group_element
 from algdyn.independence import (
     _direct_violations,
+    _first_radius_below,
     _lattice_fold,
     ShadowBlock,
     ShadowRequest,
@@ -69,6 +71,18 @@ def test_greedy_guarantee_500_random():
 
 
 # -- witnesses --------------------------------------------------------------------
+
+
+def test_radius_mass_at_the_bound_is_not_below_it():
+    # masses beyond radius 0, 1, 2: 2/4, 1/4, 0; exactly 1/4 is not below 1/4
+    items = [((r,), 1) for r in range(3)]
+    assert _first_radius_below(items, 4, 0.0, 0.25) == 2
+    assert _first_radius_below(items, 4, 0.0, math.nextafter(0.25, 1)) == 1
+    # a truncation tail of the l1 inverse of a real chain: its rational
+    # approximation with denominator <= 10^15 lies below the float
+    tail = 1.101230805211538e-15
+    assert _first_radius_below([((0,), 1)], 1, tail, tail) is None
+    assert _first_radius_below([((0,), 1)], 1, tail, math.nextafter(tail, 1)) == 0
 
 
 def test_interaction_radius_fixture(A_sym):

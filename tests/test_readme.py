@@ -1,0 +1,50 @@
+"""The README's examples run as written: the library snippet, every
+`algdyn ...` line that needs no input file, and the shadow config."""
+
+import json
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from algdyn.cli import main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _block(heading: str, lang: str) -> str:
+    """The first ```lang block after the given heading line."""
+    start = README.index(heading)
+    return re.search(rf"```{lang}\n(.*?)```", README[start:], re.S).group(1)
+
+
+def _cli_lines() -> list[list[str]]:
+    lines = _block("## Quick start (CLI)", "sh").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("algdyn ")]
+
+
+def test_library_snippet_runs(capsys):
+    exec(compile(_block("## Quick start (library)", "python"), "README.md", "exec"), {})
+    assert capsys.readouterr().out.count("\n") == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [a for a in _cli_lines() if not any(t.endswith(".json") for t in a)],
+    ids=" ".join,
+)
+def test_cli_line_without_files_exits_zero(argv, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if "csv" not in argv:
+        json.loads(out)
+
+
+def test_shadow_config_runs_with_the_shadow_line(tmp_path, capsys):
+    cfg = json.loads(_block("defining each homoclinic block", "json"))
+    path = tmp_path / "blocks.json"
+    path.write_text(json.dumps(cfg))
+    (argv,) = [a for a in _cli_lines() if a[0] == "shadow"]
+    assert main([str(path) if t == "blocks.json" else t for t in argv]) == 0
+    assert json.loads(capsys.readouterr().out)["all_blocks_within_eps"]
