@@ -359,21 +359,17 @@ def main(argv=None) -> int:
         return ERROR
     name = args.command
     handler = _HANDLERS.get(name) if name != "pipeline" else run_pipeline
-    params = {k: v for k, v in vars(args).items() if k not in ("command",)}
+    params = {
+        k: v for k, v in vars(args).items()
+        if k not in ("command", "out", "format") and v is not None
+    }
     try:
         report, status = handler(args)
-    except (FileNotFoundError, ValueError, KeyError, CapExceeded,
+        _emit({"command": name, "parameters": params, **report}, args)
+    except (OSError, ValueError, KeyError, CapExceeded,
             torus.NotInvertibleError, torus.MemoryCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
-    full = {
-        "command": name,
-        "parameters": {
-            k: v for k, v in params.items() if k not in ("out", "format") and v is not None
-        },
-        **report,
-    }
-    _emit(full, args)
     return status
 
 

@@ -349,12 +349,7 @@ def packing_lower_bound(
             for j in range(x.k):
                 col[ti * x.k + j] = flift[j].get(e, 0.0)
         shifts.append(col)
-    digits = np.zeros((nfam, len(F1)), dtype=np.int64)
-    for idx in range(nfam):
-        r = idx
-        for pos in range(len(F1)):
-            digits[idx, pos] = r % M_levels
-            r //= M_levels
+    digits = np.arange(nfam)[:, None] // M_levels ** np.arange(len(F1)) % M_levels
     for pos, col in enumerate(shifts):
         vals += np.outer(digits[:, pos].astype(np.float64), col)
 

@@ -9,6 +9,7 @@ certification layers downstream rely on.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -455,23 +456,10 @@ def enumerate_zd(d: int) -> Iterator[tuple[int, ...]]:
     yield (0,) * d
     r = 1
     while True:
-        shell = sorted(
-            e for e in _box(d, r) if max(abs(x) for x in e) == r
-        )
-        for e in shell:
-            yield e
+        yield from (e for e in ball(d, r) if max(map(abs, e)) == r)
         r += 1
-
-
-def _box(d: int, r: int) -> Iterator[tuple[int, ...]]:
-    if d == 0:
-        yield ()
-        return
-    for head in range(-r, r + 1):
-        for rest in _box(d - 1, r):
-            yield (head,) + rest
 
 
 def ball(d: int, r: int) -> list[tuple[int, ...]]:
     """All lattice points with max-norm at most r, sorted."""
-    return sorted(_box(d, r))
+    return list(itertools.product(range(-r, r + 1), repeat=d))

@@ -178,7 +178,7 @@ def group_element(
     """
     inv = _star_inverse(A, tol, radius_cap)
     mv = _as_vector(m, inv.k, A.d)
-    nums = _sparse.vecmat([c.terms for c in mv], [[cell.nums for cell in row] for row in inv.entries])
+    nums = _sparse.vecmat([c.terms for c in mv], inv.nums)
     norm_m = sum(comp.l1_norm() for comp in mv)
     tail = inv.tail_bound * max(1, norm_m)
     return HomoclinicPoint(A, nums, inv.den, tail, mv)

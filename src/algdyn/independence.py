@@ -155,7 +155,7 @@ def independence_witnesses(
     radius = interaction_radius(x, eps)
     K = ball(d, radius)
     conflict = ball(d, 2 * radius)
-    F1 = greedy_separated_subset(Fn, conflict) if len(conflict) > 1 else list(Fn)
+    F1 = greedy_separated_subset(Fn, conflict)
     nf1 = len(F1)
 
     total = 1 << nf1
@@ -291,7 +291,7 @@ def inverse_tail_radius(A: GroupRingMatrix, bound: float, tol: float = 1e-10, ra
     inv = _star_inverse(A, tol, radius_cap)
     if not math.isfinite(inv.tail_bound):
         raise ValueError("the inverse has no certified tail bound (residual >= 1)")
-    items = [item for row in inv.entries for cell in row for item in cell.nums.items()]
+    items = [item for row in inv.nums for cell in row for item in cell.items()]
     r = _first_radius_below(items, inv.den, inv.tail_bound, bound)
     if r is None:
         raise ValueError("epsilon tail unreachable within the truncated inverse radius")

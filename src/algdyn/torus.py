@@ -40,6 +40,7 @@ from .groupring import (
 
 DEFAULT_GRID = {1: 1024, 2: 256, 3: 64}
 NEWTON_MAX_ITER = 25
+EXACT_Q_MAX = 256  # largest common denominator of an exactly checked point
 
 INVERTIBLE = "Invertible"
 NOT_INVERTIBLE = "NotInvertible"
@@ -118,10 +119,12 @@ class L1Approximant:
 
 @dataclass
 class MatrixL1Inverse:
-    """Entrywise truncated inverse; all entries share one denominator.
-    tail_bound is inf when no bound is certified."""
+    """Entrywise truncated inverse: entry (i, j) at site e is
+    nums[i][j][e] / den, over one common denominator.  tail_bound is inf
+    when no bound is certified."""
 
-    entries: list[list[L1Approximant]]
+    nums: list[list[dict[tuple[int, ...], int]]]
+    den: int
     residual: Fraction
     converged: bool
     tail_bound: float
@@ -129,11 +132,7 @@ class MatrixL1Inverse:
 
     @property
     def k(self) -> int:
-        return len(self.entries)
-
-    @property
-    def den(self) -> int:
-        return self.entries[0][0].den
+        return len(self.nums)
 
 
 # -- evaluation ------------------------------------------------------------
@@ -188,7 +187,7 @@ def evaluate_exact_is_zero(f: GroupRingElement, theta: tuple[Fraction, ...]) -> 
     if f.is_zero():
         return True
     q, ps = _lattice_coords(theta)
-    if q > 256:
+    if q > EXACT_Q_MAX:
         raise ValueError("rational point denominator too large for exact check")
     return _zero_at(f.terms, q, ps)
 
@@ -219,32 +218,33 @@ def _zero_at(terms: dict[tuple[int, ...], int], q: int, ps: tuple[int, ...]) -> 
     return not any(acc[:deg])
 
 
+def _scan_denominators(d: int) -> tuple[int, ...]:
+    """The q of the exact scan's lattices, closed under divisors."""
+    return (1, 2, 3, 4, 6) if d <= 2 else (1, 2, 3, 4)
+
+
 @functools.cache
-def _scan_points(d: int) -> dict[tuple[Fraction, ...], tuple[int, tuple[int, ...]]]:
-    """The small rational lattices of the exact scan, in scan order, each
-    point theta mapped to its _lattice_coords."""
-    points: dict[tuple[Fraction, ...], tuple[int, tuple[int, ...]]] = {}
-    for q in [1, 2, 3, 4, 6] if d <= 2 else [1, 2, 3, 4]:
-        for ps in itertools.product(range(q), repeat=d):
-            theta = tuple(Fraction(p, q) for p in ps)
-            if theta not in points:
-                points[theta] = _lattice_coords(theta)
-    return points
+def _scan_points(d: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The points ps/q of the small rational lattices, in scan order, each
+    once, in lowest terms: gcd(q, *ps) == 1."""
+    return [(q, ps) for q in _scan_denominators(d)
+            for ps in itertools.product(range(q), repeat=d) if math.gcd(q, *ps) == 1]
 
 
-def _exact_zero_scan(f: GroupRingElement):
-    """The first exact zero of f^ on small rational lattices."""
-    for theta, (q, ps) in _scan_points(f.d).items():
+def _off_scan(d: int, thetas) -> list[tuple[int, tuple[int, ...]]]:
+    """The rational points thetas as (q, ps), less those on the scan's
+    lattices (q is a scan denominator: the list is closed under divisors)
+    and those with q > EXACT_Q_MAX, too fine to check."""
+    qs = _scan_denominators(d)
+    return [(q, ps) for q, ps in map(_lattice_coords, thetas) if q not in qs and q <= EXACT_Q_MAX]
+
+
+def _exact_zero(f: GroupRingElement, points) -> tuple[Fraction, ...] | None:
+    """The first of the points (q, ps) at which f^ is exactly zero."""
+    for q, ps in points:
         if _zero_at(f.terms, q, ps):
-            return theta
+            return tuple(Fraction(p, q) for p in ps)
     return None
-
-
-def _exact_zero_off_scan(f: GroupRingElement, points):
-    """The first of points off the scan's lattices at which f^ is exactly
-    zero; _exact_zero_scan has already cleared the points on them."""
-    scanned = _scan_points(f.d)
-    return next((t for t in points if t not in scanned and evaluate_exact_is_zero(f, t)), None)
 
 
 # -- certification -----------------------------------------------------------
@@ -285,7 +285,7 @@ def certify_invertible(f: GroupRingElement, m: int | None = None) -> TorusCertif
             witness=(Fraction(0),) * f.d, note="zero element",
         )
 
-    w = _exact_zero_scan(f)
+    w = _exact_zero(f, _scan_points(f.d))
     if w is not None:
         return TorusCertificate(
             NOT_INVERTIBLE, m, 0.0, lip, -lip / (2 * m),
@@ -313,15 +313,9 @@ def certify_invertible(f: GroupRingElement, m: int | None = None) -> TorusCertif
             "is an exact lower bound for |f^| on the torus (Neumann series)"))
 
     # near-zero minimum: try an exact confirmation at a nearby nice rational
-    coords = []
-    rem = idx
-    for _ in range(f.d):
-        coords.append(rem % m)
-        rem //= m
-    coords.reverse()
-    near = [tuple(Fraction(c, m).limit_denominator(denom) for c in coords)
-            for denom in (2, 3, 4, 6, 8, 12)]
-    w = _exact_zero_off_scan(f, near)
+    coords = [int(c) for c in np.unravel_index(idx, (m,) * f.d)]
+    near = [[Fraction(c, m).limit_denominator(denom) for c in coords] for denom in (2, 3, 4, 6, 8, 12)]
+    w = _exact_zero(f, _off_scan(f.d, near))
     if w is not None:
         return TorusCertificate(
             NOT_INVERTIBLE, m, grid_min, lip, margin,
@@ -471,20 +465,10 @@ def matrix_l1_inverse(A: GroupRingMatrix, tol: float = 1e-10, radius_cap: int = 
         raise NotInvertibleError(f"determinant not certified invertible: {det_cert.verdict}")
 
     gdet = l1_inverse(det, tol / k, radius_cap, cert=det_cert)
-    den = gdet.den
-    adj = A.adjugate()
-    G = [[_sparse.conv(gdet.nums, adj.entries[i][j].terms) for j in range(k)] for i in range(k)]
+    G = [[_sparse.conv(gdet.nums, e.terms) for e in row] for row in A.adjugate().entries]
     residual = k * gdet.residual
     converged = residual <= tol
 
-    norm_g = Fraction(sum(_sparse.l1(cell) for row in G for cell in row), den)
+    norm_g = Fraction(sum(_sparse.l1(cell) for row in G for cell in row), gdet.den)
     tail = float(residual * norm_g / (1 - residual)) if residual < 1 else math.inf
-    entries = [
-        [
-            L1Approximant(A.d, G[i][j], den, tail_bound=tail, residual=residual,
-                          converged=converged)
-            for j in range(k)
-        ]
-        for i in range(k)
-    ]
-    return MatrixL1Inverse(entries, residual, converged, tail, det_cert)
+    return MatrixL1Inverse(G, gdet.den, residual, converged, tail, det_cert)

@@ -206,6 +206,33 @@ def test_missing_input_exit_one(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["expansive", "--matrix", "."],  # a directory: IsADirectoryError
+    ["expansive", "--poly", "3 - u1 - u1^-1", "--out", "missing-dir/x.json"],  # written after the run
+])
+def test_os_error_exit_one(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("poly,eps", [("9 - u1 - u1^-1", "0.3"), ("3 - u1 - u1^-1", "0.1")])
+def test_ie_empty_window_exit_one(capsys, poly, eps):
+    # --window 0 is the empty window, whatever the interaction radius
+    assert main(["ie", "--poly", poly, "--eps", eps, "--window", "0"]) == 1
+    assert capsys.readouterr().err == "error: F and K must be nonempty\n"
+
+
+def test_expansive_point_too_fine_to_check_is_unknown(capsys):
+    # the grid minimum's near points reach common denominators past 256
+    poly = "7 - 2*u1 - 2*u1^-1 - 3*u2 - 3*u2^-1 - u3 - u3^-1"
+    code, out = run_cli(capsys, ["expansive", "--poly", poly])
+    assert code == 2
+    assert json.loads(out)["report"]["verdict"] == "Unknown"
+
+
 def test_deterministic_output(tmp_path, capsys):
     argv = ["entropy", "--method", "mahler", "--poly", "3 - u1 - u1^-1", "--grid", "1024"]
     _, out1 = run_cli(capsys, argv)

@@ -402,6 +402,14 @@ def test_packing_single_level(f_symmetric):
     assert est.parameters["separated_count"] == 1
 
 
+def test_packing_three_levels_keeps_every_member_apart(f_symmetric):
+    # the base-M digits index each member once: at a small eps none coincide
+    A = GroupRingMatrix([[f_symmetric]])
+    p = packing_lower_bound(A, list(range(12)), eps=0.1, M_levels=3).parameters
+    assert p["family_size"] == 3 ** len(p["F1"]) > 3
+    assert p["separated_count"] == p["family_size"]
+
+
 def test_packing_default_eps_is_half_expansive_constant(f_symmetric):
     A = GroupRingMatrix([[f_symmetric]])
     est = packing_lower_bound(A, list(range(12)))

@@ -265,7 +265,7 @@ def test_matrix_inverse_equals_fraction_reference():
     tail = float(residual * norm / (1 - residual))
 
     inv = torus.matrix_l1_inverse(A, tol, radius)
-    assert [[cell.terms for cell in row] for row in inv.entries] == G
+    assert [[_sparse.unscale(cell, inv.den) for cell in row] for row in inv.nums] == G
     assert inv.residual == residual
     assert inv.tail_bound == tail
     assert inv.converged == (residual <= tol)
