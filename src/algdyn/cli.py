@@ -227,7 +227,7 @@ def run_pipeline(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _emit(report: dict, args) -> None:
     fmt = args.format
-    if fmt == "csv" and "estimate" in report and report["estimate"].get("series"):
+    if fmt == "csv":  # main allows it only for the Peters series
         lines = ["n,count,log,diff"]
         prev = None
         for row in report["estimate"]["series"]:
@@ -364,10 +364,12 @@ def main(argv=None) -> int:
         if k not in ("command", "out", "format") and v is not None
     }
     try:
+        if args.format == "csv" and not (name == "entropy" and args.method == "peters"):
+            raise ValueError("--format csv needs a series; only entropy --method peters has one")
         report, status = handler(args)
         _emit({"command": name, "parameters": params, **report}, args)
     except (OSError, ValueError, KeyError, CapExceeded,
-            torus.NotInvertibleError, torus.MemoryCapError) as exc:
+            torus.NotInvertibleError, torus.MemoryCapError, torus.VerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
     return status

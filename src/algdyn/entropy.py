@@ -142,7 +142,8 @@ class CompanionModule:
     """Z^k with the shift acting by the companion matrix of a monic integer
     polynomial whose constant term is a unit, so the inverse action is
     integral as well.  This coordinatizes the dual module of the principal
-    system exactly.
+    system exactly.  A leading coefficient -1 is accepted, and the matrices
+    are those of -f, as X_-f = X_f; self.f stays as given.
 
     M e_j = e_{j+1} for j < k-1 and M e_{k-1} = -(p_0, ..., p_{k-1}), so
     M^-1 e_{j+1} = e_j and M^-1 e_0 = -p_0 (p_1, ..., p_{k-1}, 1), as
@@ -161,8 +162,9 @@ class CompanionModule:
         k = max(poly)
         if k == 0:
             raise ValueError("constant polynomial has no companion action")
-        if poly.get(k) != 1:
+        if abs(poly[k]) != 1:
             raise ValueError("polynomial must be monic")
+        poly = {i: c * poly[k] for i, c in poly.items()}  # monic, as X_-f = X_f
         c0 = poly.get(0, 0)
         if abs(c0) != 1:
             raise ValueError("constant term not a unit")
@@ -219,15 +221,19 @@ def peters_entropy(
     for matrices that are integral but not unimodular.  A series that the
     memory cap stops before its second term raises MemoryCapError.
 
-    The sets are counted exactly.  With w = D^(n-1) v the recursion
-    v <- P v/D + b becomes w <- P w + D^(n-1) b on integers, so S_n, from
-    S_0 = {0}, is a set of integer rows, kept sorted and distinct by
-    _dedupe_int.  The rows are int64 while max |row entry| * ||P||_inf +
-    D^(n-1) max |b|, which bounds every entry and partial sum of the next
-    step, stays within int64, and Python ints (dtype object) from the
-    first step that could overflow.  The series stops at that switch
-    instead when the Python-int rows of the next set could outgrow the
-    memory cap.
+    The sets are counted exactly.  Scaled by D^(n-1), S_n is the integer
+    set S_n = D S_(n-1) + T_n, from S_0 = {0}, with the translates
+    T_n = P^(n-1) E held as Python ints.  As 0 is in E, the box of S_n is
+    exact and known first: lo_n = D lo_(n-1) + min T_n, and the same with
+    max.  While D and the box's point count are at most INT64_MAX, S_n is
+    one sorted array of distinct int64 keys sum_j (x_j - lo_j) s_j, the
+    first coordinate most significant, so key order is lexicographic
+    order; a step rescales the keys into the new box and merges the |E|
+    sorted runs of translates.  From the first larger box on, S_n is a row
+    array kept sorted and distinct by _dedupe_int, int64, and Python ints
+    (dtype object) from the first step whose box or D passes INT64_MAX.
+    The series stops at that switch instead when the Python-int rows of
+    the next set could outgrow the memory cap.
     """
     if n_max < 2 or diff_window < 1:
         raise ValueError("the estimate needs n_max >= 2 and diff_window >= 1")
@@ -252,26 +258,48 @@ def peters_entropy(
         raise ValueError("seed set must contain a nonzero generator")
 
     cap = torus.mem_cap_bytes()
-    sizes: list[int] = []
-    truncated = False
-    p_norm = max(sum(abs(v) for v in row) for row in P)
-    b_max = max(abs(v) for b in E for v in b)
-    dtype = np.int64 if max(p_norm, b_max) <= INT64_MAX else object
-    rows = np.zeros((1, k), dtype=dtype)  # S_0 = {0}
-    PT, shifts = np.array(P, dtype=dtype).T.copy(), np.array(E, dtype=dtype)
+    sizes, truncated = [], False
+    T, lo, hi = [list(b) for b in E], [0] * k, [0] * k
+    keys, rows = np.zeros(1, dtype=np.int64), None  # S_0 = {0}
     for n in range(1, n_max + 1):
-        scale = D ** (n - 1)
-        if rows.dtype != object and (
-            max(int(rows.max()), -int(rows.min())) * p_norm + scale * b_max > INT64_MAX
-        ):
-            if len(rows) * len(E) * k * 128 > cap:
-                truncated = True
-                break
-            rows, PT, shifts = rows.astype(object), PT.astype(object), shifts.astype(object)
-        V = rows @ PT
-        rows = _dedupe_int(np.concatenate([V + scale * b for b in shifts]))
-        sizes.append(len(rows))
-        if (rows.nbytes * (len(E) + 2) if rows.dtype != object else len(rows) * k * 128) > cap:
+        if n > 1:
+            T = [[sum(p * x for p, x in zip(row, t)) for row in P] for t in T]
+        tmin = [min(col) for col in zip(*T)]
+        old_lo, old_spans = lo, [b - a + 1 for a, b in zip(lo, hi)]
+        lo = [D * a + m for a, m in zip(lo, tmin)]
+        hi = [D * a + max(col) for a, col in zip(hi, zip(*T))]
+        spans = [b - a + 1 for a, b in zip(lo, hi)]
+        old_strides, strides = ([math.prod(s[j + 1:]) for j in range(k)] for s in (old_spans, spans))
+        if keys is not None and max(D, strides[0] * spans[0]) <= INT64_MAX:
+            # the digits of D x are D y_j, so its key is D (key + sum_j y_j (s_j - s'_j))
+            base = keys if D == 1 else keys * D
+            for j in range(k - 1):
+                if old_spans[j] > 1 and strides[j] != old_strides[j]:
+                    digit = keys // old_strides[j]
+                    if j:
+                        digit %= old_spans[j]
+                    base = base + digit * (D * (strides[j] - old_strides[j]))
+            merged = np.empty(len(T) * len(base), dtype=np.int64)
+            for run, t in zip(np.split(merged, len(T)), T):
+                np.add(base, sum((v - m) * s for v, m, s in zip(t, tmin, strides)), out=run)
+            merged.sort(kind="stable")  # a merge of the |E| sorted runs
+            keep = np.ones(len(merged), dtype=bool)
+            np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+            keys = merged[keep]
+            charge = len(keys) * k * 8 * (len(E) + 2)  # as for int64 rows
+        else:
+            if keys is not None:  # the box outgrew the keys: unpack S_(n-1) once
+                digits = [keys // s % t for s, t in zip(old_strides, old_spans)]
+                rows, keys = np.stack(digits, axis=1) + np.array(old_lo, dtype=np.int64), None
+            if rows.dtype != object and max(D, -min(lo), max(hi)) > INT64_MAX:
+                if len(rows) * len(E) * k * 128 > cap:
+                    truncated = True
+                    break
+                rows = rows.astype(object)
+            rows = _dedupe_int(np.concatenate([D * rows + t for t in np.array(T, dtype=rows.dtype)]))
+            charge = len(rows) * k * 128 if rows.dtype == object else rows.nbytes * (len(E) + 2)
+        sizes.append(len(rows if keys is None else keys))
+        if charge > cap:
             truncated = True
             break
 

@@ -114,7 +114,7 @@ def has_finite_entropy(A: GroupRingMatrix) -> FiniteEntropyReport:
         x[p] = -GroupRingElement(A.d, row[c0])
     # verify the witness against the original involuted matrix, exactly
     if not all(e.is_zero() for e in (GroupRingMatrix([x]) * A.star()).entries[0]):
-        raise AssertionError("kernel witness failed exact verification")
+        raise torus.VerificationError("kernel witness failed exact verification")
     return FiniteEntropyReport(INFINITE, rank, k, x)
 
 

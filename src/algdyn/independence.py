@@ -24,7 +24,7 @@ from operator import add, mul, sub
 
 import numpy as np
 
-from . import _sparse
+from . import _sparse, torus
 from ._report import Report, plain
 from .groupring import GroupRingElement, GroupRingMatrix, _as_exponent, ball, norm_sites
 from .homoclinic import HomoclinicPoint, _centered_at, _star_inverse, group_element
@@ -193,7 +193,7 @@ def independence_witnesses(
     for idx in range(nsig):
         recorded = float(viol[idx].max()) if nf1 else 0.0
         if abs(direct[idx] - recorded) > 1e-9:
-            raise AssertionError("independent witness re-verification disagrees")
+            raise torus.VerificationError("independent witness re-verification disagrees")
 
     return IndependenceReport(
         F=Fn,

@@ -55,6 +55,10 @@ class MemoryCapError(MemoryError):
     """A grid or set would exceed the declared memory budget."""
 
 
+class VerificationError(RuntimeError):
+    """An independent re-check of a computed certificate disagreed with it."""
+
+
 def mem_cap_bytes() -> int:
     mb = int(os.environ.get("ALGDYN_MEM_CAP_MB", "2048"))
     return mb * 1024 * 1024

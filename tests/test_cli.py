@@ -72,6 +72,54 @@ def test_entropy_peters_csv(capsys):
     assert len(lines) == 7
 
 
+@pytest.mark.parametrize("argv", [
+    ["expansive", "--poly", "3 - u1 - u1^-1"],
+    ["entropy", "--method", "mahler", "--poly", "u1 - 2"],
+    ["entropy", "--method", "packing", "--poly", "3 - u1 - u1^-1", "--window", "4"],
+    ["homoclinic", "--poly", "3 - u1 - u1^-1"],
+    ["ie", "--poly", "3 - u1 - u1^-1", "--eps", "0.1", "--window", "5"],
+    ["duality", "--poly", "3 - u1 - u1^-1"],
+])
+def test_csv_without_a_series_is_refused(capsys, argv):
+    assert main([*argv, "--format", "csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --format csv")
+
+
+def _kernel_witness_off(monkeypatch):
+    # the witness row, moved off the kernel before the exact re-check
+    from algdyn import expansive
+    from algdyn.groupring import GroupRingElement, GroupRingMatrix
+
+    monkeypatch.setattr(expansive, "GroupRingMatrix", lambda rows: GroupRingMatrix(
+        [[e + GroupRingElement.one(e.d) for e in rows[0]]]
+    ))
+
+
+def _direct_violations_off(monkeypatch):
+    from algdyn import independence
+
+    direct = independence._direct_violations
+    monkeypatch.setattr(independence, "_direct_violations", lambda *a: [v + 1 for v in direct(*a)])
+
+
+@pytest.mark.parametrize("break_check, argv", [
+    (_kernel_witness_off, ["expansive", "--matrix", "singular.json", "--check-entropy"]),
+    (_direct_violations_off, ["ie", "--poly", "3 - u1 - u1^-1", "--eps", "0.1", "--window", "5"]),
+])
+def test_failed_internal_check_exits_one(tmp_path, monkeypatch, capsys, break_check, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "singular.json").write_text(json.dumps([["u1 - 2", "u1 - 2"], ["u1 - 2", "u1 - 2"]]))
+    assert main(argv) == 0
+    capsys.readouterr()
+    break_check(monkeypatch)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "verif" in captured.err
+
+
 def test_entropy_peters_coefficients_beyond_int64(capsys):
     code, out = run_cli(capsys, [
         "entropy", "--method", "peters", "--poly", "u1^2 - 10000000000000000000000*u1 - 1",

@@ -302,6 +302,8 @@ def _peters_inputs(draw):
 @given(_peters_inputs())
 # ||M^-1||_inf = 2^32 + 1: the rows leave int64 at n = 3
 @example(([[2**31 + 1, 2**31], [2**31, 2**31 - 1]], False, [[0, 0], [1, 0], [0, 1]], 5))
+# keys for n <= 2, int64 rows at n = 3 and Python-int rows from n = 4 on
+@example(([[2**22 + 1, 2**22], [2**22, 2**22 - 1]], False, [[0, 0], [1, 0], [0, 1]], 5))
 # D = 2^20: the rows leave int64 at n = 5, by D^(n-1) b
 @example(([[2**20, 1], [0, 1]], True, [[0, 0], [1, 0], [1, 1]], 6))
 def test_peters_counts_equal_a_brute_force_set_oracle(inputs):
@@ -338,29 +340,73 @@ def test_peters_companion_with_coefficients_beyond_int64():
     assert [row["count"] for row in est.series] == [2, 4, 8, 16]
 
 
+def _companion_counts(P, n_max):
+    """|S_n| for n = 1..n_max by the set recursion S_n = {P x + b : x in
+    S_(n-1), b in {0, e_0}}, from S_0 = {0}, in Python ints."""
+    k = len(P)
+    S, counts = {(0,) * k}, []
+    for _ in range(n_max):
+        S = {
+            tuple(sum(p * x for p, x in zip(row, v)) + (i == 0) * b for i, row in enumerate(P))
+            for v in S
+            for b in (0, 1)
+        }
+        counts.append(len(S))
+    return counts
+
+
 def test_peters_stays_on_int64_while_the_held_entries_allow(monkeypatch):
     # ||M^-1||_inf = 2 > rho(M^-1) = 1: the a-priori bound 2^n passes 2^63 - 1
-    # at n = 63, but the entries of S_n grow only linearly
+    # at n = 63, but the entries of S_n grow only linearly, so the box of S_70
+    # holds far fewer than 2^63 points and every step stays on the int64 keys.
+    # Every step on rows, int64 or Python ints, goes through _dedupe_int.
     from algdyn import entropy
 
-    calls = []
+    def rows_tier(rows):
+        raise AssertionError(f"a step left the keys for {rows.dtype} rows")
 
-    def counted(rows):
-        assert rows.dtype == np.int64
-        calls.append(len(rows))
-        return _dedupe_int(rows)
-
-    monkeypatch.setattr(entropy, "_dedupe_int", counted)
+    monkeypatch.setattr(entropy, "_dedupe_int", rows_tier)
     cm = CompanionModule(parse_element("u1^2 - u1 + 1"))
     est = peters_entropy(cm, n_max=70)
-    assert len(calls) == 70  # one per step, from S_0 = {0}
-    P = cm.Minv.tolist()
-    S = {(0, 0), (1, 0)}
-    counts = [len(S)]
-    for _ in range(69):
-        S = {(P[0][0] * x + P[0][1] * y + b, P[1][0] * x + P[1][1] * y) for x, y in S for b in (0, 1)}
-        counts.append(len(S))
-    assert [row["count"] for row in est.series] == counts
+    assert [row["count"] for row in est.series] == _companion_counts(cm.Minv.tolist(), 70)
+
+
+# The polynomials of the benchmark's counting workload (coefficients low to
+# high), each with its image f(-x) made monic again.
+_COUNTING_FIXTURES = [
+    [-1, -1, -1, 1], [1, -1, 1, 1],
+    [1, 0, -1, 1, 1], [1, 0, -1, -1, 1],
+    [1, -1, 0, 1], [-1, -1, 0, 1],
+    [-1, 1, -2, 1], [1, 1, 2, 1],
+    [1, -1, 0, 0, 1], [1, 1, 0, 0, 1],
+    [-1, -1, 1], [-1, 1, 1],
+    [-1, -2, -1, 0, 1], [-1, 2, -1, 0, 1],
+    [1, -2, -2, 1], [-1, -2, 2, 1],
+]
+
+
+@pytest.mark.parametrize("coeffs", _COUNTING_FIXTURES)
+def test_peters_counts_the_counting_fixtures_like_the_set_recursion(coeffs):
+    cm = CompanionModule(E(1, {(i,): c for i, c in enumerate(coeffs) if c}))
+    est = peters_entropy(cm, n_max=12)
+    assert [row["count"] for row in est.series] == _companion_counts(cm.Minv.tolist(), 12)
+
+
+@pytest.mark.parametrize("poly", ["u1^2 - u1 - 1", "u1^3 - 2*u1^2 + u1 - 1", "u1^2 + 1"])
+def test_peters_counts_minus_f_like_f(poly):
+    # X_-f = X_f: a leading coefficient -1 is as good as 1
+    f = parse_element(poly)
+    cm = CompanionModule(-f)
+    assert cm.f == -f
+    assert cm.Minv.tolist() == CompanionModule(f).Minv.tolist()
+    assert peters_entropy(cm, n_max=10).series == peters_entropy(CompanionModule(f), n_max=10).series
+
+
+def test_companion_module_still_refuses_other_leading_coefficients():
+    with pytest.raises(ValueError, match="monic"):
+        CompanionModule(parse_element("2*u1^2 - u1 - 1"))
+    with pytest.raises(ValueError, match="monic"):
+        CompanionModule(parse_element("-2*u1^2 - u1 - 1"))
 
 
 def test_peters_stops_before_a_set_of_big_ints_outgrows_the_cap(monkeypatch):
