@@ -15,7 +15,7 @@ from .groupring import (
     torus_distance,
 )
 from .torus import (
-    L1Approximant,
+    MatrixL1Inverse,
     TorusCertificate,
     certify_invertible,
     certify_matrix_invertible,
@@ -41,6 +41,7 @@ from .entropy import (
 )
 from .homoclinic import (
     HomoclinicPoint,
+    LiftedPoint,
     delta1_membership,
     fundamental_homoclinic,
     group_element,
@@ -64,7 +65,7 @@ __all__ = [
     "GroupRingMatrix",
     "parse_element",
     "torus_distance",
-    "L1Approximant",
+    "MatrixL1Inverse",
     "TorusCertificate",
     "certify_invertible",
     "certify_matrix_invertible",
@@ -84,6 +85,7 @@ __all__ = [
     "packing_lower_bound",
     "peters_entropy",
     "HomoclinicPoint",
+    "LiftedPoint",
     "delta1_membership",
     "fundamental_homoclinic",
     "group_element",

@@ -145,7 +145,10 @@ def run_shadow(args: argparse.Namespace) -> tuple[dict, int]:
         A = GroupRingMatrix([[parse_element(cfg["poly"])]])
     else:
         A = _matrix(cfg["matrix"])
-    eps = float(cfg["eps"])
+    try:
+        eps = float(cfg["eps"])
+    except (TypeError, ValueError):  # shadow refuses the numbers that are not finite and > 0
+        raise ValueError(f"eps must be a finite number > 0, got {cfg['eps']!r}") from None
     blocks = []
     for b in cfg["blocks"]:
         mspec = b["m"]

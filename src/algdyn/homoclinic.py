@@ -9,7 +9,8 @@ m -> point identifies the homoclinic group with (ZG)^k/(ZG)^k A*.
 Points carry a truncated rational lift, stored as integer numerators over
 the denominator of the inverse it came from, plus a tail bound inherited
 from the inverse's residual certificate, so membership, summability, and
-pairing computations all come with explicit error control.  Mod-1
+pairing computations all come with explicit error control.  The lifted
+point type is shared with the shadows built in independence.  Mod-1
 representatives live in [-1/2, 1/2), making the torus distance to zero
 equal to |value|.
 """
@@ -18,8 +19,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .groupring import (
     GroupRingElement,
@@ -33,39 +35,52 @@ from ._report import Report, plain
 
 
 @dataclass
-class HomoclinicPoint:
-    """Truncated lift of a homoclinic point of the action presented by A.
+class LiftedPoint:
+    """A point of (T^k)^(Z^d) given by a truncated exact lift.
 
     Component j of the lift is nums[j][e] / den at site e, exactly; lift is
     a read-only Fraction view of it.  The true point differs from the
-    reduction mod 1 of the lift by at most tail_bound in l1 mass.
-    provenance records the integer vector m with lift ~= m (A*)^-1.
+    reduction mod 1 of the lift by at most tail_bound in l1 mass.  With a
+    periodic basis B (d x d, full rank) the point is invariant under B Z^d:
+    the stored sites are representatives with B^-1 e in [0,1)^d, and every
+    read goes through the fold onto them.
     """
 
-    A: GroupRingMatrix
     nums: list[dict[tuple[int, ...], int]]
     den: int
     tail_bound: float
-    provenance: list[GroupRingElement]
+    d: int
+    periodic_basis: list[list[int]] | None = field(default=None, kw_only=True)
 
     @functools.cached_property
     def lift(self) -> list[dict[tuple[int, ...], Fraction]]:
         return [_sparse.unscale(comp, self.den) for comp in self.nums]
 
+    @functools.cached_property
+    def _fold(self):
+        return _lattice_fold(self.periodic_basis)
+
     @property
     def k(self) -> int:
         return len(self.nums)
 
-    @property
-    def d(self) -> int:
-        return self.A.d
-
     def support(self) -> list[tuple[int, ...]]:
         return sorted(set().union(*self.nums))
 
+    def _at(self, e) -> tuple[int, ...]:
+        """The numerators at site e, read through the fold."""
+        e = _as_exponent(e, self.d)
+        if self.periodic_basis is not None:
+            e = self._fold(e)
+        return tuple(comp.get(e, 0) for comp in self.nums)
+
+    def lift_at(self, e) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self._at(e))
+
     def value(self, e) -> tuple[float, ...]:
         """Coordinates at site e, reduced to [-1/2, 1/2)."""
-        return _centered_at(self.nums, self.den, _as_exponent(e, self.d))
+        den = self.den
+        return tuple(_sparse.center(n, den) / den for n in self._at(e))
 
     def rho_to_zero(self, e) -> float:
         return max(abs(v) for v in self.value(e))
@@ -90,12 +105,58 @@ class HomoclinicPoint:
         dist, den = self.site_distances()
         return Fraction(sum(dist.values()), den)
 
+
+def _lattice_fold(B: list[list[int]]):
+    """The map taking a site e to its representative with B^-1 e in
+    [0,1)^d, computed exactly.  B is inverted once, as an integer matrix P
+    over one denominator D > 0, so floor(B^-1 e) is (P e) // D."""
+    try:
+        P, D = _sparse.int_inverse(B)
+    except ValueError:
+        raise ValueError(f"the periodic basis {B} must have full rank") from None
+
+    def fold(e: tuple[int, ...]) -> tuple[int, ...]:
+        ks = [sum(map(mul, row, e)) // D for row in P]
+        return tuple(v - sum(map(mul, row, ks)) for v, row in zip(e, B))
+
+    return fold
+
+
+def _lift_sum(x: LiftedPoint, y: LiftedPoint, sign: int, sites=None) -> tuple[list[dict], int]:
+    """Componentwise x + sign * y over lcm(den_x, den_y), exact: on the union
+    of the supports, or at the given sites, read through each point's fold."""
+    den = math.lcm(x.den, y.den)
+    fx, fy = den // x.den, den // y.den
+    if sites is None:
+        return [
+            _sparse.add_to({e: n * fx for e, n in cx.items()}, {e: n * fy for e, n in cy.items()}, sign)
+            for cx, cy in zip(x.nums, y.nums)
+        ], den
+    at = [(e, x._at(e), y._at(e)) for e in sites]
+    return [{e: a[j] * fx + sign * b[j] * fy for e, a, b in at} for j in range(x.k)], den
+
+
+@dataclass
+class HomoclinicPoint(LiftedPoint):
+    """Truncated lift of a homoclinic point of the action presented by A.
+
+    provenance records the integer vector m with lift ~= m (A*)^-1; d is
+    A.d.
+    """
+
+    d: int = field(init=False)
+    A: GroupRingMatrix
+    provenance: list[GroupRingElement]
+
+    def __post_init__(self):
+        self.d = self.A.d
+
     def __add__(self, other: "HomoclinicPoint") -> "HomoclinicPoint":
         if self.A != other.A:
             raise ValueError("points must share the presenting matrix")
         nums, den = _lift_sum(self, other, 1)
         prov = [p + q for p, q in zip(self.provenance, other.provenance)]
-        return HomoclinicPoint(self.A, nums, den, self.tail_bound + other.tail_bound, prov)
+        return HomoclinicPoint(nums, den, self.tail_bound + other.tail_bound, self.A, prov)
 
     def translate(self, t) -> "HomoclinicPoint":
         """The point shifted by t (the group element u^t acting)."""
@@ -105,7 +166,7 @@ class HomoclinicPoint:
             for comp in self.nums
         ]
         prov = [p.shift(t) for p in self.provenance]
-        return HomoclinicPoint(self.A, nums, self.den, self.tail_bound, prov)
+        return HomoclinicPoint(nums, self.den, self.tail_bound, self.A, prov)
 
     def to_obj(self) -> dict:
         den = self.den
@@ -122,21 +183,6 @@ class HomoclinicPoint:
                 for comp in self.nums
             ],
         }
-
-
-def _centered_at(nums: list[dict], den: int, e: tuple[int, ...]) -> tuple[float, ...]:
-    """The values nums[j][e] / den reduced mod 1 to [-1/2, 1/2)."""
-    return tuple(_sparse.center(comp.get(e, 0), den) / den for comp in nums)
-
-
-def _lift_sum(x: HomoclinicPoint, y: HomoclinicPoint, sign: int) -> tuple[list[dict], int]:
-    """Componentwise x + sign * y of two lifts over lcm(den_x, den_y), exact."""
-    den = math.lcm(x.den, y.den)
-    fx, fy = den // x.den, den // y.den
-    return [
-        _sparse.add_to({e: n * fx for e, n in cx.items()}, {e: n * fy for e, n in cy.items()}, sign)
-        for cx, cy in zip(x.nums, y.nums)
-    ], den
 
 
 @functools.lru_cache(maxsize=32)
@@ -181,7 +227,7 @@ def group_element(
     nums = _sparse.vecmat([c.terms for c in mv], inv.nums)
     norm_m = sum(comp.l1_norm() for comp in mv)
     tail = inv.tail_bound * max(1, norm_m)
-    return HomoclinicPoint(A, nums, inv.den, tail, mv)
+    return HomoclinicPoint(nums, inv.den, tail, A, mv)
 
 
 def annihilation_residual(x: HomoclinicPoint, window=None) -> float:

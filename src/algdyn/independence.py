@@ -15,19 +15,25 @@ finite-index subgroup produces an exactly periodic shadow.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, sub
 
 import numpy as np
 
 from . import _sparse, torus
 from ._report import Report, plain
-from .groupring import GroupRingElement, GroupRingMatrix, _as_exponent, ball, norm_sites
-from .homoclinic import HomoclinicPoint, _centered_at, _star_inverse, group_element
+from .groupring import GroupRingElement, GroupRingMatrix, ball, norm_sites
+from .homoclinic import (
+    HomoclinicPoint,
+    LiftedPoint,
+    _lattice_fold,
+    _lift_sum,
+    _star_inverse,
+    group_element,
+)
 
 
 def greedy_separated_subset(F: list, K: list) -> list[tuple[int, ...]]:
@@ -156,7 +162,7 @@ def independence_witnesses(
     K = ball(d, radius)
     conflict = ball(d, 2 * radius)
     F1 = greedy_separated_subset(Fn, conflict)
-    nf1 = len(F1)
+    nf1 = len(F1)  # >= 1: F and the conflict ball are nonempty
 
     total = 1 << nf1
     subsampled = total > cap
@@ -174,7 +180,7 @@ def independence_witnesses(
     flift = x.float_lift()
     nk, kk = len(K), x.k
     D = np.zeros((nf1, nf1, nk, kk))
-    X = np.array([[comp.get(t, 0.0) for comp in flift] for t in K]).reshape(nk, kk)
+    X = np.array([[comp.get(t, 0.0) for comp in flift] for t in K])
     for a, s in enumerate(F1):
         for b, sp in enumerate(F1):
             for ti, t in enumerate(K):
@@ -185,22 +191,21 @@ def independence_witnesses(
     targets = sigma[:, :, None, None] * X[None, None, :, :]
     diff = vals - targets
     diff -= np.round(diff)
-    viol = np.abs(diff).max(axis=(2, 3)) if nk else np.zeros((nsig, nf1))
-    max_violation = float(viol.max()) if viol.size else 0.0
+    viol = np.abs(diff).max(axis=(2, 3))
+    max_violation = float(viol.max())
     all_pass = bool((viol <= eps).all())
 
     direct = _direct_violations(flift, F1, K, codes.tolist())
     for idx in range(nsig):
-        recorded = float(viol[idx].max()) if nf1 else 0.0
-        if abs(direct[idx] - recorded) > 1e-9:
+        if abs(direct[idx] - float(viol[idx].max())) > 1e-9:
             raise torus.VerificationError("independent witness re-verification disagrees")
 
     return IndependenceReport(
         F=Fn,
         K=K,
         F1=F1,
-        density=len(F1) / len(Fn) if Fn else 0.0,
-        witnesses_checked=nsig * max(1, nf1),
+        density=nf1 / len(Fn),
+        witnesses_checked=nsig * nf1,
         max_violation=max_violation,
         all_pass=all_pass,
         eps=eps,
@@ -239,41 +244,14 @@ class ShadowRequest:
 
 
 @dataclass
-class ShadowResult:
-    """The shadowing point on Z^d: component j is nums[j][e] / den at site e,
-    exactly, read through the periodic fold when a basis is set; lift is a
-    read-only Fraction view of the stored (folded) numerators."""
+class ShadowResult(LiftedPoint):
+    """The shadowing point, with the error of each block and the gap radius
+    the blocks were separated by; periodic when a basis is set."""
 
-    nums: list[dict[tuple[int, ...], int]]
-    den: int
     block_errors: list[float]
     gap_radius: int
     eps: float
-    d: int
-    periodic_basis: list[list[int]] | None = None
     note: str = ""
-
-    @functools.cached_property
-    def lift(self) -> list[dict[tuple[int, ...], Fraction]]:
-        return [_sparse.unscale(comp, self.den) for comp in self.nums]
-
-    def value(self, e) -> tuple[float, ...]:
-        """Coordinates at site e, reduced to [-1/2, 1/2)."""
-        return _centered_at(self.nums, self.den, self._site(e))
-
-    def lift_at(self, e) -> tuple[Fraction, ...]:
-        e = self._site(e)
-        return tuple(Fraction(comp.get(e, 0), self.den) for comp in self.nums)
-
-    @functools.cached_property
-    def _fold(self):
-        return _lattice_fold(self.periodic_basis)
-
-    def _site(self, e) -> tuple[int, ...]:
-        e = _as_exponent(e, self.d)
-        if self.periodic_basis is None:
-            return e
-        return self._fold(e)
 
     def to_obj(self) -> dict:
         return plain({
@@ -328,9 +306,13 @@ def shadow(
     must be separated by the gap radius derived from the inverse's l1 tail.
     """
     d = A.d
+    if not 0 < req.eps < math.inf:
+        raise ValueError(f"eps must be a finite number > 0, got {req.eps!r}")
+    B = req.basis_matrix(d)
+    fold = None if B is None else _lattice_fold(B)
     if not req.blocks:
         zero = [dict() for _ in range(A.rows)]
-        return ShadowResult(zero, 1, [], 0, req.eps, d, req.basis_matrix(d))
+        return ShadowResult(zero, 1, 0.0, d, [], 0, req.eps, periodic_basis=B)
     norm_a = A.l1_norm()
     R = inverse_tail_radius(A, req.eps / (2.0 * norm_a), tol, radius_cap)
 
@@ -353,8 +335,7 @@ def shadow(
     y = group_element(A, m_total, tol, radius_cap)
     nums = y.nums
 
-    B = req.basis_matrix(d)
-    if B is not None:
+    if fold is not None:
         # fundamental domain must contain every block's R-neighborhood:
         # neighboring subgroup translates of the combined region must stay
         # farther than R apart.
@@ -363,26 +344,19 @@ def shadow(
             shifted = {tuple(a + b for a, b in zip(s, gz)) for s in all_sites}
             if _min_distance(all_sites, shifted) <= R:
                 raise ValueError("periodic domain too small for the blocks' gap radius")
-        fold = _lattice_fold(B)
         folded: list[dict] = [{} for _ in nums]
         for acc, comp in zip(folded, nums):
             for e, c in comp.items():
                 _sparse.add_to(acc, {fold(e): c})
         nums = folded
 
-    result = ShadowResult(nums, y.den, [], R, req.eps, d, B)
+    # folding sums the lift over cosets, which keeps the l1 tail bound
+    result = ShadowResult(nums, y.den, y.tail_bound, d, [], R, req.eps, periodic_basis=B)
     for b in req.blocks:
         # |shadow - block| mod 1 at each window site, over lcm(den_y, den_x)
-        x = b.point
-        den = math.lcm(y.den, x.den)
-        fy, fx = den // y.den, den // x.den
-        worst = 0.0
-        for t in norm_sites(b.window, d):
-            ts = t if B is None else fold(t)
-            for cy, cx in zip(nums, x.nums):
-                dv = _sparse.center(cy.get(ts, 0) * fy - cx.get(t, 0) * fx, den)
-                worst = max(worst, abs(dv) / den)
-        result.block_errors.append(worst)
+        diff, den = _lift_sum(result, b.point, -1, norm_sites(b.window, d))
+        worst = max((abs(_sparse.center(v, den)) for comp in diff for v in comp.values()), default=0)
+        result.block_errors.append(worst / den)
     return result
 
 
@@ -394,19 +368,6 @@ def _small_lattice_vectors(B: list[list[int]], d: int):
             continue
         out.append(tuple(sum(B[i][j] * z[j] for j in range(d)) for i in range(d)))
     return out
-
-
-def _lattice_fold(B: list[list[int]]):
-    """The map taking a site e to its representative with B^-1 e in
-    [0,1)^d, computed exactly.  B is inverted once, as an integer matrix P
-    over one denominator D > 0, so floor(B^-1 e) is (P e) // D."""
-    P, D = _sparse.int_inverse(B)
-
-    def fold(e: tuple[int, ...]) -> tuple[int, ...]:
-        ks = [sum(map(mul, row, e)) // D for row in P]
-        return tuple(v - sum(map(mul, row, ks)) for v, row in zip(e, B))
-
-    return fold
 
 
 @dataclass
@@ -463,7 +424,7 @@ def homoclinic_specification_check(
     annulus = sorted(set(annulus))
     outside = 0.0
     for t in annulus:
-        outside = max(outside, max(abs(v) for v in res.value(t)))
+        outside = max(outside, res.rho_to_zero(t))
     passed = (max(res.block_errors, default=0.0) <= eps) and (outside <= eps)
     return SpecificationReport(
         passed, max(res.block_errors, default=0.0), outside, R, eps, annulus

@@ -34,7 +34,6 @@ from ._report import Report
 from .groupring import (
     GroupRingElement,
     GroupRingMatrix,
-    _as_exponent,
     ball,
 )
 
@@ -90,53 +89,34 @@ class TorusCertificate(Report):
 
 
 @dataclass
-class L1Approximant:
-    """Finitely supported rational function on Z^d standing for an l1 element.
-
-    The coefficient at e is nums[e] / den: integer numerators over one
-    common denominator (a power of two for Newton inverses), the format
-    the homoclinic and shadow layers compute with.  terms is a read-only
-    Fraction view of the same data.  tail_bound bounds the l1 mass
-    ||true - this||_1 of the discarded part; it is inf when no bound is
-    certified.  For inverses it is derived a posteriori from the exact
-    residual: if r = ||delta - g*f||_1 < 1 then
-    ||f^-1 - g||_1 <= r*||g||_1/(1-r); otherwise it is inf.
-    """
-
-    d: int
-    nums: dict[tuple[int, ...], int]
-    den: int
-    tail_bound: float = math.inf
-    residual: Fraction | None = None
-    converged: bool = True
-
-    @functools.cached_property
-    def terms(self) -> dict[tuple[int, ...], Fraction]:
-        return _sparse.unscale(self.nums, self.den)
-
-    def l1_norm(self) -> Fraction:
-        return Fraction(_sparse.l1(self.nums), self.den)
-
-    def coefficient(self, e) -> Fraction:
-        return Fraction(self.nums.get(_as_exponent(e, self.d), 0), self.den)
-
-
-@dataclass
 class MatrixL1Inverse:
     """Entrywise truncated inverse: entry (i, j) at site e is
-    nums[i][j][e] / den, over one common denominator.  tail_bound is inf
-    when no bound is certified."""
+    nums[i][j][e] / den, over one common denominator.  An element's
+    inverse is the 1 x 1 case.
+
+    tail_bound bounds the l1 mass of the discarded part, derived a
+    posteriori from the exact residual r = ||I - G A||_1: if r < 1 it is
+    r ||G||_1 / (1 - r), otherwise inf (no bound certified).
+    det_certificate is the certificate of the determinant's invertibility
+    the inverse rests on; None for a monomial unit inverted without one.
+    """
 
     nums: list[list[dict[tuple[int, ...], int]]]
     den: int
     residual: Fraction
     converged: bool
     tail_bound: float
-    det_certificate: TorusCertificate
+    det_certificate: TorusCertificate | None
 
     @property
     def k(self) -> int:
         return len(self.nums)
+
+    @functools.cached_property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """Read-only Fraction view of entry (0, 0): an element's inverse.
+        The benchmark's tracer counts len(terms) of each l1_inverse result."""
+        return _sparse.unscale(self.nums[0][0], self.den)
 
 
 # -- evaluation ------------------------------------------------------------
@@ -368,14 +348,12 @@ def _residual(g: dict[tuple[int, ...], int], den: int, f: GroupRingElement) -> F
     return Fraction(_sparse.l1(prod), den)
 
 
-def _monomial_unit_inverse(f: GroupRingElement) -> L1Approximant | None:
-    if f.num_terms() == 1:
-        (e, c), = f.terms.items()
-        if abs(c) == 1:
-            inv_e = tuple(-x for x in e)
-            return L1Approximant(f.d, {inv_e: c}, 1, tail_bound=0.0,
-                                 residual=Fraction(0), converged=True)
-    return None
+def _tail(residual: Fraction, nums, den: int) -> float:
+    """r ||G||_1 / (1 - r) for the entries nums / den, or inf when r >= 1."""
+    if residual >= 1:
+        return math.inf
+    return float(residual * Fraction(sum(_sparse.l1(cell) for row in nums for cell in row), den)
+                 / (1 - residual))
 
 
 def l1_inverse(
@@ -383,7 +361,7 @@ def l1_inverse(
     tol: float = 1e-10,
     radius_cap: int = 40,
     cert: TorusCertificate | None = None,
-) -> L1Approximant:
+) -> MatrixL1Inverse:
     """Truncated inverse of f in l1(Z^d) with an exact residual certificate.
 
     Seeds coefficients by sampling 1/f^ on a uniform grid and applying the
@@ -392,11 +370,12 @@ def l1_inverse(
     to 2^-bits, on integer numerators until the exact residual drops below
     tol, for at most NEWTON_MAX_ITER steps.  If tol cannot be met within
     the radius the best approximant is returned with converged=False and
-    its achieved residual.
+    its achieved residual.  The result is the 1 x 1 MatrixL1Inverse.
     """
-    unit = _monomial_unit_inverse(f)
-    if unit is not None:
-        return unit
+    if f.num_terms() == 1:
+        (e, c), = f.terms.items()
+        if abs(c) == 1:  # a monomial unit: its inverse is exact
+            return MatrixL1Inverse([[{tuple(-x for x in e): c}]], 1, Fraction(0), True, 0.0, cert)
     if cert is None:
         cert = certify_invertible(f)
     if cert.verdict != INVERTIBLE:
@@ -441,10 +420,8 @@ def l1_inverse(
         else:
             break
 
-    converged = best_r <= tol
-    norm = Fraction(_sparse.l1(best), best_den)
-    tail = float(best_r * norm / (1 - best_r)) if best_r < 1 else math.inf
-    return L1Approximant(d, best, best_den, tail_bound=tail, residual=best_r, converged=converged)
+    nums = [[best]]
+    return MatrixL1Inverse(nums, best_den, best_r, best_r <= tol, _tail(best_r, nums, best_den), cert)
 
 
 def matrix_l1_inverse(A: GroupRingMatrix, tol: float = 1e-10, radius_cap: int = 40) -> MatrixL1Inverse:
@@ -469,10 +446,6 @@ def matrix_l1_inverse(A: GroupRingMatrix, tol: float = 1e-10, radius_cap: int = 
         raise NotInvertibleError(f"determinant not certified invertible: {det_cert.verdict}")
 
     gdet = l1_inverse(det, tol / k, radius_cap, cert=det_cert)
-    G = [[_sparse.conv(gdet.nums, e.terms) for e in row] for row in A.adjugate().entries]
+    G = [[_sparse.conv(gdet.nums[0][0], e.terms) for e in row] for row in A.adjugate().entries]
     residual = k * gdet.residual
-    converged = residual <= tol
-
-    norm_g = Fraction(sum(_sparse.l1(cell) for row in G for cell in row), gdet.den)
-    tail = float(residual * norm_g / (1 - residual)) if residual < 1 else math.inf
-    return MatrixL1Inverse(G, gdet.den, residual, converged, tail, det_cert)
+    return MatrixL1Inverse(G, gdet.den, residual, residual <= tol, _tail(residual, G, gdet.den), det_cert)

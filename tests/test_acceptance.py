@@ -68,12 +68,12 @@ def test_criterion_02_l1_inverse():
     g = l1_inverse(F_SYM, 1e-10, 40)
     assert g.converged
     assert g.residual <= Fraction(1, 10**10)
-    g0_err = abs(float(g.coefficient(0)) - 5 ** -0.5)
+    g0_err = abs(float(g.terms.get((0,), 0)) - 5 ** -0.5)
     assert g0_err <= 1e-9
     # closed-form oracle across the support
     r = (3 - math.sqrt(5)) / 2
     for n in range(-10, 11):
-        assert float(g.coefficient(n)) == pytest.approx(r ** abs(n) / math.sqrt(5), abs=1e-9)
+        assert float(g.terms.get((n,), 0)) == pytest.approx(r ** abs(n) / math.sqrt(5), abs=1e-9)
     _report(2, f"residual {float(g.residual):.2e}, |g0 - 5^-1/2| = {g0_err:.2e}")
 
 

@@ -580,3 +580,30 @@ def test_shadow_config_matrix_reads_like_a_matrix_file(tmp_path, capsys):
         assert code == 0
         reports.append(json.loads(out))
     assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("eps", ["0", "-0.1", "NaN", "1e400", "null", "\"small\""])
+def test_shadow_eps_must_be_a_finite_positive_number(tmp_path, capsys, eps):
+    # 1e400 reads as inf; null and a string are not numbers at all
+    base = json.dumps({**_SHADOW_CONFIG, "eps": 0.05})
+    path = tmp_path / "blocks.json"
+    path.write_text(base.replace('"eps": 0.05', f'"eps": {eps}'))
+    assert main(["shadow", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: eps must be a finite number > 0")
+
+
+@pytest.mark.parametrize("poly, blocks, periodic", [
+    ("3 - u1 - u1^-1", [], [0]),
+    ("5 - u1 - u1^-1 - u2 - u2^-1", [{"window": [[0, 0], [0, 1]], "m": "u1*u2"}],
+     [[40, 40], [20, 20]]),
+])
+def test_shadow_singular_periodic_basis_is_refused(tmp_path, capsys, poly, blocks, periodic):
+    # no move of the blocks makes a rank-deficient subgroup periodize them
+    path = tmp_path / "blocks.json"
+    path.write_text(json.dumps({"poly": poly, "eps": 0.2, "blocks": blocks, "periodic": periodic}))
+    assert main(["shadow", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the periodic basis") and "full rank" in captured.err

@@ -1,6 +1,7 @@
-"""Homoclinic points and shadows store their lifts as integer numerators over
-one denominator; every accessor is pinned here against a Fraction reference
-reduced with frac_center, and sites of the wrong length are refused."""
+"""Homoclinic points and shadows are one lifted-point type, which stores the
+lift as integer numerators over one denominator; every accessor is pinned
+here against a Fraction reference reduced with frac_center, and sites of the
+wrong length are refused."""
 
 import math
 from fractions import Fraction
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from algdyn.groupring import GroupRingElement, GroupRingMatrix, enumerate_zd, frac_center
 from algdyn.homoclinic import HomoclinicPoint, psi, summable_metric_distance
-from algdyn.independence import ShadowResult, greedy_separated_subset
+from algdyn.independence import greedy_separated_subset
 
 
 @st.composite
@@ -35,7 +36,7 @@ def lifts(draw, d: int, k: int):
 def _point(d: int, nums: list[dict], den: int) -> HomoclinicPoint:
     k = len(nums)
     A = GroupRingMatrix.identity(k, d)
-    return HomoclinicPoint(A, nums, den, 0.0, [GroupRingElement.zero(d)] * k)
+    return HomoclinicPoint(nums, den, 0.0, A, [GroupRingElement.zero(d)] * k)
 
 
 def _ref(nums: list[dict], den: int) -> list[dict]:
@@ -72,6 +73,7 @@ def test_numerator_accessors_match_fraction_reference(data):
     assert x.float_lift() == [{e: float(c) for e, c in comp.items()} for comp in lift]
     for e in sites:
         assert x.value(e) == _ref_value(lift, e)
+        assert x.lift_at(e) == tuple(comp.get(e, Fraction(0)) for comp in lift)
     assert x.rho_sum() == sum(
         (max(abs(frac_center(comp.get(e, Fraction(0)))) for comp in lift) for e in sites[:-1]),
         Fraction(0),
@@ -79,12 +81,6 @@ def test_numerator_accessors_match_fraction_reference(data):
     assert [[t["value"] for t in comp] for comp in x.to_obj()["lift"]] == [
         [float(frac_center(comp[e])) for e in sorted(comp)] for comp in lift
     ]
-
-    res = ShadowResult(nums, den, [], 0, 0.1, d)
-    assert res.lift == lift
-    for e in sites:
-        assert res.value(e) == _ref_value(lift, e)
-        assert res.lift_at(e) == tuple(comp.get(e, Fraction(0)) for comp in lift)
 
 
 @settings(max_examples=120, deadline=None)
@@ -111,8 +107,6 @@ def test_wrong_length_sites_are_refused():
         psi(x, 1, [(1, 2)])
     with pytest.raises(ValueError):
         x.value((1, 2))
-    with pytest.raises(ValueError):
-        ShadowResult(x.nums, x.den, [], 0, 0.1, 1).value((1, 2))
     with pytest.raises(ValueError):
         greedy_separated_subset([(0, 5), (1, 7)], [(0,)])
     # integer sites stand for d=1 sites, and only there

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -310,3 +311,26 @@ def test_shadow_periodic_two_dimensional(A_2d):
         assert res.lift_at((i, j)) == res.lift_at((i + 32, j))
         assert res.lift_at((i, j)) == res.lift_at((i, j + 24))
         assert res.lift_at((i, j)) == res.lift_at((i - 32, j - 24))
+
+
+def test_shadow_periodic_non_diagonal_basis(A_2d):
+    x = group_element(A_2d, parse_element("u1*u2", d=2), 1e-8, 8)
+    window = [(i, j) for i in range(3) for j in range(3)]
+    block = ShadowBlock(window, x)
+    B = [[32, 8], [0, 24]]  # the subgroup spanned by the columns (32, 0) and (8, 24)
+    res = shadow(A_2d, ShadowRequest([block], 0.2, B), 1e-8, 8)
+    assert res.periodic_basis == B
+    assert max(res.block_errors) <= 0.2
+    for e in [(0, 0), (1, 2), (5, 3), (-7, 11)]:
+        for b in [(32, 0), (8, 24)]:
+            assert res.lift_at(e) == res.lift_at((e[0] + b[0], e[1] + b[1]))
+            assert res.lift_at(e) == res.lift_at((e[0] - b[0], e[1] - b[1]))
+    # independent route: fold the aperiodic shadow by hand, summing its lift
+    # over each coset e + B z (the support lies within |e| <= 10)
+    open_lift = shadow(A_2d, ShadowRequest([block], 0.2), 1e-8, 8).lift[0]
+    assert max(max(map(abs, e)) for e in open_lift) <= 10
+    for e in itertools.product(range(-10, 45), range(-5, 30)):
+        acc = Fraction(0)
+        for z1, z2 in itertools.product(range(-4, 5), repeat=2):
+            acc += open_lift.get((e[0] + 32 * z1 + 8 * z2, e[1] + 24 * z2), Fraction(0))
+        assert acc == res.lift_at(e)[0]
