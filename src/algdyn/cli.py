@@ -83,19 +83,22 @@ def run_entropy(args: argparse.Namespace) -> tuple[dict, int]:
         est = entropy.peters_entropy(cm, n_max=args.nmax)
         chain = {"exact_counting": True}
     elif method == "packing":
-        est = entropy.packing_lower_bound(
-            A, _window_box(args.window, A.d), eps=args.eps, M_levels=args.levels
-        )
-        chain = _certificate_chain(A, 1e-10, 40)
+        x = _first_point(A)
+        est = entropy.packing_lower_bound(x, _window_box(args.window, A.d), eps=args.eps, M_levels=args.levels)
+        chain = _certificate_chain(x.inverse)
     else:
         raise ValueError(f"unknown entropy method {method!r}")
     return {"input": src, "certificate_chain": chain, "estimate": est.to_obj()}, OK
 
 
-def _certificate_chain(A: GroupRingMatrix, tol: float, radius: int) -> dict:
-    """Torus certificate of the presenting matrix plus the inverse residual
-    that every downstream verdict rests on."""
-    inv = homoclinic._star_inverse(A, tol, radius)
+def _first_point(A: GroupRingMatrix) -> homoclinic.HomoclinicPoint:
+    """The homoclinic point e_1 (A*)^-1, at the default tolerance and radius."""
+    return homoclinic.group_element(A, [1] + [0] * (A.rows - 1))
+
+
+def _certificate_chain(inv: torus.MatrixL1Inverse) -> dict:
+    """Torus certificate of the presenting matrix plus the residual of the
+    inverse of A* that every downstream verdict rests on."""
     return plain({
         "torus_certificate": inv.det_certificate,
         "inverse_residual": inv.residual,
@@ -108,14 +111,14 @@ def run_homoclinic(args: argparse.Namespace) -> tuple[dict, int]:
     A, src = _input_matrix(args)
     if args.element:
         m = [parse_element(t, A.d) for t in args.element.split(";")]
-        x = homoclinic.group_element(A, m, args.tol, args.radius)
     else:
-        x = homoclinic.group_element(A, [1] + [0] * (A.rows - 1), args.tol, args.radius)
+        m = [1] + [0] * (A.rows - 1)
+    x = homoclinic.group_element(A, m, args.tol, args.radius)
     cert = homoclinic.delta1_membership(x)
     residual = homoclinic.annihilation_residual(x)
     return {
         "input": src,
-        "certificate_chain": _certificate_chain(A, args.tol, args.radius),
+        "certificate_chain": _certificate_chain(x.inverse),
         "point": x.to_obj(),
         "delta1": cert.to_obj(),
         "annihilation_residual": residual,
@@ -126,13 +129,13 @@ def run_homoclinic(args: argparse.Namespace) -> tuple[dict, int]:
 
 def run_ie(args: argparse.Namespace) -> tuple[dict, int]:
     A, src = _input_matrix(args)
-    x = homoclinic.group_element(A, [1] + [0] * (A.rows - 1))
+    x = _first_point(A)
     rep = independence.independence_witnesses(
         x, args.eps, _window_box(args.window, A.d), cap=args.cap, seed=args.seed
     )
     return {
         "input": src,
-        "certificate_chain": _certificate_chain(A, 1e-10, 40),
+        "certificate_chain": _certificate_chain(x.inverse),
         "report": rep.to_obj(),
     }, OK
 
@@ -160,9 +163,10 @@ def run_shadow(args: argparse.Namespace) -> tuple[dict, int]:
     req = independence.ShadowRequest(blocks, eps, cfg.get("periodic"))
     res = independence.shadow(A, req)
     passed = all(e <= eps for e in res.block_errors)
+    inv = blocks[0].point.inverse if blocks else _first_point(A).inverse
     return {
         "input": {"config": path},
-        "certificate_chain": _certificate_chain(A, 1e-10, 40),
+        "certificate_chain": _certificate_chain(inv),
         "result": res.to_obj(),
         "all_blocks_within_eps": passed,
     }, OK

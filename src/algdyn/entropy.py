@@ -24,7 +24,7 @@ import numpy as np
 from . import _kernels, _sparse, torus
 from ._report import Report
 from .groupring import GroupRingElement, GroupRingMatrix, ball, norm_sites
-from .homoclinic import group_element
+from .homoclinic import HomoclinicPoint
 from .independence import greedy_separated_subset, interaction_radius
 
 MAHLER_DEFAULT_GRID = {1: 65536, 2: 512, 3: 64}
@@ -332,31 +332,28 @@ def peters_entropy(
 
 
 def packing_lower_bound(
-    A: GroupRingMatrix,
+    x: HomoclinicPoint,
     F: list,
     eps: float | None = None,
     M_levels: int = 2,
-    tol: float = 1e-10,
-    radius_cap: int = 40,
 ) -> EntropyEstimate:
     """Separated-family lower bound for the entropy of a certified system.
 
     Builds the family {sum_{s in F1} c_s (s^-1 x) : c in {0..M-1}^F1} from a
-    fundamental homoclinic point x, with F1 a greedily separated subset of
-    the window F (conflict set K-K derived from the tail of x), and counts
-    a maximal (F, eps)-separated subfamily by pairwise torus distances.
-    log(count)/|F| is a lower bound for the entropy; the uniform greedy
+    homoclinic point x (the CLI takes x = e_1 (A*)^-1), with F1 a greedily
+    separated subset of the window F (conflict set K-K derived from the
+    tail of x), and counts a maximal (F, eps)-separated subfamily by
+    pairwise torus distances.  log(count)/|F| is a lower bound for the entropy; the uniform greedy
     density additionally gives log(M)/(2|K-K|+1) for every window.
     """
     if M_levels < 1:
         raise ValueError("M_levels must be >= 1")
-    x = group_element(A, [1] + [0] * (A.rows - 1), tol, radius_cap)
     if eps is None:
-        eps = 0.5 / A.l1_norm()
-    d = A.d
+        eps = 0.5 / x.A.l1_norm()
+    d = x.d
     Fw = norm_sites(F, d)
 
-    radius = interaction_radius(x, eps, radius_cap)
+    radius = interaction_radius(x, eps)
     KmK = ball(d, 2 * radius)
     F1 = greedy_separated_subset(Fw, KmK)
 

@@ -87,15 +87,6 @@ class GroupRingElement:
     def monomial(cls, d: int, exponent, coef: int = 1) -> "GroupRingElement":
         return cls(d, {_as_exponent(exponent, d): int(coef)})
 
-    @classmethod
-    def variable(cls, d: int, index: int, power: int = 1) -> "GroupRingElement":
-        """u_index^power, index in 1..d."""
-        if not 1 <= index <= d:
-            raise ValueError(f"variable index {index} out of range 1..{d}")
-        e = [0] * d
-        e[index - 1] = power
-        return cls(d, {tuple(e): 1})
-
     # -- ring operations ---------------------------------------------------
 
     def _check(self, other: "GroupRingElement") -> None:
@@ -106,14 +97,7 @@ class GroupRingElement:
         if isinstance(other, int):
             other = GroupRingElement.constant(self.d, other)
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return GroupRingElement(self.d, out)
+        return GroupRingElement(self.d, _sparse.add_to(dict(self.terms), other.terms))
 
     __radd__ = __add__
 

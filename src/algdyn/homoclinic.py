@@ -140,23 +140,25 @@ def _lift_sum(x: LiftedPoint, y: LiftedPoint, sign: int, sites=None) -> tuple[li
 class HomoclinicPoint(LiftedPoint):
     """Truncated lift of a homoclinic point of the action presented by A.
 
-    provenance records the integer vector m with lift ~= m (A*)^-1; d is
-    A.d.
+    provenance records the integer vector m with lift ~= m (A*)^-1, and
+    inverse the truncated (A*)^-1 the lift was computed from, so every
+    consumer reads the inverse a point rests on from the point; d is A.d.
     """
 
     d: int = field(init=False)
     A: GroupRingMatrix
     provenance: list[GroupRingElement]
+    inverse: torus.MatrixL1Inverse = field(repr=False)
 
     def __post_init__(self):
         self.d = self.A.d
 
     def __add__(self, other: "HomoclinicPoint") -> "HomoclinicPoint":
-        if self.A != other.A:
-            raise ValueError("points must share the presenting matrix")
+        if self.A != other.A or self.inverse != other.inverse:
+            raise ValueError("points must share the presenting matrix and the inverse they came from")
         nums, den = _lift_sum(self, other, 1)
         prov = [p + q for p, q in zip(self.provenance, other.provenance)]
-        return HomoclinicPoint(nums, den, self.tail_bound + other.tail_bound, self.A, prov)
+        return HomoclinicPoint(nums, den, self.tail_bound + other.tail_bound, self.A, prov, self.inverse)
 
     def translate(self, t) -> "HomoclinicPoint":
         """The point shifted by t (the group element u^t acting)."""
@@ -166,7 +168,7 @@ class HomoclinicPoint(LiftedPoint):
             for comp in self.nums
         ]
         prov = [p.shift(t) for p in self.provenance]
-        return HomoclinicPoint(nums, self.den, self.tail_bound, self.A, prov)
+        return HomoclinicPoint(nums, self.den, self.tail_bound, self.A, prov, self.inverse)
 
     def to_obj(self) -> dict:
         den = self.den
@@ -222,12 +224,16 @@ def group_element(
     Linear in m; vectors in the image of right multiplication by A* map to
     the zero point (within the tail bound).
     """
-    inv = _star_inverse(A, tol, radius_cap)
+    return _point(A, _star_inverse(A, tol, radius_cap), m)
+
+
+def _point(A: GroupRingMatrix, inv: torus.MatrixL1Inverse, m) -> HomoclinicPoint:
+    """m inv reduced mod 1, for inv a truncated (A*)^-1."""
     mv = _as_vector(m, inv.k, A.d)
     nums = _sparse.vecmat([c.terms for c in mv], inv.nums)
     norm_m = sum(comp.l1_norm() for comp in mv)
     tail = inv.tail_bound * max(1, norm_m)
-    return HomoclinicPoint(nums, inv.den, tail, A, mv)
+    return HomoclinicPoint(nums, inv.den, tail, A, mv, inv)
 
 
 def annihilation_residual(x: HomoclinicPoint, window=None) -> float:

@@ -26,14 +26,7 @@ import numpy as np
 from . import _sparse, torus
 from ._report import Report, plain
 from .groupring import GroupRingElement, GroupRingMatrix, ball, norm_sites
-from .homoclinic import (
-    HomoclinicPoint,
-    LiftedPoint,
-    _lattice_fold,
-    _lift_sum,
-    _star_inverse,
-    group_element,
-)
+from .homoclinic import HomoclinicPoint, LiftedPoint, _lattice_fold, _lift_sum, _point
 
 
 def greedy_separated_subset(F: list, K: list) -> list[tuple[int, ...]]:
@@ -67,21 +60,26 @@ def interaction_radius(x: HomoclinicPoint, eps: float, radius_cap: int = 200) ->
     The mass is the exact sum of per-site distances to zero over the lift
     support plus the certified tail bound of the truncation.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     if not math.isfinite(x.tail_bound):
         raise ValueError("the point has no certified tail bound (inverse residual >= 1)")
     dist, den = x.site_distances()
-    r = _first_radius_below(dist.items(), den, x.tail_bound, eps, radius_cap)
+    r = _first_radius_below(dist.items(), den, x.tail_bound, eps)
     if r is None:
         raise ValueError("no interaction ball with tail below eps within the support")
+    if r > radius_cap:
+        raise ValueError(f"the interaction ball needs radius {r} > radius_cap = {radius_cap}")
     return r
 
 
-def _first_radius_below(items, den: int, tail: float, bound: float,
-                        radius_cap: float = math.inf) -> int | None:
-    """Smallest r <= radius_cap with the l1 mass of the (site, numerator over
-    den) items beyond max-norm radius r, plus the tail, below bound; the
+def _check_eps(eps: float) -> None:
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be a finite number > 0, got {eps!r}")
+
+
+def _first_radius_below(items, den: int, tail: float, bound: float) -> int | None:
+    """Smallest r with the l1 mass of the (site, numerator over den) items
+    beyond max-norm radius r, plus the tail, below bound; the
     mass is summed and compared exactly, the float tail and bound taken at
     their exact binary values."""
     by_radius: dict[int, int] = {}
@@ -90,7 +88,7 @@ def _first_radius_below(items, den: int, tail: float, bound: float,
         by_radius[r] = by_radius.get(r, 0) + abs(v)
     tail_q = Fraction(tail)
     outside = sum(by_radius.values())
-    for r in range(0, min(max(by_radius, default=0), radius_cap) + 1):
+    for r in sorted({0, *by_radius}):  # the mass changes only at these radii
         outside -= by_radius.get(r, 0)
         if Fraction(outside, den) + tail_q < bound:  # a Fraction meets a float exactly
             return r
@@ -263,10 +261,9 @@ class ShadowResult(LiftedPoint):
         })
 
 
-def inverse_tail_radius(A: GroupRingMatrix, bound: float, tol: float = 1e-10, radius_cap: int = 40) -> int:
-    """Smallest R with the l1 mass of the truncated (A*)^-1 beyond radius R,
+def inverse_tail_radius(inv: torus.MatrixL1Inverse, bound: float) -> int:
+    """Smallest R with the l1 mass of the truncated inverse beyond radius R,
     plus its truncation tail, below the given bound."""
-    inv = _star_inverse(A, tol, radius_cap)
     if not math.isfinite(inv.tail_bound):
         raise ValueError("the inverse has no certified tail bound (residual >= 1)")
     items = [item for row in inv.nums for cell in row for item in cell.items()]
@@ -292,29 +289,29 @@ def _min_distance(S: set, T: set) -> int:
     return best if best is not None else 0
 
 
-def shadow(
-    A: GroupRingMatrix,
-    req: ShadowRequest,
-    tol: float = 1e-10,
-    radius_cap: int = 40,
-) -> ShadowResult:
+def shadow(A: GroupRingMatrix, req: ShadowRequest) -> ShadowResult:
     """One point tracing all requested homoclinic blocks within eps.
 
     The integer data of each block (its provenance vector) is summed, over
     the periodizing subgroup when one is given, and pushed through the
-    truncated inverse of the involuted presenting matrix; block windows
-    must be separated by the gap radius derived from the inverse's l1 tail.
+    truncated inverse of the involuted presenting matrix that every block
+    point came from; block windows must be separated by the gap radius
+    derived from that inverse's l1 tail.
     """
     d = A.d
-    if not 0 < req.eps < math.inf:
-        raise ValueError(f"eps must be a finite number > 0, got {req.eps!r}")
+    _check_eps(req.eps)
     B = req.basis_matrix(d)
     fold = None if B is None else _lattice_fold(B)
     if not req.blocks:
         zero = [dict() for _ in range(A.rows)]
         return ShadowResult(zero, 1, 0.0, d, [], 0, req.eps, periodic_basis=B)
-    norm_a = A.l1_norm()
-    R = inverse_tail_radius(A, req.eps / (2.0 * norm_a), tol, radius_cap)
+    inv = req.blocks[0].point.inverse
+    for i, b in enumerate(req.blocks):
+        if b.point.A != A:
+            raise ValueError(f"block {i} is not a point of the presenting matrix A")
+        if b.point.inverse != inv:
+            raise ValueError(f"block {i} comes from another inverse of A* than block 0")
+    R = inverse_tail_radius(inv, req.eps / (2.0 * A.l1_norm()))
 
     regions = [_region(b, d) for b in req.blocks]
     for i in range(len(regions)):
@@ -324,15 +321,8 @@ def shadow(
                     f"blocks {i} and {j} are within the gap radius {R}; move them apart"
                 )
 
-    k = A.rows
-    m_total = [GroupRingElement.zero(d) for _ in range(k)]
-    for b in req.blocks:
-        if b.point.k != k:
-            raise ValueError("block point has wrong number of components")
-        for i in range(k):
-            m_total[i] = m_total[i] + b.point.provenance[i]
-
-    y = group_element(A, m_total, tol, radius_cap)
+    m_total = [sum(ps, GroupRingElement.zero(d)) for ps in zip(*(b.point.provenance for b in req.blocks))]
+    y = _point(A, inv, m_total)
     nums = y.nums
 
     if fold is not None:
@@ -352,6 +342,7 @@ def shadow(
 
     # folding sums the lift over cosets, which keeps the l1 tail bound
     result = ShadowResult(nums, y.den, y.tail_bound, d, [], R, req.eps, periodic_basis=B)
+    result._fold = fold  # reads go through the fold built above, not a second inverse of B
     for b in req.blocks:
         # |shadow - block| mod 1 at each window site, over lcm(den_y, den_x)
         diff, den = _lift_sum(result, b.point, -1, norm_sites(b.window, d))
@@ -391,25 +382,22 @@ class SpecificationReport:
 
 
 def homoclinic_specification_check(
-    A: GroupRingMatrix,
+    x: HomoclinicPoint,
     eps: float,
     F1: list,
-    x: HomoclinicPoint,
     verify_width: int = 20,
     support_cap: int = 120,
-    tol: float = 1e-10,
-    radius_cap: int = 40,
 ) -> SpecificationReport:
     """Single-block shadowing plus the outside-decay clause.
 
     The shadow must match x within eps on F1 and stay within eps of zero on
     an annulus beyond the gap set (the gap radius dilation of F1).
     """
-    d = A.d
+    d = x.d
     Fn = norm_sites(F1, d)
     if x.support() and max(max(abs(v) for v in e) for e in x.support()) > support_cap:
         raise ValueError("support exceeds verification window")
-    res = shadow(A, ShadowRequest([ShadowBlock(Fn, x)], eps), tol, radius_cap)
+    res = shadow(x.A, ShadowRequest([ShadowBlock(Fn, x)], eps))
     R = res.gap_radius
     gap_set = set()
     for s in Fn:

@@ -19,6 +19,7 @@ from algdyn.entropy import (
 )
 from algdyn._sparse import int_inverse
 from algdyn.groupring import GroupRingElement, GroupRingMatrix, parse_element
+from algdyn.homoclinic import group_element
 from algdyn.torus import MemoryCapError, NotInvertibleError, certify_invertible
 from conftest import jensen_mahler, random_element, solve_rational
 
@@ -430,20 +431,20 @@ def test_peters_rejects_non_unimodular_and_singular_matrices():
 
 def test_packing_fixture(f_symmetric):
     A = GroupRingMatrix([[f_symmetric]])
-    est = packing_lower_bound(A, list(range(20)), eps=0.05, M_levels=2)
+    est = packing_lower_bound(group_element(A, [1]), list(range(20)), eps=0.05, M_levels=2)
     assert est.value > 0
     assert est.value <= mahler_measure(f_symmetric).value + 1e-3
 
 
 def test_packing_degenerate_eps(f_symmetric):
     A = GroupRingMatrix([[f_symmetric]])
-    est = packing_lower_bound(A, list(range(10)), eps=0.6, M_levels=2)
+    est = packing_lower_bound(group_element(A, [1]), list(range(10)), eps=0.6, M_levels=2)
     assert est.value == 0.0
 
 
 def test_packing_single_level(f_symmetric):
     A = GroupRingMatrix([[f_symmetric]])
-    est = packing_lower_bound(A, list(range(10)), eps=0.05, M_levels=1)
+    est = packing_lower_bound(group_element(A, [1]), list(range(10)), eps=0.05, M_levels=1)
     assert est.value == 0.0
     assert est.parameters["separated_count"] == 1
 
@@ -451,13 +452,13 @@ def test_packing_single_level(f_symmetric):
 def test_packing_three_levels_keeps_every_member_apart(f_symmetric):
     # the base-M digits index each member once: at a small eps none coincide
     A = GroupRingMatrix([[f_symmetric]])
-    p = packing_lower_bound(A, list(range(12)), eps=0.1, M_levels=3).parameters
+    p = packing_lower_bound(group_element(A, [1]), list(range(12)), eps=0.1, M_levels=3).parameters
     assert p["family_size"] == 3 ** len(p["F1"]) > 3
     assert p["separated_count"] == p["family_size"]
 
 
 def test_packing_default_eps_is_half_expansive_constant(f_symmetric):
     A = GroupRingMatrix([[f_symmetric]])
-    est = packing_lower_bound(A, list(range(12)))
+    est = packing_lower_bound(group_element(A, [1]), list(range(12)))
     assert est.parameters["eps"] == pytest.approx(0.1)
     assert est.value > 0

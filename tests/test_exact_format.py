@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algdyn.groupring import GroupRingElement, GroupRingMatrix, enumerate_zd, frac_center
-from algdyn.homoclinic import HomoclinicPoint, psi, summable_metric_distance
+from algdyn.homoclinic import HomoclinicPoint, group_element, psi, summable_metric_distance
 from algdyn.independence import greedy_separated_subset
 
 
@@ -36,7 +36,7 @@ def lifts(draw, d: int, k: int):
 def _point(d: int, nums: list[dict], den: int) -> HomoclinicPoint:
     k = len(nums)
     A = GroupRingMatrix.identity(k, d)
-    return HomoclinicPoint(nums, den, 0.0, A, [GroupRingElement.zero(d)] * k)
+    return HomoclinicPoint(nums, den, 0.0, A, [GroupRingElement.zero(d)] * k, group_element(A, [0] * k).inverse)
 
 
 def _ref(nums: list[dict], den: int) -> list[dict]:

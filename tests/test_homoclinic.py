@@ -83,6 +83,23 @@ def test_group_element_linearity(A_sym):
         assert c.lift[0].get(e, Fraction(0)) == s.lift[0].get(e, Fraction(0))
 
 
+def test_points_carry_their_inverse(A_sym):
+    x = group_element(A_sym, parse_element("1 + u1"))
+    assert x.inverse is group_element(A_sym, 1).inverse
+    assert x.translate(3).inverse is x.inverse
+    assert (x + x).inverse is x.inverse
+
+
+def test_sum_of_points_from_different_inverses_raises(A_sym):
+    x = group_element(A_sym, 1)
+    y = group_element(A_sym, 1, 1e-4, 10)
+    with pytest.raises(ValueError, match="presenting matrix"):
+        x + y
+    other = group_element(GroupRingMatrix([[parse_element("4 - u1 - u1^-1")]]), 1)
+    with pytest.raises(ValueError, match="presenting matrix"):
+        x + other
+
+
 def test_group_element_value_closed_form(A_sym):
     x = group_element(A_sym, parse_element("1 + u1"))
     expected = (1 + R_SYM) / math.sqrt(5)
@@ -231,4 +248,4 @@ def test_missing_tail_bound_is_not_zero():
     with pytest.raises(ValueError, match="tail bound"):
         interaction_radius(x, 0.1)
     with pytest.raises(ValueError, match="tail bound"):
-        inverse_tail_radius(A, 0.1, 1e-10, 0)
+        inverse_tail_radius(x.inverse, 0.1)

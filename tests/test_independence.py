@@ -7,6 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from algdyn import _sparse
+from algdyn.entropy import packing_lower_bound
 from algdyn.groupring import GroupRingElement, GroupRingMatrix, ball, parse_element
 from algdyn.homoclinic import fundamental_homoclinic, group_element
 from algdyn.independence import (
@@ -93,6 +95,22 @@ def test_interaction_radius_fixture(A_sym):
     assert interaction_radius(x, 2.0) == 0
 
 
+def test_interaction_radius_cap_is_named(A_sym):
+    x = group_element(A_sym, parse_element("u1^500"))
+    with pytest.raises(ValueError, match="radius 50[0-9] > radius_cap = 200"):
+        interaction_radius(x, 0.1)
+    assert interaction_radius(x, 0.1, radius_cap=600) == 502
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -0.1])
+def test_eps_must_be_finite_and_positive(A_sym, eps):
+    (x,) = fundamental_homoclinic(A_sym)
+    with pytest.raises(ValueError, match="eps must be a finite number > 0"):
+        independence_witnesses(x, eps, list(range(8)))
+    with pytest.raises(ValueError, match="eps must be a finite number > 0"):
+        packing_lower_bound(x, list(range(8)), eps=eps)
+
+
 def test_witnesses_fixture_all_pass(A_sym):
     (x,) = fundamental_homoclinic(A_sym)
     rep = independence_witnesses(x, 0.1, list(range(60)), cap=4096)
@@ -140,7 +158,8 @@ def test_witnesses_impossible_eps(A_sym):
 
 def test_gap_radius_fixture(A_sym):
     # eps = 0.05: tail of the inverse below 0.05 / (2*5) = 0.005 needs R = 5
-    assert inverse_tail_radius(A_sym, 0.05 / 10) == 5
+    (x,) = fundamental_homoclinic(A_sym)
+    assert inverse_tail_radius(x.inverse, 0.05 / 10) == 5
 
 
 def test_shadow_single_block_reproduces_point(A_sym):
@@ -248,6 +267,41 @@ def test_direct_violations_equal_the_per_pattern_sums(case):
     assert got == pytest.approx([_violation_by_pattern(lift, F1, K, c) for c in codes], abs=1e-12)
 
 
+def test_shadow_refuses_a_point_of_another_matrix(A_sym):
+    # a point of 4 - u1 - u1^-1 differs from every point of 3 - u1 - u1^-1
+    other = group_element(GroupRingMatrix([[parse_element("4 - u1 - u1^-1")]]), 1)
+    with pytest.raises(ValueError, match="block 0 is not a point of the presenting matrix"):
+        shadow(A_sym, ShadowRequest([ShadowBlock(list(range(-2, 3)), other)], 0.2))
+
+
+def test_shadow_refuses_blocks_from_two_inverses(A_sym):
+    b1 = ShadowBlock(list(range(0, 5)), group_element(A_sym, parse_element("u1^2")))
+    b2 = ShadowBlock(list(range(40, 45)), group_element(A_sym, parse_element("u1^42"), 1e-4, 10))
+    with pytest.raises(ValueError, match="block 1 comes from another inverse"):
+        shadow(A_sym, ShadowRequest([b1, b2], 0.05))
+
+
+def test_shadow_uses_the_inverse_of_its_blocks(A_sym):
+    # blocks from a coarser inverse get that inverse's gap radius and point
+    x = group_element(A_sym, parse_element("u1^2"), 1e-4, 10)
+    res = shadow(A_sym, ShadowRequest([ShadowBlock(list(range(0, 5)), x)], 0.05))
+    assert res.gap_radius == inverse_tail_radius(x.inverse, 0.05 / 10)
+    assert res.den == x.inverse.den
+    assert res.block_errors == [0.0]
+
+
+@pytest.mark.parametrize("basis", [[64], [[64]]])
+def test_periodic_shadow_inverts_its_basis_once(A_sym, monkeypatch, basis):
+    calls = []
+    int_inverse = _sparse.int_inverse
+    monkeypatch.setattr(_sparse, "int_inverse", lambda B: calls.append(B) or int_inverse(B))
+    b = ShadowBlock(list(range(0, 5)), group_element(A_sym, parse_element("u1^2")))
+    res = shadow(A_sym, ShadowRequest([b], 0.05, basis))
+    assert max(res.block_errors) <= 0.05
+    assert res.lift_at(70) == res.lift_at(6)
+    assert calls == [[[64]]]
+
+
 def test_shadow_periodic_domain_too_small(A_sym):
     b = ShadowBlock(list(range(0, 5)), group_element(A_sym, parse_element("u1^2")))
     with pytest.raises(ValueError, match="domain too small"):
@@ -266,16 +320,16 @@ def test_shadow_linearity_zero_blocks(A_sym):
 
 def test_specification_fixture(A_sym):
     x = group_element(A_sym, parse_element("u1^2"))
-    rep = homoclinic_specification_check(A_sym, 0.1, list(range(0, 5)), x)
+    rep = homoclinic_specification_check(x, 0.1, list(range(0, 5)))
     assert rep.passed
-    assert rep.gap_radius == inverse_tail_radius(A_sym, 0.1 / 10)
+    assert rep.gap_radius == inverse_tail_radius(x.inverse, 0.1 / 10)
     assert rep.block_error <= 0.1
     assert rep.outside_max <= 0.1
 
 
 def test_specification_generous_eps(A_sym):
     x = group_element(A_sym, parse_element("u1^2"))
-    rep = homoclinic_specification_check(A_sym, 0.5, [0, 1, 2], x)
+    rep = homoclinic_specification_check(x, 0.5, [0, 1, 2])
     # torus distances never exceed 1/2
     assert rep.passed
 
@@ -283,7 +337,7 @@ def test_specification_generous_eps(A_sym):
 def test_specification_support_cap(A_sym):
     x = group_element(A_sym, parse_element("u1^500"), radius_cap=40)
     with pytest.raises(ValueError, match="support exceeds"):
-        homoclinic_specification_check(A_sym, 0.1, [0, 1], x, support_cap=100)
+        homoclinic_specification_check(x, 0.1, [0, 1], support_cap=100)
 
 
 # -- two-dimensional systems -----------------------------------------------------
@@ -305,7 +359,7 @@ def test_witnesses_two_dimensional(A_2d):
 def test_shadow_periodic_two_dimensional(A_2d):
     x = group_element(A_2d, parse_element("u1*u2", d=2), 1e-8, 8)
     window = [(i, j) for i in range(3) for j in range(3)]
-    res = shadow(A_2d, ShadowRequest([ShadowBlock(window, x)], 0.2, [32, 24]), 1e-8, 8)
+    res = shadow(A_2d, ShadowRequest([ShadowBlock(window, x)], 0.2, [32, 24]))
     assert max(res.block_errors) <= 0.2
     for i, j in [(0, 0), (1, 2), (5, 3)]:
         assert res.lift_at((i, j)) == res.lift_at((i + 32, j))
@@ -318,7 +372,7 @@ def test_shadow_periodic_non_diagonal_basis(A_2d):
     window = [(i, j) for i in range(3) for j in range(3)]
     block = ShadowBlock(window, x)
     B = [[32, 8], [0, 24]]  # the subgroup spanned by the columns (32, 0) and (8, 24)
-    res = shadow(A_2d, ShadowRequest([block], 0.2, B), 1e-8, 8)
+    res = shadow(A_2d, ShadowRequest([block], 0.2, B))
     assert res.periodic_basis == B
     assert max(res.block_errors) <= 0.2
     for e in [(0, 0), (1, 2), (5, 3), (-7, 11)]:
@@ -327,7 +381,7 @@ def test_shadow_periodic_non_diagonal_basis(A_2d):
             assert res.lift_at(e) == res.lift_at((e[0] - b[0], e[1] - b[1]))
     # independent route: fold the aperiodic shadow by hand, summing its lift
     # over each coset e + B z (the support lies within |e| <= 10)
-    open_lift = shadow(A_2d, ShadowRequest([block], 0.2), 1e-8, 8).lift[0]
+    open_lift = shadow(A_2d, ShadowRequest([block], 0.2)).lift[0]
     assert max(max(map(abs, e)) for e in open_lift) <= 10
     for e in itertools.product(range(-10, 45), range(-5, 30)):
         acc = Fraction(0)

@@ -2,6 +2,7 @@
 
 Usage, from the root of a source checkout:
     python3 tools/report_digest.py [--repo PATH] [--seeds 1 2 3] [--workload NAME ...]
+    python3 tools/report_digest.py --compare OTHER [--seeds ...] [--workload ...]
 
 For each workload of perfbench/workloads.py (imported, not modified) and
 each seed, it builds the pass's request list, writes the request files
@@ -10,7 +11,10 @@ reports are the same on every checkout) and runs each request in-process
 through ``algdyn.cli.main`` with ``--out``.  It prints one line per
 workload: the request count, a histogram of exit codes and the sha256 of
 the concatenated reports.  Run it on two checkouts (``--repo`` picks the
-one whose ``src`` and ``perfbench`` are imported) and compare the lines.
+one whose ``src`` and ``perfbench`` are imported) and compare the lines,
+or let ``--compare OTHER`` do it: the digest of OTHER runs in a subprocess,
+so each checkout imports its own ``algdyn``, and each workload prints
+``same`` or ``DIFFERENT``; the exit status is 1 on any difference.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -71,16 +76,43 @@ def main(argv=None) -> int:
     p.add_argument("--repo", default=here, help="checkout whose src and perfbench are used")
     p.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     p.add_argument("--workload", nargs="+")
+    p.add_argument("--compare", metavar="OTHER", help="checkout whose digests to compare with --repo's")
     args = p.parse_args(argv)
+    for path in filter(None, (args.repo, args.compare)):
+        if not os.path.isfile(os.path.join(path, "src", "algdyn", "cli.py")):
+            p.error(f"{path} is not an algdyn checkout (src/algdyn/cli.py not found)")
     repo = os.path.abspath(args.repo)
     sys.path[:0] = [os.path.join(repo, "src"), os.path.join(repo, "perfbench")]
     import workloads
 
-    for name in args.workload or workloads.WORKLOADS:
+    names = args.workload or list(workloads.WORKLOADS)
+    lines = {}
+    for name in names:
         count, codes, sha = digest(name, args.seeds)
         hist = " ".join(f"{c}:{n}" for c, n in codes.items())
-        print(f"{name}\trequests {count}\texit {hist}\tsha256 {sha}")
-    return 0
+        lines[name] = f"requests {count}\texit {hist}\tsha256 {sha}"
+    if args.compare is None:
+        for name, line in lines.items():
+            print(f"{name}\t{line}")
+        return 0
+
+    seeds = [str(s) for s in args.seeds]
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--repo", args.compare, "--seeds", *seeds, "--workload", *names],
+        capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        return 1
+    other = dict(line.split("\t", 1) for line in proc.stdout.splitlines())
+    differ = False
+    for name, line in lines.items():
+        if other.get(name) == line:
+            print(f"{name}\tsame\t{line}")
+        else:
+            differ = True
+            print(f"{name}\tDIFFERENT\t{line}\tvs {args.compare}: {other.get(name)}")
+    return int(differ)
 
 
 if __name__ == "__main__":
