@@ -331,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=_pos_float, required=True)
     sp.add_argument("--window", type=_nonneg_int, default=60)
     sp.add_argument("--cap", type=_pos_int, default=4096)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_nonneg_int, default=0)
 
     sp = sub.add_parser("shadow", help="trace homoclinic blocks by one point")
     sp.add_argument("--config", required=True, help="JSON block description")

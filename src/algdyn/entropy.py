@@ -18,20 +18,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import sub
 
 import numpy as np
 
 from . import _kernels, _sparse, torus
 from ._report import Report
-from .groupring import GroupRingElement, GroupRingMatrix, ball, norm_sites
+from .groupring import GroupRingElement, GroupRingMatrix, norm_sites
 from .homoclinic import HomoclinicPoint
-from .independence import greedy_separated_subset, interaction_radius
+from .independence import separated_window
 
 MAHLER_DEFAULT_GRID = {1: 65536, 2: 512, 3: 64}
 SINGULARITY_FLOOR = 1e-12
 
 # Largest family packing_lower_bound enumerates: M^|F1| is cut down to it.
-PACKING_FAMILY_CAP = 1 << 20
+PACKING_FAMILY_CAP = 1 << 12
 
 MAHLER = "MahlerQuadrature"
 PETERS = "PetersCounting"
@@ -350,13 +351,7 @@ def packing_lower_bound(
         raise ValueError("M_levels must be >= 1")
     if eps is None:
         eps = 0.5 / x.A.l1_norm()
-    d = x.d
-    Fw = norm_sites(F, d)
-
-    radius = interaction_radius(x, eps)
-    KmK = ball(d, 2 * radius)
-    F1 = greedy_separated_subset(Fw, KmK)
-
+    Fw, radius, F1 = separated_window(x, eps, F)
     if M_levels ** len(F1) > PACKING_FAMILY_CAP:
         F1 = F1[: max(1, int(math.log(PACKING_FAMILY_CAP, max(2, M_levels))))]
     nfam = M_levels ** len(F1)
@@ -364,24 +359,16 @@ def packing_lower_bound(
     # family values observed through the window: applying the group element t
     # to a member reads its coordinate at -t, so member c contributes
     # sum_s c_s lift(s - t) at window site t.
-    flift = x.float_lift()
+    shifts = x.lift_array([tuple(map(sub, s, t)) for s in F1 for t in Fw]).reshape(len(F1), -1)
     vals = np.zeros((nfam, len(Fw) * x.k), dtype=np.float64)
-    shifts = []
-    for s in F1:
-        col = np.zeros(len(Fw) * x.k)
-        for ti, t in enumerate(Fw):
-            e = tuple(b - a for a, b in zip(t, s))
-            for j in range(x.k):
-                col[ti * x.k + j] = flift[j].get(e, 0.0)
-        shifts.append(col)
     digits = np.arange(nfam)[:, None] // M_levels ** np.arange(len(F1)) % M_levels
     for pos, col in enumerate(shifts):
         vals += np.outer(digits[:, pos].astype(np.float64), col)
 
     kept = _kernels.greedy_separated(vals, eps)
     count = int(len(kept))
-    value = math.log(count) / len(Fw) if Fw else 0.0
-    uniform = math.log(M_levels) / (2 * len(KmK) + 1)
+    value = math.log(count) / len(Fw)
+    uniform = math.log(M_levels) / (2 * (4 * radius + 1) ** x.d + 1)  # |K - K| = (4R+1)^d
     return EntropyEstimate(
         value,
         PACKING,

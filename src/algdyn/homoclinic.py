@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
+import numpy as np
+
 from .groupring import (
     GroupRingElement,
     GroupRingMatrix,
@@ -91,6 +93,14 @@ class LiftedPoint:
     def float_lift(self) -> list[dict[tuple[int, ...], float]]:
         den = self.den
         return [{e: n / den for e, n in comp.items()} for comp in self.nums]
+
+    def lift_array(self, sites) -> np.ndarray:
+        """The float lift nums[j][e] / den at each site tuple e (0 off the
+        support, read through the fold), as a (len(sites), k) array."""
+        if self.periodic_basis is not None:
+            sites = map(self._fold, sites)
+        den = self.den
+        return np.array([[comp.get(e, 0) / den for comp in self.nums] for e in sites]).reshape(-1, self.k)
 
     def site_distances(self) -> tuple[dict[tuple[int, ...], int], int]:
         """Per support site, the torus distance to zero as (numerator, den)."""
@@ -236,51 +246,38 @@ def _point(A: GroupRingMatrix, inv: torus.MatrixL1Inverse, m) -> HomoclinicPoint
     return HomoclinicPoint(nums, inv.den, tail, A, mv, inv)
 
 
-def annihilation_residual(x: HomoclinicPoint, window=None) -> float:
+def annihilation_residual(x: HomoclinicPoint) -> float:
     """Max distance of (lift . A*) from integer vectors; membership check.
 
     A point of the presented system must satisfy lift . A* = 0 mod 1; for a
     truncated homoclinic lift this residual is controlled by the tail bound
     times ||A||_1.
     """
-    den = x.den
     cols = _sparse.vecmat(x.nums, [[e.terms for e in row] for row in x.A.star().entries])
-    sites = set().union(*cols) if window is None else set(norm_sites(window, x.d))
-    worst = 0.0
-    for e in sites:
-        for acc in cols:
-            v = acc.get(e)
-            if v is not None:
-                worst = max(worst, abs(_sparse.center(v, den)) / den)
-    return worst
+    return max((abs(_sparse.center(v, x.den)) for acc in cols for v in acc.values()), default=0) / x.den
 
 
 def membership_tolerance(A: GroupRingMatrix, tol: float = 1e-10) -> float:
     return 10.0 * tol * A.l1_norm()
 
 
-def _pairing_exponent(nums: list[dict], den: int, phi: list[GroupRingElement],
-                      s: tuple[int, ...]) -> float:
-    """Sum_j sum_t lift_j(t - s) phi_j(t): the phase of <s.x, phi>, for the
-    lift nums / den."""
-    acc = 0.0
-    for comp, p in zip(nums, phi):
-        for t, c in p.terms.items():
-            e = tuple(a - b for a, b in zip(t, s))
-            v = comp.get(e)
-            if v is not None:
-                acc += c * (v / den)
-    return acc
+def _phases(nums: list[dict], den: int, phi: list[GroupRingElement]):
+    """s -> sum_j sum_t lift_j(t - s) phi_j(t), the phase of <s.x, phi> for
+    the lift nums / den: sum_j nums_j * phi_j* read at -s, exact before its
+    one division by den."""
+    (acc,) = _sparse.vecmat(nums, [[p.star().terms] for p in phi])
+    return lambda s: acc.get(tuple(-v for v in s), 0) / den
+
+
+def _mismatch(phase: float) -> complex:
+    ang = 2.0 * math.pi * phase
+    return complex(math.cos(ang) - 1.0, math.sin(ang))
 
 
 def psi(x: HomoclinicPoint, phi, window) -> dict[tuple[int, ...], complex]:
     """The character mismatch function s -> <s.x, phi> - 1 on the window."""
-    phiv = _as_vector(phi, x.k, x.d)
-    out = {}
-    for s in norm_sites(window, x.d):
-        ang = 2.0 * math.pi * _pairing_exponent(x.nums, x.den, phiv, s)
-        out[s] = complex(math.cos(ang) - 1.0, math.sin(ang))
-    return out
+    phase = _phases(x.nums, x.den, _as_vector(phi, x.k, x.d))
+    return {s: _mismatch(phase(s)) for s in norm_sites(window, x.d)}
 
 
 @dataclass
@@ -307,14 +304,13 @@ def delta1_membership(x: HomoclinicPoint) -> Delta1Certificate:
 def summable_metric_distance(
     x: HomoclinicPoint,
     y: HomoclinicPoint | None = None,
-    W: list | None = None,
     terms: int = 64,
 ) -> float:
     """The summable translation-invariant metric between two points.
 
-    rho(x, y) = sum_j sum_phi 2^-j |Psi_{x-y,phi}(s_j)| with the sites s_j
-    enumerated in a fixed spiral order on Z^d; truncation after `terms`
-    sites contributes at most |W| 2^(1-terms).
+    rho(x, y) = sum_j sum_i 2^-j |Psi_{x-y,e_i}(s_j)| over the standard
+    basis rows e_i, with the sites s_j enumerated in a fixed spiral order on
+    Z^d; truncation after `terms` sites contributes at most k 2^(1-terms).
     """
     if y is not None:
         if x.A != y.A:
@@ -323,17 +319,14 @@ def summable_metric_distance(
     else:
         diff, den = x.nums, x.den
     k, d = x.k, x.d
-    if W is None:
-        W = [[int(j == i) for j in range(k)] for i in range(k)]
-    Wv = [_as_vector(phi, k, d) for phi in W]
+    phases = [_phases(diff, den, _as_vector([int(j == i) for j in range(k)], k, d)) for i in range(k)]
     gen = enumerate_zd(d)
     total = 0.0
     for j in range(1, terms + 1):
         s = next(gen)
         w = 2.0 ** (-j)
-        for phiv in Wv:
-            ang = 2.0 * math.pi * _pairing_exponent(diff, den, phiv, s)
-            total += w * abs(complex(math.cos(ang) - 1.0, math.sin(ang)))
+        for phase in phases:
+            total += w * abs(_mismatch(phase(s)))
     return total
 
 
@@ -362,10 +355,5 @@ def pairing_symmetry_check(
     x1 = group_element(A.star(), m1, tol, radius_cap)
     win = norm_sites(window, A.d)
     lhs = psi(x2, x1.provenance, win)
-    rhs_sites = [tuple(-v for v in s) for s in win]
-    rhs = psi(x1, x2.provenance, rhs_sites)
-    worst = 0.0
-    for s in win:
-        neg = tuple(-v for v in s)
-        worst = max(worst, abs(lhs[s] - rhs[neg]))
-    return PairingReport(win, worst)
+    rhs = psi(x1, x2.provenance, [tuple(-v for v in s) for s in win])  # in the order of win
+    return PairingReport(win, max((abs(a - b) for a, b in zip(lhs.values(), rhs.values())), default=0.0))

@@ -77,6 +77,15 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"eps must be a finite number > 0, got {eps!r}")
 
 
+def separated_window(x: HomoclinicPoint, eps: float, F: list) -> tuple[list, int, list]:
+    """(sites, R, F1): the window F as sites, the interaction radius R of x
+    at eps, and the greedy subset F1 of F whose differences avoid the
+    conflict ball K - K of radius 2R."""
+    sites = norm_sites(F, x.d)
+    R = interaction_radius(x, eps)
+    return sites, R, greedy_separated_subset(sites, ball(x.d, 2 * R))
+
+
 def _first_radius_below(items, den: int, tail: float, bound: float) -> int | None:
     """Smallest r with the l1 mass of the (site, numerator over den) items
     beyond max-norm radius r, plus the tail, below bound; the
@@ -154,13 +163,12 @@ def independence_witnesses(
     ball K around x (pattern 1) or around zero (pattern 0).  Passing
     witnesses are re-verified by an independent direct evaluation.
     """
-    d = x.d
-    Fn = norm_sites(F, d)
-    radius = interaction_radius(x, eps)
-    K = ball(d, radius)
-    conflict = ball(d, 2 * radius)
-    F1 = greedy_separated_subset(Fn, conflict)
+    Fn, radius, F1 = separated_window(x, eps, F)
+    K = ball(x.d, radius)
     nf1 = len(F1)  # >= 1: F and the conflict ball are nonempty
+    if nf1 > 64:  # pattern codes are uint64 bit masks
+        raise ValueError(f"F1 has {nf1} separated sites, over the 64-site limit of the pattern codes; "
+                         "use a window of at most 64 sites")
 
     total = 1 << nf1
     subsampled = total > cap
@@ -175,15 +183,9 @@ def independence_witnesses(
     )
 
     # D[a, b, t, j] = lift_j(t - F1[a] + F1[b])
-    flift = x.float_lift()
-    nk, kk = len(K), x.k
-    D = np.zeros((nf1, nf1, nk, kk))
-    X = np.array([[comp.get(t, 0.0) for comp in flift] for t in K])
-    for a, s in enumerate(F1):
-        for b, sp in enumerate(F1):
-            for ti, t in enumerate(K):
-                e = tuple(p - q + r for p, q, r in zip(t, s, sp))
-                D[a, b, ti] = [comp.get(e, 0.0) for comp in flift]
+    D = x.lift_array([tuple(p - q + r for p, q, r in zip(t, s, sp)) for s in F1 for sp in F1 for t in K])
+    D = D.reshape(nf1, nf1, len(K), x.k)
+    X = x.lift_array(K)
 
     vals = np.einsum("nb,abtj->natj", sigma, D)
     targets = sigma[:, :, None, None] * X[None, None, :, :]
@@ -193,7 +195,7 @@ def independence_witnesses(
     max_violation = float(viol.max())
     all_pass = bool((viol <= eps).all())
 
-    direct = _direct_violations(flift, F1, K, codes.tolist())
+    direct = _direct_violations(x.float_lift(), F1, K, codes.tolist())
     for idx in range(nsig):
         if abs(direct[idx] - float(viol[idx].max())) > 1e-9:
             raise torus.VerificationError("independent witness re-verification disagrees")
@@ -361,10 +363,15 @@ def _small_lattice_vectors(B: list[list[int]], d: int):
     return out
 
 
+# The specification check reads x on the annulus of this width beyond the
+# gap set, and refuses points whose lift reaches beyond this max-norm radius.
+SPEC_VERIFY_WIDTH = 20
+SPEC_SUPPORT_CAP = 120
+
+
 @dataclass
 class SpecificationReport:
     passed: bool
-    block_error: float
     outside_max: float
     gap_radius: int
     eps: float
@@ -373,7 +380,6 @@ class SpecificationReport:
     def to_obj(self) -> dict:
         return plain({
             "passed": self.passed,
-            "block_error": self.block_error,
             "outside_max": self.outside_max,
             "gap_radius": self.gap_radius,
             "eps": self.eps,
@@ -381,39 +387,22 @@ class SpecificationReport:
         })
 
 
-def homoclinic_specification_check(
-    x: HomoclinicPoint,
-    eps: float,
-    F1: list,
-    verify_width: int = 20,
-    support_cap: int = 120,
-) -> SpecificationReport:
-    """Single-block shadowing plus the outside-decay clause.
+def homoclinic_specification_check(x: HomoclinicPoint, eps: float, F1: list) -> SpecificationReport:
+    """The outside-decay clause of single-block shadowing.
 
-    The shadow must match x within eps on F1 and stay within eps of zero on
-    an annulus beyond the gap set (the gap radius dilation of F1).
+    The single-block shadow of x is x itself (its provenance pushed through
+    the inverse it came from), so it matches x on F1 exactly; it must stay
+    within eps of zero on an annulus of width SPEC_VERIFY_WIDTH beyond the
+    gap set (the gap radius dilation of F1), the radius taken from the l1
+    tail of x's inverse as in shadow.
     """
     d = x.d
     Fn = norm_sites(F1, d)
-    if x.support() and max(max(abs(v) for v in e) for e in x.support()) > support_cap:
+    if x.support() and max(max(abs(v) for v in e) for e in x.support()) > SPEC_SUPPORT_CAP:
         raise ValueError("support exceeds verification window")
-    res = shadow(x.A, ShadowRequest([ShadowBlock(Fn, x)], eps))
-    R = res.gap_radius
-    gap_set = set()
-    for s in Fn:
-        for b in ball(d, R):
-            gap_set.add(tuple(a + c for a, c in zip(s, b)))
-    annulus = []
-    for s in Fn:
-        for b in ball(d, R + verify_width):
-            t = tuple(a + c for a, c in zip(s, b))
-            if t not in gap_set:
-                annulus.append(t)
-    annulus = sorted(set(annulus))
-    outside = 0.0
-    for t in annulus:
-        outside = max(outside, res.rho_to_zero(t))
-    passed = (max(res.block_errors, default=0.0) <= eps) and (outside <= eps)
-    return SpecificationReport(
-        passed, max(res.block_errors, default=0.0), outside, R, eps, annulus
-    )
+    _check_eps(eps)
+    R = inverse_tail_radius(x.inverse, eps / (2.0 * x.A.l1_norm()))
+    gap_set = {tuple(map(add, s, b)) for s in Fn for b in ball(d, R)}
+    annulus = sorted({tuple(map(add, s, b)) for s in Fn for b in ball(d, R + SPEC_VERIFY_WIDTH)} - gap_set)
+    outside = max((x.rho_to_zero(t) for t in annulus), default=0.0)
+    return SpecificationReport(outside <= eps, outside, R, eps, annulus)

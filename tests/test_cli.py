@@ -273,6 +273,26 @@ def test_ie_empty_window_exit_one(capsys, poly, eps):
     assert capsys.readouterr().err == "error: F and K must be nonempty\n"
 
 
+@pytest.mark.parametrize("poly,eps,window,nf1", [
+    ("3 - u1 - u1^-1", "0.5", "200", 67),
+    ("5 - u1 - u1^-1 - u2 - u2^-1", "0.9", "9", 81),
+])
+def test_ie_past_64_separated_sites_exit_one(capsys, poly, eps, window, nf1):
+    # pattern codes are 64-bit masks
+    assert main(["ie", "--poly", poly, "--eps", eps, "--window", window]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: F1 has {nf1} separated sites, over the 64-site limit of the pattern codes; "
+                            "use a window of at most 64 sites\n")
+
+
+def test_ie_at_64_separated_sites(capsys):
+    code, out = run_cli(capsys, ["ie", "--poly", "3 - u1 - u1^-1", "--eps", "0.9", "--window", "64"])
+    assert code == 0
+    rep = json.loads(out)["report"]
+    assert len(rep["F1"]) == 64 and rep["subsampled"]
+
+
 def test_expansive_point_too_fine_to_check_is_unknown(capsys):
     # the grid minimum's near points reach common denominators past 256
     poly = "7 - 2*u1 - 2*u1^-1 - 3*u2 - 3*u2^-1 - u3 - u3^-1"
@@ -406,6 +426,7 @@ def test_entropy_peters_memory_cap_before_two_terms_exits_one(capsys, monkeypatc
         (["freegroup-check", "--rank", "1", "--order", "2", "--radius", "3"], "--rank"),
         (["freegroup-check", "--rank", "2", "--order", "-1", "--radius", "3"], "--order"),
         (["freegroup-check", "--rank", "2", "--order", "2", "--radius", "x"], "--radius"),
+        (["ie", "--poly", "3 - u1 - u1^-1", "--eps", "0.1", "--cap", "64", "--seed", "-1"], "--seed"),
     ],
 )
 def test_out_of_range_values_exit_one(capsys, argv, option):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from algdyn.entropy import (
+    PACKING_FAMILY_CAP,
     CompanionModule,
     _dedupe_int,
     additivity_check,
@@ -455,6 +456,13 @@ def test_packing_three_levels_keeps_every_member_apart(f_symmetric):
     p = packing_lower_bound(group_element(A, [1]), list(range(12)), eps=0.1, M_levels=3).parameters
     assert p["family_size"] == 3 ** len(p["F1"]) > 3
     assert p["separated_count"] == p["family_size"]
+
+
+def test_packing_family_is_cut_to_the_cap(f_symmetric):
+    A = GroupRingMatrix([[f_symmetric]])
+    p = packing_lower_bound(group_element(A, [1]), list(range(20)), eps=0.9).parameters
+    assert p["family_size"] == PACKING_FAMILY_CAP == 4096
+    assert len(p["F1"]) == 12
 
 
 def test_packing_default_eps_is_half_expansive_constant(f_symmetric):

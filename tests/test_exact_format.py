@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from algdyn.groupring import GroupRingElement, GroupRingMatrix, enumerate_zd, frac_center
 from algdyn.homoclinic import HomoclinicPoint, group_element, psi, summable_metric_distance
-from algdyn.independence import greedy_separated_subset
+from algdyn.independence import greedy_separated_subset, homoclinic_specification_check
 
 
 @st.composite
@@ -71,6 +71,7 @@ def test_numerator_accessors_match_fraction_reference(data):
 
     assert x.lift == lift
     assert x.float_lift() == [{e: float(c) for e, c in comp.items()} for comp in lift]
+    assert x.lift_array(sites).tolist() == [[float(comp.get(e, 0)) for comp in lift] for e in sites]
     for e in sites:
         assert x.value(e) == _ref_value(lift, e)
         assert x.lift_at(e) == tuple(comp.get(e, Fraction(0)) for comp in lift)
@@ -99,6 +100,38 @@ def test_sum_and_metric_over_the_lcm_match_fraction_reference(data):
 
     diff = [{e: a.get(e, 0) - b.get(e, 0) for e in ks} for a, b, ks in zip(lx, ly, keys)]
     assert summable_metric_distance(x, y, terms=16) == _ref_metric(diff, d, 16)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_psi_with_two_term_phi_matches_fraction_reference(data):
+    d = data.draw(st.integers(1, 2))
+    k = data.draw(st.integers(1, 2))
+    nums, den = data.draw(lifts(d, k))
+    x = _point(d, nums, den)
+    lift = _ref(nums, den)
+    sites = st.tuples(*[st.integers(-2, 2)] * d)
+    coefs = st.dictionaries(sites, st.integers(-4, 4).filter(bool), min_size=2, max_size=2)
+    phi = [GroupRingElement(d, data.draw(coefs)) for _ in range(k)]
+    window = [(-1,) * d, (0,) * d, (2,) * d]
+
+    got = psi(x, phi, window)
+    for s in window:
+        phase = sum(
+            (comp.get(tuple(a - b for a, b in zip(t, s)), 0) * c
+             for comp, p in zip(lift, phi) for t, c in p.terms.items()),
+            Fraction(0),
+        )
+        ang = 2.0 * math.pi * float(phase)
+        assert got[s] == complex(math.cos(ang) - 1.0, math.sin(ang))
+
+
+def test_specification_check_reads_the_point():
+    # zero provenance, so the shadow of the provenance is zero, but x is 3/10 at site 30
+    x = _point(1, [{(30,): 3}], 10)
+    rep = homoclinic_specification_check(x, 0.1, [15])
+    assert rep.outside_max == 0.3
+    assert not rep.passed
 
 
 def test_wrong_length_sites_are_refused():

@@ -299,6 +299,7 @@ def test_periodic_shadow_inverts_its_basis_once(A_sym, monkeypatch, basis):
     res = shadow(A_sym, ShadowRequest([b], 0.05, basis))
     assert max(res.block_errors) <= 0.05
     assert res.lift_at(70) == res.lift_at(6)
+    assert res.lift_array([(70,), (6,)]).tolist() == [[float(c) for c in res.lift_at(6)]] * 2
     assert calls == [[[64]]]
 
 
@@ -323,7 +324,6 @@ def test_specification_fixture(A_sym):
     rep = homoclinic_specification_check(x, 0.1, list(range(0, 5)))
     assert rep.passed
     assert rep.gap_radius == inverse_tail_radius(x.inverse, 0.1 / 10)
-    assert rep.block_error <= 0.1
     assert rep.outside_max <= 0.1
 
 
@@ -337,7 +337,7 @@ def test_specification_generous_eps(A_sym):
 def test_specification_support_cap(A_sym):
     x = group_element(A_sym, parse_element("u1^500"), radius_cap=40)
     with pytest.raises(ValueError, match="support exceeds"):
-        homoclinic_specification_check(x, 0.1, [0, 1], support_cap=100)
+        homoclinic_specification_check(x, 0.1, [0, 1])
 
 
 # -- two-dimensional systems -----------------------------------------------------
