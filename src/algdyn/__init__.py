@@ -58,7 +58,7 @@ from .independence import (
     independence_witnesses,
     shadow,
 )
-from .freegroup import FreeGroupRingElement, verify_annihilator
+from .freegroup import verify_annihilator
 
 __all__ = [
     "GroupRingElement",
@@ -99,6 +99,5 @@ __all__ = [
     "homoclinic_specification_check",
     "independence_witnesses",
     "shadow",
-    "FreeGroupRingElement",
     "verify_annihilator",
 ]

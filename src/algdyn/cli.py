@@ -34,7 +34,10 @@ def _matrix(obj) -> GroupRingMatrix:
     """A matrix from its JSON form: nested lists of entries, or
     {"d": d, "entries": nested lists}."""
     if isinstance(obj, dict):
-        return GroupRingMatrix.from_obj(obj["entries"], obj.get("d"))
+        d = obj.get("d")
+        if d is not None and not (isinstance(d, int) and d >= 1):
+            raise ValueError(f'a matrix\'s "d" is an integer >= 1, got {d!r}')
+        return GroupRingMatrix.from_obj(obj.get("entries"), d)
     return GroupRingMatrix.from_obj(obj)
 
 
@@ -140,25 +143,32 @@ def run_ie(args: argparse.Namespace) -> tuple[dict, int]:
     }, OK
 
 
+def _is_sites(w) -> bool:
+    """w is a list of integers (sites of Z^1) or of integer lists."""
+    return isinstance(w, list) and all(isinstance(s, int) or isinstance(s, list) and all(isinstance(v, int) for v in s)
+                                       for s in w)
+
+
 def run_shadow(args: argparse.Namespace) -> tuple[dict, int]:
     path = args.config
     with open(path) as fh:
         cfg = json.load(fh)
-    if "poly" in cfg:
-        A = GroupRingMatrix([[parse_element(cfg["poly"])]])
-    else:
-        A = _matrix(cfg["matrix"])
+    if not (isinstance(cfg, dict) and isinstance(cfg.get("blocks"), list) and all(
+        isinstance(b, dict) and _is_sites(b.get("window")) and isinstance(b.get("m"), (str, list))
+        for b in cfg["blocks"]
+    )):
+        raise ValueError('a shadow config is an object with "poly" (or "matrix"), "eps", "blocks": '
+                         '[{"window": list of sites, "m": polynomial or list of them}, ...] and '
+                         'optionally "periodic"')
+    A = GroupRingMatrix([[parse_element(cfg["poly"])]]) if "poly" in cfg else _matrix(cfg.get("matrix"))
     try:
-        eps = float(cfg["eps"])
+        eps = float(cfg.get("eps"))
     except (TypeError, ValueError):  # shadow refuses the numbers that are not finite and > 0
-        raise ValueError(f"eps must be a finite number > 0, got {cfg['eps']!r}") from None
+        raise ValueError(f"eps must be a finite number > 0, got {cfg.get('eps')!r}") from None
     blocks = []
     for b in cfg["blocks"]:
-        mspec = b["m"]
-        if isinstance(mspec, str):
-            mspec = [mspec]
-        m = [parse_element(t, A.d) for t in mspec]
-        x = homoclinic.group_element(A, m)
+        mspec = [b["m"]] if isinstance(b["m"], str) else b["m"]
+        x = homoclinic.group_element(A, [parse_element(t, A.d) for t in mspec])
         blocks.append(independence.ShadowBlock(b["window"], x))
     req = independence.ShadowRequest(blocks, eps, cfg.get("periodic"))
     res = independence.shadow(A, req)
@@ -213,6 +223,8 @@ def run_pipeline(args: argparse.Namespace) -> tuple[dict, int]:
     path = args.config
     with open(path) as fh:
         stages = json.load(fh)
+    if not (isinstance(stages, list) and all(isinstance(s, dict) and isinstance(s.get("args", {}), dict) for s in stages)):
+        raise ValueError('a pipeline config is a list of stages {"command": name, "args": {...}}')
     parser = _build_parser()
     report = {"stages": []}
     for stage in stages:

@@ -149,8 +149,9 @@ class CompanionModule:
     M e_j = e_{j+1} for j < k-1 and M e_{k-1} = -(p_0, ..., p_{k-1}), so
     M^-1 e_{j+1} = e_j and M^-1 e_0 = -p_0 (p_1, ..., p_{k-1}, 1), as
     1/p_0 = p_0 for p_0 = +-1: the inverse is written down, not eliminated.
-    Both k x k matrices must fit in ALGDYN_MEM_CAP_MB as int64, counted in
-    whole megabytes, or MemoryCapError is raised before either is built.
+    M and M^-1 are lists of rows of Python ints.  Both k x k matrices must
+    fit in ALGDYN_MEM_CAP_MB at 8 bytes an entry, counted in whole
+    megabytes, or MemoryCapError is raised before either is built.
     """
 
     def __init__(self, f: GroupRingElement):
@@ -169,7 +170,7 @@ class CompanionModule:
         c0 = poly.get(0, 0)
         if abs(c0) != 1:
             raise ValueError("constant term not a unit")
-        need_mb = 2 * k * k * 8 >> 20  # M and M^-1 as int64, in whole MB
+        need_mb = 2 * k * k * 8 >> 20  # M and M^-1 at 8 bytes an entry, in whole MB
         if need_mb > torus.mem_cap_bytes() >> 20:
             raise torus.MemoryCapError(
                 f"companion matrices of degree {k} need {need_mb} MB, over ALGDYN_MEM_CAP_MB"
@@ -177,22 +178,11 @@ class CompanionModule:
         self.f = f
         self.degree = k
         p = [poly.get(i, 0) for i in range(k)] + [1]
-        M = [[int(i == j + 1) for j in range(k - 1)] + [-p[i]] for i in range(k)]
-        self.M = _int_matrix(M)
-        Minv = [[-c0 * p[i + 1]] + [int(i == j) for j in range(k - 1)] for i in range(k)]
-        self.Minv = _int_matrix(Minv)
+        self.M = [[int(i == j + 1) for j in range(k - 1)] + [-p[i]] for i in range(k)]
+        self.Minv = [[-c0 * p[i + 1]] + [int(i == j) for j in range(k - 1)] for i in range(k)]
 
     def __repr__(self) -> str:
         return f"CompanionModule({self.f.format()!r}, degree={self.degree})"
-
-
-def _int_matrix(rows: list[list[int]]) -> np.ndarray:
-    """rows as an int64 array, or as an object array of Python ints when an
-    entry does not fit in int64."""
-    try:
-        return np.array(rows, dtype=np.int64)
-    except OverflowError:
-        return np.array(rows, dtype=object)
 
 
 def _dedupe_int(rows: np.ndarray) -> np.ndarray:
@@ -240,7 +230,7 @@ def peters_entropy(
         raise ValueError("the estimate needs n_max >= 2 and diff_window >= 1")
     if isinstance(cm, CompanionModule):
         k = cm.degree
-        P, D = cm.Minv.tolist(), 1
+        P, D = cm.Minv, 1
     else:
         M = [[int(v) for v in row] for row in np.asarray(cm).tolist()]
         k = len(M)

@@ -7,8 +7,13 @@ by chi_r chi_1 = chi_{r+1} + c_r chi_{r-1}, with c_0 = 0, c_1 = 2d and
 c_r = q for r >= 2 (Figa-Talamanca and Picardello, Harmonic Analysis on Free
 Groups, ch. 3), so verify_annihilator holds one exact integer per sphere.
 Cut at order N, g chi_1 is (-q)^-N chi_{2N+1}: zero on the radius-L ball
-iff L <= 2N.  Words (tuples of nonzero integers, -i the inverse of letter
-i, reduced) carry the word-level convolution, the tests' oracle.
+iff L <= 2N.
+
+The word-level convolution is the tests' oracle for that decision.  A word
+is a reduced tuple of nonzero integers (-i the inverse of letter i), and an
+element of the rational group ring is a plain dict from reduced words to
+nonzero coefficients, as _sparse holds elements of Z[Z^d]: sphere,
+mul_truncated and annihilator_series take and return such dicts.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _sparse
 from ._report import Report
 from .groupring import CapExceeded
 
@@ -45,116 +49,36 @@ def mul_words(a: Word, b: Word) -> Word:
     return a[:i] + b[j:]
 
 
-def _element(rank: int, terms: dict) -> "FreeGroupRingElement":
-    """An element from terms already reduced, nonzero and in range."""
-    obj = FreeGroupRingElement.__new__(FreeGroupRingElement)
-    obj.rank, obj.terms = rank, terms
-    return obj
-
-
-class FreeGroupRingElement:
-    """Finitely supported rational function on a free group of rank d."""
-
-    __slots__ = ("rank", "terms")
-
-    def __init__(self, rank: int, terms=None):
-        if rank < 1:
-            raise ValueError("rank must be positive")
-        self.rank = int(rank)
-        clean: dict[Word, Fraction] = {}
-        if terms:
-            for w, c in terms.items():
-                c = Fraction(c)
-                if c == 0:
-                    continue
-                rw = reduce_word(w)
-                if rw != tuple(w):
-                    raise ValueError(f"word {w} is not reduced")
-                for a in rw:
-                    if abs(a) > rank:
-                        raise ValueError(f"letter {a} outside rank {rank}")
-                clean[rw] = c
-        self.terms = clean
-
-    @classmethod
-    def delta(cls, rank: int) -> "FreeGroupRingElement":
-        return cls(rank, {(): Fraction(1)})
-
-    def __add__(self, other: "FreeGroupRingElement") -> "FreeGroupRingElement":
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        return _element(self.rank, _sparse.add_to(dict(self.terms), other.terms))
-
-    def scale(self, c) -> "FreeGroupRingElement":
-        c = Fraction(c)
-        return _element(self.rank, {} if c == 0 else {w: v * c for w, v in self.terms.items()})
-
-    def l1_norm(self) -> Fraction:
-        return sum((abs(c) for c in self.terms.values()), Fraction(0))
-
-    def num_terms(self) -> int:
-        return len(self.terms)
-
-    def coefficient(self, w) -> Fraction:
-        return self.terms.get(reduce_word(w), Fraction(0))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FreeGroupRingElement)
-            and self.rank == other.rank
-            and self.terms == other.terms
-        )
-
-    def __repr__(self) -> str:
-        return f"FreeGroupRingElement(rank={self.rank}, {len(self.terms)} terms)"
-
-
 def sphere_size(d: int, n: int) -> int:
-    if n == 0:
-        return 1
-    return 2 * d * (2 * d - 1) ** (n - 1)
+    return 1 if n == 0 else 2 * d * (2 * d - 1) ** (n - 1)
 
 
-def sphere(d: int, n: int, cap: int = 5_000_000) -> FreeGroupRingElement:
-    """Sum of all reduced words of length exactly n, each with coefficient 1."""
+def sphere(d: int, n: int, cap: int = 5_000_000) -> dict[Word, int]:
+    """chi_n: every reduced word of length exactly n, each with coefficient 1."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if sphere_size(d, n) > cap:
         raise CapExceeded(f"sphere of {sphere_size(d, n)} words exceeds cap {cap}")
-    letters = [i for i in range(1, d + 1)] + [-i for i in range(1, d + 1)]
+    letters = [*range(1, d + 1), *range(-1, -d - 1, -1)]
     words: list[Word] = [()]
     for _ in range(n):
-        nxt: list[Word] = []
-        for w in words:
-            for a in letters:
-                if not w or w[-1] != -a:
-                    nxt.append(w + (a,))
-        words = nxt
-    return _element(d, {w: Fraction(1) for w in words})
+        words = [w + (a,) for w in words for a in letters if not w or w[-1] != -a]
+    return dict.fromkeys(words, 1)
 
 
-def mul_truncated(
-    f: FreeGroupRingElement, g: FreeGroupRingElement, L: int
-) -> FreeGroupRingElement:
+def mul_truncated(f: dict[Word, Fraction], g: dict[Word, Fraction], L: int) -> dict[Word, Fraction]:
     """Exact convolution keeping only words of length at most L.
 
     Pairs whose length gap already exceeds L are skipped: multiplying a
     word of length a by one of length b cannot produce anything shorter
     than |a - b|.
     """
-    if f.rank != g.rank:
-        raise ValueError("rank mismatch")
     out: dict[Word, Fraction] = {}
-    for wa, ca in f.terms.items():
-        la = len(wa)
-        for wb, cb in g.terms.items():
-            if abs(la - len(wb)) > L:
-                continue
-            w = mul_words(wa, wb)
-            if len(w) > L:
-                continue
-            out[w] = out.get(w, 0) + ca * cb
-    return _element(f.rank, {w: c for w, c in out.items() if c})
+    for wa, ca in f.items():
+        for wb, cb in g.items():
+            if abs(len(wa) - len(wb)) <= L and len(w := mul_words(wa, wb)) <= L:
+                out[w] = out.get(w, 0) + ca * cb
+    return {w: c for w, c in out.items() if c}
 
 
 # Bit-size cap on verify_annihilator's integers: the report prints
@@ -174,7 +98,7 @@ class AnnihilatorReport(Report):
     method: str = "radial"
 
 
-def annihilator_series(d: int, N: int, max_length: int | None = None, cap: int = 5_000_000) -> FreeGroupRingElement:
+def annihilator_series(d: int, N: int, max_length: int | None = None, cap: int = 5_000_000) -> dict[Word, Fraction]:
     """sum_{n<=N} (-1)^n (2d-1)^{-n} chi_{2n}, optionally cut at max_length.
 
     Cutting at max_length = L+1 is exact for products with chi_1 inspected
@@ -182,10 +106,7 @@ def annihilator_series(d: int, N: int, max_length: int | None = None, cap: int =
     2n +- 1, so longer spheres cannot reach the ball.
     """
     top = N if max_length is None else min(N, max_length // 2)
-    acc = FreeGroupRingElement(d, {})
-    for n in range(top + 1):
-        acc = acc + sphere(d, 2 * n, cap=cap).scale(Fraction(-1, 2 * d - 1) ** n)
-    return acc
+    return {w: Fraction(-1, 2 * d - 1) ** n for n in range(top + 1) for w in sphere(d, 2 * n, cap=cap)}
 
 
 def verify_annihilator(d: int, N: int, L: int, cap_bits: int = CAP_BITS) -> AnnihilatorReport:

@@ -208,8 +208,11 @@ class GroupRingElement:
     def from_obj(cls, obj) -> "GroupRingElement":
         if isinstance(obj, str):
             return parse_element(obj)
-        d = int(obj["d"])
-        return cls(d, {tuple(t["exp"]): int(t["coef"]) for t in obj["terms"]})
+        try:
+            return cls(int(obj["d"]), {tuple(t["exp"]): int(t["coef"]) for t in obj["terms"]})
+        except (KeyError, TypeError):
+            raise ValueError('an element object is {"d": d, "terms": [{"exp": [...], "coef": c}, ...]}, '
+                             f"got {obj!r}") from None
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj(), sort_keys=True)
@@ -224,6 +227,8 @@ def parse_element(text: str, d: int | None = None) -> GroupRingElement:
     Grammar: terms joined by +/-, each term a product (optional '*') of an
     integer coefficient and variable powers u<k>^<e>.  A bare "u" means u1.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"a polynomial is a string such as '3 - u1', got {text!r}")
     pos = 0
     tokens: list[str] = []
     while pos < len(text):
@@ -286,6 +291,17 @@ def parse_element(text: str, d: int | None = None) -> GroupRingElement:
     return GroupRingElement(d, terms)
 
 
+def _entry(e, d: int | None) -> GroupRingElement:
+    """A matrix entry: a polynomial string, an element object or a GroupRingElement."""
+    if isinstance(e, GroupRingElement):
+        return e
+    if isinstance(e, str):
+        return parse_element(e, d)
+    if isinstance(e, dict):
+        return GroupRingElement.from_obj(e)
+    raise ValueError(f"a matrix entry is a polynomial string or an element object, got {e!r}")
+
+
 class GroupRingMatrix:
     """Rectangular matrix over GroupRingElement with a shared dimension d."""
 
@@ -314,14 +330,10 @@ class GroupRingMatrix:
 
     @classmethod
     def from_obj(cls, obj, d: int | None = None) -> "GroupRingMatrix":
-        rows = []
-        for row in obj:
-            rows.append([
-                e if isinstance(e, GroupRingElement)
-                else parse_element(e, d) if isinstance(e, str)
-                else GroupRingElement.from_obj(e)
-                for e in row
-            ])
+        """A matrix from a nonempty list of nonempty rows of entries (see _entry)."""
+        if not (isinstance(obj, list) and obj and all(isinstance(row, list) and row for row in obj)):
+            raise ValueError(f'a matrix is a nonempty list of nonempty rows, such as [["3 - u1"]], got {obj!r}')
+        rows = [[_entry(e, d) for e in row] for row in obj]
         dd = d or max(e.d for row in rows for e in row)
         norm = [[e if e.d == dd else GroupRingElement(dd, {(_pad(k, dd)): c for k, c in e.terms.items()}) for e in row] for row in rows]
         return cls(norm)

@@ -116,14 +116,19 @@ class LiftedPoint:
         return Fraction(sum(dist.values()), den)
 
 
-def _lattice_fold(B: list[list[int]]):
-    """The map taking a site e to its representative with B^-1 e in
-    [0,1)^d, computed exactly.  B is inverted once, as an integer matrix P
-    over one denominator D > 0, so floor(B^-1 e) is (P e) // D."""
+def _basis_inverse(B: list[list[int]]) -> tuple[list[list[int]], int]:
+    """B^-1 as an integer matrix P over one denominator D > 0."""
     try:
-        P, D = _sparse.int_inverse(B)
+        return _sparse.int_inverse(B)
     except ValueError:
         raise ValueError(f"the periodic basis {B} must have full rank") from None
+
+
+def _lattice_fold(B: list[list[int]], inverse: tuple[list[list[int]], int] | None = None):
+    """The map taking a site e to its representative with B^-1 e in
+    [0,1)^d, computed exactly.  B is inverted once (or its given inverse
+    P / D is used), so floor(B^-1 e) is (P e) // D."""
+    P, D = inverse or _basis_inverse(B)
 
     def fold(e: tuple[int, ...]) -> tuple[int, ...]:
         ks = [sum(map(mul, row, e)) // D for row in P]

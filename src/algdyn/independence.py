@@ -19,14 +19,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul, sub
 
 import numpy as np
 
 from . import _sparse, torus
 from ._report import Report, plain
 from .groupring import GroupRingElement, GroupRingMatrix, ball, norm_sites
-from .homoclinic import HomoclinicPoint, LiftedPoint, _lattice_fold, _lift_sum, _point
+from .homoclinic import HomoclinicPoint, LiftedPoint, _basis_inverse, _lattice_fold, _lift_sum, _point
 
 
 def greedy_separated_subset(F: list, K: list) -> list[tuple[int, ...]]:
@@ -230,17 +230,15 @@ class ShadowRequest:
     periodic_subgroup: list | None = None  # d x d integer basis, or diagonal list
 
     def basis_matrix(self, d: int) -> list[list[int]] | None:
-        if self.periodic_subgroup is None:
-            return None
+        """The basis as d rows of d integers; a list of d integers is its diagonal."""
         B = self.periodic_subgroup
-        if all(isinstance(v, int) for v in B):
-            if len(B) != d:
-                raise ValueError("diagonal subgroup needs d entries")
-            return [[B[i] if i == j else 0 for j in range(d)] for i in range(d)]
-        M = [[int(v) for v in row] for row in B]
-        if len(M) != d or any(len(r) != d for r in M):
-            raise ValueError("basis matrix must be d x d")
-        return M
+        if isinstance(B, list) and all(isinstance(v, int) for v in B):
+            B = [[v if i == j else 0 for j in range(len(B))] for i, v in enumerate(B)]
+        if B is not None and not (isinstance(B, list) and len(B) == d and all(
+                isinstance(row, list) and len(row) == d and all(isinstance(v, int) for v in row) for row in B)):
+            raise ValueError(f"the periodic basis is {d} integers (a diagonal) or {d} rows of {d} "
+                             f"integers, got {self.periodic_subgroup!r}")
+        return B
 
 
 @dataclass
@@ -283,12 +281,7 @@ def _region(block: ShadowBlock, d: int) -> set[tuple[int, ...]]:
 
 
 def _min_distance(S: set, T: set) -> int:
-    best = None
-    for s in S:
-        for t in T:
-            dd = max(abs(a - b) for a, b in zip(s, t))
-            best = dd if best is None else min(best, dd)
-    return best if best is not None else 0
+    return min((max(map(abs, map(sub, s, t))) for s in S for t in T), default=0)
 
 
 def shadow(A: GroupRingMatrix, req: ShadowRequest) -> ShadowResult:
@@ -303,7 +296,8 @@ def shadow(A: GroupRingMatrix, req: ShadowRequest) -> ShadowResult:
     d = A.d
     _check_eps(req.eps)
     B = req.basis_matrix(d)
-    fold = None if B is None else _lattice_fold(B)
+    inverse = None if B is None else _basis_inverse(B)
+    fold = None if B is None else _lattice_fold(B, inverse)
     if not req.blocks:
         zero = [dict() for _ in range(A.rows)]
         return ShadowResult(zero, 1, 0.0, d, [], 0, req.eps, periodic_basis=B)
@@ -328,12 +322,13 @@ def shadow(A: GroupRingMatrix, req: ShadowRequest) -> ShadowResult:
     nums = y.nums
 
     if fold is not None:
-        # fundamental domain must contain every block's R-neighborhood:
-        # neighboring subgroup translates of the combined region must stay
-        # farther than R apart.
+        # fundamental domain must contain every block's R-neighborhood: no
+        # nonzero subgroup translate of the combined region may come within
+        # R of it, and only translates by at most its diameter plus R can.
         all_sites = set().union(*regions)
-        for gz in _small_lattice_vectors(B, d):
-            shifted = {tuple(a + b for a, b in zip(s, gz)) for s in all_sites}
+        reach = max((max(c) - min(c) for c in zip(*all_sites)), default=0) + R
+        for lam in _short_vectors(B, *inverse, reach):
+            shifted = {tuple(map(add, s, lam)) for s in all_sites}
             if _min_distance(all_sites, shifted) <= R:
                 raise ValueError("periodic domain too small for the blocks' gap radius")
         folded: list[dict] = [{} for _ in nums]
@@ -353,14 +348,22 @@ def shadow(A: GroupRingMatrix, req: ShadowRequest) -> ShadowResult:
     return result
 
 
-def _small_lattice_vectors(B: list[list[int]], d: int):
-    out = []
-    rng = [-1, 0, 1]
-    for z in itertools.product(rng, repeat=d):
-        if all(v == 0 for v in z):
-            continue
-        out.append(tuple(sum(B[i][j] * z[j] for j in range(d)) for i in range(d)))
-    return out
+def _short_vectors(B: list[list[int]], P: list[list[int]], D: int, reach: int) -> list[tuple[int, ...]]:
+    """Every nonzero vector of the subgroup B Z^d with max norm at most reach.
+
+    Such a vector is B z with |z_i| <= sum_j |P_ij| reach / D (B^-1 = P / D);
+    when that box of z is larger than the cube of sites, the cube's sites
+    lam with P lam = 0 mod D are tried instead.
+    """
+    d = len(B)
+    box = [sum(map(abs, row)) * reach // D for row in P]
+    if math.prod(2 * b + 1 for b in box) <= (2 * reach + 1) ** d:
+        cands = (tuple(sum(map(mul, row, z)) for row in B)
+                 for z in itertools.product(*(range(-b, b + 1) for b in box)))
+    else:
+        cands = (lam for lam in itertools.product(range(-reach, reach + 1), repeat=d)
+                 if not any(sum(map(mul, row, lam)) % D for row in P))
+    return [lam for lam in cands if any(lam) and max(map(abs, lam)) <= reach]
 
 
 # The specification check reads x on the annulus of this width beyond the

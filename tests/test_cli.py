@@ -628,3 +628,33 @@ def test_shadow_singular_periodic_basis_is_refused(tmp_path, capsys, poly, block
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: the periodic basis") and "full rank" in captured.err
+
+
+_SHADOW_2D = {"poly": "5 - u1 - u1^-1 - u2 - u2^-1", "eps": 0.2,
+              "blocks": [{"window": [[0, 0], [0, 1]], "m": "u1*u2"}]}
+
+
+@pytest.mark.parametrize("command, obj, form", [
+    ("expansive --matrix", [[1]], "a matrix entry is"),
+    ("expansive --matrix", [[None]], "a matrix entry is"),
+    ("expansive --matrix", [], "a matrix is a nonempty list"),
+    ("expansive --matrix", "3 - u1", "a matrix is a nonempty list"),
+    ("expansive --matrix", {"d": 1}, "a matrix is a nonempty list"),
+    ("expansive --matrix", [[{"d": 1, "terms": 5}]], "an element object is"),
+    ("shadow --config", {**_SHADOW_2D, "periodic": 64}, "the periodic basis is 2 integers"),
+    ("shadow --config", {**_SHADOW_2D, "periodic": [64.5, 64]}, "the periodic basis is 2 integers"),
+    ("shadow --config", {**_SHADOW_2D, "blocks": [{"window": 5, "m": "1"}]}, "a shadow config is"),
+    ("shadow --config", [_SHADOW_2D], "a shadow config is"),
+    ("shadow --config", {"poly": "3 - u1 - u1^-1", "eps": 0.2}, "a shadow config is"),
+    ("shadow --config", {**_SHADOW_2D, "poly": 5}, "a polynomial is a string"),
+    ("pipeline --config", {"command": "expansive"}, "a pipeline config is a list"),
+    ("pipeline --config", [1], "a pipeline config is a list"),
+    ("pipeline --config", [{"command": "expansive", "args": 5}], "a pipeline config is a list"),
+])
+def test_malformed_json_input_is_an_error_line(tmp_path, capsys, command, obj, form):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    assert main([*command.split(), str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {form}")

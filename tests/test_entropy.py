@@ -140,7 +140,7 @@ def test_companion_golden_mean():
     cm = CompanionModule(parse_element("u1^2 - u1 - 1"))
     assert cm.degree == 2
     assert abs(round(np.linalg.det(cm.M))) == 1
-    assert (cm.M @ cm.Minv == np.eye(2, dtype=np.int64)).all()
+    assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*cm.Minv)] for row in cm.M] == [[1, 0], [0, 1]]
 
 
 def test_companion_rejects_non_unit_constant(f_geometric):
@@ -323,9 +323,9 @@ def test_peters_counts_equal_a_brute_force_set_oracle(inputs):
 def test_companion_inverse_closed_form_equals_elimination(c0, middle, shift):
     f = E(1, {(i + shift,): c for i, c in enumerate([c0, *middle, 1])})
     cm = CompanionModule(f)
-    P, D = int_inverse(cm.M.tolist())
+    P, D = int_inverse(cm.M)
     assert D == 1
-    assert cm.Minv.tolist() == P
+    assert cm.Minv == P
 
 
 def test_peters_degree_200_is_fast():
@@ -337,7 +337,7 @@ def test_peters_degree_200_is_fast():
 
 def test_peters_companion_with_coefficients_beyond_int64():
     cm = CompanionModule(parse_element("u1^2 - 10000000000000000000000*u1 - 1"))
-    assert cm.Minv.tolist() == [[-10**22, 1], [1, 0]]
+    assert cm.Minv == [[-10**22, 1], [1, 0]]
     est = peters_entropy(cm, n_max=4)
     assert [row["count"] for row in est.series] == [2, 4, 8, 16]
 
@@ -370,7 +370,7 @@ def test_peters_stays_on_int64_while_the_held_entries_allow(monkeypatch):
     monkeypatch.setattr(entropy, "_dedupe_int", rows_tier)
     cm = CompanionModule(parse_element("u1^2 - u1 + 1"))
     est = peters_entropy(cm, n_max=70)
-    assert [row["count"] for row in est.series] == _companion_counts(cm.Minv.tolist(), 70)
+    assert [row["count"] for row in est.series] == _companion_counts(cm.Minv, 70)
 
 
 # The polynomials of the benchmark's counting workload (coefficients low to
@@ -391,7 +391,7 @@ _COUNTING_FIXTURES = [
 def test_peters_counts_the_counting_fixtures_like_the_set_recursion(coeffs):
     cm = CompanionModule(E(1, {(i,): c for i, c in enumerate(coeffs) if c}))
     est = peters_entropy(cm, n_max=12)
-    assert [row["count"] for row in est.series] == _companion_counts(cm.Minv.tolist(), 12)
+    assert [row["count"] for row in est.series] == _companion_counts(cm.Minv, 12)
 
 
 @pytest.mark.parametrize("poly", ["u1^2 - u1 - 1", "u1^3 - 2*u1^2 + u1 - 1", "u1^2 + 1"])
@@ -400,7 +400,7 @@ def test_peters_counts_minus_f_like_f(poly):
     f = parse_element(poly)
     cm = CompanionModule(-f)
     assert cm.f == -f
-    assert cm.Minv.tolist() == CompanionModule(f).Minv.tolist()
+    assert cm.Minv == CompanionModule(f).Minv
     assert peters_entropy(cm, n_max=10).series == peters_entropy(CompanionModule(f), n_max=10).series
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from algdyn.freegroup import (
     CAP_BITS,
-    FreeGroupRingElement,
     annihilator_series,
     mul_truncated,
     mul_words,
@@ -34,19 +33,19 @@ def test_mul_words_cancellation():
 
 def test_sphere_counts():
     s0 = sphere(2, 0)
-    assert s0.terms == {(): Fraction(1)}
-    assert sphere(2, 1).num_terms() == 4
-    assert sphere(2, 2).num_terms() == 12
-    assert sphere(3, 2).num_terms() == 30
+    assert s0 == {(): Fraction(1)}
+    assert len(sphere(2, 1)) == 4
+    assert len(sphere(2, 2)) == 12
+    assert len(sphere(3, 2)) == 30
     for d in (2, 3):
         for n in (1, 2, 3):
-            assert sphere(d, n).num_terms() == sphere_size(d, n)
+            assert len(sphere(d, n)) == sphere_size(d, n)
 
 
 def test_sphere_l1_norm():
     for d in (2, 3):
         for n in (1, 2, 3):
-            assert sphere(d, n).l1_norm() == 2 * d * (2 * d - 1) ** (n - 1)
+            assert sum(map(abs, sphere(d, n).values())) == 2 * d * (2 * d - 1) ** (n - 1)
 
 
 def test_sphere_cap():
@@ -58,7 +57,7 @@ def test_chi_one_squared():
     # chi_1 * chi_1 = chi_2 + 2d chi_0, verified by enumeration
     d = 2
     prod = mul_truncated(sphere(d, 1), sphere(d, 1), 4)
-    expected = sphere(d, 2) + sphere(d, 0).scale(2 * d)
+    expected = {**sphere(d, 2), (): 2 * d}
     assert prod == expected
 
 
@@ -66,19 +65,19 @@ def test_chi_two_times_chi_one():
     # chi_2 * chi_1 = chi_3 + (2d-1) chi_1
     d = 2
     prod = mul_truncated(sphere(d, 2), sphere(d, 1), 5)
-    expected = sphere(d, 3) + sphere(d, 1).scale(2 * d - 1)
+    expected = {**sphere(d, 3), **dict.fromkeys(sphere(d, 1), 2 * d - 1)}
     assert prod == expected
 
 
 def test_mul_identity():
-    f = sphere(2, 2).scale(Fraction(1, 3)) + sphere(2, 0)
-    assert mul_truncated(f, FreeGroupRingElement.delta(2), 4) == f
+    f = {**dict.fromkeys(sphere(2, 2), Fraction(1, 3)), (): Fraction(1)}
+    assert mul_truncated(f, {(): Fraction(1)}, 4) == f
 
 
 def test_mul_truncation_drops_long_words():
     prod = mul_truncated(sphere(2, 2), sphere(2, 1), 1)
     # only the descents survive: chi_2 chi_1 restricted to length 1
-    assert prod == sphere(2, 1).scale(2 * 2 - 1)
+    assert prod == dict.fromkeys(sphere(2, 1), 2 * 2 - 1)
 
 
 def test_mul_associativity_random():
@@ -91,7 +90,7 @@ def test_mul_associativity_random():
         for _ in range(rng.integers(1, 5)):
             w = reduce_word(tuple(rng.choice(letters, size=rng.integers(0, 4))))
             terms[w] = terms.get(w, Fraction(0)) + Fraction(int(rng.integers(-3, 4)))
-        return FreeGroupRingElement(2, {w: c for w, c in terms.items() if c})
+        return {w: c for w, c in terms.items() if c}
 
     for _ in range(25):
         a, b, c = rand_elem(), rand_elem(), rand_elem()
@@ -120,11 +119,11 @@ def test_annihilator_truncation_frontier():
 
 def test_annihilator_series_coefficients():
     g = annihilator_series(2, 2)
-    assert g.coefficient(()) == 1
+    assert g[()] == 1
     w2 = (1, 2)
-    assert g.coefficient(w2) == Fraction(-1, 3)
+    assert g[w2] == Fraction(-1, 3)
     w4 = (1, 2, 1, 2)
-    assert g.coefficient(w4) == Fraction(1, 9)
+    assert g[w4] == Fraction(1, 9)
 
 
 def test_annihilator_frontier_nonzero_beyond_guarantee():
@@ -139,8 +138,8 @@ def _word_level(d, N, L):
     radius L, from the word-level convolution."""
     g = annihilator_series(d, N, max_length=L + 1)
     prod = mul_truncated(g, sphere(d, 1), L)
-    radii = sorted({len(w) for w in prod.terms})
-    return not prod.terms, radii, sum(sphere_size(d, r) for r in range(L + 1))
+    radii = sorted({len(w) for w in prod})
+    return not prod, radii, sum(sphere_size(d, r) for r in range(L + 1))
 
 
 @pytest.mark.parametrize("d, max_radius", [(2, 6), (3, 4)])

@@ -367,6 +367,34 @@ def test_shadow_periodic_two_dimensional(A_2d):
         assert res.lift_at((i, j)) == res.lift_at((i - 32, j - 24))
 
 
+# U = [[1, 3], [0, 1]], [[2, 1], [1, 1]] and [[1000001, 1000000], [1000000, 999999]]
+# are unimodular, so B and B U span one subgroup; the last makes the box of
+# coefficients z far larger than the cube of short vectors.
+_SKEW = [[1000001, 1000000], [1000000, 999999]]
+
+
+@pytest.mark.parametrize("B, BU, accepted", [
+    ([[32, 0], [0, 24]], [[32, 96], [0, 24]], True),
+    ([[32, 0], [0, 24]], [[64, 32], [24, 24]], True),
+    ([[32, 0], [0, 24]], [[32000032, 32000000], [24000000, 23999976]], True),
+    ([[32, 0], [0, 6]], [[32, 96], [0, 6]], False),  # (0, 6) = (96, 6) - 3 (32, 0)
+    ([[32, 0], [0, 3]], [[32, 96], [0, 3]], False),
+    ([[1, 0], [0, 1]], _SKEW, False),
+])
+def test_periodic_shadow_verdict_depends_on_the_subgroup_only(A_2d, B, BU, accepted):
+    x = group_element(A_2d, parse_element("u1*u2", d=2), 1e-8, 8)
+    block = ShadowBlock([(i, j) for i in range(3) for j in range(3)], x)
+
+    def verdict(basis):
+        try:
+            return shadow(A_2d, ShadowRequest([block], 0.2, basis)).block_errors
+        except ValueError as exc:
+            return str(exc)
+
+    assert verdict(B) == verdict(BU)
+    assert isinstance(verdict(B), list) == accepted
+
+
 def test_shadow_periodic_non_diagonal_basis(A_2d):
     x = group_element(A_2d, parse_element("u1*u2", d=2), 1e-8, 8)
     window = [(i, j) for i in range(3) for j in range(3)]
