@@ -2,10 +2,10 @@
 
 A finitely supported v: Z^d -> Q is stored as a dict from exponent tuples
 to nonzero ints together with one positive int den, standing for
-v(e) = nums[e] / den.  The l1 inverse's float seeds and Newton iterates
-are dyadic, so den is a power of two on that path and every operation
-below is integer arithmetic; Fraction objects are built only by scale and
-unscale, at the boundary.
+v(e) = nums[e] / den.  The l1 inverse's float seed and its refinement
+steps are dyadic, so den is a power of two on that path and every
+operation below is integer arithmetic; Fraction objects are built only by
+scale and unscale, at the boundary.
 
 A group-ring element's terms are such a dict with den 1, so the same core
 does the package's exact matrix algebra.  vecmat multiplies a row vector
@@ -16,8 +16,7 @@ ring Z[Z^d] whose every division goes through exact_div.  Group-ring
 determinants, the finite-entropy rank and its kernel witness, and
 int_inverse (a square integer matrix as integers P over one denominator
 D: the inverse of a Peters shift matrix given as a matrix, the periodic
-shadow fold) all read their
-answers off its reduced rows.
+shadow fold) all read their answers off its reduced rows.
 """
 
 from __future__ import annotations
@@ -203,20 +202,6 @@ def add_to(acc: dict, b: dict, sign: int = 1) -> dict:
 
 def l1(nums: dict) -> int:
     return sum(map(abs, nums.values()))
-
-
-def requantize(nums: dict, den: int, bits: int) -> dict:
-    """Numerators over 2^bits of round(v * 2^bits), ties to even as in
-    Fraction.__round__; entries that round to zero are dropped."""
-    q = 1 << bits
-    out = {}
-    for e, n in nums.items():
-        fl, r = divmod(n * q, den)
-        if 2 * r > den or (2 * r == den and fl & 1):
-            fl += 1
-        if fl:
-            out[e] = fl
-    return out
 
 
 def center(n: int, den: int) -> int:

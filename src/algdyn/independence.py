@@ -60,7 +60,7 @@ def interaction_radius(x: HomoclinicPoint, eps: float, radius_cap: int = 200) ->
     The mass is the exact sum of per-site distances to zero over the lift
     support plus the certified tail bound of the truncation.
     """
-    _check_eps(eps)
+    torus._check_positive("eps", eps)
     if not math.isfinite(x.tail_bound):
         raise ValueError("the point has no certified tail bound (inverse residual >= 1)")
     dist, den = x.site_distances()
@@ -70,11 +70,6 @@ def interaction_radius(x: HomoclinicPoint, eps: float, radius_cap: int = 200) ->
     if r > radius_cap:
         raise ValueError(f"the interaction ball needs radius {r} > radius_cap = {radius_cap}")
     return r
-
-
-def _check_eps(eps: float) -> None:
-    if not 0 < eps < math.inf:
-        raise ValueError(f"eps must be a finite number > 0, got {eps!r}")
 
 
 def separated_window(x: HomoclinicPoint, eps: float, F: list) -> tuple[list, int, list]:
@@ -294,7 +289,7 @@ def shadow(A: GroupRingMatrix, req: ShadowRequest) -> ShadowResult:
     derived from that inverse's l1 tail.
     """
     d = A.d
-    _check_eps(req.eps)
+    torus._check_positive("eps", req.eps)
     B = req.basis_matrix(d)
     inverse = None if B is None else _basis_inverse(B)
     fold = None if B is None else _lattice_fold(B, inverse)
@@ -403,7 +398,7 @@ def homoclinic_specification_check(x: HomoclinicPoint, eps: float, F1: list) -> 
     Fn = norm_sites(F1, d)
     if x.support() and max(max(abs(v) for v in e) for e in x.support()) > SPEC_SUPPORT_CAP:
         raise ValueError("support exceeds verification window")
-    _check_eps(eps)
+    torus._check_positive("eps", eps)
     R = inverse_tail_radius(x.inverse, eps / (2.0 * x.A.l1_norm()))
     gap_set = {tuple(map(add, s, b)) for s in Fn for b in ball(d, R)}
     annulus = sorted({tuple(map(add, s, b)) for s in Fn for b in ball(d, R + SPEC_VERIFY_WIDTH)} - gap_set)

@@ -12,10 +12,10 @@ l1(Z^d) exactly when its Fourier series f^ has no zero on the d-torus
   point, confirmed in integer cyclotomic arithmetic.  Else it is Unknown.
 
 * l1_inverse produces a finitely supported dyadic approximation g of
-  f^-1.  Its coefficients, Newton iterates and residual ||delta - g*f||_1
-  are exact: integer numerators over one common power-of-two denominator
-  (the _sparse core).  The residual yields an a posteriori bound on
-  ||f^-1 - g||_1.
+  f^-1 by iterative refinement: floats propose corrections, and the exact
+  residual ||delta - g*f||_1, over one power-of-two denominator like the
+  coefficients (the _sparse core), decides.  The residual yields an a
+  posteriori bound on ||f^-1 - g||_1.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .groupring import (
 )
 
 DEFAULT_GRID = {1: 1024, 2: 256, 3: 64}
-NEWTON_MAX_ITER = 25
 EXACT_Q_MAX = 256  # largest common denominator of an exactly checked point
 
 INVERTIBLE = "Invertible"
@@ -340,12 +339,17 @@ def conv_frac(a: dict, b: dict) -> dict:
     return _sparse.unscale(_sparse.conv(na, nb), den * den)
 
 
-def _residual(g: dict[tuple[int, ...], int], den: int, f: GroupRingElement) -> Fraction:
-    """||delta - (g/den)*f||_1 for integer numerators g, exact."""
+def _check_positive(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+
+
+def _residual(g: dict[tuple[int, ...], int], den: int, f: GroupRingElement) -> tuple[dict, Fraction]:
+    """(f*g - delta as numerators over den, ||delta - (g/den)*f||_1), exact."""
     prod = _sparse.conv(g, f.terms)
     e0 = (0,) * f.d
     prod[e0] = prod.get(e0, 0) - den
-    return Fraction(_sparse.l1(prod), den)
+    return prod, Fraction(_sparse.l1(prod), den)
 
 
 def _tail(residual: Fraction, nums, den: int) -> float:
@@ -356,6 +360,28 @@ def _tail(residual: Fraction, nums, den: int) -> float:
                  / (1 - residual))
 
 
+def _dyadic(arr: np.ndarray, radius: int, den: int = 1) -> tuple[dict[tuple[int, ...], int], int]:
+    """arr at e mod m over the max-norm ball of the radius, exactly, as numerators
+    over one power of two, den or above (floats are dyadic); zeros dropped."""
+    m = arr.shape[0]
+    ratios: dict[tuple[int, ...], tuple[int, int]] = {}
+    for e in ball(arr.ndim, radius):
+        v = float(arr[tuple(x % m for x in e)])
+        if v != 0.0:
+            ratios[e] = v.as_integer_ratio()
+    shift = max([den.bit_length() - 1, *(q.bit_length() - 1 for _, q in ratios.values())])
+    return {e: p << (shift + 1 - q.bit_length()) for e, (p, q) in ratios.items()}, 1 << shift
+
+
+def _grid(nums: dict, den: int, m: int, d: int, radius: int) -> np.ndarray:
+    """nums / den as floats at e mod m on the m^d grid, for e within the radius."""
+    arr = np.zeros((m,) * d)
+    for e, n in nums.items():
+        if max(map(abs, e)) <= radius:
+            arr[tuple(x % m for x in e)] = n / den
+    return arr
+
+
 def l1_inverse(
     f: GroupRingElement,
     tol: float = 1e-10,
@@ -364,14 +390,17 @@ def l1_inverse(
 ) -> MatrixL1Inverse:
     """Truncated inverse of f in l1(Z^d) with an exact residual certificate.
 
-    Seeds coefficients by sampling 1/f^ on a uniform grid and applying the
-    inverse discrete Fourier transform, truncates to the max-norm ball of
-    the given radius, then refines by g <- g(2 delta - f g), requantized
-    to 2^-bits, on integer numerators until the exact residual drops below
-    tol, for at most NEWTON_MAX_ITER steps.  If tol cannot be met within
-    the radius the best approximant is returned with converged=False and
-    its achieved residual.  The result is the 1 x 1 MatrixL1Inverse.
+    The seed g0 is the inverse DFT of 1/f^ sampled on a uniform grid, cut
+    to the max-norm ball of the radius.  Each refinement step adds c, the
+    float64 FFT product g0 r cut to the ball, where r = delta - f g is
+    exact.  It stops once ||r||_1 <= tol, or when a step fails to halve
+    ||r||_1 (the truncation floor), keeping the better of the last two
+    iterates; converged=False then says tol was missed.  The result is the
+    1 x 1 MatrixL1Inverse.
     """
+    _check_positive("tol", tol)
+    if radius_cap < 0:
+        raise ValueError(f"radius_cap must be >= 0, got {radius_cap!r}")
     if f.num_terms() == 1:
         (e, c), = f.terms.items()
         if abs(c) == 1:  # a monomial unit: its inverse is exact
@@ -391,37 +420,27 @@ def l1_inverse(
 
     vals = _kernels.grid_values(*_term_arrays(f), m, 0.0)
     coef = np.fft.fftn(1.0 / vals) / (m ** d)
-
-    # the float seed is dyadic: put every coefficient over one 2^shift
-    seed: dict[tuple[int, ...], tuple[int, int]] = {}
-    for e in ball(d, radius_cap):
-        v = float(coef[tuple(x % m for x in e)].real)
-        if v != 0.0:
-            seed[e] = v.as_integer_ratio()
-    shift = max((q.bit_length() - 1 for _, q in seed.values()), default=0)
-    g = {e: p << (shift + 1 - q.bit_length()) for e, (p, q) in seed.items()}
-    den = 1 << shift
-
-    bits = max(64, 2 * int(math.ceil(-math.log2(max(tol, 1e-300)))) + 16)
-    e0 = (0,) * d
-    best, best_den = g, den
-    best_r = _residual(g, den, f)
-    it = 0
-    while best_r > tol and it < NEWTON_MAX_ITER:
-        it += 1
-        # g <- g (2 delta - f g), truncated and requantized to 2^-bits
-        two_minus = {e: -c for e, c in _sparse.conv(g, f.terms).items()}
-        two_minus[e0] = two_minus.get(e0, 0) + 2 * den
-        g = {e: c for e, c in _sparse.conv(g, two_minus).items() if max(map(abs, e)) <= radius_cap}
-        g, den = _sparse.requantize(g, den * den, bits), 1 << bits
-        r = _residual(g, den, f)
-        if r < best_r:
-            best, best_den, best_r = g, den, r
-        else:
+    g, den = _dyadic(coef.real, radius_cap)
+    prod, r = _residual(g, den, f)
+    seed_hat = None
+    while r > tol:
+        if seed_hat is None:  # built once a step runs; r lies within R + deg f, only
+            # its terms within 2R reach the ball, and m > 2R + s keeps g0 r from wrapping
+            s = min(2 * radius_cap, radius_cap + max(max(map(abs, e)) for e in f.terms))
+            mc = 1 << (2 * radius_cap + s + 1).bit_length()
+            _check_grid_memory(mc, d)
+            seed_hat = np.fft.rfftn(_grid(g, den, mc, d, radius_cap))
+        corr = np.fft.irfftn(seed_hat * np.fft.rfftn(_grid(prod, den, mc, d, s)))  # mc is even
+        c, cden = _dyadic(corr, radius_cap, den)
+        step = _sparse.add_to({e: n * (cden // den) for e, n in g.items()}, c, -1)
+        step_prod, step_r = _residual(step, cden, f)
+        if 2 * step_r > r:  # the truncation floor
+            if step_r < r:
+                g, den, r = step, cden, step_r
             break
+        g, den, prod, r = step, cden, step_prod, step_r
 
-    nums = [[best]]
-    return MatrixL1Inverse(nums, best_den, best_r, best_r <= tol, _tail(best_r, nums, best_den), cert)
+    return MatrixL1Inverse([[g]], den, r, r <= tol, _tail(r, [[g]], den), cert)
 
 
 def matrix_l1_inverse(A: GroupRingMatrix, tol: float = 1e-10, radius_cap: int = 40) -> MatrixL1Inverse:
@@ -437,6 +456,7 @@ def matrix_l1_inverse(A: GroupRingMatrix, tol: float = 1e-10, radius_cap: int = 
     tol the result carries converged=False.  No matrix-level refinement
     follows.
     """
+    _check_positive("tol", tol)
     if not A.is_square():
         raise ValueError("matrix must be square")
     k = A.rows

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -587,6 +588,15 @@ def test_homoclinic_chain_says_whether_the_inverse_converged(capsys, poly, conve
     rep = json.loads(out)
     assert rep["certificate_chain"]["inverse_converged"] is converged
     assert (rep["annihilation_residual"] <= rep["membership_tolerance"]) is converged
+
+
+def test_homoclinic_inverse_refined_below_the_seed_residual(capsys):
+    # the float seed leaves residual 1.5e-15; refinement steps reach --tol
+    code, out = run_cli(capsys, ["homoclinic", "--poly", "3 - u1 - u1^-1", "--tol", "1e-30", "--radius", "80"])
+    assert code == 0
+    chain = json.loads(out)["certificate_chain"]
+    assert chain["inverse_converged"] is True
+    assert Fraction(chain["inverse_residual"]) <= Fraction(1e-30)
 
 
 def test_shadow_config_matrix_reads_like_a_matrix_file(tmp_path, capsys):

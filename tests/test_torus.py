@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from algdyn import _sparse, torus
+from algdyn import _sparse, homoclinic, torus
 from algdyn._kernels import grid_error_bound
 from algdyn.groupring import GroupRingElement, GroupRingMatrix, parse_element
 from algdyn.torus import (
@@ -370,6 +370,35 @@ def test_inverse_reports_best_on_unreachable_tol(f_symmetric):
     assert not g.converged
     assert g.residual > 0
     assert float(g.residual) < 1e-2  # truncation floor of the radius-6 ball
+
+
+def test_inverse_refines_past_the_seed(f_symmetric):
+    # the float seed alone leaves residual 1.5e-15; refinement steps reach tol
+    g = l1_inverse(f_symmetric, 1e-30, 80)
+    assert g.converged
+    assert g.residual <= Fraction(1e-30)
+
+
+def test_inverse_stops_at_the_truncation_floor():
+    # a step that fails to halve the residual ends the refinement
+    g = l1_inverse(parse_element("5 - 2*u1 - u1^-1"), 1e-30, 60)
+    assert not g.converged
+    assert float(g.residual) == pytest.approx(1.936e-22, rel=1e-3)
+
+
+@pytest.mark.parametrize("tol, radius, name, value", [
+    (math.nan, 10, "tol", math.nan),
+    (math.inf, 10, "tol", math.inf),
+    (0.0, 10, "tol", 0.0),
+    (-1e-10, 10, "tol", -1e-10),
+    (1e-10, -1, "radius_cap", -1),
+])
+def test_inverse_refuses_bad_tol_and_radius(f_symmetric, tol, radius, name, value):
+    A = GroupRingMatrix([[f_symmetric]])
+    for inverse in (l1_inverse, matrix_l1_inverse, homoclinic.fundamental_homoclinic):
+        arg = f_symmetric if inverse is l1_inverse else A
+        with pytest.raises(ValueError, match=rf"^{name} must be .*, got {re.escape(repr(value))}$"):
+            inverse(arg, tol, radius)
 
 
 def test_inverse_tail_bound_formula(f_symmetric):
