@@ -1,8 +1,8 @@
 """Hot numeric kernels: the torus grid evaluator and greedy separation.
 
-grid_values gives f^(theta) = sum_n c_n exp(2 pi i n.theta) on the whole
-uniform grid theta = (j + offset)/m, j in {0, ..., m-1}^d, one axis at a
-time.  Each character exp(2 pi i n.theta) is a product of one-variable
+grid_values gives f^(theta) = sum_n c_n exp(2 pi i n.theta) on the uniform
+grid theta = (j + offset)/m, j in {0, ..., m-1}^d, one axis at a time.
+Each character exp(2 pi i n.theta) is a product of one-variable
 characters, so the coefficients are gathered into a dense array indexed by
 the s_k distinct exponents of each axis k (a handful for the sparse
 polynomials of this package), and each axis in turn is contracted against
@@ -11,9 +11,16 @@ distinct exponents goes first, so the last stage, the only one that writes
 all m^d values, has the shortest inner product.  For d = 1 the grid index
 is split as j = a + m1 b with m = m1 m2: each term is scaled by a table of
 m1 rows and the terms are summed against a table of m2 rows, so no table
-has m rows.  grid_error_bound bounds
-the rounding error of every computed grid value, for every m; Wiener
-certification and log-Mahler quadrature both scan this grid.
+has m rows.
+
+Wiener certification and log-Mahler quadrature both scan this grid, and
+only |f^| matters to them.  With integer (real) coefficients
+f^(-theta) = conj f^(theta), and both grids, offset 0 and offset 1/2, are
+closed under theta -> -theta, so grid_abs_values evaluates one point of
+each mirror pair: the first-axis rows j_0 < h (half_rows), cut in that
+axis's table of roots, so every stage writes about half as many values.
+grid_error_bound bounds the rounding error of every computed grid value,
+for every m, full grid or half.
 """
 
 from __future__ import annotations
@@ -69,33 +76,49 @@ def _tau(modulus: int, offset: float, n_max: int) -> float:
 # -- f^ on a uniform grid ----------------------------------------------------
 
 
-def grid_values(exps, coefs, m: int, offset: float = 0.0) -> np.ndarray:
-    """f^(theta) on the grid theta = (j + offset)/m, as a complex (m,)*d array."""
+def grid_values(exps, coefs, m: int, offset: float = 0.0, rows: int | None = None) -> np.ndarray:
+    """f^(theta) on the grid theta = (j + offset)/m, as a complex (rows, m, ..., m)
+    array: the first-axis rows j_0 < rows, all m of them by default."""
     exps, coefs, m = _term_input(exps, coefs, m)
+    rows = m if rows is None else rows
     if exps.shape[1] == 1:
         # f^((a + m1 b + offset)/m) = sum_n [c_n w^(n (a + offset))] exp(2 pi i n b/m2)
         n = exps[:, 0]
         m1, m2 = _split(m)
         scaled = _roots(n, m1, m, offset) * coefs
-        return (_roots(n, m2, m2, 0.0) @ scaled.T).reshape(m)
+        return (_roots(n, -(-rows // m1), m2, 0.0) @ scaled.T).reshape(-1)[:rows]
     axes = [np.unique(col, return_inverse=True) for col in exps.T]
     cells = np.zeros([len(values) for values, _ in axes], dtype=np.complex128)
     np.add.at(cells, tuple(index for _, index in axes), coefs)
     for k in sorted(range(len(axes)), key=lambda k: (cells.shape[k], k), reverse=True):
-        table = _roots(axes[k][0], m, m, offset)
+        table = _roots(axes[k][0], rows if k == 0 else m, m, offset)
         before, s = cells.shape[:k], cells.shape[k]
         after = cells.shape[k + 1:]
         if after:
             cells = table @ cells.reshape(math.prod(before), s, math.prod(after))
         else:
             cells = cells.reshape(math.prod(before), s) @ table.T
-        cells = cells.reshape(before + (m,) + after)
+        cells = cells.reshape(before + (len(table),) + after)
     return cells
 
 
+def half_rows(m: int, offset: float) -> int:
+    """Rows h of the half grid: every j has j_0 < h, or its mirror -theta does.
+
+    The mirror of row j_0 is m - j_0 mod m at offset 0 (rows 0 and m/2 are
+    their own) and m - 1 - j_0 at offset 1/2 (the middle row of an odd m is
+    its own)."""
+    return m // 2 + 1 if offset == 0 else (m + 1) // 2
+
+
 def grid_abs_values(exps, coefs, m: int, offset: float = 0.0) -> np.ndarray:
-    """|f^| on the grid theta = (j + offset)/m, flattened in C order."""
-    return np.abs(grid_values(exps, coefs, m, offset)).ravel()
+    """|f^| on the half grid: theta = (j + offset)/m for the first-axis rows
+    j_0 < half_rows(m, offset), as a real (h, m, ..., m) array.
+
+    |f^(-theta)| = |f^(theta)| for real coefficients, and the offset, 0 or
+    1/2, makes the grid closed under theta -> -theta, so the rows cut hold
+    a mirror of every value they drop."""
+    return np.abs(grid_values(exps, coefs, m, offset, half_rows(m, offset)))
 
 
 def grid_error_bound(exps, coefs, m: int, offset: float = 0.0) -> float:

@@ -57,27 +57,38 @@ def _log_mean(f: GroupRingElement, m: int) -> tuple[float, int]:
     torus._check_grid_memory(m, f.d)
     vals = _kernels.grid_abs_values(exps, coefs, m, 0.5)
     mask = vals >= SINGULARITY_FLOOR
-    excluded = int(vals.size - int(mask.sum()))
-    if not mask.any():
+    logs = np.log(vals, where=mask, out=np.zeros_like(vals))
+    # each half-grid row j_0 stands for itself and its mirror m - 1 - j_0,
+    # but the middle row of an odd m is its own mirror
+    total, kept = 2 * float(logs.sum()), 2 * int(mask.sum())
+    if m % 2:
+        total, kept = total - float(logs[-1].sum()), kept - int(mask[-1].sum())
+    if not kept:
         raise ValueError("all grid values below the singularity floor")
-    return float(np.mean(np.log(vals[mask]))), excluded
+    return total / kept, m ** f.d - kept
 
 
 def mahler_measure(f: GroupRingElement, m: int | None = None) -> EntropyEstimate:
     """log Mahler measure of f: the mean of log|f^| over the d-torus.
 
-    Midpoint rule on an m^d grid.  When f^ is nonvanishing the integrand is
-    analytic and the rule converges superalgebraically; the reported error
-    bound is the empirical difference against the half-resolution grid.
-    Grid points with |f^| below the singularity floor are excluded and
-    flagged (integrable-singularity regime, estimate only).
+    Midpoint rule on an m^d grid, m >= 4.  |f^| is even and the midpoint
+    grid is closed under theta -> -theta, so the mean is taken over the
+    half grid of _kernels.grid_abs_values, each row weighted for its
+    mirror.  When f^ is nonvanishing the integrand is analytic and the
+    rule converges superalgebraically; the reported error bound is the
+    empirical difference against the strictly coarser grid of m // 2
+    points per axis.  Grid points with |f^| below the singularity floor
+    are excluded, counted over the full grid and flagged
+    (integrable-singularity regime, estimate only).
     """
     if f.is_zero():
         raise ValueError("Mahler measure of the zero element")
     if m is None:
         m = MAHLER_DEFAULT_GRID.get(f.d, 32)
+    if m < 4:
+        raise ValueError(f"Mahler grid size must be at least 4, got {m}")
     value, excluded = _log_mean(f, m)
-    coarse, _ = _log_mean(f, max(2, m // 2))
+    coarse, _ = _log_mean(f, m // 2)
     notes = ""
     if excluded:
         notes = f"{excluded} grid points below {SINGULARITY_FLOOR} excluded; vanishing regime"

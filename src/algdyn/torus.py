@@ -4,9 +4,10 @@ A Laurent polynomial f over Z^d is invertible in the convolution algebra
 l1(Z^d) exactly when its Fourier series f^ has no zero on the d-torus
 (Wiener's lemma).  This module makes that criterion checkable:
 
-* certify_invertible scans a uniform grid (_kernels.grid_values, one axis
-  at a time), bounds the variation of f^ between grid points by an
-  explicit Lipschitz constant, and returns Invertible when the margin
+* certify_invertible scans a uniform grid (_kernels.grid_abs_values, one
+  axis at a time, one point of each pair theta, -theta), bounds the
+  variation of f^ between grid points by an explicit Lipschitz constant,
+  and returns Invertible when the margin
   exceeds the scan's rounding bound or one term outweighs all others.
   NotInvertible is only returned with an exact zero witness at a rational
   point, confirmed in integer cyclotomic arithmetic.  Else it is Unknown.
@@ -66,16 +67,20 @@ def mem_cap_bytes() -> int:
 class TorusCertificate(Report):
     """Outcome of a nonvanishing scan of f^ on the d-torus.
 
-    grid_min is the smallest computed |f^| on the grid and margin =
-    grid_min - lipschitz/(2*grid_size).  Every computed grid value is within
-    the guard of _kernels.grid_error_bound of the exact one (a proof for
-    every grid size), so Invertible is returned only when margin
-    exceeds that guard, and then margin - guard is a lower bound for |f^|
-    over the whole torus.  When the grid margin falls short but one term
-    c u^e outweighs all the others together, the verdict is Invertible
-    with margin = 2|c| - ||f||_1, itself an exact lower bound for |f^|,
-    and the note names the term.  A NotInvertible verdict carries an
-    exact rational zero of f^ as witness.
+    grid_min is the smallest computed |f^| on the grid j/grid_size and
+    margin = grid_min - lipschitz/(2*grid_size).  Only the half grid of
+    _kernels.grid_abs_values is scanned, as |f^(-theta)| = |f^(theta)|
+    for integer coefficients: every theta lies within 1/(2*grid_size) of
+    some grid point j, -theta within as much of -j, and one of j, -j is in
+    the half.  Every computed grid value is within the guard of
+    _kernels.grid_error_bound of the exact one (a proof for every grid
+    size), so Invertible is returned only when margin exceeds that guard,
+    and then margin - guard is a lower bound for |f^| over the whole
+    torus.  When the grid margin falls short but one term c u^e outweighs
+    all the others together, the verdict is Invertible with margin =
+    2|c| - ||f||_1, itself an exact lower bound for |f^|, and the note
+    names the term.  A NotInvertible verdict carries an exact rational
+    zero of f^ as witness.
     """
 
     verdict: str
@@ -209,9 +214,12 @@ def _scan_denominators(d: int) -> tuple[int, ...]:
 @functools.cache
 def _scan_points(d: int) -> list[tuple[int, tuple[int, ...]]]:
     """The points ps/q of the small rational lattices, in scan order, each
-    once, in lowest terms: gcd(q, *ps) == 1."""
+    once, in lowest terms: gcd(q, *ps) == 1, less each point whose mirror
+    -ps/q comes earlier.  f^(-theta) = conj f^(theta), so a zero at -theta
+    is a zero at theta, and the first zero found is the same."""
     return [(q, ps) for q in _scan_denominators(d)
-            for ps in itertools.product(range(q), repeat=d) if math.gcd(q, *ps) == 1]
+            for ps in itertools.product(range(q), repeat=d)
+            if math.gcd(q, *ps) == 1 and ps <= tuple(-p % q for p in ps)]
 
 
 def _off_scan(d: int, thetas) -> list[tuple[int, tuple[int, ...]]]:
@@ -279,7 +287,7 @@ def certify_invertible(f: GroupRingElement, m: int | None = None) -> TorusCertif
     exps, coefs = _term_arrays(f)
     vals = _kernels.grid_abs_values(exps, coefs, m, 0.0)
     idx = int(np.argmin(vals))
-    grid_min = float(vals[idx])
+    grid_min = float(vals.flat[idx])
     margin = grid_min - lip / (2.0 * m)
     # every grid value is within the bound; the subtraction above rounds once more
     guard = _kernels.grid_error_bound(exps, coefs, m, 0.0) + _kernels.EPS * grid_min
@@ -296,7 +304,7 @@ def certify_invertible(f: GroupRingElement, m: int | None = None) -> TorusCertif
             "is an exact lower bound for |f^| on the torus (Neumann series)"))
 
     # near-zero minimum: try an exact confirmation at a nearby nice rational
-    coords = [int(c) for c in np.unravel_index(idx, (m,) * f.d)]
+    coords = [int(c) for c in np.unravel_index(idx, vals.shape)]
     near = [[Fraction(c, m).limit_denominator(denom) for c in coords] for denom in (2, 3, 4, 6, 8, 12)]
     w = _exact_zero(f, _off_scan(f.d, near))
     if w is not None:

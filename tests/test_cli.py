@@ -60,6 +60,25 @@ def test_entropy_mahler(capsys):
     assert abs(rep["estimate"]["value"] - math.log(2)) < 1e-8
 
 
+@pytest.mark.parametrize("grid", ["1", "2", "3"])
+@pytest.mark.parametrize("cmd", [["entropy", "--method", "mahler"], ["duality"]])
+def test_mahler_grid_below_four_is_refused(capsys, cmd, grid):
+    # the error bound compares with the m // 2 grid, which must be strictly coarser
+    assert main([*cmd, "--poly", "3 - u1", "--grid", grid]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "at least 4" in captured.err
+
+
+def test_mahler_grid_four_compares_with_two(capsys):
+    code, out = run_cli(capsys, ["entropy", "--method", "mahler", "--poly", "3 - u1", "--grid", "4"])
+    assert code == 0
+    est = json.loads(out)["estimate"]
+    assert est["parameters"]["grid"] == 4
+    assert est["error_bound"] > 0
+    assert abs(est["value"] - math.log(3)) <= est["error_bound"]
+
+
 def test_entropy_peters_csv(capsys):
     code, out = run_cli(
         capsys,

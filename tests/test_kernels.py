@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algdyn import _kernels
+from algdyn import _kernels, entropy, torus
 from algdyn.groupring import GroupRingElement, parse_element
 from algdyn.torus import evaluate
 
@@ -16,7 +16,9 @@ def test_grid_matches_direct_evaluation():
     coefs = np.array([-1.0, 3.0, -1.0])
     m = 64
     vals = _kernels.grid_abs_values(exps, coefs, m, 0.0)
-    for j in range(0, m, 7):
+    # the half grid at offset 0: rows j < m/2 + 1, mirrors of the rest
+    assert vals.shape == (m // 2 + 1,)
+    for j in range(len(vals)):
         assert vals[j] == pytest.approx(abs(evaluate(f, j / m)), abs=1e-12)
 
 
@@ -26,11 +28,12 @@ def test_grid_2d_matches_direct_evaluation():
     coefs = np.array([float(f.terms[tuple(e)]) for e in exps])
     m = 16
     vals = _kernels.grid_abs_values(exps, coefs, m, 0.5)
-    # flat index is C order: first axis slowest
-    for j1 in range(0, m, 5):
-        for j2 in range(0, m, 3):
+    # the half grid at offset 1/2: first-axis rows j1 < m/2, all m columns
+    assert vals.shape == (m // 2, m)
+    for j1 in range(m // 2):
+        for j2 in range(m):
             theta = ((j1 + 0.5) / m, (j2 + 0.5) / m)
-            assert vals[j1 * m + j2] == pytest.approx(abs(evaluate(f, theta)), abs=1e-12)
+            assert vals[j1, j2] == pytest.approx(abs(evaluate(f, theta)), abs=1e-12)
 
 
 def _evaluate_error_bound(exps, coefs) -> float:
@@ -80,20 +83,65 @@ def test_grid_values_within_rounding_guard(case, seed):
 
     vals = _kernels.grid_values(exps, coefs, m, offset)
     assert vals.shape == (m,) * d
-    np.testing.assert_array_equal(_kernels.grid_abs_values(exps, coefs, m, offset), np.abs(vals).ravel())
+    half = _kernels.grid_abs_values(exps, coefs, m, offset)
+    assert half.shape == (_kernels.half_rows(m, offset),) + (m,) * (d - 1)
 
     guard = _kernels.grid_error_bound(exps, coefs, m, offset)
     assert guard <= 1e-10 * float(np.abs(coefs).sum())
     tol = guard + _evaluate_error_bound(exps, coefs)
-    npts = m ** d
     rng = np.random.default_rng(seed)
-    flat = range(npts) if npts <= 256 else rng.integers(0, npts, size=256)
     worst = 0.0
-    for p in flat:
-        j = np.unravel_index(int(p), (m,) * d)
-        theta = tuple((int(ji) + offset) / m for ji in j)
-        worst = max(worst, abs(vals[j] - evaluate(f, theta)))
+    for grid, part in ((vals, lambda z: z), (half, abs)):  # f^ on the full grid, |f^| on the half
+        flat = range(grid.size) if grid.size <= 256 else rng.integers(0, grid.size, size=256)
+        for p in flat:
+            j = np.unravel_index(int(p), grid.shape)
+            theta = tuple((int(ji) + offset) / m for ji in j)
+            worst = max(worst, abs(grid[j] - part(evaluate(f, theta))))
     assert worst <= tol
+
+
+@settings(max_examples=80, deadline=None)
+@given(aliased_polys(), st.booleans())
+def test_half_grid_holds_a_mirror_of_every_point(case, odd):
+    exps, coefs, m, offset = case
+    m += odd != m % 2  # both parities of m at every d
+    d = exps.shape[1]
+    h = _kernels.half_rows(m, offset)
+    j0 = np.arange(m)
+    mirror = (-j0) % m if offset == 0 else m - 1 - j0
+    assert np.all((j0 < h) | (mirror < h))
+
+    half = _kernels.grid_abs_values(exps, coefs, m, offset)
+    assert half.shape == (h,) + (m,) * (d - 1)
+    full = np.abs(_kernels.grid_values(exps, coefs, m, offset))
+    guard = _kernels.grid_error_bound(exps, coefs, m, offset)
+    assert abs(half.min() - full.min()) <= 2 * guard
+
+    # the Mahler mean over the half grid, each row weighted for its mirror
+    terms: dict = {}
+    for e, c in zip(map(tuple, exps.tolist()), coefs.tolist()):
+        terms[e] = terms.get(e, 0) + int(c)
+    f = GroupRingElement(d, terms)
+    if f.is_zero():
+        return
+    full = np.abs(_kernels.grid_values(*torus._term_arrays(f), m, 0.5))
+    kept = full[full >= entropy.SINGULARITY_FLOOR]
+    if not kept.size:
+        return
+    mean, excluded = entropy._log_mean(f, m)
+    assert excluded == full.size - kept.size
+    guard = _kernels.grid_error_bound(*torus._term_arrays(f), m, 0.5)
+    assert mean == pytest.approx(np.mean(np.log(kept)), abs=4 * guard / kept.min() + 1e-13)
+
+
+@pytest.mark.parametrize("m", [5, 7, 63, 1025])
+def test_mahler_excludes_the_self_mirrored_row_once(m):
+    # 1 + u1 vanishes at theta = 1/2, the middle midpoint (m - 1)/2 + 1/2 of an odd m
+    f = parse_element("1 + u1")
+    value, excluded = entropy._log_mean(f, m)
+    assert excluded == 1
+    full = np.abs(_kernels.grid_values(*torus._term_arrays(f), m, 0.5))
+    assert value == pytest.approx(np.mean(np.log(full[full >= entropy.SINGULARITY_FLOOR])), abs=1e-13)
 
 
 @pytest.mark.parametrize("d,m", [(1, 65536), (2, 512), (3, 64), (1, 1000), (1, 97)])

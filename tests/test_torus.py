@@ -184,11 +184,19 @@ def test_exact_zero_scan_matches_fraction_oracle(case):
 
 
 def test_scan_points_match_fraction_lattices():
-    """The pairs (q, ps) are the points of the Fraction lattices, each once, in scan order."""
+    """The pairs (q, ps) are points of the Fraction lattices, each once, in scan order;
+    every lattice point is listed or is the mirror -theta of an earlier listed point."""
     for d in (1, 2, 3):
-        lattices = dict.fromkeys(tuple(Fraction(p, q) for p in ps) for q in ([1, 2, 3, 4, 6] if d <= 2 else [1, 2, 3, 4])
-                                 for ps in itertools.product(range(q), repeat=d))
-        assert [tuple(Fraction(p, q) for p in ps) for q, ps in torus._scan_points(d)] == list(lattices)
+        lattices = list(dict.fromkeys(tuple(Fraction(p, q) for p in ps) for q in ([1, 2, 3, 4, 6] if d <= 2 else [1, 2, 3, 4])
+                                      for ps in itertools.product(range(q), repeat=d)))
+        listed = [tuple(Fraction(p, q) for p in ps) for q, ps in torus._scan_points(d)]
+        assert listed == [t for t in lattices if t in listed]
+        for t in lattices:
+            mirror = tuple(-x % 1 for x in t)
+            if t in listed:  # a listed point's mirror is not listed before it
+                assert mirror == t or mirror not in listed[:listed.index(t)]
+            else:
+                assert mirror in listed and lattices.index(mirror) < lattices.index(t)
 
 
 # -- certification ------------------------------------------------------------
