@@ -33,7 +33,6 @@ from .expansive import (
 from .entropy import (
     CompanionModule,
     EntropyEstimate,
-    additivity_check,
     duality_check,
     mahler_measure,
     packing_lower_bound,
@@ -79,7 +78,6 @@ __all__ = [
     "is_expansive_square",
     "CompanionModule",
     "EntropyEstimate",
-    "additivity_check",
     "duality_check",
     "mahler_measure",
     "packing_lower_bound",

@@ -76,8 +76,7 @@ def run_entropy(args: argparse.Namespace) -> tuple[dict, int]:
     A, src = _input_matrix(args)
     chain = None
     if method == "mahler":
-        det = A.det()
-        chain = {"torus_certificate": torus.certify_invertible(det).to_obj()}
+        det, chain = _det_chain(A)
         est = entropy.mahler_measure(det, args.grid)
     elif method == "peters":
         if A.rows != 1 or A.cols != 1:
@@ -92,6 +91,13 @@ def run_entropy(args: argparse.Namespace) -> tuple[dict, int]:
     else:
         raise ValueError(f"unknown entropy method {method!r}")
     return {"input": src, "certificate_chain": chain, "estimate": est.to_obj()}, OK
+
+
+def _det_chain(A: GroupRingMatrix) -> tuple:
+    """The exact determinant of A and its torus certificate, the chain of
+    the reports that rest on det A alone."""
+    det = A.det()
+    return det, {"torus_certificate": torus.certify_invertible(det).to_obj()}
 
 
 def _first_point(A: GroupRingMatrix) -> homoclinic.HomoclinicPoint:
@@ -184,8 +190,8 @@ def run_shadow(args: argparse.Namespace) -> tuple[dict, int]:
 
 def run_duality(args: argparse.Namespace) -> tuple[dict, int]:
     A, src = _input_matrix(args)
-    chain = {"torus_certificate": torus.certify_invertible(A.det()).to_obj()}
-    rep = entropy.duality_check(A, args.grid)
+    _, chain = _det_chain(A)
+    rep = entropy.duality_check(A, args.grid)  # reuses the elimination of A, adds that of A*
     return {"input": src, "certificate_chain": chain, "report": rep.to_obj()}, OK
 
 

@@ -305,7 +305,7 @@ def _entry(e, d: int | None) -> GroupRingElement:
 class GroupRingMatrix:
     """Rectangular matrix over GroupRingElement with a shared dimension d."""
 
-    __slots__ = ("rows", "cols", "d", "entries")
+    __slots__ = ("rows", "cols", "d", "entries", "_det")
 
     def __init__(self, entries: Sequence[Sequence[GroupRingElement]]):
         if not entries or not entries[0]:
@@ -321,6 +321,7 @@ class GroupRingMatrix:
                     raise DimensionMismatch("matrix entries live over different Z^d")
         self.d = d
         self.entries = [list(row) for row in entries]
+        self._det = None
 
     @classmethod
     def identity(cls, k: int, d: int) -> "GroupRingMatrix":
@@ -378,14 +379,20 @@ class GroupRingMatrix:
     def det(self) -> GroupRingElement:
         """Exact determinant: the row-swap sign times the last pivot of
         _sparse.gauss_jordan, or 0 below full rank.  An elimination entry
-        of more than DET_TERM_CAP terms raises CapExceeded."""
+        of more than DET_TERM_CAP terms raises CapExceeded.  A matrix is
+        not changed after construction, so the elimination runs once and
+        later calls return its result."""
+        if self._det is not None:
+            return self._det
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
         rows = [[e.terms for e in row] for row in self.entries]
         pivots, sign = _sparse.gauss_jordan(rows, DET_TERM_CAP)
         if len(pivots) < self.rows:
-            return GroupRingElement.zero(self.d)
-        return GroupRingElement(self.d, rows[-1][-1]) * sign
+            self._det = GroupRingElement.zero(self.d)
+        else:
+            self._det = GroupRingElement(self.d, rows[-1][-1]) * sign
+        return self._det
 
     def adjugate(self) -> "GroupRingMatrix":
         """adj(A) with A*adj(A) = adj(A)*A = det(A)*I (commutative base ring)."""

@@ -124,9 +124,20 @@ def _direct_violations_off(monkeypatch):
     monkeypatch.setattr(independence, "_direct_violations", lambda *a: [v + 1 for v in direct(*a)])
 
 
+def _star_det_off(monkeypatch):
+    # A* moved by one in every entry, so that det(A*) is no longer det(A)*
+    from algdyn.groupring import GroupRingElement, GroupRingMatrix
+
+    star = GroupRingMatrix.star
+    monkeypatch.setattr(GroupRingMatrix, "star", lambda A: GroupRingMatrix(
+        [[e + GroupRingElement.one(e.d) for e in row] for row in star(A).entries]
+    ))
+
+
 @pytest.mark.parametrize("break_check, argv", [
     (_kernel_witness_off, ["expansive", "--matrix", "singular.json", "--check-entropy"]),
     (_direct_violations_off, ["ie", "--poly", "3 - u1 - u1^-1", "--eps", "0.1", "--window", "5"]),
+    (_star_det_off, ["duality", "--poly", "3 - u1 - u1^-1"]),
 ])
 def test_failed_internal_check_exits_one(tmp_path, monkeypatch, capsys, break_check, argv):
     monkeypatch.chdir(tmp_path)
@@ -199,6 +210,16 @@ def test_duality_matrix_file(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["report"]["difference"] <= 1e-12
     assert abs(rep["report"]["entropy"] - math.log(3)) < 1e-8
+
+
+def test_duality_eliminates_a_and_its_star_once_each(capsys, monkeypatch):
+    from algdyn import _sparse
+
+    calls = []
+    gauss_jordan = _sparse.gauss_jordan
+    monkeypatch.setattr(_sparse, "gauss_jordan", lambda *a: calls.append(a) or gauss_jordan(*a))
+    code, _ = run_cli(capsys, ["duality", "--poly", "3 - u1 - u1^-1"])
+    assert code == 0 and len(calls) == 2
 
 
 def test_freegroup_check(capsys):

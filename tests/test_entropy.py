@@ -12,7 +12,6 @@ from algdyn.entropy import (
     PACKING_FAMILY_CAP,
     CompanionModule,
     _dedupe_int,
-    additivity_check,
     duality_check,
     mahler_measure,
     packing_lower_bound,
@@ -21,7 +20,7 @@ from algdyn.entropy import (
 from algdyn._sparse import int_inverse
 from algdyn.groupring import GroupRingElement, GroupRingMatrix, parse_element
 from algdyn.homoclinic import group_element
-from algdyn.torus import MemoryCapError, NotInvertibleError, certify_invertible
+from algdyn.torus import MemoryCapError, VerificationError, certify_invertible
 from conftest import jensen_mahler, random_element, solve_rational
 
 E = GroupRingElement
@@ -97,40 +96,61 @@ def test_mahler_vanishing_regime(f_harmonic):
     assert est.parameters["excluded_points"] >= 0
 
 
-# -- duality and additivity -----------------------------------------------------
+# -- duality ---------------------------------------------------------------------
 
 
-def test_duality_fixtures(f_geometric, f_symmetric):
-    for A in (
-        GroupRingMatrix([[f_geometric]]),
-        GroupRingMatrix([[f_symmetric]]),
-    ):
-        rep = duality_check(A, 4096)
-        assert rep.difference <= 1e-12
+def _count_mahler_calls(monkeypatch) -> list:
+    from algdyn import entropy
 
+    calls = []
+    measure = entropy.mahler_measure
+    monkeypatch.setattr(entropy, "mahler_measure", lambda *a: calls.append(a) or measure(*a))
+    return calls
+
+
+def test_duality_fixtures(f_geometric, f_symmetric, monkeypatch):
+    calls = _count_mahler_calls(monkeypatch)
     C = GroupRingMatrix.from_obj([["2", "u1"], ["u1^-1", "2"]])
-    rep = duality_check(C, 4096)
-    assert rep.difference <= 1e-12
+    for A in (GroupRingMatrix([[f_geometric]]), GroupRingMatrix([[f_symmetric]]), C):
+        del calls[:]
+        rep = duality_check(A, 4096)
+        assert len(calls) == 1
+        assert rep.entropy_star == rep.entropy
+        assert rep.difference == 0.0
     assert rep.entropy == pytest.approx(math.log(3), abs=1e-9)
 
 
+def test_duality_refuses_a_wrong_star_det(monkeypatch):
+    A = GroupRingMatrix.from_obj([["2", "u1"], ["u1^-1", "2"]])
+    star = GroupRingMatrix.star
+    monkeypatch.setattr(GroupRingMatrix, "star", lambda M: GroupRingMatrix(
+        [[e + E.one(e.d) for e in row] for row in star(M).entries]
+    ))
+    calls = _count_mahler_calls(monkeypatch)
+    with pytest.raises(VerificationError, match="det\\(A\\*\\)"):
+        duality_check(A, 4096)
+    assert not calls
+
+
+# -- multiplicativity of the Mahler measure ---------------------------------------
+
+
+def _measures(f, g, m):
+    """m(fg), m(f) and m(g) on one grid."""
+    return [mahler_measure(h, m).value for h in (f * g, f, g)]
+
+
 def test_additivity_fixtures(f_geometric, f_symmetric):
-    rep = additivity_check(f_geometric, f_geometric, 65536)
-    assert rep.entropy_product == pytest.approx(2 * math.log(2), abs=1e-9)
-    assert rep.defect <= 1e-10
+    hfg, hf, hg = _measures(f_geometric, f_geometric, 65536)
+    assert hfg == pytest.approx(2 * math.log(2), abs=1e-9)
+    assert abs(hfg - hf - hg) <= 1e-10
 
-    rep2 = additivity_check(f_geometric, E.one(1), 65536)
-    assert rep2.entropy_product == pytest.approx(math.log(2), abs=1e-9)
+    hfg, _, _ = _measures(f_geometric, E.one(1), 65536)
+    assert hfg == pytest.approx(math.log(2), abs=1e-9)
 
-    rep3 = additivity_check(f_geometric, f_symmetric, 65536)
-    assert rep3.entropy_f + rep3.entropy_g == pytest.approx(1.655571, abs=1e-5)
-    assert rep3.defect <= 1e-10
-
-
-def test_additivity_requires_invertible(f_geometric, f_harmonic):
-    f2 = parse_element("u1 - 1")
-    with pytest.raises(NotInvertibleError):
-        additivity_check(f_geometric, f2)
+    hfg, hf, hg = _measures(f_geometric, f_symmetric, 65536)
+    assert hf + hg == pytest.approx(1.655571, abs=1e-5)
+    assert abs(hfg - hf - hg) <= 1e-10
 
 
 # -- Peters counting -------------------------------------------------------------
