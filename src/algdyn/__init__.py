@@ -12,7 +12,6 @@ from .groupring import (
     GroupRingElement,
     GroupRingMatrix,
     parse_element,
-    torus_distance,
 )
 from .torus import (
     MatrixL1Inverse,
@@ -44,16 +43,12 @@ from .homoclinic import (
     delta1_membership,
     fundamental_homoclinic,
     group_element,
-    pairing_symmetry_check,
-    psi,
-    summable_metric_distance,
 )
 from .independence import (
     IndependenceReport,
     ShadowBlock,
     ShadowRequest,
     greedy_separated_subset,
-    homoclinic_specification_check,
     independence_witnesses,
     shadow,
 )
@@ -63,7 +58,6 @@ __all__ = [
     "GroupRingElement",
     "GroupRingMatrix",
     "parse_element",
-    "torus_distance",
     "MatrixL1Inverse",
     "TorusCertificate",
     "certify_invertible",
@@ -87,14 +81,10 @@ __all__ = [
     "delta1_membership",
     "fundamental_homoclinic",
     "group_element",
-    "pairing_symmetry_check",
-    "psi",
-    "summable_metric_distance",
     "IndependenceReport",
     "ShadowBlock",
     "ShadowRequest",
     "greedy_separated_subset",
-    "homoclinic_specification_check",
     "independence_witnesses",
     "shadow",
     "verify_annihilator",

@@ -12,8 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import _sparse
 from ._sparse import CapExceeded
@@ -428,39 +427,6 @@ class GroupRingMatrix:
 
 def _pad(e: tuple[int, ...], d: int) -> tuple[int, ...]:
     return e + (0,) * (d - len(e))
-
-
-def circle_dist(a, b=0) -> float:
-    """Distance on R/Z: min over integers m of |a - b - m|."""
-    return abs(frac_center(float(a) - float(b)))
-
-
-def torus_distance(x: Sequence, y: Sequence) -> float:
-    """Max-metric distance on the k-torus, with per-coordinate wraparound."""
-    xs, ys = list(x), list(y)
-    if len(xs) != len(ys):
-        raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
-    return max((circle_dist(a, b) for a, b in zip(xs, ys)), default=0.0)
-
-
-def frac_center(v) -> Fraction | float:
-    """Reduce mod 1 to the representative in [-1/2, 1/2); exact on Fractions."""
-    if isinstance(v, Fraction):
-        return v - (v + Fraction(1, 2)).__floor__()
-    t = float(v)
-    r = t - round(t)
-    if r == 0.5:
-        r = -0.5
-    return r
-
-
-def enumerate_zd(d: int) -> Iterator[tuple[int, ...]]:
-    """Deterministic spiral enumeration of Z^d: max-norm shells, lex inside."""
-    yield (0,) * d
-    r = 1
-    while True:
-        yield from (e for e in ball(d, r) if max(map(abs, e)) == r)
-        r += 1
 
 
 def ball(d: int, r: int) -> list[tuple[int, ...]]:

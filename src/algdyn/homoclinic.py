@@ -1,4 +1,4 @@
-"""Homoclinic points of expansive shift actions, and their pairings.
+"""Homoclinic points of expansive shift actions.
 
 For a square presenting matrix A invertible in the l1 algebra, the group
 of homoclinic points is the reduction mod 1 of the integer-vector preimages
@@ -8,11 +8,10 @@ m -> point identifies the homoclinic group with (ZG)^k/(ZG)^k A*.
 
 Points carry a truncated rational lift, stored as integer numerators over
 the denominator of the inverse it came from, plus a tail bound inherited
-from the inverse's residual certificate, so membership, summability, and
-pairing computations all come with explicit error control.  The lifted
-point type is shared with the shadows built in independence.  Mod-1
-representatives live in [-1/2, 1/2), making the torus distance to zero
-equal to |value|.
+from the inverse's residual certificate, so membership and summability
+computations come with explicit error control.  The lifted point type is
+shared with the shadows built in independence.  Mod-1 representatives live
+in [-1/2, 1/2), making the torus distance to zero equal to |value|.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ from .groupring import (
     GroupRingElement,
     GroupRingMatrix,
     _as_exponent,
-    enumerate_zd,
-    norm_sites,
 )
 from . import _sparse, torus
 from ._report import Report, plain
@@ -266,25 +263,6 @@ def membership_tolerance(A: GroupRingMatrix, tol: float = 1e-10) -> float:
     return 10.0 * tol * A.l1_norm()
 
 
-def _phases(nums: list[dict], den: int, phi: list[GroupRingElement]):
-    """s -> sum_j sum_t lift_j(t - s) phi_j(t), the phase of <s.x, phi> for
-    the lift nums / den: sum_j nums_j * phi_j* read at -s, exact before its
-    one division by den."""
-    (acc,) = _sparse.vecmat(nums, [[p.star().terms] for p in phi])
-    return lambda s: acc.get(tuple(-v for v in s), 0) / den
-
-
-def _mismatch(phase: float) -> complex:
-    ang = 2.0 * math.pi * phase
-    return complex(math.cos(ang) - 1.0, math.sin(ang))
-
-
-def psi(x: HomoclinicPoint, phi, window) -> dict[tuple[int, ...], complex]:
-    """The character mismatch function s -> <s.x, phi> - 1 on the window."""
-    phase = _phases(x.nums, x.den, _as_vector(phi, x.k, x.d))
-    return {s: _mismatch(phase(s)) for s in norm_sites(window, x.d)}
-
-
 @dataclass
 class Delta1Certificate(Report):
     rho_sum: float
@@ -304,61 +282,3 @@ def delta1_membership(x: HomoclinicPoint) -> Delta1Certificate:
     s = float(x.rho_sum())
     tail = float(x.tail_bound)
     return Delta1Certificate(s, tail, s + tail, finite=math.isfinite(tail))
-
-
-def summable_metric_distance(
-    x: HomoclinicPoint,
-    y: HomoclinicPoint | None = None,
-    terms: int = 64,
-) -> float:
-    """The summable translation-invariant metric between two points.
-
-    rho(x, y) = sum_j sum_i 2^-j |Psi_{x-y,e_i}(s_j)| over the standard
-    basis rows e_i, with the sites s_j enumerated in a fixed spiral order on
-    Z^d; truncation after `terms` sites contributes at most k 2^(1-terms).
-    """
-    if y is not None:
-        if x.A != y.A:
-            raise ValueError("points must share the presenting matrix")
-        diff, den = _lift_sum(x, y, -1)
-    else:
-        diff, den = x.nums, x.den
-    k, d = x.k, x.d
-    phases = [_phases(diff, den, _as_vector([int(j == i) for j in range(k)], k, d)) for i in range(k)]
-    gen = enumerate_zd(d)
-    total = 0.0
-    for j in range(1, terms + 1):
-        s = next(gen)
-        w = 2.0 ** (-j)
-        for phase in phases:
-            total += w * abs(_mismatch(phase(s)))
-    return total
-
-
-@dataclass
-class PairingReport(Report):
-    window: list[tuple[int, ...]]
-    max_discrepancy: float
-
-
-def pairing_symmetry_check(
-    A: GroupRingMatrix,
-    m1,
-    m2,
-    window,
-    tol: float = 1e-12,
-    radius_cap: int = 40,
-) -> PairingReport:
-    """Cross-pairing symmetry between the dual module and the homoclinic group.
-
-    With x2 = m2 (A*)^-1 mod 1 (a point of the system presented by A) and
-    x1 = m1 A^-1 mod 1 (a point of the system presented by A*), the two
-    mismatch functions satisfy Psi_{x2,m1}(s) = Psi_{x1,m2}(-s); the report
-    carries the maximal observed discrepancy over the window.
-    """
-    x2 = group_element(A, m2, tol, radius_cap)
-    x1 = group_element(A.star(), m1, tol, radius_cap)
-    win = norm_sites(window, A.d)
-    lhs = psi(x2, x1.provenance, win)
-    rhs = psi(x1, x2.provenance, [tuple(-v for v in s) for s in win])  # in the order of win
-    return PairingReport(win, max((abs(a - b) for a, b in zip(lhs.values(), rhs.values())), default=0.0))

@@ -359,48 +359,3 @@ def _short_vectors(B: list[list[int]], P: list[list[int]], D: int, reach: int) -
         cands = (lam for lam in itertools.product(range(-reach, reach + 1), repeat=d)
                  if not any(sum(map(mul, row, lam)) % D for row in P))
     return [lam for lam in cands if any(lam) and max(map(abs, lam)) <= reach]
-
-
-# The specification check reads x on the annulus of this width beyond the
-# gap set, and refuses points whose lift reaches beyond this max-norm radius.
-SPEC_VERIFY_WIDTH = 20
-SPEC_SUPPORT_CAP = 120
-
-
-@dataclass
-class SpecificationReport:
-    passed: bool
-    outside_max: float
-    gap_radius: int
-    eps: float
-    annulus: list[tuple[int, ...]]
-
-    def to_obj(self) -> dict:
-        return plain({
-            "passed": self.passed,
-            "outside_max": self.outside_max,
-            "gap_radius": self.gap_radius,
-            "eps": self.eps,
-            "annulus_size": len(self.annulus),
-        })
-
-
-def homoclinic_specification_check(x: HomoclinicPoint, eps: float, F1: list) -> SpecificationReport:
-    """The outside-decay clause of single-block shadowing.
-
-    The single-block shadow of x is x itself (its provenance pushed through
-    the inverse it came from), so it matches x on F1 exactly; it must stay
-    within eps of zero on an annulus of width SPEC_VERIFY_WIDTH beyond the
-    gap set (the gap radius dilation of F1), the radius taken from the l1
-    tail of x's inverse as in shadow.
-    """
-    d = x.d
-    Fn = norm_sites(F1, d)
-    if x.support() and max(max(abs(v) for v in e) for e in x.support()) > SPEC_SUPPORT_CAP:
-        raise ValueError("support exceeds verification window")
-    torus._check_positive("eps", eps)
-    R = inverse_tail_radius(x.inverse, eps / (2.0 * x.A.l1_norm()))
-    gap_set = {tuple(map(add, s, b)) for s in Fn for b in ball(d, R)}
-    annulus = sorted({tuple(map(add, s, b)) for s in Fn for b in ball(d, R + SPEC_VERIFY_WIDTH)} - gap_set)
-    outside = max((x.rho_to_zero(t) for t in annulus), default=0.0)
-    return SpecificationReport(outside <= eps, outside, R, eps, annulus)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from algdyn.groupring import GroupRingElement, GroupRingMatrix, parse_element
+from algdyn.homoclinic import _point
 
 
 @pytest.fixture
@@ -64,6 +66,52 @@ def solve_rational(M: list[list], R: list[list]) -> list[list[Fraction]]:
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
     return [row[d:] for row in aug]
+
+
+def frac_center(v: Fraction) -> Fraction:
+    """Independent reference for _sparse.center: v reduced mod 1 to its
+    representative in [-1/2, 1/2), in Fractions."""
+    return v - math.floor(v + Fraction(1, 2))
+
+
+def pairings(x, phi: list[GroupRingElement]) -> dict[tuple[int, ...], Fraction]:
+    """s -> <s.x, phi> = sum_j sum_t lift_j(t - s) phi_j(t) for the truncated
+    lift of x, exactly: the integer products nums_j * phi_j* read at -s, over
+    den.  Sites missing from the dict pair to 0."""
+    acc = sum(
+        (GroupRingElement(x.d, comp) * p.star() for comp, p in zip(x.nums, phi)),
+        GroupRingElement.zero(x.d),
+    )
+    return {tuple(-v for v in e): Fraction(c, x.den) for e, c in acc.terms.items()}
+
+
+def pairing_gap(x2, x1) -> tuple[Fraction, float]:
+    """The cross-pairing of the homoclinic group with the dual module, as a
+    check that fails only when an inverse certificate is wrong.
+
+    x2 = m2 (A*)^-1 is a point of the system presented by A and x1 = m1 A^-1
+    one of the system presented by A*, each from its truncated inverse.  With
+    exact inverses <s.x2, m1> = <(-s).x1, m2> at every site s: since
+    (A*)^-1 = (A^-1)*, both are the coefficient of m2 (A*)^-1 m1* at -s.
+    Truncating an inverse moves its side by at most ||m1||_1 ||m2||_1 times
+    that inverse's tail bound.  Returns the largest gap over s, exact, and
+    that bound.
+    """
+    lhs = pairings(x2, x1.provenance)
+    rhs = {tuple(-v for v in s): c for s, c in pairings(x1, x2.provenance).items()}
+    gap = max((abs(lhs.get(s, 0) - rhs.get(s, 0)) for s in set(lhs) | set(rhs)), default=Fraction(0))
+    norms = math.prod(sum(c.l1_norm() for c in x.provenance) for x in (x1, x2))
+    return gap, norms * (x1.inverse.tail_bound + x2.inverse.tail_bound)
+
+
+def past_the_bound(x, site: tuple[int, ...], bound: float):
+    """x, a point of a 1 x 1 presentation, rebuilt from its inverse with the
+    numerator at site moved by twice bound (the tail bound kept): a wrong
+    inverse certificate for pairing_gap to catch."""
+    inv = x.inverse
+    entry = dict(inv.nums[0][0])
+    entry[site] = entry.get(site, 0) + math.ceil(2 * Fraction(bound) * inv.den)
+    return _point(x.A, dataclasses.replace(inv, nums=[[entry]]), x.provenance)
 
 
 def det_by_minors(A: GroupRingMatrix) -> GroupRingElement:

