@@ -200,6 +200,15 @@ def add_to(acc: dict, b: dict, sign: int = 1) -> dict:
     return acc
 
 
+def by_radius(items) -> dict[int, int]:
+    """The values of the (site, int) items summed over each max-norm sphere."""
+    out: dict[int, int] = {}
+    for e, v in items:
+        r = max(map(abs, e))
+        out[r] = out.get(r, 0) + v
+    return out
+
+
 def l1(nums: dict) -> int:
     return sum(map(abs, nums.values()))
 

@@ -21,7 +21,7 @@ import sys
 
 from . import __version__, entropy, expansive, freegroup, homoclinic, independence, torus
 from ._report import plain
-from .groupring import CapExceeded, GroupRingMatrix, parse_element
+from .groupring import CapExceeded, GroupRingMatrix, as_int, norm_sites, parse_element
 
 # The ~24,000 objects made by the imports live as long as the process; frozen,
 # they no longer make each full collection a rescan that stalls some request.
@@ -35,7 +35,7 @@ def _matrix(obj) -> GroupRingMatrix:
     {"d": d, "entries": nested lists}."""
     if isinstance(obj, dict):
         d = obj.get("d")
-        if d is not None and not (isinstance(d, int) and d >= 1):
+        if d is not None and as_int(d, 'a matrix\'s "d"') < 1:
             raise ValueError(f'a matrix\'s "d" is an integer >= 1, got {d!r}')
         return GroupRingMatrix.from_obj(obj.get("entries"), d)
     return GroupRingMatrix.from_obj(obj)
@@ -149,18 +149,12 @@ def run_ie(args: argparse.Namespace) -> tuple[dict, int]:
     }, OK
 
 
-def _is_sites(w) -> bool:
-    """w is a list of integers (sites of Z^1) or of integer lists."""
-    return isinstance(w, list) and all(isinstance(s, int) or isinstance(s, list) and all(isinstance(v, int) for v in s)
-                                       for s in w)
-
-
 def run_shadow(args: argparse.Namespace) -> tuple[dict, int]:
     path = args.config
     with open(path) as fh:
         cfg = json.load(fh)
     if not (isinstance(cfg, dict) and isinstance(cfg.get("blocks"), list) and all(
-        isinstance(b, dict) and _is_sites(b.get("window")) and isinstance(b.get("m"), (str, list))
+        isinstance(b, dict) and isinstance(b.get("window"), list) and isinstance(b.get("m"), (str, list))
         for b in cfg["blocks"]
     )):
         raise ValueError('a shadow config is an object with "poly" (or "matrix"), "eps", "blocks": '
@@ -171,11 +165,12 @@ def run_shadow(args: argparse.Namespace) -> tuple[dict, int]:
         eps = float(cfg.get("eps"))
     except (TypeError, ValueError):  # shadow refuses the numbers that are not finite and > 0
         raise ValueError(f"eps must be a finite number > 0, got {cfg.get('eps')!r}") from None
+    windows = [norm_sites(b["window"], A.d) for b in cfg["blocks"]]  # checked before any inverse is built
     blocks = []
-    for b in cfg["blocks"]:
+    for b, window in zip(cfg["blocks"], windows):
         mspec = [b["m"]] if isinstance(b["m"], str) else b["m"]
         x = homoclinic.group_element(A, [parse_element(t, A.d) for t in mspec])
-        blocks.append(independence.ShadowBlock(b["window"], x))
+        blocks.append(independence.ShadowBlock(window, x))
     req = independence.ShadowRequest(blocks, eps, cfg.get("periodic"))
     res = independence.shadow(A, req)
     passed = all(e <= eps for e in res.block_errors)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _kernels, _sparse, torus
 from ._report import Report
-from .groupring import GroupRingElement, GroupRingMatrix, norm_sites
+from .groupring import GroupRingElement, GroupRingMatrix, as_int, norm_sites
 from .homoclinic import HomoclinicPoint
 from .independence import separated_window
 
@@ -223,7 +223,7 @@ def peters_entropy(
         k = cm.degree
         P, D = cm.Minv, 1
     else:
-        M = [[int(v) for v in row] for row in np.asarray(cm).tolist()]
+        M = [[as_int(v, "a matrix entry") for v in row] for row in np.asarray(cm).tolist()]
         k = len(M)
         P, D = _sparse.int_inverse(M)
         if D != 1 and not rational:

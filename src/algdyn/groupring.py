@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import re
 from typing import Mapping, Sequence
 
@@ -26,17 +27,26 @@ class DimensionMismatch(ValueError):
     """Operands live over different Z^d."""
 
 
+def as_int(v, what: str = "a value") -> int:
+    """v as an int: a Python or numpy integer; a bool, float, str or anything
+    else is refused rather than truncated."""
+    if isinstance(v, bool) or not hasattr(v, "__index__"):
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    return operator.index(v)
+
+
 def _as_exponent(e, d: int | None) -> tuple[int, ...]:
     """e as an exponent tuple of length d (any length when d is None); a bare
-    int stands for the site (e,) of Z^1."""
-    if isinstance(e, int):
-        if d not in (None, 1):
-            raise ValueError("bare integer exponent only valid when d=1")
-        return (e,)
-    t = tuple(int(v) for v in e)
-    if d is not None and len(t) != d:
-        raise ValueError(f"exponent {t} has length {len(t)}, expected {d}")
-    return t
+    integer stands for the site (e,) of Z^1."""
+    if not (type(e) is tuple and all(type(v) is int for v in e)):  # a tuple of ints needs no check
+        if isinstance(e, str) or not hasattr(e, "__iter__"):
+            e = [as_int(e, "an exponent")]
+            if d not in (None, 1):
+                raise ValueError("bare integer exponent only valid when d=1")
+        e = tuple(as_int(v, "an exponent") for v in e)
+    if d is not None and len(e) != d:
+        raise ValueError(f"exponent {e} has length {len(e)}, expected {d}")
+    return e
 
 
 def norm_sites(sites, d: int | None = None) -> list[tuple[int, ...]]:
@@ -56,13 +66,14 @@ class GroupRingElement:
     __slots__ = ("d", "terms")
 
     def __init__(self, d: int, terms: Mapping | None = None):
+        d = d if type(d) is int else as_int(d, "the dimension d")
         if d < 1:
             raise ValueError("dimension must be a positive integer")
-        self.d = int(d)
+        self.d = d
         clean: dict[tuple[int, ...], int] = {}
         if terms:
             for e, c in terms.items():
-                c = int(c)
+                c = c if type(c) is int else as_int(c, "a coefficient")
                 if c == 0:
                     continue
                 clean[_as_exponent(e, d)] = c
@@ -76,7 +87,7 @@ class GroupRingElement:
 
     @classmethod
     def constant(cls, d: int, c: int) -> "GroupRingElement":
-        return cls(d, {(0,) * d: int(c)})
+        return cls(d, {(0,) * d: c})
 
     @classmethod
     def one(cls, d: int) -> "GroupRingElement":
@@ -84,7 +95,7 @@ class GroupRingElement:
 
     @classmethod
     def monomial(cls, d: int, exponent, coef: int = 1) -> "GroupRingElement":
-        return cls(d, {_as_exponent(exponent, d): int(coef)})
+        return cls(d, {_as_exponent(exponent, d): coef})
 
     # -- ring operations ---------------------------------------------------
 
@@ -208,7 +219,7 @@ class GroupRingElement:
         if isinstance(obj, str):
             return parse_element(obj)
         try:
-            return cls(int(obj["d"]), {tuple(t["exp"]): int(t["coef"]) for t in obj["terms"]})
+            return cls(obj["d"], {tuple(t["exp"]): t["coef"] for t in obj["terms"]})
         except (KeyError, TypeError):
             raise ValueError('an element object is {"d": d, "terms": [{"exp": [...], "coef": c}, ...]}, '
                              f"got {obj!r}") from None

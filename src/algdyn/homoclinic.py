@@ -37,8 +37,8 @@ from ._report import Report, plain
 class LiftedPoint:
     """A point of (T^k)^(Z^d) given by a truncated exact lift.
 
-    Component j of the lift is nums[j][e] / den at site e, exactly; lift is
-    a read-only Fraction view of it.  The true point differs from the
+    Component j of the lift is nums[j][e] / den at site e, exactly; other
+    modules see it only through the readers.  The true point differs from the
     reduction mod 1 of the lift by at most tail_bound in l1 mass.  With a
     periodic basis B (d x d, full rank) the point is invariant under B Z^d:
     the stored sites are representatives with B^-1 e in [0,1)^d, and every
@@ -51,9 +51,22 @@ class LiftedPoint:
     d: int
     periodic_basis: list[list[int]] | None = field(default=None, kw_only=True)
 
-    @functools.cached_property
-    def lift(self) -> list[dict[tuple[int, ...], Fraction]]:
-        return [_sparse.unscale(comp, self.den) for comp in self.nums]
+    @classmethod
+    def from_point(cls, x: "LiftedPoint", *args, basis=None, basis_inverse=None) -> "LiftedPoint":
+        """A cls (with its own fields args) over the lift of x, summed over the cosets of
+        B Z^d when a basis B is given (which keeps the l1 tail bound), reusing B^-1 = P / D."""
+        out = cls(x.nums, x.den, x.tail_bound, x.d, *args, periodic_basis=basis)
+        if basis is not None:
+            out._fold = fold = _lattice_fold(basis, basis_inverse)
+            out.nums = [{} for _ in x.nums]
+            for acc, comp in zip(out.nums, x.nums):
+                for e, c in comp.items():
+                    _sparse.add_to(acc, {fold(e): c})
+        return out
+
+    @classmethod
+    def zero(cls, k: int, d: int) -> "LiftedPoint":
+        return cls([{} for _ in range(k)], 1, 0.0, d)
 
     @functools.cached_property
     def _fold(self):
@@ -81,16 +94,6 @@ class LiftedPoint:
         den = self.den
         return tuple(_sparse.center(n, den) / den for n in self._at(e))
 
-    def rho_to_zero(self, e) -> float:
-        return max(abs(v) for v in self.value(e))
-
-    def is_zero(self, tol: float = 1e-9) -> bool:
-        return all(self.rho_to_zero(e) <= tol for e in self.support())
-
-    def float_lift(self) -> list[dict[tuple[int, ...], float]]:
-        den = self.den
-        return [{e: n / den for e, n in comp.items()} for comp in self.nums]
-
     def lift_array(self, sites) -> np.ndarray:
         """The float lift nums[j][e] / den at each site tuple e (0 off the
         support, read through the fold), as a (len(sites), k) array."""
@@ -99,18 +102,24 @@ class LiftedPoint:
         den = self.den
         return np.array([[comp.get(e, 0) / den for comp in self.nums] for e in sites]).reshape(-1, self.k)
 
-    def site_distances(self) -> tuple[dict[tuple[int, ...], int], int]:
-        """Per support site, the torus distance to zero as (numerator, den)."""
+    def distance_by_radius(self) -> tuple[dict[int, int], int]:
+        """The torus distance to zero (the max over components) summed over
+        the stored sites of each max-norm sphere, exactly: (radius ->
+        numerator, den)."""
         den = self.den
-        return {
-            e: max(abs(_sparse.center(comp.get(e, 0), den)) for comp in self.nums)
-            for e in set().union(*self.nums)
-        }, den
+        dist: dict[tuple[int, ...], int] = {}
+        for comp in self.nums:
+            dist |= {e: max(dist.get(e, 0), abs(_sparse.center(n, den))) for e, n in comp.items()}
+        return _sparse.by_radius(dist.items()), den
 
-    def rho_sum(self) -> Fraction:
-        """Sum over the support of the torus distance to zero, exact."""
-        dist, den = self.site_distances()
-        return Fraction(sum(dist.values()), den)
+
+def max_distance(x: LiftedPoint, y: LiftedPoint, sites) -> float:
+    """The largest torus distance between x and y over the given sites, each
+    read through its fold, computed exactly over lcm(den_x, den_y)."""
+    den = math.lcm(x.den, y.den)
+    fx, fy = den // x.den, den // y.den
+    return max((abs(_sparse.center(a * fx - b * fy, den)) for e in sites for a, b in zip(x._at(e), y._at(e))),
+               default=0) / den
 
 
 def _basis_inverse(B: list[list[int]]) -> tuple[list[list[int]], int]:
@@ -134,20 +143,6 @@ def _lattice_fold(B: list[list[int]], inverse: tuple[list[list[int]], int] | Non
     return fold
 
 
-def _lift_sum(x: LiftedPoint, y: LiftedPoint, sign: int, sites=None) -> tuple[list[dict], int]:
-    """Componentwise x + sign * y over lcm(den_x, den_y), exact: on the union
-    of the supports, or at the given sites, read through each point's fold."""
-    den = math.lcm(x.den, y.den)
-    fx, fy = den // x.den, den // y.den
-    if sites is None:
-        return [
-            _sparse.add_to({e: n * fx for e, n in cx.items()}, {e: n * fy for e, n in cy.items()}, sign)
-            for cx, cy in zip(x.nums, y.nums)
-        ], den
-    at = [(e, x._at(e), y._at(e)) for e in sites]
-    return [{e: a[j] * fx + sign * b[j] * fy for e, a, b in at} for j in range(x.k)], den
-
-
 @dataclass
 class HomoclinicPoint(LiftedPoint):
     """Truncated lift of a homoclinic point of the action presented by A.
@@ -168,7 +163,10 @@ class HomoclinicPoint(LiftedPoint):
     def __add__(self, other: "HomoclinicPoint") -> "HomoclinicPoint":
         if self.A != other.A or self.inverse != other.inverse:
             raise ValueError("points must share the presenting matrix and the inverse they came from")
-        nums, den = _lift_sum(self, other, 1)
+        den = math.lcm(self.den, other.den)
+        fx, fy = den // self.den, den // other.den
+        nums = [_sparse.add_to({e: n * fx for e, n in cx.items()}, {e: n * fy for e, n in cy.items()})
+                for cx, cy in zip(self.nums, other.nums)]
         prov = [p + q for p, q in zip(self.provenance, other.provenance)]
         return HomoclinicPoint(nums, den, self.tail_bound + other.tail_bound, self.A, prov, self.inverse)
 
@@ -279,6 +277,6 @@ def delta1_membership(x: HomoclinicPoint) -> Delta1Certificate:
     certified tail bound (inverse residual >= 1) the total is infinite and
     nothing is certified.
     """
-    s = float(x.rho_sum())
+    s = sum(x.distance_by_radius()[0].values()) / x.den
     tail = float(x.tail_bound)
     return Delta1Certificate(s, tail, s + tail, finite=math.isfinite(tail))

@@ -23,10 +23,10 @@ from operator import add, mul, sub
 
 import numpy as np
 
-from . import _sparse, torus
+from . import torus
 from ._report import Report, plain
-from .groupring import GroupRingElement, GroupRingMatrix, ball, norm_sites
-from .homoclinic import HomoclinicPoint, LiftedPoint, _basis_inverse, _lattice_fold, _lift_sum, _point
+from .groupring import GroupRingElement, GroupRingMatrix, as_int, ball, norm_sites
+from .homoclinic import HomoclinicPoint, LiftedPoint, _basis_inverse, _point, max_distance
 
 
 def greedy_separated_subset(F: list, K: list) -> list[tuple[int, ...]]:
@@ -63,8 +63,7 @@ def interaction_radius(x: HomoclinicPoint, eps: float, radius_cap: int = 200) ->
     torus._check_positive("eps", eps)
     if not math.isfinite(x.tail_bound):
         raise ValueError("the point has no certified tail bound (inverse residual >= 1)")
-    dist, den = x.site_distances()
-    r = _first_radius_below(dist.items(), den, x.tail_bound, eps)
+    r = _first_radius_below(*x.distance_by_radius(), x.tail_bound, eps)
     if r is None:
         raise ValueError("no interaction ball with tail below eps within the support")
     if r > radius_cap:
@@ -81,15 +80,10 @@ def separated_window(x: HomoclinicPoint, eps: float, F: list) -> tuple[list, int
     return sites, R, greedy_separated_subset(sites, ball(x.d, 2 * R))
 
 
-def _first_radius_below(items, den: int, tail: float, bound: float) -> int | None:
-    """Smallest r with the l1 mass of the (site, numerator over den) items
-    beyond max-norm radius r, plus the tail, below bound; the
-    mass is summed and compared exactly, the float tail and bound taken at
-    their exact binary values."""
-    by_radius: dict[int, int] = {}
-    for e, v in items:
-        r = max(map(abs, e))
-        by_radius[r] = by_radius.get(r, 0) + abs(v)
+def _first_radius_below(by_radius: dict[int, int], den: int, tail: float, bound: float) -> int | None:
+    """Smallest r with the mass beyond max-norm radius r (by_radius maps a
+    radius to its sphere's mass over den) plus the tail below bound, compared
+    exactly: the float tail and bound are taken at their binary values."""
     tail_q = Fraction(tail)
     outside = sum(by_radius.values())
     for r in sorted({0, *by_radius}):  # the mass changes only at these radii
@@ -121,8 +115,8 @@ def _direct_violations(
     codes: list[int],
 ) -> list[float]:
     """Pure-dict evaluation of max_{s,t,j} rho((s y_sigma)_t, target_t) on the
-    float lift, per pattern code (bit b is sigma(F1[b])); the sums over each
-    run of four sites of F1 are tabulated once for all 16 on/off patterns."""
+    lift's component dicts, per pattern code (bit b is sigma(F1[b])); the sums
+    over each run of four sites of F1 are tabulated once for all 16 patterns."""
     worst = [0.0] * len(codes)
     runs = [F1[lo:lo + 4] for lo in range(0, len(F1), 4)]
     for a, s in enumerate(F1):
@@ -178,7 +172,8 @@ def independence_witnesses(
     )
 
     # D[a, b, t, j] = lift_j(t - F1[a] + F1[b])
-    D = x.lift_array([tuple(p - q + r for p, q, r in zip(t, s, sp)) for s in F1 for sp in F1 for t in K])
+    sites = [tuple(p - q + r for p, q, r in zip(t, s, sp)) for s in F1 for sp in F1 for t in K]
+    D = x.lift_array(sites)
     D = D.reshape(nf1, nf1, len(K), x.k)
     X = x.lift_array(K)
 
@@ -190,7 +185,8 @@ def independence_witnesses(
     max_violation = float(viol.max())
     all_pass = bool((viol <= eps).all())
 
-    direct = _direct_violations(x.float_lift(), F1, K, codes.tolist())
+    vals = {e: x.value(e) for e in {*sites, *K}}  # the re-check reads the point through value, not lift_array
+    direct = _direct_violations([{e: v[j] for e, v in vals.items()} for j in range(x.k)], F1, K, codes.tolist())
     for idx in range(nsig):
         if abs(direct[idx] - float(viol[idx].max())) > 1e-9:
             raise torus.VerificationError("independent witness re-verification disagrees")
@@ -227,13 +223,15 @@ class ShadowRequest:
     def basis_matrix(self, d: int) -> list[list[int]] | None:
         """The basis as d rows of d integers; a list of d integers is its diagonal."""
         B = self.periodic_subgroup
-        if isinstance(B, list) and all(isinstance(v, int) for v in B):
+        if isinstance(B, list) and not any(isinstance(v, list) for v in B):
             B = [[v if i == j else 0 for j in range(len(B))] for i, v in enumerate(B)]
-        if B is not None and not (isinstance(B, list) and len(B) == d and all(
-                isinstance(row, list) and len(row) == d and all(isinstance(v, int) for v in row) for row in B)):
-            raise ValueError(f"the periodic basis is {d} integers (a diagonal) or {d} rows of {d} "
-                             f"integers, got {self.periodic_subgroup!r}")
-        return B
+        if B is None or isinstance(B, list) and len(B) == d and all(isinstance(row, list) and len(row) == d for row in B):
+            try:
+                return B and [[as_int(v) for v in row] for row in B]
+            except ValueError:
+                pass
+        raise ValueError(f"the periodic basis is {d} integers (a diagonal) or {d} rows of {d} "
+                         f"integers, got {self.periodic_subgroup!r}")
 
 
 @dataclass
@@ -261,8 +259,7 @@ def inverse_tail_radius(inv: torus.MatrixL1Inverse, bound: float) -> int:
     plus its truncation tail, below the given bound."""
     if not math.isfinite(inv.tail_bound):
         raise ValueError("the inverse has no certified tail bound (residual >= 1)")
-    items = [item for row in inv.nums for cell in row for item in cell.items()]
-    r = _first_radius_below(items, inv.den, inv.tail_bound, bound)
+    r = _first_radius_below(*inv.mass_by_radius(), inv.tail_bound, bound)
     if r is None:
         raise ValueError("epsilon tail unreachable within the truncated inverse radius")
     return r
@@ -292,10 +289,8 @@ def shadow(A: GroupRingMatrix, req: ShadowRequest) -> ShadowResult:
     torus._check_positive("eps", req.eps)
     B = req.basis_matrix(d)
     inverse = None if B is None else _basis_inverse(B)
-    fold = None if B is None else _lattice_fold(B, inverse)
     if not req.blocks:
-        zero = [dict() for _ in range(A.rows)]
-        return ShadowResult(zero, 1, 0.0, d, [], 0, req.eps, periodic_basis=B)
+        return ShadowResult.from_point(LiftedPoint.zero(A.rows, d), [], 0, req.eps, basis=B, basis_inverse=inverse)
     inv = req.blocks[0].point.inverse
     for i, b in enumerate(req.blocks):
         if b.point.A != A:
@@ -312,11 +307,7 @@ def shadow(A: GroupRingMatrix, req: ShadowRequest) -> ShadowResult:
                     f"blocks {i} and {j} are within the gap radius {R}; move them apart"
                 )
 
-    m_total = [sum(ps, GroupRingElement.zero(d)) for ps in zip(*(b.point.provenance for b in req.blocks))]
-    y = _point(A, inv, m_total)
-    nums = y.nums
-
-    if fold is not None:
+    if B is not None:
         # fundamental domain must contain every block's R-neighborhood: no
         # nonzero subgroup translate of the combined region may come within
         # R of it, and only translates by at most its diameter plus R can.
@@ -326,20 +317,10 @@ def shadow(A: GroupRingMatrix, req: ShadowRequest) -> ShadowResult:
             shifted = {tuple(map(add, s, lam)) for s in all_sites}
             if _min_distance(all_sites, shifted) <= R:
                 raise ValueError("periodic domain too small for the blocks' gap radius")
-        folded: list[dict] = [{} for _ in nums]
-        for acc, comp in zip(folded, nums):
-            for e, c in comp.items():
-                _sparse.add_to(acc, {fold(e): c})
-        nums = folded
 
-    # folding sums the lift over cosets, which keeps the l1 tail bound
-    result = ShadowResult(nums, y.den, y.tail_bound, d, [], R, req.eps, periodic_basis=B)
-    result._fold = fold  # reads go through the fold built above, not a second inverse of B
-    for b in req.blocks:
-        # |shadow - block| mod 1 at each window site, over lcm(den_y, den_x)
-        diff, den = _lift_sum(result, b.point, -1, norm_sites(b.window, d))
-        worst = max((abs(_sparse.center(v, den)) for comp in diff for v in comp.values()), default=0)
-        result.block_errors.append(worst / den)
+    m_total = [sum(ps, GroupRingElement.zero(d)) for ps in zip(*(b.point.provenance for b in req.blocks))]
+    result = ShadowResult.from_point(_point(A, inv, m_total), [], R, req.eps, basis=B, basis_inverse=inverse)
+    result.block_errors = [max_distance(result, b.point, norm_sites(b.window, d)) for b in req.blocks]
     return result
 
 

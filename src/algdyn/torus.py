@@ -122,6 +122,11 @@ class MatrixL1Inverse:
         The benchmark's tracer counts len(terms) of each l1_inverse result."""
         return _sparse.unscale(self.nums[0][0], self.den)
 
+    def mass_by_radius(self) -> tuple[dict[int, int], int]:
+        """The l1 mass of all entries summed over each max-norm sphere, exactly:
+        (radius -> numerator, den)."""
+        return _sparse.by_radius((e, abs(n)) for row in self.nums for cell in row for e, n in cell.items()), self.den
+
 
 # -- evaluation ------------------------------------------------------------
 

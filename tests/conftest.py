@@ -74,6 +74,11 @@ def frac_center(v: Fraction) -> Fraction:
     return v - math.floor(v + Fraction(1, 2))
 
 
+def lift_of(x) -> list[dict[tuple[int, ...], Fraction]]:
+    """The stored lift of a point, component j as a dict site -> nums[j][e] / den."""
+    return [{e: Fraction(n, x.den) for e, n in comp.items()} for comp in x.nums]
+
+
 def pairings(x, phi: list[GroupRingElement]) -> dict[tuple[int, ...], Fraction]:
     """s -> <s.x, phi> = sum_j sum_t lift_j(t - s) phi_j(t) for the truncated
     lift of x, exactly: the integer products nums_j * phi_j* read at -s, over

@@ -134,10 +134,28 @@ def _star_det_off(monkeypatch):
     ))
 
 
+def _lift_array_shifted(monkeypatch):
+    # the first lift_array read (the witness tensor) takes its first site one
+    # step along; the targets and the re-check read the point as it is
+    from algdyn.homoclinic import LiftedPoint
+
+    lift_array, reads = LiftedPoint.lift_array, []
+
+    def shifted(x, sites):
+        sites = list(sites)
+        if not reads:
+            sites[0] = tuple(v + 1 for v in sites[0])
+        reads.append(len(sites))
+        return lift_array(x, sites)
+
+    monkeypatch.setattr(LiftedPoint, "lift_array", shifted)
+
+
 @pytest.mark.parametrize("break_check, argv", [
     (_kernel_witness_off, ["expansive", "--matrix", "singular.json", "--check-entropy"]),
     (_direct_violations_off, ["ie", "--poly", "3 - u1 - u1^-1", "--eps", "0.1", "--window", "5"]),
     (_star_det_off, ["duality", "--poly", "3 - u1 - u1^-1"]),
+    (_lift_array_shifted, ["ie", "--poly", "3 - u1 - u1^-1", "--eps", "0.1", "--window", "5"]),
 ])
 def test_failed_internal_check_exits_one(tmp_path, monkeypatch, capsys, break_check, argv):
     monkeypatch.chdir(tmp_path)
@@ -700,6 +718,16 @@ _SHADOW_2D = {"poly": "5 - u1 - u1^-1 - u2 - u2^-1", "eps": 0.2,
     ("pipeline --config", {"command": "expansive"}, "a pipeline config is a list"),
     ("pipeline --config", [1], "a pipeline config is a list"),
     ("pipeline --config", [{"command": "expansive", "args": 5}], "a pipeline config is a list"),
+    # non-integers are refused, not truncated to 3 - u1 or read as d = 1
+    ("expansive --matrix", [[{"d": 1, "terms": [{"exp": [0], "coef": 3.7}, {"exp": [1.9], "coef": -1}]}]],
+     "a coefficient must be an integer, got 3.7"),
+    ("expansive --matrix", [[{"d": 1, "terms": [{"exp": [0], "coef": 3}, {"exp": [1.9], "coef": -1}]}]],
+     "an exponent must be an integer, got 1.9"),
+    ("expansive --matrix", {"d": True, "entries": [["3 - u1 - u1^-1"]]}, 'a matrix\'s "d" must be an integer'),
+    ("shadow --config", {**_SHADOW_2D, "periodic": [True, 64]}, "the periodic basis is 2 integers"),
+    ("shadow --config", {**_SHADOW_2D, "blocks": [{"window": [[0, True]], "m": "1"}]}, "an exponent must be an integer"),
+    ("shadow --config", {**_SHADOW_2D, "blocks": [{"window": [[0, 0.5]], "m": "1"}]}, "an exponent must be an integer"),
+    ("shadow --config", {**_SHADOW_2D, "blocks": [{"window": ["0"], "m": "1"}]}, "an exponent must be an integer"),
 ])
 def test_malformed_json_input_is_an_error_line(tmp_path, capsys, command, obj, form):
     path = tmp_path / "input.json"
@@ -708,3 +736,17 @@ def test_malformed_json_input_is_an_error_line(tmp_path, capsys, command, obj, f
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {form}")
+
+
+def test_shadow_windows_are_checked_before_any_inverse_is_built(tmp_path, monkeypatch, capsys):
+    from algdyn import homoclinic
+
+    calls = []
+    star_inverse = homoclinic._star_inverse
+    monkeypatch.setattr(homoclinic, "_star_inverse", lambda *a: calls.append(a) or star_inverse(*a))
+    cfg = {**_SHADOW_CONFIG, "blocks": [{"window": [0, 1], "m": "u1"}, {"window": [[40, 0]], "m": "u1^40"}]}
+    path = tmp_path / "blocks.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["shadow", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: exponent (40, 0) has length 2, expected 1")
+    assert calls == []

@@ -490,3 +490,10 @@ def test_packing_default_eps_is_half_expansive_constant(f_symmetric):
     est = packing_lower_bound(group_element(A, [1]), list(range(12)))
     assert est.parameters["eps"] == pytest.approx(0.1)
     assert est.value > 0
+
+
+@pytest.mark.parametrize("M", [[[2.5]], [[True]], [["2"]]])
+def test_peters_refuses_a_non_integer_shift_matrix(M):
+    # [[2.5]] used to be counted as [[2]]
+    with pytest.raises(ValueError, match="a matrix entry must be an integer"):
+        peters_entropy(np.array(M), E_seed=[[0], [1]], rational=True)

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algdyn import _sparse
-from algdyn.groupring import GroupRingElement, GroupRingMatrix
-from algdyn.homoclinic import HomoclinicPoint, _lift_sum, group_element
-from algdyn.independence import greedy_separated_subset
-from conftest import frac_center, pairings
+from algdyn.groupring import GroupRingElement, GroupRingMatrix, parse_element
+from algdyn.homoclinic import HomoclinicPoint, fundamental_homoclinic, group_element, max_distance
+from algdyn.independence import ShadowBlock, ShadowRequest, greedy_separated_subset, shadow
+from conftest import frac_center, lift_of, pairings
 from test_independence import specification_read
 
 
@@ -59,16 +59,16 @@ def test_numerator_accessors_match_fraction_reference(data):
     lift = _ref(nums, den)
     sites = sorted(set().union(*nums)) + [(7,) * d]
 
-    assert x.lift == lift
-    assert x.float_lift() == [{e: float(c) for e, c in comp.items()} for comp in lift]
     assert x.lift_array(sites).tolist() == [[float(comp.get(e, 0)) for comp in lift] for e in sites]
     for e in sites:
         assert x.value(e) == _ref_value(lift, e)
         assert x.lift_at(e) == tuple(comp.get(e, Fraction(0)) for comp in lift)
-    assert x.rho_sum() == sum(
-        (max(abs(frac_center(comp.get(e, Fraction(0)))) for comp in lift) for e in sites[:-1]),
-        Fraction(0),
-    )
+    by_radius, den = x.distance_by_radius()
+    expected = {}
+    for e in sites[:-1]:
+        r = max(map(abs, e))
+        expected[r] = expected.get(r, 0) + max(abs(frac_center(comp.get(e, Fraction(0)))) for comp in lift)
+    assert {r: Fraction(n, den) for r, n in by_radius.items()} == expected
     assert [[t["value"] for t in comp] for comp in x.to_obj()["lift"]] == [
         [float(frac_center(comp[e])) for e in sorted(comp)] for comp in lift
     ]
@@ -81,21 +81,17 @@ def test_sum_and_metric_over_the_lcm_match_fraction_reference(data):
     k = data.draw(st.integers(1, 2))
     x = _point(d, *data.draw(lifts(d, k)))
     y = _point(d, *data.draw(lifts(d, k)))
-    lx, ly = _ref(x.nums, x.den), _ref(y.nums, y.den)
+    lx, ly = lift_of(x), lift_of(y)
     keys = [set(a) | set(b) for a, b in zip(lx, ly)]
 
     total = [{e: a.get(e, 0) + b.get(e, 0) for e in ks} for a, b, ks in zip(lx, ly, keys)]
-    assert (x + y).lift == [{e: c for e, c in comp.items() if c} for comp in total]
+    assert lift_of(x + y) == [{e: c for e, c in comp.items() if c} for comp in total]
     assert (x + y).value((0,) * d) == _ref_value(total, (0,) * d)
 
     # the torus distance of x from y at given sites, as shadow reads its block errors
     sites = sorted(set().union(*keys)) + [(7,) * d]
-    diff, den = _lift_sum(x, y, -1, sites)
-    assert [{e: Fraction(n, den) for e, n in comp.items()} for comp in diff] == [
-        {e: a.get(e, 0) - b.get(e, 0) for e in sites} for a, b in zip(lx, ly)
-    ]
-    worst = max(abs(_sparse.center(n, den)) for comp in diff for n in comp.values())
-    assert worst / den == float(max(abs(frac_center(a.get(e, 0) - b.get(e, 0))) for a, b in zip(lx, ly) for e in sites))
+    assert max_distance(x, y, sites) == float(
+        max(abs(frac_center(a.get(e, 0) - b.get(e, 0))) for a, b in zip(lx, ly) for e in sites))
 
 
 @settings(max_examples=120, deadline=None)
@@ -138,3 +134,42 @@ def test_wrong_length_sites_are_refused():
     assert x.value(1) == x.value((1,)) == (0.375,)
     with pytest.raises(ValueError):
         _point(2, [{(0, 0): 1}], 2).value(0)
+
+
+def _one_by_one(text: str) -> GroupRingMatrix:
+    return GroupRingMatrix([[parse_element(text)]])
+
+
+_A_MATRIX = GroupRingMatrix.from_obj([["3 - u1", "1"], ["0", "3 - u1^-1"]])
+_POINTS = {
+    "d=1": lambda: fundamental_homoclinic(_one_by_one("3 - u1 - u1^-1"))[0],
+    "2x2": lambda: group_element(_A_MATRIX, [parse_element("1 + u1"), parse_element("u1^-2 - 3")]),
+    "d=2": lambda: fundamental_homoclinic(_one_by_one("5 - u1 - u1^-1 - u2 - u2^-1"), 1e-8, 8)[0],
+    "periodic": lambda: shadow(_one_by_one("3 - u1 - u1^-1"), ShadowRequest(
+        [ShadowBlock(list(range(5)), group_element(_one_by_one("3 - u1 - u1^-1"), parse_element("u1^2")))],
+        0.05, [64])),
+}
+
+
+@pytest.mark.parametrize("name", list(_POINTS))
+def test_distance_by_radius_matches_fraction_reference(name):
+    x = _POINTS[name]()
+    expected = {}
+    for e in x.support():  # a periodic point is read through its fold
+        r = max(map(abs, e))
+        expected[r] = expected.get(r, 0) + max(abs(frac_center(c)) for c in x.lift_at(e))
+    by_radius, den = x.distance_by_radius()
+    assert len(expected) > 2
+    assert {r: Fraction(n, den) for r, n in by_radius.items()} == expected
+
+
+@pytest.mark.parametrize("A", [_one_by_one("3 - u1 - u1^-1"), _A_MATRIX])
+def test_inverse_mass_by_radius_sums_the_entries_by_radius(A):
+    inv = group_element(A, [1] + [0] * (A.rows - 1)).inverse
+    expected = {}
+    for row in inv.nums:
+        for cell in row:
+            for e, c in _sparse.unscale(cell, inv.den).items():
+                expected[max(map(abs, e))] = expected.get(max(map(abs, e)), 0) + abs(c)
+    by_radius, den = inv.mass_by_radius()
+    assert {r: Fraction(n, den) for r, n in by_radius.items()} == expected

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from algdyn.groupring import (
     DimensionMismatch,
     GroupRingElement,
     GroupRingMatrix,
+    as_int,
+    norm_sites,
     parse_element,
 )
 from conftest import det_by_minors, frac_center, group_ring_matrices, random_element
@@ -200,3 +203,43 @@ def test_frac_center_ranges():
     assert frac_center(Fraction(3, 4)) == Fraction(-1, 4)
     assert frac_center(Fraction(-1, 2)) == Fraction(-1, 2)
     assert frac_center(Fraction(-7, 3)) == Fraction(-1, 3)
+
+
+def test_as_int_accepts_python_and_numpy_integers_only():
+    assert [as_int(v) for v in (3, -2**80, np.int64(7), np.uint8(200))] == [3, -2**80, 7, 200]
+    assert all(type(as_int(v)) is int for v in (np.int64(7), np.uint8(200)))
+    for v in (True, np.bool_(False), 2.0, 3.7, np.float64(1.0), "7", None):
+        with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {v!r}")):
+            as_int(v)
+
+
+@pytest.mark.parametrize("obj", [
+    {"d": 1, "terms": [{"exp": [0], "coef": 3.7}]},
+    {"d": 1, "terms": [{"exp": [1.9], "coef": -1}]},
+    {"d": 1, "terms": [{"exp": [0], "coef": "7"}]},
+    {"d": 1, "terms": [{"exp": "1", "coef": 1}]},
+    {"d": 1, "terms": [{"exp": [True], "coef": 1}]},
+    {"d": 1, "terms": [{"exp": [0], "coef": True}]},
+    {"d": True, "terms": [{"exp": [0], "coef": 1}]},
+    {"d": 1.0, "terms": [{"exp": [0], "coef": 1}]},
+])
+def test_element_objects_with_non_integers_are_refused(obj):
+    # each of these used to be truncated by int() or read as 1
+    with pytest.raises(ValueError, match="must be an integer"):
+        E.from_obj(obj)
+
+
+def test_non_integer_sites_and_constants_are_refused():
+    with pytest.raises(ValueError, match="'12'"):
+        norm_sites(["12"])
+    with pytest.raises(ValueError, match="1.5"):
+        norm_sites([(0, 1.5)])
+    with pytest.raises(ValueError, match="True"):
+        norm_sites([True])
+    with pytest.raises(ValueError, match="2.5"):
+        E.constant(1, 2.5)
+    with pytest.raises(ValueError, match="0.5"):
+        E.monomial(1, (0.5,))
+    # numpy integers are integers, and a bare one is a site of Z^1
+    assert norm_sites([np.int64(4), (np.int32(5),)]) == [(4,), (5,)]
+    assert E(1, {(np.int64(2),): np.int64(3)}).terms == {(2,): 3}

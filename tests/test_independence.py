@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 from algdyn import _sparse
 from algdyn.entropy import packing_lower_bound
 from algdyn.groupring import GroupRingElement, GroupRingMatrix, ball, norm_sites, parse_element
-from algdyn.homoclinic import fundamental_homoclinic, group_element
+from algdyn.homoclinic import _lattice_fold, fundamental_homoclinic, group_element
 from algdyn.independence import (
     _direct_violations,
     _first_radius_below,
-    _lattice_fold,
     ShadowBlock,
     ShadowRequest,
     greedy_separated_subset,
@@ -24,7 +23,7 @@ from algdyn.independence import (
     inverse_tail_radius,
     shadow,
 )
-from conftest import solve_rational
+from conftest import lift_of, solve_rational
 
 E = GroupRingElement
 
@@ -78,14 +77,14 @@ def test_greedy_guarantee_500_random():
 
 def test_radius_mass_at_the_bound_is_not_below_it():
     # masses beyond radius 0, 1, 2: 2/4, 1/4, 0; exactly 1/4 is not below 1/4
-    items = [((r,), 1) for r in range(3)]
-    assert _first_radius_below(items, 4, 0.0, 0.25) == 2
-    assert _first_radius_below(items, 4, 0.0, math.nextafter(0.25, 1)) == 1
+    by_radius = {r: 1 for r in range(3)}
+    assert _first_radius_below(by_radius, 4, 0.0, 0.25) == 2
+    assert _first_radius_below(by_radius, 4, 0.0, math.nextafter(0.25, 1)) == 1
     # a truncation tail of the l1 inverse of a real chain: its rational
     # approximation with denominator <= 10^15 lies below the float
     tail = 1.101230805211538e-15
-    assert _first_radius_below([((0,), 1)], 1, tail, tail) is None
-    assert _first_radius_below([((0,), 1)], 1, tail, math.nextafter(tail, 1)) == 0
+    assert _first_radius_below({0: 1}, 1, tail, tail) is None
+    assert _first_radius_below({0: 1}, 1, tail, math.nextafter(tail, 1)) == 0
 
 
 def test_interaction_radius_fixture(A_sym):
@@ -189,7 +188,7 @@ def test_shadow_blocks_too_close(A_sym):
 def test_shadow_empty_request(A_sym):
     res = shadow(A_sym, ShadowRequest([], 0.05))
     assert res.block_errors == []
-    assert all(not comp for comp in res.lift)
+    assert all(not comp for comp in lift_of(res))
 
 
 def test_shadow_periodic_exact_invariance(A_sym):
@@ -205,7 +204,7 @@ def test_shadow_periodic_exact_invariance(A_sym):
     for n in range(0, 64):
         acc = Fraction(0)
         for shift in range(-3, 4):
-            acc += res_open.lift[0].get((n + 64 * shift,), Fraction(0))
+            acc += lift_of(res_open)[0].get((n + 64 * shift,), Fraction(0))
         assert acc == res.lift_at(n)[0]
 
 
@@ -312,7 +311,7 @@ def test_shadow_periodic_domain_too_small(A_sym):
 def test_shadow_linearity_zero_blocks(A_sym):
     z = group_element(A_sym, E.zero(1))
     res = shadow(A_sym, ShadowRequest([ShadowBlock([0, 1], z)], 0.1))
-    assert all(not comp for comp in res.lift)
+    assert all(not comp for comp in lift_of(res))
     assert res.block_errors == [0.0]
 
 
@@ -338,7 +337,7 @@ def specification_read(x, eps: float, F1: list) -> tuple[float, int]:
     R = inverse_tail_radius(x.inverse, eps / (2.0 * x.A.l1_norm()))
     gap_set = {tuple(map(add, s, b)) for s in Fn for b in ball(d, R)}
     annulus = {tuple(map(add, s, b)) for s in Fn for b in ball(d, R + SPEC_VERIFY_WIDTH)} - gap_set
-    return max((x.rho_to_zero(t) for t in annulus), default=0.0), R
+    return max((max(map(abs, x.value(t))) for t in annulus), default=0.0), R
 
 
 def test_specification_fixture(A_sym):
@@ -429,10 +428,14 @@ def test_shadow_periodic_non_diagonal_basis(A_2d):
             assert res.lift_at(e) == res.lift_at((e[0] - b[0], e[1] - b[1]))
     # independent route: fold the aperiodic shadow by hand, summing its lift
     # over each coset e + B z (the support lies within |e| <= 10)
-    open_lift = shadow(A_2d, ShadowRequest([block], 0.2)).lift[0]
+    open_lift = lift_of(shadow(A_2d, ShadowRequest([block], 0.2)))[0]
     assert max(max(map(abs, e)) for e in open_lift) <= 10
     for e in itertools.product(range(-10, 45), range(-5, 30)):
         acc = Fraction(0)
         for z1, z2 in itertools.product(range(-4, 5), repeat=2):
             acc += open_lift.get((e[0] + 32 * z1 + 8 * z2, e[1] + 24 * z2), Fraction(0))
         assert acc == res.lift_at(e)[0]
+
+
+def test_periodic_basis_of_numpy_integers_is_read_as_ints():
+    assert ShadowRequest([], 0.1, [np.int64(64)]).basis_matrix(1) == [[64]]

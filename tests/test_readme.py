@@ -30,8 +30,12 @@ def _cli_lines() -> list[list[str]]:
 
 
 def test_library_snippet_runs(capsys):
+    # the snippet prints what its comments say
     exec(compile(_block("## Quick start (library)", "python"), "README.md", "exec"), {})
-    assert capsys.readouterr().out.count("\n") == 3
+    residual, value, mahler = capsys.readouterr().out.splitlines()
+    assert float(residual) < 1e-14
+    assert value == "(0.4472135954999579,)"
+    assert mahler.startswith("0.9624")
 
 
 @pytest.mark.parametrize(
@@ -44,6 +48,14 @@ def test_cli_line_without_files_exits_zero(argv, capsys):
     out = capsys.readouterr().out
     if "csv" not in argv:
         json.loads(out)
+
+
+def test_cli_not_expansive_line_reports_its_witness(capsys):
+    (argv,) = [a for a in _cli_lines() if "4 - u1 - u1^-1 - u2 - u2^-1" in a]
+    assert main(argv) == 0
+    rep = json.loads(capsys.readouterr().out)["report"]
+    assert rep["verdict"] == "NotExpansive"
+    assert rep["certificate"]["witness"] == ["0", "0"]
 
 
 def test_shadow_config_runs_with_the_shadow_line(tmp_path, capsys):
