@@ -7,7 +7,8 @@
   finitely generated dual module, coordinatized through a companion matrix;
   the entropy is the exponential growth rate of the counts.
 * packing_lower_bound: explicit families of homoclinic combinations that
-  are pairwise separated on a window, certifying a lower bound.
+  are pairwise separated on a window; the count on one window gives an
+  estimate, not a proved lower bound.
 
 The three routes are compared in the test suite.  duality_check checks the
 one premise of h(X_A) = h(X_A*) that can fail, the exact identity
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import sub
 
 import numpy as np
 
@@ -27,12 +27,13 @@ from . import _kernels, _sparse, torus
 from ._report import Report
 from .groupring import GroupRingElement, GroupRingMatrix, as_int, norm_sites
 from .homoclinic import HomoclinicPoint
-from .independence import separated_window
+from .independence import base_digits, family_values, separated_window
 
 MAHLER_DEFAULT_GRID = {1: 65536, 2: 512, 3: 64}
 SINGULARITY_FLOOR = 1e-12
 
-# Largest family packing_lower_bound enumerates: M^|F1| is cut down to it.
+# Largest family packing_lower_bound enumerates: M^|F1| is cut down to it,
+# and more than this many levels M are refused.
 PACKING_FAMILY_CAP = 1 << 12
 
 MAHLER = "MahlerQuadrature"
@@ -310,7 +311,7 @@ def peters_entropy(
     )
 
 
-# -- homoclinic packing lower bound -------------------------------------------
+# -- homoclinic packing estimate ----------------------------------------------
 
 
 def packing_lower_bound(
@@ -319,17 +320,21 @@ def packing_lower_bound(
     eps: float | None = None,
     M_levels: int = 2,
 ) -> EntropyEstimate:
-    """Separated-family lower bound for the entropy of a certified system.
+    """Separated-family entropy estimate for a certified system.
 
     Builds the family {sum_{s in F1} c_s (s^-1 x) : c in {0..M-1}^F1} from a
     homoclinic point x (the CLI takes x = e_1 (A*)^-1), with F1 a greedily
     separated subset of the window F (conflict set K-K derived from the
     tail of x), and counts a maximal (F, eps)-separated subfamily by
-    pairwise torus distances.  log(count)/|F| is a lower bound for the entropy; the uniform greedy
-    density additionally gives log(M)/(2|K-K|+1) for every window.
+    pairwise torus distances.  The value log(count)/|F| is an estimate
+    from one window, not a proved lower bound: it can exceed the entropy.
+    F1 is cut to keep M^|F1| <= PACKING_FAMILY_CAP, and a larger M is refused.
     """
     if M_levels < 1:
         raise ValueError("M_levels must be >= 1")
+    if M_levels > PACKING_FAMILY_CAP:
+        raise ValueError(f"M_levels = {M_levels} exceeds PACKING_FAMILY_CAP = {PACKING_FAMILY_CAP}, "
+                         "the largest family packing enumerates, on a single site")
     if eps is None:
         eps = 0.5 / x.A.l1_norm()
     Fw, radius, F1 = separated_window(x, eps, F)
@@ -337,21 +342,11 @@ def packing_lower_bound(
         F1 = F1[: max(1, int(math.log(PACKING_FAMILY_CAP, max(2, M_levels))))]
     nfam = M_levels ** len(F1)
 
-    # family values observed through the window: applying the group element t
-    # to a member reads its coordinate at -t, so member c contributes
-    # sum_s c_s lift(s - t) at window site t.
-    shifts = x.lift_array([tuple(map(sub, s, t)) for s in F1 for t in Fw]).reshape(len(F1), -1)
-    vals = np.zeros((nfam, len(Fw) * x.k), dtype=np.float64)
-    digits = np.arange(nfam)[:, None] // M_levels ** np.arange(len(F1)) % M_levels
-    for pos, col in enumerate(shifts):
-        vals += np.outer(digits[:, pos].astype(np.float64), col)
-
-    kept = _kernels.greedy_separated(vals, eps)
+    vals = family_values(x, F1, base_digits(np.arange(nfam), M_levels, len(F1)), Fw)
+    kept = _kernels.greedy_separated(vals.reshape(nfam, -1), eps)
     count = int(len(kept))
-    value = math.log(count) / len(Fw)
-    uniform = math.log(M_levels) / (2 * (4 * radius + 1) ** x.d + 1)  # |K - K| = (4R+1)^d
     return EntropyEstimate(
-        value,
+        math.log(count) / len(Fw),
         PACKING,
         error_bound=None,
         parameters={
@@ -362,7 +357,6 @@ def packing_lower_bound(
             "K_radius": radius,
             "family_size": nfam,
             "separated_count": count,
-            "uniform_density_bound": uniform,
         },
-        notes="certified lower bound from an explicitly separated family",
+        notes="estimate log(separated count)/|F| on one window; not a proved lower bound",
     )

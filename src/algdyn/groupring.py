@@ -218,8 +218,11 @@ class GroupRingElement:
     def from_obj(cls, obj) -> "GroupRingElement":
         if isinstance(obj, str):
             return parse_element(obj)
-        try:
-            return cls(obj["d"], {tuple(t["exp"]): t["coef"] for t in obj["terms"]})
+        try:  # a repeated exponent sums its coefficients, as in parse_element
+            d, terms = obj["d"], {}
+            for t in obj["terms"]:
+                _sparse.add_to(terms, cls(d, {tuple(t["exp"]): t["coef"]}).terms)
+            return cls(d, terms)
         except (KeyError, TypeError):
             raise ValueError('an element object is {"d": d, "terms": [{"exp": [...], "coef": c}, ...]}, '
                              f"got {obj!r}") from None

@@ -108,32 +108,40 @@ class IndependenceReport(Report):
     note: str = ""
 
 
-def _direct_violations(
-    lift: list[dict[tuple[int, ...], float]],
-    F1: list[tuple[int, ...]],
-    K: list[tuple[int, ...]],
-    codes: list[int],
-) -> list[float]:
-    """Pure-dict evaluation of max_{s,t,j} rho((s y_sigma)_t, target_t) on the
-    lift's component dicts, per pattern code (bit b is sigma(F1[b])); the sums
-    over each run of four sites of F1 are tabulated once for all 16 patterns."""
-    worst = [0.0] * len(codes)
-    runs = [F1[lo:lo + 4] for lo in range(0, len(F1), 4)]
+def base_digits(codes, base: int, n: int) -> np.ndarray:
+    """The n lowest base-`base` digits of each code, least significant
+    first, as an (len(codes), n) float array; codes are taken as uint64."""
+    base = np.uint64(base)
+    codes = np.asarray(codes, dtype=np.uint64)
+    return (codes[:, None] // base ** np.arange(n, dtype=np.uint64) % base).astype(np.float64)
+
+
+def family_values(x: LiftedPoint, F1: list, digits: np.ndarray, sites: list) -> np.ndarray:
+    """The members sum_{s in F1} c_s (s^-1 x) of a separated family, one
+    digit row c per member, observed at the given sites: applying the group
+    element w to a member reads its coordinate at -w, so member c reads
+    sum_s c_s lift(s - w) at site w.  One matmul, an (n, len(sites), k) array."""
+    cols = x.lift_array([tuple(map(sub, s, w)) for s in F1 for w in sites])
+    return (digits @ cols.reshape(len(F1), -1)).reshape(len(digits), len(sites), x.k)
+
+
+def _direct_violations(value, F1: list, K: list, codes) -> np.ndarray:
+    """max_{s,t,j} rho((s y_sigma)_t, target_t) per pattern code (bit b is
+    sigma(F1[b])), for a point read one site at a time through value (a
+    site -> coordinates map).  Independent of the main path: the bits come
+    from the codes' little-endian bytes, each site t - s + s' is formed
+    here, and each (s, t) is one product of the bit matrix with the
+    coordinates of F1 shifted by t - s."""
+    codes = np.asarray(codes, dtype="<u8")  # little-endian uint64
+    bits = np.unpackbits(codes.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+    bits = bits[:, :len(F1)].astype(np.float64)
+    worst = np.zeros(len(codes))
     for a, s in enumerate(F1):
         for t in K:
             u = tuple(map(sub, t, s))
-            for comp in lift:
-                sums = [0.0] * len(codes)
-                for r, run in enumerate(runs):
-                    table = [0.0]
-                    for sp in run:
-                        v = comp.get(tuple(map(add, u, sp)), 0.0)
-                        table += [w + v for w in table]
-                    sums = [acc + table[c >> 4 * r & 15] for acc, c in zip(sums, codes)]
-                target = comp.get(t, 0.0)
-                for i, (acc, c) in enumerate(zip(sums, codes)):
-                    diff = acc - target if c >> a & 1 else acc
-                    worst[i] = max(worst[i], abs(diff - round(diff)))
+            V = np.array([value(tuple(map(add, u, sp))) for sp in F1], dtype=np.float64)
+            diff = bits @ V - bits[:, a, None] * np.array(value(t), dtype=np.float64)
+            np.maximum(worst, np.abs(diff - np.round(diff)).max(axis=1), out=worst)
     return worst
 
 
@@ -166,37 +174,25 @@ def independence_witnesses(
         codes = np.unique(rng.integers(0, total, size=cap, dtype=np.uint64))
     else:
         codes = np.arange(total, dtype=np.uint64)
-    nsig = len(codes)
-    sigma = ((codes[:, None] >> np.arange(nf1, dtype=np.uint64)[None, :]) & 1).astype(
-        np.float64
-    )
+    sigma = base_digits(codes, 2, nf1)
 
-    # D[a, b, t, j] = lift_j(t - F1[a] + F1[b])
-    sites = [tuple(p - q + r for p, q, r in zip(t, s, sp)) for s in F1 for sp in F1 for t in K]
-    D = x.lift_array(sites)
-    D = D.reshape(nf1, nf1, len(K), x.k)
-    X = x.lift_array(K)
-
-    vals = np.einsum("nb,abtj->natj", sigma, D)
-    targets = sigma[:, :, None, None] * X[None, None, :, :]
-    diff = vals - targets
+    # vals[n, a, t, j] = sum_b sigma_n(b) lift_j(t - F1[a] + F1[b]), the sites F1[a] - t
+    vals = family_values(x, F1, sigma, [tuple(map(sub, s, t)) for s in F1 for t in K])
+    diff = vals.reshape(len(codes), nf1, len(K), x.k) - sigma[:, :, None, None] * x.lift_array(K)
     diff -= np.round(diff)
     viol = np.abs(diff).max(axis=(2, 3))
     max_violation = float(viol.max())
     all_pass = bool((viol <= eps).all())
 
-    vals = {e: x.value(e) for e in {*sites, *K}}  # the re-check reads the point through value, not lift_array
-    direct = _direct_violations([{e: v[j] for e, v in vals.items()} for j in range(x.k)], F1, K, codes.tolist())
-    for idx in range(nsig):
-        if abs(direct[idx] - float(viol[idx].max())) > 1e-9:
-            raise torus.VerificationError("independent witness re-verification disagrees")
+    if (np.abs(_direct_violations(x.value, F1, K, codes) - viol.max(axis=1)) > 1e-9).any():
+        raise torus.VerificationError("independent witness re-verification disagrees")
 
     return IndependenceReport(
         F=Fn,
         K=K,
         F1=F1,
         density=nf1 / len(Fn),
-        witnesses_checked=nsig * nf1,
+        witnesses_checked=len(codes) * nf1,
         max_violation=max_violation,
         all_pass=all_pass,
         eps=eps,

@@ -230,6 +230,23 @@ def test_duality_matrix_file(tmp_path, capsys):
     assert abs(rep["report"]["entropy"] - math.log(3)) < 1e-8
 
 
+def test_matrix_file_element_object_sums_repeated_exponents(tmp_path, capsys):
+    # 2 + 1 - u1 at one site is 3 - u1 (entropy log 3); the last repeat alone gave 1 - u1
+    path = tmp_path / "m.json"
+    entry = {"d": 1, "terms": [{"exp": [0], "coef": 2}, {"exp": [0], "coef": 1}, {"exp": [1], "coef": -1}]}
+    path.write_text(json.dumps([[entry]]))
+    code, out = run_cli(capsys, ["duality", "--matrix", str(path)])
+    assert code == 0
+    assert abs(json.loads(out)["report"]["entropy"] - math.log(3)) < 1e-8
+
+
+def test_packing_levels_over_the_family_cap_are_refused(capsys):
+    assert main(["entropy", "--method", "packing", "--poly", "3 - u1 - u1^-1", "--levels", "20000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: M_levels = 20000 exceeds PACKING_FAMILY_CAP = 4096")
+
+
 def test_duality_eliminates_a_and_its_star_once_each(capsys, monkeypatch):
     from algdyn import _sparse
 

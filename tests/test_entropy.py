@@ -455,6 +455,9 @@ def test_packing_fixture(f_symmetric):
     est = packing_lower_bound(group_element(A, [1]), list(range(20)), eps=0.05, M_levels=2)
     assert est.value > 0
     assert est.value <= mahler_measure(f_symmetric).value + 1e-3
+    # one window's count is no proved bound, and the report says so
+    assert est.notes == "estimate log(separated count)/|F| on one window; not a proved lower bound"
+    assert "uniform_density_bound" not in est.parameters
 
 
 def test_packing_degenerate_eps(f_symmetric):
@@ -483,6 +486,22 @@ def test_packing_family_is_cut_to_the_cap(f_symmetric):
     p = packing_lower_bound(group_element(A, [1]), list(range(20)), eps=0.9).parameters
     assert p["family_size"] == PACKING_FAMILY_CAP == 4096
     assert len(p["F1"]) == 12
+
+
+def test_packing_refuses_more_levels_than_the_cap_before_building_a_family(f_symmetric, monkeypatch):
+    # 20000 levels used to build 20000 members on one site, past the cap
+    from algdyn import entropy
+
+    x = group_element(GroupRingMatrix([[f_symmetric]]), [1])
+    built = []
+    family_values = entropy.family_values
+    monkeypatch.setattr(entropy, "family_values", lambda *a: built.append(a) or family_values(*a))
+    for M in (PACKING_FAMILY_CAP + 1, 20000):
+        with pytest.raises(ValueError, match="exceeds PACKING_FAMILY_CAP = 4096"):
+            packing_lower_bound(x, list(range(20)), M_levels=M)
+    assert built == []
+    p = packing_lower_bound(x, [0, 1], M_levels=PACKING_FAMILY_CAP).parameters
+    assert p["family_size"] == PACKING_FAMILY_CAP and len(p["F1"]) == 1 and len(built) == 1
 
 
 def test_packing_default_eps_is_half_expansive_constant(f_symmetric):

@@ -213,6 +213,16 @@ def test_as_int_accepts_python_and_numpy_integers_only():
             as_int(v)
 
 
+@pytest.mark.parametrize("terms, text", [
+    ([([0], 1), ([0], 2)], "3"),  # used to read as 2: the last repeat won
+    ([([0], 1), ([0], -1), ([1], 1)], "u1"),  # used to read as -1 + u1
+    ([([1], 2), ([0], 5), ([1], -2)], "5"),
+])
+def test_element_object_sums_repeated_exponents_as_parse_element_does(terms, text):
+    obj = {"d": 1, "terms": [{"exp": e, "coef": c} for e, c in terms]}
+    assert E.from_obj(obj) == parse_element(text)
+
+
 @pytest.mark.parametrize("obj", [
     {"d": 1, "terms": [{"exp": [0], "coef": 3.7}]},
     {"d": 1, "terms": [{"exp": [1.9], "coef": -1}]},

@@ -5,7 +5,7 @@ from operator import add
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from algdyn import _sparse
@@ -17,6 +17,8 @@ from algdyn.independence import (
     _first_radius_below,
     ShadowBlock,
     ShadowRequest,
+    base_digits,
+    family_values,
     greedy_separated_subset,
     independence_witnesses,
     interaction_radius,
@@ -260,10 +262,37 @@ def _witness_case(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_witness_case())
+# 45 sites, so the codes' bits above 32 come from the fifth and sixth bytes
+@example(([{(j,): (7 * j % 11) * 0.13 - 0.6 for j in range(-230, 231)}], [(5 * i,) for i in range(45)],
+          [(-1,), (0,), (2,)], [1 << 44 | 1 << 33 | 5, (1 << 40) - 1, 1 << 32 | 1 << 38, 0]))
 def test_direct_violations_equal_the_per_pattern_sums(case):
     lift, F1, K, codes = case
-    got = _direct_violations(lift, F1, K, codes)
-    assert got == pytest.approx([_violation_by_pattern(lift, F1, K, c) for c in codes], abs=1e-12)
+    got = _direct_violations(lambda e: tuple(comp.get(e, 0.0) for comp in lift), F1, K, codes)
+    assert list(got) == pytest.approx([_violation_by_pattern(lift, F1, K, c) for c in codes], abs=1e-12)
+
+
+def _member_at(lift, F1, c, w):
+    """Reference: sum_s c_s lift(s - w), one dict lookup per site and component."""
+    return [sum(c_s * float(comp.get(tuple(p - q for p, q in zip(s, w)), 0)) for c_s, s in zip(c, F1))
+            for comp in lift]
+
+
+@pytest.mark.parametrize("A, F1, R, window", [
+    ([["5 - u1 - u1^-1 - u2 - u2^-1"]], [(0, 0), (3, 1), (-2, 4)], 1, [(i, j) for i in range(3) for j in range(3)]),
+    ([["3 - u1", "1"], ["0", "3 - u1^-1"]], [(0,), (4,), (9,)], 2, [(i,) for i in range(-3, 12)]),
+])
+def test_family_values_equal_the_per_member_sums(A, F1, R, window):
+    (x, *_) = fundamental_homoclinic(GroupRingMatrix.from_obj(A), 1e-8, 8)
+    lift = lift_of(x)
+    K = ball(x.d, R)
+    # the ie site set F1[a] - t with on/off digits, and a packing window with base-3 digits
+    for base, sites in [(2, [tuple(p - q for p, q in zip(s, t)) for s in F1 for t in K]), (3, window)]:
+        digits = base_digits(np.arange(base ** len(F1)), base, len(F1))
+        assert (digits @ base ** np.arange(len(F1)) == np.arange(len(digits))).all()
+        got = family_values(x, F1, digits, sites)
+        assert got.shape == (len(digits), len(sites), x.k)
+        want = [[_member_at(lift, F1, c, w) for w in sites] for c in digits.tolist()]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_shadow_refuses_a_point_of_another_matrix(A_sym):
