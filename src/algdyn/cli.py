@@ -21,24 +21,13 @@ import sys
 
 from . import __version__, entropy, expansive, freegroup, homoclinic, independence, torus
 from ._report import plain
-from .groupring import CapExceeded, GroupRingMatrix, as_int, norm_sites, parse_element
+from .groupring import CapExceeded, GroupRingMatrix, norm_sites, parse_element
 
 # The ~24,000 objects made by the imports live as long as the process; frozen,
 # they no longer make each full collection a rescan that stalls some request.
 gc.freeze()
 
 OK, UNKNOWN_STATUS, ERROR = 0, 2, 1
-
-
-def _matrix(obj) -> GroupRingMatrix:
-    """A matrix from its JSON form: nested lists of entries, or
-    {"d": d, "entries": nested lists}."""
-    if isinstance(obj, dict):
-        d = obj.get("d")
-        if d is not None and as_int(d, 'a matrix\'s "d"') < 1:
-            raise ValueError(f'a matrix\'s "d" is an integer >= 1, got {d!r}')
-        return GroupRingMatrix.from_obj(obj.get("entries"), d)
-    return GroupRingMatrix.from_obj(obj)
 
 
 def _input_matrix(args) -> tuple[GroupRingMatrix, dict]:
@@ -49,7 +38,7 @@ def _input_matrix(args) -> tuple[GroupRingMatrix, dict]:
         return GroupRingMatrix([[f]]), {"poly": args.poly}
     if args.matrix:
         with open(args.matrix) as fh:
-            return _matrix(json.load(fh)), {"matrix": args.matrix}
+            return GroupRingMatrix.from_obj(json.load(fh)), {"matrix": args.matrix}
     raise ValueError("an input source is required (--poly or --matrix)")
 
 
@@ -160,11 +149,11 @@ def run_shadow(args: argparse.Namespace) -> tuple[dict, int]:
         raise ValueError('a shadow config is an object with "poly" (or "matrix"), "eps", "blocks": '
                          '[{"window": list of sites, "m": polynomial or list of them}, ...] and '
                          'optionally "periodic"')
-    A = GroupRingMatrix([[parse_element(cfg["poly"])]]) if "poly" in cfg else _matrix(cfg.get("matrix"))
-    try:
-        eps = float(cfg.get("eps"))
-    except (TypeError, ValueError):  # shadow refuses the numbers that are not finite and > 0
-        raise ValueError(f"eps must be a finite number > 0, got {cfg.get('eps')!r}") from None
+    A = GroupRingMatrix([[parse_element(cfg["poly"])]]) if "poly" in cfg else GroupRingMatrix.from_obj(cfg.get("matrix"))
+    eps = cfg.get("eps")  # an int or a float, not a bool or a string
+    if isinstance(eps, bool) or not isinstance(eps, (int, float)) or not 0 < eps <= sys.float_info.max:
+        raise ValueError(f"eps must be a finite number > 0, got {eps!r}")
+    eps = float(eps)
     windows = [norm_sites(b["window"], A.d) for b in cfg["blocks"]]  # checked before any inverse is built
     blocks = []
     for b, window in zip(cfg["blocks"], windows):

@@ -317,6 +317,31 @@ def test_parse_error_exit_one(capsys):
     assert "error" in err
 
 
+def test_stray_star_is_a_parse_error(capsys):
+    # 1 - u1 vanishes at theta = 0; the stray '*' used to make this read as u1, Expansive, exit 0
+    code = main(["expansive", "--poly", "1 + u1*-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: parse error at position 7: '-1'")
+
+
+@pytest.mark.parametrize("poly", ["u10000000000000 - 3", "u12 - 3"])
+def test_dimension_over_the_cap_fails_before_the_torus_scan(capsys, monkeypatch, poly):
+    # the first used to raise MemoryError out of main, the second to run the exact scan for minutes
+    from algdyn import torus
+
+    def scan(d):
+        raise AssertionError("the torus scan ran")
+
+    monkeypatch.setattr(torus, "_scan_points", scan)
+    assert main(["expansive", "--poly", poly]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the dimension d must be from 1 to DIMENSION_CAP")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_variable_index_zero_exit_one(capsys):
     code = main(["expansive", "--poly", "5 - u0 - u2"])
     captured = capsys.readouterr()
@@ -688,9 +713,11 @@ def test_shadow_config_matrix_reads_like_a_matrix_file(tmp_path, capsys):
     assert reports[0] == reports[1] == reports[2]
 
 
-@pytest.mark.parametrize("eps", ["0", "-0.1", "NaN", "1e400", "null", "\"small\""])
+@pytest.mark.parametrize("eps", ["0", "-0.1", "NaN", "1e400", "null", "\"small\"", "true", "\"0.05\"",
+                                 pytest.param("1" + "0" * 400, id="10^400")])
 def test_shadow_eps_must_be_a_finite_positive_number(tmp_path, capsys, eps):
-    # 1e400 reads as inf; null and a string are not numbers at all
+    # 1e400 reads as inf; null and a string are not numbers at all; true used
+    # to run with eps = 1.0 and "0.05" with 0.05; 10^400 is over the float range
     base = json.dumps({**_SHADOW_CONFIG, "eps": 0.05})
     path = tmp_path / "blocks.json"
     path.write_text(base.replace('"eps": 0.05', f'"eps": {eps}'))
@@ -698,6 +725,14 @@ def test_shadow_eps_must_be_a_finite_positive_number(tmp_path, capsys, eps):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: eps must be a finite number > 0")
+
+
+def test_shadow_eps_may_be_an_integer(tmp_path, capsys):
+    path = tmp_path / "blocks.json"
+    path.write_text(json.dumps({**_SHADOW_CONFIG, "eps": 1}))
+    assert main(["shadow", "--config", str(path)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["result"]["eps"] == 1.0 and rep["all_blocks_within_eps"] is True
 
 
 @pytest.mark.parametrize("poly, blocks, periodic", [

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from algdyn.groupring import (
+    DIMENSION_CAP,
     DimensionMismatch,
     GroupRingElement,
     GroupRingMatrix,
@@ -179,6 +180,102 @@ def test_parse_refuses_variable_index_zero():
     for text in ["u0 + u2", "u0", "3 - u00^2"]:
         with pytest.raises(ValueError, match="indices start at u1"):
             parse_element(text)
+
+
+@pytest.mark.parametrize("text", ["1 + u1*-1", "2*u1*-1", "3 * - u1", "3*", "*3", "3**u1"])
+def test_parse_refuses_a_star_not_between_two_factors(text):
+    # the first three used to read as u1, -1 + 2*u1 and 3 - u1; the others as 3, 3 and 3*u1
+    with pytest.raises(ValueError, match="parse error at position"):
+        parse_element(text)
+
+
+def test_parse_accepts_trailing_whitespace():
+    assert parse_element("3 - u1 - u1^-1 ") == parse_element("  3 - u1 - u1^-1\t\n")
+    assert parse_element("3 - u1 - u1^-1 ") == 3 - u() - u(-1)
+    for text in ("", " ", "\t\n "):
+        assert parse_element(text) == E.zero(1)
+
+
+def test_dimension_over_the_cap_is_refused_before_anything_of_its_size_is_built():
+    assert parse_element(f"u{DIMENSION_CAP} - 3").d == DIMENSION_CAP
+    huge = 10_000_000_000_000
+    refusals = [
+        lambda: parse_element(f"u{huge} - 3"),  # used to build [0] * 10^13: MemoryError
+        lambda: parse_element(f"u{DIMENSION_CAP + 1}"),
+        lambda: parse_element("3", d=huge),
+        lambda: E(huge),
+        lambda: E.from_obj({"d": huge, "terms": []}),
+        lambda: E.from_obj({"d": 1, "terms": []}, d=huge),
+        lambda: GroupRingMatrix.from_obj({"d": huge, "entries": [["3"]]}),
+        lambda: GroupRingMatrix.from_obj({"d": huge, "entries": [[{"d": 1, "terms": []}]]}),
+    ]
+    for refuse in refusals:
+        with pytest.raises(ValueError, match=f"DIMENSION_CAP = {DIMENSION_CAP}"):
+            refuse()
+
+
+def test_matrix_object_form_reads_every_entry_in_its_declared_dimension():
+    entry = {"d": 1, "terms": [{"exp": [1], "coef": -1}, {"exp": [0], "coef": 3}]}
+    A = GroupRingMatrix.from_obj({"d": 2, "entries": [[entry, "u2"], [E.one(1), "0"]]})
+    assert A.d == 2
+    assert A[0, 0] == E(2, {(1, 0): -1, (0, 0): 3})
+    assert A[0, 1] == E.monomial(2, (0, 1))
+    assert A[1, 0] == E.one(2)
+    # without "d", the largest entry dimension
+    assert GroupRingMatrix.from_obj({"entries": [[entry, "u2"], [E.one(1), "0"]]}) == A
+    assert GroupRingMatrix.from_obj([[entry, "u2"], [E.one(1), "0"]]) == A
+    with pytest.raises(ValueError, match="exceeds declared dimension 1"):
+        GroupRingMatrix.from_obj({"d": 1, "entries": [["u2"]]})
+    with pytest.raises(DimensionMismatch, match="exceeds declared dimension 1"):
+        GroupRingMatrix.from_obj({"d": 1, "entries": [[E.monomial(2, (0, 1))]]})
+    for d in (0, -1):
+        with pytest.raises(ValueError, match='a matrix\'s "d" must be from 1'):
+            GroupRingMatrix.from_obj({"d": d, "entries": [["3"]]})
+
+
+@st.composite
+def _spelled_elements(draw):
+    """An element of Z^d, d <= 3, and one of its spellings: '*' or
+    juxtaposition, u for u1, a coefficient as a product, u1*u1 for u1^2,
+    terms split in two, factors in any order, extra spaces, a leading +."""
+    d = draw(st.integers(1, 3))
+    drawn = draw(st.lists(st.tuples(st.tuples(*[st.integers(-5, 5)] * d), st.integers(-12, 12)), max_size=6))
+    space = st.sampled_from(["", " ", "  "])
+    pieces = []
+    for e, c in drawn:
+        for part in ([c] if draw(st.booleans()) else [c - 1, 1]):  # repeated terms sum
+            factors = []
+            for i, p in enumerate(e):
+                name = "u" if i == 0 and draw(st.booleans()) else f"u{i + 1}"
+                split = draw(st.integers(-5, 5)) if p and draw(st.booleans()) else 0
+                for q in (split, p - split):
+                    if q:
+                        factors.append(name if q == 1 and draw(st.booleans()) else f"{name}^{q}")
+            a = abs(part)
+            divisors = [k for k in range(2, a) if a % k == 0]
+            if divisors and draw(st.booleans()):
+                k = draw(st.sampled_from(divisors))
+                factors += [str(k), str(a // k)]
+            elif a != 1 or not factors or draw(st.booleans()):
+                factors.append(str(a))
+            factors = draw(st.permutations(factors))
+            body = factors[0]
+            for f in factors[1:]:
+                joins = ["*", " * ", " "] + ([""] if f.startswith("u") else [])
+                body += draw(st.sampled_from(joins)) + f
+            sign = "-" if part < 0 else draw(st.sampled_from(["+", ""])) if not pieces else "+"
+            pieces.append(draw(space) + sign + draw(space) + body + draw(space))
+    terms = {}
+    for e, c in drawn:
+        terms[e] = terms.get(e, 0) + c
+    return "".join(pieces), E(d, terms)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_spelled_elements())
+def test_parse_reads_every_spelling_of_an_element(spelled):
+    text, f = spelled
+    assert parse_element(text, d=f.d) == f
 
 
 def test_json_roundtrip(f_harmonic):
