@@ -1,29 +1,39 @@
-"""Sparse rational vectors on Z^d as integer numerators over one denominator.
+"""Exact rational vectors on Z^d as integer numerators over one denominator.
 
-A finitely supported v: Z^d -> Q is stored as a dict from exponent tuples
-to nonzero ints together with one positive int den, standing for
-v(e) = nums[e] / den.  The l1 inverse's float seed and its refinement
-steps are dyadic, so den is a power of two on that path and every
-operation below is integer arithmetic; Fraction objects are built only by
-scale and unscale, at the boundary.
+A finitely supported v: Z^d -> Q is stored as integers together with one
+positive int den, standing for v(e) = nums[e] / den, in one of two forms.
+Every operation below is integer arithmetic; Fraction objects are built
+only by scale and unscale, at the boundary.
 
-A group-ring element's terms are such a dict with den 1, so the same core
-does the package's exact matrix algebra.  vecmat multiplies a row vector
-of numerator dicts by a matrix of them (group-ring matrix products,
-homoclinic lifts m (A*)^-1 and their annihilation checks).  gauss_jordan
-is the one elimination: a fraction-free Gauss-Jordan over the Laurent
-ring Z[Z^d] whose every division goes through exact_div.  Group-ring
-determinants, the finite-entropy rank and its kernel witness, and
-int_inverse (a square integer matrix as integers P over one denominator
-D: the inverse of a Peters shift matrix given as a matrix, the periodic
-shadow fold) all read their answers off its reduced rows.
+* Sparse: a dict from exponent tuples to nonzero ints.  A group-ring
+  element's terms are such a dict with den 1, so conv, vecmat (group-ring
+  matrix products) and gauss_jordan do the package's exact ring algebra.
+
+* Dense: a Box, a numpy object array of Python ints over a box of sites.
+  A truncated inverse or a lifted point fills its ball, so it is stored
+  this way, and box_conv, the product of small dicts with boxes, is one
+  slice-add per term of the small factor.  The numerators stay Python
+  ints: no int64 bound.
+
+gauss_jordan is the one elimination: a fraction-free Gauss-Jordan over
+the Laurent ring Z[Z^d] whose every division goes through exact_div.
+Group-ring determinants, the finite-entropy rank and its kernel witness,
+and int_inverse (a square integer matrix as integers P over one
+denominator D: the inverse of a Peters shift matrix given as a matrix,
+the short vectors of a periodic shadow's lattice) all read their answers
+off its reduced rows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from fractions import Fraction
 from operator import add, sub
+from typing import NamedTuple
+
+import numpy as np
 
 
 def scale(vectors) -> tuple[list[dict], int]:
@@ -200,19 +210,121 @@ def add_to(acc: dict, b: dict, sign: int = 1) -> dict:
     return acc
 
 
-def by_radius(items) -> dict[int, int]:
-    """The values of the (site, int) items summed over each max-norm sphere."""
-    out: dict[int, int] = {}
-    for e, v in items:
-        r = max(map(abs, e))
-        out[r] = out.get(r, 0) + v
+class MemoryCapError(MemoryError):
+    """A grid, box or set would exceed the declared memory budget."""
+
+
+def mem_cap_bytes() -> int:
+    mb = int(os.environ.get("ALGDYN_MEM_CAP_MB", "2048"))
+    return mb * 1024 * 1024
+
+
+BOX_ENTRY_BYTES = 64  # an object pointer and a Python int of about 120 bits, with headroom
+
+
+class Box(NamedTuple):
+    """Integer numerators on the box of sites lo + [0, n_1) x ... x [0, n_d).
+
+    a is a numpy object array of Python ints whose last d axes are the
+    sites (shape n) and whose leading axes, if any, index components or
+    matrix entries: the numerator at site e is a[..., e - lo].  Sites off
+    the box hold 0, and zeros inside it are not support.
+    """
+
+    lo: tuple[int, ...]
+    a: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.a.shape[self.a.ndim - len(self.lo):]
+
+    def at(self, e: tuple[int, ...]) -> list[int]:
+        """The numerators at site e, one per index of the one leading axis."""
+        rel = tuple(map(sub, e, self.lo))
+        if min(rel) >= 0:  # a negative index would count from the end
+            try:
+                return self.a[(Ellipsis, *rel)].tolist()
+            except IndexError:  # past the end of an axis
+                pass
+        return [0] * len(self.a)
+
+    def take(self, sites: np.ndarray) -> np.ndarray:
+        """The numerators at each row of the (n, d) site array, 0 off the box,
+        as an object array of the leading shape plus (n,)."""
+        rel = sites - np.array(self.lo, dtype=object)
+        inside = ((rel >= 0) & (rel < self.shape)).all(axis=1)
+        out = np.zeros(self.a.shape[:self.a.ndim - len(self.lo)] + (len(rel),), dtype=object)
+        out[..., inside] = self.a[(Ellipsis, *rel[inside].astype(np.intp).T)]
+        return out
+
+    def sites(self, idx: tuple[np.ndarray, ...]) -> np.ndarray:
+        """The sites at the index arrays idx (as np.nonzero returns them over
+        the site axes), as an (n, d) array."""
+        return np.stack([_axis(lo, n)[i] for lo, n, i in zip(self.lo, self.shape, idx)], axis=-1)
+
+    def by_radius(self, vals: np.ndarray, mask: np.ndarray) -> dict[int, int]:
+        """The values vals (over the sites) at the sites of mask summed over
+        each max-norm sphere: radius -> sum, for the radii mask reaches."""
+        r = functools.reduce(np.maximum, np.ix_(*(np.abs(_axis(lo, n)) for lo, n in zip(self.lo, self.shape))))
+        r = np.broadcast_to(r, mask.shape)[mask]
+        if not r.size:
+            return {}
+        order = np.argsort(r, kind="stable")
+        r = r[order]
+        starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+        return dict(zip(r[starts].tolist(), np.add.reduceat(vals[mask][order], starts).tolist()))
+
+
+def _axis(lo: int, n: int) -> np.ndarray:
+    """The coordinates lo, ..., lo + n - 1 of one axis: int64 where they fit,
+    else Python ints."""
+    if -(1 << 62) <= lo and lo + n <= 1 << 62:
+        return np.arange(lo, lo + n)
+    return np.array(range(lo, lo + n), dtype=object)
+
+
+def unit(d: int) -> Box:
+    """The numerator 1 at the origin of Z^d."""
+    return Box((0,) * d, np.ones((1,) * d, dtype=object))
+
+
+def box_conv(parts, lead: tuple[int, ...], d: int) -> Box:
+    """The sum of the products terms * src of the parts (dst, terms, src),
+    each added into out[dst] (dst indexes the leading axes lead of out):
+    exponents add, one slice-add per term of the dict terms.
+
+    The result is the hull of the products' boxes; its size is checked
+    against ALGDYN_MEM_CAP_MB before it is allocated.  _sparse.conv is this
+    product's test oracle.
+    """
+    parts = [(dst, t, b) for dst, t, b in parts if t and b.a.size]
+    if not parts:
+        return box_zeros(lead, (0,) * d, (0,) * d)
+    lo = [min(b.lo[i] + min(e[i] for e in t) for _, t, b in parts) for i in range(d)]
+    hi = [max(b.lo[i] + b.shape[i] + max(e[i] for e in t) for _, t, b in parts) for i in range(d)]
+    out = box_zeros(lead, lo, list(map(sub, hi, lo)))
+    for dst, t, b in parts:
+        for e, c in t.items():
+            sl = tuple(slice(o, o + n) for o, n in zip(map(sub, map(add, b.lo, e), lo), b.shape))
+            out.a[(*dst, Ellipsis, *sl)] += b.a if c == 1 else c * b.a
     return out
 
 
-def l1(nums: dict) -> int:
-    return sum(map(abs, nums.values()))
+def box_zeros(lead: tuple[int, ...], lo, shape) -> Box:
+    """The zero box with leading axes lead over the sites lo + [0, shape),
+    allocated only once its size is checked against ALGDYN_MEM_CAP_MB."""
+    need = math.prod((*lead, *shape)) * BOX_ENTRY_BYTES
+    if need > mem_cap_bytes():
+        raise MemoryCapError(f"a box of {math.prod(shape)} sites {tuple(shape)} needs about {need / 1e6:.0f} MB, "
+                             "over ALGDYN_MEM_CAP_MB")
+    return Box(tuple(lo), np.zeros((*lead, *shape), dtype=object))
 
 
-def center(n: int, den: int) -> int:
-    """Numerator over den of the representative of n/den mod 1 in [-1/2, 1/2)."""
+def l1(b: Box) -> int:
+    return np.abs(b.a).sum()
+
+
+def center(n, den: int):
+    """Numerator over den of the representative of n/den mod 1 in [-1/2, 1/2),
+    for an int n or elementwise for an object array of them."""
     return n - den * ((2 * n + den) // (2 * den))

@@ -195,12 +195,28 @@ _HANDLERS = {
 }
 
 
+# the JSON values a stage argument may take, by the kind of its option
+_STAGE_VALUES = {
+    "flag": ("true, false or null", lambda v: v is None or type(v) is bool),
+    str: ("a string", lambda v: type(v) is str),
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a number", lambda v: type(v) in (int, float)),
+}
+
+
 def _stage_argv(name: str, params: dict) -> list[str]:
     """A pipeline stage's args as the argv of its subcommand: --key=value (a
     polynomial may start with '-'), a bare flag for true, nothing for
-    false or null."""
+    false or null.  A value must have the JSON type of its option (a bool
+    is not a number); an unknown key is left to the parser to refuse."""
+    options = _build_parser().stage_options[name]
     argv = [name]
     for key, val in params.items():
+        opt = options.get(key.replace("-", "_"))
+        if opt is not None:
+            what, ok = _STAGE_VALUES["flag" if opt.nargs == 0 else getattr(opt.type, "kind", str)]
+            if not ok(val):
+                raise ValueError(f"stage argument {key!r} must be {what}, got {val!r}")
         flag = "--" + key.replace("_", "-")
         if val is True:
             argv.append(flag)
@@ -273,6 +289,7 @@ def _checked(kind, ok, what: str):
             pass
         raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
 
+    check.kind = kind
     return check
 
 
@@ -356,6 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.add_argument("--format", choices=["json", "pretty"], default="json")
 
+    p.stage_options = {name: {a.dest: a for a in sp._actions} for name, sp in sub.choices.items()}
     return p
 
 

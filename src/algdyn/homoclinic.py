@@ -6,8 +6,10 @@ under right multiplication by A*; concretely, every homoclinic point is
 m (A*)^-1 reduced mod 1 for an integer group-ring row vector m, and the map
 m -> point identifies the homoclinic group with (ZG)^k/(ZG)^k A*.
 
-Points carry a truncated rational lift, stored as integer numerators over
-the denominator of the inverse it came from, plus a tail bound inherited
+Points carry a truncated rational lift, stored as a box of integer
+numerators (_sparse.Box) over the denominator of the inverse it came from
+(every product with the inverse is one slice-add per term of the small
+factor), plus a tail bound inherited
 from the inverse's residual certificate, so membership and summability
 computations come with explicit error control.  The lifted point type is
 shared with the shadows built in independence.  Mod-1 representatives live
@@ -20,7 +22,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import add
 
 import numpy as np
 
@@ -33,58 +35,66 @@ from . import _sparse, torus
 from ._report import Report, plain
 
 
-@dataclass
+@dataclass(eq=False)
 class LiftedPoint:
     """A point of (T^k)^(Z^d) given by a truncated exact lift.
 
-    Component j of the lift is nums[j][e] / den at site e, exactly; other
+    Component j of the lift is nums.a[j][e - nums.lo] / den at site e,
+    exactly: one box of numerators shared by the k components; other
     modules see it only through the readers.  The true point differs from the
     reduction mod 1 of the lift by at most tail_bound in l1 mass.  With a
     periodic basis B (d x d, full rank) the point is invariant under B Z^d:
-    the stored sites are representatives with B^-1 e in [0,1)^d, and every
-    read goes through the fold onto them.
+    the stored sites are the representatives in the box nums.lo + [0, h)
+    of a triangular basis of B Z^d with diagonal h, one per coset, and
+    every read goes through the fold onto them.
     """
 
-    nums: list[dict[tuple[int, ...], int]]
+    nums: _sparse.Box
     den: int
     tail_bound: float
     d: int
     periodic_basis: list[list[int]] | None = field(default=None, kw_only=True)
 
     @classmethod
-    def from_point(cls, x: "LiftedPoint", *args, basis=None, basis_inverse=None) -> "LiftedPoint":
+    def from_point(cls, x: "LiftedPoint", *args, basis=None) -> "LiftedPoint":
         """A cls (with its own fields args) over the lift of x, summed over the cosets of
-        B Z^d when a basis B is given (which keeps the l1 tail bound), reusing B^-1 = P / D."""
+        B Z^d when a basis B is given (which keeps the l1 tail bound); the box of
+        representatives starts at the corner of x's box, so a lift that fits in
+        one period keeps its sites."""
         out = cls(x.nums, x.den, x.tail_bound, x.d, *args, periodic_basis=basis)
         if basis is not None:
-            out._fold = fold = _lattice_fold(basis, basis_inverse)
-            out.nums = [{} for _ in x.nums]
-            for acc, comp in zip(out.nums, x.nums):
-                for e, c in comp.items():
-                    _sparse.add_to(acc, {fold(e): c})
+            lo = x.nums.lo
+            idx = x._support()
+            reps = _lattice_fold(basis, lo)(x.nums.sites(idx)) - lo
+            out.nums = _sparse.box_zeros((x.k,), lo, [max(c, default=-1) + 1 for c in reps.T])
+            np.add.at(out.nums.a, (slice(None), *reps.astype(np.intp).T), x.nums.a[(slice(None), *idx)])
         return out
 
     @classmethod
     def zero(cls, k: int, d: int) -> "LiftedPoint":
-        return cls([{} for _ in range(k)], 1, 0.0, d)
+        return cls(_sparse.box_zeros((k,), (0,) * d, (0,) * d), 1, 0.0, d)
 
     @functools.cached_property
     def _fold(self):
-        return _lattice_fold(self.periodic_basis)
+        return _lattice_fold(self.periodic_basis, self.nums.lo)
 
     @property
     def k(self) -> int:
-        return len(self.nums)
+        return len(self.nums.a)
+
+    def _support(self) -> tuple[np.ndarray, ...]:
+        """The box indices of the sites where some component is nonzero."""
+        return np.nonzero((self.nums.a != 0).any(axis=0))
 
     def support(self) -> list[tuple[int, ...]]:
-        return sorted(set().union(*self.nums))
+        return list(zip(*self.nums.sites(self._support()).T.tolist()))
 
-    def _at(self, e) -> tuple[int, ...]:
+    def _at(self, e) -> list[int]:
         """The numerators at site e, read through the fold."""
         e = _as_exponent(e, self.d)
         if self.periodic_basis is not None:
-            e = self._fold(e)
-        return tuple(comp.get(e, 0) for comp in self.nums)
+            e = tuple(self._fold(np.array([e], dtype=object))[0])
+        return self.nums.at(e)
 
     def lift_at(self, e) -> tuple[Fraction, ...]:
         return tuple(Fraction(n, self.den) for n in self._at(e))
@@ -95,22 +105,20 @@ class LiftedPoint:
         return tuple(_sparse.center(n, den) / den for n in self._at(e))
 
     def lift_array(self, sites) -> np.ndarray:
-        """The float lift nums[j][e] / den at each site tuple e (0 off the
+        """The float lift of component j at each site tuple e (0 off the
         support, read through the fold), as a (len(sites), k) array."""
+        sites = np.array(sites, dtype=object).reshape(-1, self.d)
         if self.periodic_basis is not None:
-            sites = map(self._fold, sites)
-        den = self.den
-        return np.array([[comp.get(e, 0) / den for comp in self.nums] for e in sites]).reshape(-1, self.k)
+            sites = self._fold(sites)
+        return (self.nums.take(sites).T / self.den).astype(np.float64)
 
     def distance_by_radius(self) -> tuple[dict[int, int], int]:
         """The torus distance to zero (the max over components) summed over
         the stored sites of each max-norm sphere, exactly: (radius ->
         numerator, den)."""
-        den = self.den
-        dist: dict[tuple[int, ...], int] = {}
-        for comp in self.nums:
-            dist |= {e: max(dist.get(e, 0), abs(_sparse.center(n, den))) for e, n in comp.items()}
-        return _sparse.by_radius(dist.items()), den
+        a = self.nums.a
+        dist = np.abs(_sparse.center(a, self.den)).max(axis=0)
+        return self.nums.by_radius(dist, (a != 0).any(axis=0)), self.den
 
 
 def max_distance(x: LiftedPoint, y: LiftedPoint, sites) -> float:
@@ -130,20 +138,41 @@ def _basis_inverse(B: list[list[int]]) -> tuple[list[list[int]], int]:
         raise ValueError(f"the periodic basis {B} must have full rank") from None
 
 
-def _lattice_fold(B: list[list[int]], inverse: tuple[list[list[int]], int] | None = None):
-    """The map taking a site e to its representative with B^-1 e in
-    [0,1)^d, computed exactly.  B is inverted once (or its given inverse
-    P / D is used), so floor(B^-1 e) is (P e) // D."""
-    P, D = inverse or _basis_inverse(B)
+def _triangular_basis(B: list[list[int]]) -> list[list[int]]:
+    """Generators h_0, ..., h_(d-1) of the lattice B Z^d (spanned by the
+    columns of B) with h_j zero on the axes before j and h_j[j] > 0, by
+    Euclid's algorithm on the columns; the box [0, h_0[0]) x ... x
+    [0, h_(d-1)[d-1]) then holds exactly one site of each coset."""
+    H = [list(col) for col in zip(*B)]
+    for i in range(len(H)):
+        for j in range(i + 1, len(H)):
+            while H[j][i]:
+                q = H[i][i] // H[j][i]
+                H[i], H[j] = H[j], [a - q * b for a, b in zip(H[i], H[j])]
+        if not H[i][i]:
+            raise ValueError(f"the periodic basis {B} must have full rank")
+        if H[i][i] < 0:
+            H[i] = [-a for a in H[i]]
+    return H
 
-    def fold(e: tuple[int, ...]) -> tuple[int, ...]:
-        ks = [sum(map(mul, row, e)) // D for row in P]
-        return tuple(v - sum(map(mul, row, ks)) for v, row in zip(e, B))
+
+def _lattice_fold(B: list[list[int]], corner: tuple[int, ...]):
+    """The map taking the rows e of an (n, d) site array to their
+    representatives modulo B Z^d in the box corner + [0, h) of
+    _triangular_basis, exactly in Python ints: axis j is reduced by a
+    multiple of h_j, which leaves the axes before j alone."""
+    H = [np.array(h, dtype=object) for h in _triangular_basis(B)]
+
+    def fold(e: np.ndarray) -> np.ndarray:
+        e = e.astype(object)
+        for j, h in enumerate(H):
+            e -= ((e[:, j] - corner[j]) // h[j])[:, None] * h
+        return e
 
     return fold
 
 
-@dataclass
+@dataclass(eq=False)
 class HomoclinicPoint(LiftedPoint):
     """Truncated lift of a homoclinic point of the action presented by A.
 
@@ -161,39 +190,35 @@ class HomoclinicPoint(LiftedPoint):
         self.d = self.A.d
 
     def __add__(self, other: "HomoclinicPoint") -> "HomoclinicPoint":
-        if self.A != other.A or self.inverse != other.inverse:
+        if self.A != other.A or self.inverse is not other.inverse:
             raise ValueError("points must share the presenting matrix and the inverse they came from")
         den = math.lcm(self.den, other.den)
-        fx, fy = den // self.den, den // other.den
-        nums = [_sparse.add_to({e: n * fx for e, n in cx.items()}, {e: n * fy for e, n in cy.items()})
-                for cx, cy in zip(self.nums, other.nums)]
+        e0 = (0,) * self.d
+        nums = _sparse.box_conv([((), {e0: den // self.den}, self.nums), ((), {e0: den // other.den}, other.nums)],
+                                (self.k,), self.d)
         prov = [p + q for p, q in zip(self.provenance, other.provenance)]
         return HomoclinicPoint(nums, den, self.tail_bound + other.tail_bound, self.A, prov, self.inverse)
 
     def translate(self, t) -> "HomoclinicPoint":
         """The point shifted by t (the group element u^t acting)."""
         t = _as_exponent(t, self.d)
-        nums = [
-            {tuple(a + b for a, b in zip(e, t)): c for e, c in comp.items()}
-            for comp in self.nums
-        ]
+        nums = _sparse.Box(tuple(map(add, self.nums.lo, t)), self.nums.a)
         prov = [p.shift(t) for p in self.provenance]
         return HomoclinicPoint(nums, self.den, self.tail_bound, self.A, prov, self.inverse)
 
     def to_obj(self) -> dict:
         den = self.den
+        lift = []
+        for comp in self.nums.a:
+            idx = np.nonzero(comp)  # in lex order of the sites
+            values = (_sparse.center(comp[idx], den) / den).tolist()
+            lift.append([{"exp": e, "value": v} for e, v in zip(self.nums.sites(idx).tolist(), values)])
         return {
             "k": self.k,
             "d": self.d,
             "tail_bound": plain(self.tail_bound),
             "provenance": plain(self.provenance),
-            "lift": [
-                [
-                    {"exp": list(e), "value": _sparse.center(n, den) / den}
-                    for e, n in sorted(comp.items())
-                ]
-                for comp in self.nums
-            ],
+            "lift": lift,
         }
 
 
@@ -240,7 +265,8 @@ def group_element(
 def _point(A: GroupRingMatrix, inv: torus.MatrixL1Inverse, m) -> HomoclinicPoint:
     """m inv reduced mod 1, for inv a truncated (A*)^-1."""
     mv = _as_vector(m, inv.k, A.d)
-    nums = _sparse.vecmat([c.terms for c in mv], inv.nums)
+    lo, a = inv.nums
+    nums = _sparse.box_conv([((), c.terms, _sparse.Box(lo, row)) for c, row in zip(mv, a)], (inv.k,), A.d)
     norm_m = sum(comp.l1_norm() for comp in mv)
     tail = inv.tail_bound * max(1, norm_m)
     return HomoclinicPoint(nums, inv.den, tail, A, mv, inv)
@@ -253,8 +279,10 @@ def annihilation_residual(x: HomoclinicPoint) -> float:
     truncated homoclinic lift this residual is controlled by the tail bound
     times ||A||_1.
     """
-    cols = _sparse.vecmat(x.nums, [[e.terms for e in row] for row in x.A.star().entries])
-    return max((abs(_sparse.center(v, x.den)) for acc in cols for v in acc.values()), default=0) / x.den
+    lo, a = x.nums
+    cols = _sparse.box_conv([((j,), e.terms, _sparse.Box(lo, comp))
+                             for comp, row in zip(a, x.A.star().entries) for j, e in enumerate(row)], (x.k,), x.d)
+    return max(np.abs(_sparse.center(cols.a, x.den)).flat, default=0) / x.den
 
 
 def membership_tolerance(A: GroupRingMatrix, tol: float = 1e-10) -> float:

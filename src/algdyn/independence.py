@@ -230,7 +230,7 @@ class ShadowRequest:
                          f"integers, got {self.periodic_subgroup!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class ShadowResult(LiftedPoint):
     """The shadowing point, with the error of each block and the gap radius
     the blocks were separated by; periodic when a basis is set."""
@@ -286,12 +286,12 @@ def shadow(A: GroupRingMatrix, req: ShadowRequest) -> ShadowResult:
     B = req.basis_matrix(d)
     inverse = None if B is None else _basis_inverse(B)
     if not req.blocks:
-        return ShadowResult.from_point(LiftedPoint.zero(A.rows, d), [], 0, req.eps, basis=B, basis_inverse=inverse)
+        return ShadowResult.from_point(LiftedPoint.zero(A.rows, d), [], 0, req.eps, basis=B)
     inv = req.blocks[0].point.inverse
     for i, b in enumerate(req.blocks):
         if b.point.A != A:
             raise ValueError(f"block {i} is not a point of the presenting matrix A")
-        if b.point.inverse != inv:
+        if b.point.inverse is not inv:
             raise ValueError(f"block {i} comes from another inverse of A* than block 0")
     R = inverse_tail_radius(inv, req.eps / (2.0 * A.l1_norm()))
 
@@ -315,7 +315,7 @@ def shadow(A: GroupRingMatrix, req: ShadowRequest) -> ShadowResult:
                 raise ValueError("periodic domain too small for the blocks' gap radius")
 
     m_total = [sum(ps, GroupRingElement.zero(d)) for ps in zip(*(b.point.provenance for b in req.blocks))]
-    result = ShadowResult.from_point(_point(A, inv, m_total), [], R, req.eps, basis=B, basis_inverse=inverse)
+    result = ShadowResult.from_point(_point(A, inv, m_total), [], R, req.eps, basis=B)
     result.block_errors = [max_distance(result, b.point, norm_sites(b.window, d)) for b in req.blocks]
     return result
 

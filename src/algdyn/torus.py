@@ -15,7 +15,9 @@ l1(Z^d) exactly when its Fourier series f^ has no zero on the d-torus
 * l1_inverse produces a finitely supported dyadic approximation g of
   f^-1 by iterative refinement: floats propose corrections, and the exact
   residual ||delta - g*f||_1, over one power-of-two denominator like the
-  coefficients (the _sparse core), decides.  The residual yields an a
+  coefficients, decides.  The coefficients are a dense box of integer
+  numerators (_sparse.Box), moved to and from the FFT grid by modular
+  index arrays.  The residual yields an a
   posteriori bound on ||f^-1 - g||_1.
 """
 
@@ -24,7 +26,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,11 +33,8 @@ import numpy as np
 
 from . import _kernels, _sparse
 from ._report import Report
-from .groupring import (
-    GroupRingElement,
-    GroupRingMatrix,
-    ball,
-)
+from ._sparse import MemoryCapError, mem_cap_bytes
+from .groupring import GroupRingElement, GroupRingMatrix
 
 DEFAULT_GRID = {1: 1024, 2: 256, 3: 64}
 EXACT_Q_MAX = 256  # largest common denominator of an exactly checked point
@@ -50,17 +48,8 @@ class NotInvertibleError(ValueError):
     """An operation required a certified-invertible input."""
 
 
-class MemoryCapError(MemoryError):
-    """A grid or set would exceed the declared memory budget."""
-
-
 class VerificationError(RuntimeError):
     """An independent re-check of a computed certificate disagreed with it."""
-
-
-def mem_cap_bytes() -> int:
-    mb = int(os.environ.get("ALGDYN_MEM_CAP_MB", "2048"))
-    return mb * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -92,10 +81,12 @@ class TorusCertificate(Report):
     note: str = ""
 
 
-@dataclass
+@dataclass(eq=False)
 class MatrixL1Inverse:
     """Entrywise truncated inverse: entry (i, j) at site e is
-    nums[i][j][e] / den, over one common denominator.  An element's
+    nums.a[i, j][e - nums.lo] / den, one box of numerators over one
+    common denominator, read-only, since one inverse is shared by every
+    point built from it (compare inverses by identity).  An element's
     inverse is the 1 x 1 case.
 
     tail_bound bounds the l1 mass of the discarded part, derived a
@@ -105,27 +96,34 @@ class MatrixL1Inverse:
     the inverse rests on; None for a monomial unit inverted without one.
     """
 
-    nums: list[list[dict[tuple[int, ...], int]]]
+    nums: _sparse.Box
     den: int
     residual: Fraction
     converged: bool
     tail_bound: float
     det_certificate: TorusCertificate | None
 
+    def __post_init__(self):
+        self.nums.a.flags.writeable = False
+
     @property
     def k(self) -> int:
-        return len(self.nums)
+        return len(self.nums.a)
 
     @functools.cached_property
     def terms(self) -> dict[tuple[int, ...], Fraction]:
-        """Read-only Fraction view of entry (0, 0): an element's inverse.
-        The benchmark's tracer counts len(terms) of each l1_inverse result."""
-        return _sparse.unscale(self.nums[0][0], self.den)
+        """Read-only Fraction view of the nonzero sites of entry (0, 0): an
+        element's inverse.  The benchmark's tracer counts len(terms) of each
+        l1_inverse result."""
+        cell = self.nums.a[0, 0]
+        idx = np.nonzero(cell)
+        return {tuple(e): Fraction(n, self.den) for e, n in zip(self.nums.sites(idx).tolist(), cell[idx])}
 
     def mass_by_radius(self) -> tuple[dict[int, int], int]:
         """The l1 mass of all entries summed over each max-norm sphere, exactly:
         (radius -> numerator, den)."""
-        return _sparse.by_radius((e, abs(n)) for row in self.nums for cell in row for e, n in cell.items()), self.den
+        a = self.nums.a
+        return self.nums.by_radius(np.abs(a).sum(axis=(0, 1)), (a != 0).any(axis=(0, 1))), self.den
 
 
 # -- evaluation ------------------------------------------------------------
@@ -357,41 +355,46 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
-def _residual(g: dict[tuple[int, ...], int], den: int, f: GroupRingElement) -> tuple[dict, Fraction]:
+def _residual(g: _sparse.Box, den: int, f: GroupRingElement) -> tuple[_sparse.Box, Fraction]:
     """(f*g - delta as numerators over den, ||delta - (g/den)*f||_1), exact."""
-    prod = _sparse.conv(g, f.terms)
-    e0 = (0,) * f.d
-    prod[e0] = prod.get(e0, 0) - den
+    d = f.d
+    prod = _sparse.box_conv([((), f.terms, g), ((), {(0,) * d: -den}, _sparse.unit(d))], (), d)
     return prod, Fraction(_sparse.l1(prod), den)
 
 
-def _tail(residual: Fraction, nums, den: int) -> float:
+def _tail(residual: Fraction, nums: _sparse.Box, den: int) -> float:
     """r ||G||_1 / (1 - r) for the entries nums / den, or inf when r >= 1."""
     if residual >= 1:
         return math.inf
-    return float(residual * Fraction(sum(_sparse.l1(cell) for row in nums for cell in row), den)
-                 / (1 - residual))
+    return float(residual * Fraction(_sparse.l1(nums), den) / (1 - residual))
 
 
-def _dyadic(arr: np.ndarray, radius: int, den: int = 1) -> tuple[dict[tuple[int, ...], int], int]:
+def _dyadic(arr: np.ndarray, radius: int, den: int = 1) -> tuple[_sparse.Box, int]:
     """arr at e mod m over the max-norm ball of the radius, exactly, as numerators
-    over one power of two, den or above (floats are dyadic); zeros dropped."""
-    m = arr.shape[0]
-    ratios: dict[tuple[int, ...], tuple[int, int]] = {}
-    for e in ball(arr.ndim, radius):
-        v = float(arr[tuple(x % m for x in e)])
-        if v != 0.0:
-            ratios[e] = v.as_integer_ratio()
-    shift = max([den.bit_length() - 1, *(q.bit_length() - 1 for _, q in ratios.values())])
-    return {e: p << (shift + 1 - q.bit_length()) for e, (p, q) in ratios.items()}, 1 << shift
+    over one power of two, den or above (floats are dyadic)."""
+    idx = np.arange(-radius, radius + 1) % arr.shape[0]
+    v = arr[np.ix_(*[idx] * arr.ndim)]
+    if not np.isfinite(v).all():
+        raise ValueError("the float inverse is not finite")
+    mant, ex = np.frexp(v)
+    M = np.ldexp(mant, 53).astype(np.int64)  # v = M 2^(ex - 53), exactly
+    nz = M != 0
+    tz = np.where(nz, np.frexp(M & -M)[1] - 1, 0)  # the trailing zero bits of M
+    e2 = ex - 53 + tz  # v = (M >> tz) 2^e2, an odd integer times a power of two
+    shift = max(den.bit_length() - 1, -int(e2[nz].min(initial=0)))
+    nums = (M >> tz).astype(object) << np.where(nz, shift + e2, 0).astype(object)
+    return _sparse.Box((-radius,) * arr.ndim, nums), 1 << shift
 
 
-def _grid(nums: dict, den: int, m: int, d: int, radius: int) -> np.ndarray:
-    """nums / den as floats at e mod m on the m^d grid, for e within the radius."""
+def _grid(nums: _sparse.Box, den: int, m: int, d: int, radius: int) -> np.ndarray:
+    """nums / den as floats at e mod m on the m^d grid, for e within the radius
+    (m > 2 radius, so no two of them meet)."""
     arr = np.zeros((m,) * d)
-    for e, n in nums.items():
-        if max(map(abs, e)) <= radius:
-            arr[tuple(x % m for x in e)] = n / den
+    lo = [max(l, -radius) for l in nums.lo]
+    hi = [min(l + n, radius + 1) for l, n in zip(nums.lo, nums.shape)]
+    if all(a < b for a, b in zip(lo, hi)):
+        sl = tuple(slice(a - l, b - l) for a, b, l in zip(lo, hi, nums.lo))
+        arr[np.ix_(*(np.arange(a, b) % m for a, b in zip(lo, hi)))] = (nums.a[sl] / den).astype(np.float64)
     return arr
 
 
@@ -417,7 +420,8 @@ def l1_inverse(
     if f.num_terms() == 1:
         (e, c), = f.terms.items()
         if abs(c) == 1:  # a monomial unit: its inverse is exact
-            return MatrixL1Inverse([[{tuple(-x for x in e): c}]], 1, Fraction(0), True, 0.0, cert)
+            unit = _sparse.box_conv([((0, 0), {tuple(-x for x in e): c}, _sparse.unit(f.d))], (1, 1), f.d)
+            return MatrixL1Inverse(unit, 1, Fraction(0), True, 0.0, cert)
     if cert is None:
         cert = certify_invertible(f)
     if cert.verdict != INVERTIBLE:
@@ -445,7 +449,8 @@ def l1_inverse(
             seed_hat = np.fft.rfftn(_grid(g, den, mc, d, radius_cap))
         corr = np.fft.irfftn(seed_hat * np.fft.rfftn(_grid(prod, den, mc, d, s)))  # mc is even
         c, cden = _dyadic(corr, radius_cap, den)
-        step = _sparse.add_to({e: n * (cden // den) for e, n in g.items()}, c, -1)
+        e0 = (0,) * d
+        step = _sparse.box_conv([((), {e0: cden // den}, g), ((), {e0: -1}, c)], (), d)
         step_prod, step_r = _residual(step, cden, f)
         if 2 * step_r > r:  # the truncation floor
             if step_r < r:
@@ -453,7 +458,8 @@ def l1_inverse(
             break
         g, den, prod, r = step, cden, step_prod, step_r
 
-    return MatrixL1Inverse([[g]], den, r, r <= tol, _tail(r, [[g]], den), cert)
+    G = _sparse.Box(g.lo, g.a[None, None])
+    return MatrixL1Inverse(G, den, r, r <= tol, _tail(r, G, den), cert)
 
 
 def matrix_l1_inverse(A: GroupRingMatrix, tol: float = 1e-10, radius_cap: int = 40) -> MatrixL1Inverse:
@@ -479,6 +485,8 @@ def matrix_l1_inverse(A: GroupRingMatrix, tol: float = 1e-10, radius_cap: int = 
         raise NotInvertibleError(f"determinant not certified invertible: {det_cert.verdict}")
 
     gdet = l1_inverse(det, tol / k, radius_cap, cert=det_cert)
-    G = [[_sparse.conv(gdet.nums[0][0], e.terms) for e in row] for row in A.adjugate().entries]
+    g = _sparse.Box(gdet.nums.lo, gdet.nums.a[0, 0])
+    G = _sparse.box_conv([((i, j), e.terms, g) for i, row in enumerate(A.adjugate().entries)
+                          for j, e in enumerate(row)], (k, k), A.d)
     residual = k * gdet.residual
     return MatrixL1Inverse(G, gdet.den, residual, residual <= tol, _tail(residual, G, gdet.den), det_cert)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from algdyn import _sparse
 from algdyn.groupring import GroupRingElement, GroupRingMatrix, parse_element
 from algdyn.homoclinic import _point
 
@@ -74,9 +76,113 @@ def frac_center(v: Fraction) -> Fraction:
     return v - math.floor(v + Fraction(1, 2))
 
 
+def box_of(cells: list, d: int) -> _sparse.Box:
+    """A box of numerators holding the dicts cells (a point's components, or
+    a list of rows of an inverse's entries) over the hull of their sites,
+    filled site by site."""
+    flat = list(itertools.chain.from_iterable(c if isinstance(c, list) else [c] for c in cells))
+    sites = set().union(*flat)
+    lo = [min(c, default=0) for c in zip(*sites)] or [0] * d
+    shape = [max(c) - l + 1 for c, l in zip(zip(*sites), lo)] or [0] * d
+    lead = (len(cells), len(cells[0])) if isinstance(cells[0], list) else (len(cells),)
+    a = np.zeros((*lead, *shape), dtype=object)
+    for n, cell in enumerate(flat):
+        for e, v in cell.items():
+            a[(*np.unravel_index(n, lead), *(x - l for x, l in zip(e, lo)))] += v
+    return _sparse.Box(tuple(lo), a)
+
+
+def cells_of(box: _sparse.Box) -> list:
+    """The nonzero numerators of a box as dicts site -> int, one per leading
+    index (a list of rows of them for two leading axes), read site by site."""
+    d = len(box.lo)
+    lead = box.a.shape[:box.a.ndim - d]
+    cells = []
+    for idx in itertools.product(*map(range, lead)):
+        cells.append({
+            tuple(r + l for r, l in zip(rel, box.lo)): int(box.a[idx + rel])
+            for rel in itertools.product(*map(range, box.a.shape[len(lead):])) if box.a[idx + rel] != 0
+        })
+    return [cells[i:i + lead[1]] for i in range(0, len(cells), lead[1])] if len(lead) == 2 else cells
+
+
 def lift_of(x) -> list[dict[tuple[int, ...], Fraction]]:
-    """The stored lift of a point, component j as a dict site -> nums[j][e] / den."""
-    return [{e: Fraction(n, x.den) for e, n in comp.items()} for comp in x.nums]
+    """The stored lift of a point, component j as a dict site -> its numerator / den."""
+    return [{e: Fraction(n, x.den) for e, n in comp.items()} for comp in cells_of(x.nums)]
+
+
+class DictLift:
+    """The dict reference of a lifted point's readers: component j is a dict
+    site -> numerator over den, and every reader is computed site by site in
+    Python ints and Fractions, as the readers were before boxes.  With a
+    periodic basis B each read folds its site e onto e - B floor(B^-1 e),
+    solved in Fractions."""
+
+    def __init__(self, nums: list[dict], den: int, d: int, basis=None):
+        self.nums, self.den, self.d, self.basis = [dict(c) for c in nums], den, d, basis
+
+    @classmethod
+    def of(cls, x) -> "DictLift":
+        return cls(cells_of(x.nums), x.den, x.d, x.periodic_basis)
+
+    def fold(self, e: tuple[int, ...]) -> tuple[int, ...]:
+        if self.basis is None:
+            return e
+        ks = [math.floor(z) for (z,) in solve_rational(self.basis, [[v] for v in e])]
+        return tuple(v - sum(b * k for b, k in zip(row, ks)) for v, row in zip(e, self.basis))
+
+    def folded(self, basis) -> "DictLift":
+        """The point summed over the cosets of B Z^d, on the representatives."""
+        out = DictLift([{} for _ in self.nums], self.den, self.d, basis)
+        for acc, comp in zip(out.nums, self.nums):
+            for e, n in comp.items():
+                r = out.fold(e)
+                acc[r] = acc.get(r, 0) + n
+                if not acc[r]:
+                    del acc[r]
+        return out
+
+    def __add__(self, other: "DictLift") -> "DictLift":
+        den = math.lcm(self.den, other.den)
+        nums = []
+        for cx, cy in zip(self.nums, other.nums):
+            acc = {e: n * (den // self.den) for e, n in cx.items()}
+            for e, n in cy.items():
+                acc[e] = acc.get(e, 0) + n * (den // other.den)
+            nums.append({e: n for e, n in acc.items() if n})
+        return DictLift(nums, den, self.d)
+
+    def translate(self, t) -> "DictLift":
+        return DictLift([{tuple(a + b for a, b in zip(e, t)): n for e, n in c.items()} for c in self.nums],
+                        self.den, self.d)
+
+    def at(self, e) -> tuple[int, ...]:
+        e = self.fold(tuple(e))
+        return tuple(comp.get(e, 0) for comp in self.nums)
+
+    def lift_at(self, e) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.at(e))
+
+    def value(self, e) -> tuple[float, ...]:
+        return tuple(float(frac_center(v)) for v in self.lift_at(e))
+
+    def lift_array(self, sites) -> list[list[float]]:
+        return [[float(v) for v in self.lift_at(e)] for e in sites]
+
+    def support(self) -> list[tuple[int, ...]]:
+        return sorted(set().union(*self.nums))
+
+    def distance_by_radius(self, sites) -> dict[int, Fraction]:
+        """The distance to zero summed over the given sites of each sphere."""
+        out: dict[int, Fraction] = {}
+        for e in sites:
+            r = max(map(abs, e))
+            out[r] = out.get(r, 0) + max(abs(frac_center(v)) for v in self.lift_at(e))
+        return out
+
+    def lift_obj(self) -> list[list[dict]]:
+        return [[{"exp": list(e), "value": float(frac_center(Fraction(comp[e], self.den)))} for e in sorted(comp)]
+                for comp in self.nums]
 
 
 def pairings(x, phi: list[GroupRingElement]) -> dict[tuple[int, ...], Fraction]:
@@ -84,7 +190,7 @@ def pairings(x, phi: list[GroupRingElement]) -> dict[tuple[int, ...], Fraction]:
     lift of x, exactly: the integer products nums_j * phi_j* read at -s, over
     den.  Sites missing from the dict pair to 0."""
     acc = sum(
-        (GroupRingElement(x.d, comp) * p.star() for comp, p in zip(x.nums, phi)),
+        (GroupRingElement(x.d, comp) * p.star() for comp, p in zip(cells_of(x.nums), phi)),
         GroupRingElement.zero(x.d),
     )
     return {tuple(-v for v in e): Fraction(c, x.den) for e, c in acc.terms.items()}
@@ -114,9 +220,9 @@ def past_the_bound(x, site: tuple[int, ...], bound: float):
     numerator at site moved by twice bound (the tail bound kept): a wrong
     inverse certificate for pairing_gap to catch."""
     inv = x.inverse
-    entry = dict(inv.nums[0][0])
+    ((entry,),) = cells_of(inv.nums)
     entry[site] = entry.get(site, 0) + math.ceil(2 * Fraction(bound) * inv.den)
-    return _point(x.A, dataclasses.replace(inv, nums=[[entry]]), x.provenance)
+    return _point(x.A, dataclasses.replace(inv, nums=box_of([[entry]], x.d)), x.provenance)
 
 
 def det_by_minors(A: GroupRingMatrix) -> GroupRingElement:

@@ -552,6 +552,45 @@ def test_pipeline_stage_out_of_range_value(tmp_path, capsys):
     assert "argument --radius: expected an integer >= 0" in stages[1]["error"]
 
 
+@pytest.mark.parametrize("command, args, key", [
+    ("expansive", {"poly": 5}, "poly"),
+    ("expansive", {"poly": "u1 - 2", "grid": "32"}, "grid"),
+    ("homoclinic", {"poly": "3 - u1 - u1^-1", "element": 3}, "element"),
+    ("homoclinic", {"poly": "3 - u1 - u1^-1", "tol": False}, "tol"),
+    ("homoclinic", {"poly": "3 - u1 - u1^-1", "radius": True}, "radius"),
+    ("ie", {"poly": "3 - u1 - u1^-1", "eps": "0.1"}, "eps"),
+    ("ie", {"poly": "3 - u1 - u1^-1", "eps": 0.1, "window": False}, "window"),
+    ("ie", {"poly": "3 - u1 - u1^-1", "eps": 0.1, "seed": None}, "seed"),
+    ("entropy", {"method": "packing", "poly": "u1 - 2", "eps": True}, "eps"),
+    ("expansive", {"poly": "u1 - 2", "check_entropy": 1}, "check_entropy"),
+])
+def test_pipeline_stage_argument_of_the_wrong_json_type_is_refused(tmp_path, capsys, command, args, key):
+    path = tmp_path / "pipe.json"
+    path.write_text(json.dumps([{"command": "expansive", "args": {"poly": "u1 - 2"}},
+                                {"command": command, "args": args}]))
+    code, out = run_cli(capsys, ["pipeline", "--config", str(path)])
+    assert code == 1
+    first, second = json.loads(out)["stages"]
+    assert first["status"] == 0
+    assert second["error"].startswith(f"stage argument {key!r} must be ")
+
+
+def test_pipeline_stage_values_of_their_json_types_are_read(tmp_path, capsys):
+    cfg = [
+        {"command": "expansive", "args": {"poly": "u1 - 2", "grid": 32, "check_entropy": None}},
+        {"command": "homoclinic", "args": {"poly": "3 - u1 - u1^-1", "tol": 1, "radius": 8}},
+        {"command": "ie", "args": {"poly": "3 - u1 - u1^-1", "eps": 0.1, "window": 6}},
+    ]
+    path = tmp_path / "pipe.json"
+    path.write_text(json.dumps(cfg))
+    code, out = run_cli(capsys, ["pipeline", "--config", str(path)])
+    assert code == 0
+    stages = json.loads(out)["stages"]
+    assert [s["status"] for s in stages] == [0, 0, 0]
+    assert "finite_entropy" not in stages[0]["report"]
+    assert stages[1]["report"]["window_size"] > 1
+
+
 def test_freegroup_check_reports_the_radial_method(capsys):
     code, out = run_cli(capsys, ["freegroup-check", "--rank", "3", "--order", "5", "--radius", "8"])
     assert code == 0

@@ -3,17 +3,21 @@ lift as integer numerators over one denominator; every accessor is pinned
 here against a Fraction reference reduced with frac_center, and sites of the
 wrong length are refused."""
 
+import math
 from fractions import Fraction
+from operator import add
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from algdyn import _sparse
 from algdyn.groupring import GroupRingElement, GroupRingMatrix, parse_element
-from algdyn.homoclinic import HomoclinicPoint, fundamental_homoclinic, group_element, max_distance
+from algdyn.homoclinic import HomoclinicPoint, LiftedPoint, fundamental_homoclinic, group_element, max_distance
 from algdyn.independence import ShadowBlock, ShadowRequest, greedy_separated_subset, shadow
-from conftest import frac_center, lift_of, pairings
+from algdyn.torus import MatrixL1Inverse
+from conftest import DictLift, box_of, cells_of, frac_center, lift_of, pairings
 from test_independence import specification_read
 
 
@@ -38,7 +42,8 @@ def lifts(draw, d: int, k: int):
 def _point(d: int, nums: list[dict], den: int) -> HomoclinicPoint:
     k = len(nums)
     A = GroupRingMatrix.identity(k, d)
-    return HomoclinicPoint(nums, den, 0.0, A, [GroupRingElement.zero(d)] * k, group_element(A, [0] * k).inverse)
+    inv = group_element(A, [0] * k).inverse
+    return HomoclinicPoint(box_of(nums, d), den, 0.0, A, [GroupRingElement.zero(d)] * k, inv)
 
 
 def _ref(nums: list[dict], den: int) -> list[dict]:
@@ -118,6 +123,66 @@ def test_psi_with_two_term_phi_matches_fraction_reference(data):
         assert got.get(s, 0) == phase
 
 
+def _assert_readers_match(x, ref: DictLift, sites: list) -> None:
+    if x.periodic_basis is None:
+        assert x.support() == ref.support()
+        expected = ref.distance_by_radius(ref.support())
+    else:  # one stored site per nonzero coset of the period lattice, in lex order
+        assert x.support() == sorted(x.support())
+        assert sorted(map(ref.fold, x.support())) == ref.support()
+        expected = ref.distance_by_radius(x.support())
+    for e in sites:
+        assert x.value(e) == ref.value(e)
+        assert x.lift_at(e) == ref.lift_at(e)
+    assert x.lift_array(sites).tolist() == ref.lift_array(sites)
+    by_radius, den = x.distance_by_radius()
+    assert {r: Fraction(n, den) for r, n in by_radius.items()} == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_box_readers_match_the_dict_reference(data):
+    d = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(1, 2))
+    nums, den = data.draw(lifts(d, k))
+    x, ref = _point(d, nums, den), DictLift(nums, den, d)
+    sites = ref.support() + [(7,) * d, (-4,) * d]
+    _assert_readers_match(x, ref, sites)
+    assert x.to_obj()["lift"] == ref.lift_obj()
+
+    # the sum over the lcm of two denominators, and a translate
+    ynums, yden = data.draw(lifts(d, k))
+    s = x + _point(d, ynums, yden)
+    assert s.den == math.lcm(den, yden)
+    _assert_readers_match(s, ref + DictLift(ynums, yden, d), sites + sorted(set().union(*ynums)))
+    t = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d)))
+    _assert_readers_match(x.translate(t), ref.translate(t), [tuple(map(add, e, t)) for e in sites])
+
+    # the fold onto a period lattice: every read sums the coset of its site
+    B = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=d, max_size=d), min_size=d, max_size=d))
+    assume(round(np.linalg.det(np.array(B, dtype=float))) != 0)
+    shifted = [tuple(map(add, e, col)) for e in sites for col in zip(*B)]
+    _assert_readers_match(LiftedPoint.from_point(x, basis=B), ref.folded(B), sites + shifted)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_inverse_readers_match_the_dict_reference(data):
+    d = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(1, 2))
+    rows = [data.draw(lifts(d, k))[0] for _ in range(k)]
+    den = data.draw(st.integers(1, 2**70))
+    inv = MatrixL1Inverse(box_of(rows, d), den, Fraction(0), True, 0.0, None)
+    assert inv.terms == {e: Fraction(n, den) for e, n in rows[0][0].items() if n}
+    expected: dict = {}
+    for row in rows:
+        for cell in row:
+            for e, n in cell.items():
+                expected[max(map(abs, e))] = expected.get(max(map(abs, e)), 0) + abs(n)
+    by_radius, den_out = inv.mass_by_radius()
+    assert den_out == den and by_radius == expected
+
+
 def test_specification_check_reads_the_point():
     # zero provenance, so the shadow of the provenance is zero, but x is 3/10 at site 30
     x = _point(1, [{(30,): 3}], 10)
@@ -167,7 +232,7 @@ def test_distance_by_radius_matches_fraction_reference(name):
 def test_inverse_mass_by_radius_sums_the_entries_by_radius(A):
     inv = group_element(A, [1] + [0] * (A.rows - 1)).inverse
     expected = {}
-    for row in inv.nums:
+    for row in cells_of(inv.nums):
         for cell in row:
             for e, c in _sparse.unscale(cell, inv.den).items():
                 expected[max(map(abs, e))] = expected.get(max(map(abs, e)), 0) + abs(c)

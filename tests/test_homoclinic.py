@@ -2,8 +2,10 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from algdyn import _sparse
 from algdyn.groupring import GroupRingElement, GroupRingMatrix, parse_element
 from algdyn.homoclinic import (
     annihilation_residual,
@@ -13,7 +15,8 @@ from algdyn.homoclinic import (
     membership_tolerance,
 )
 from algdyn.independence import interaction_radius, inverse_tail_radius
-from conftest import lift_of, pairing_gap, pairings, past_the_bound
+from algdyn.torus import MemoryCapError
+from conftest import cells_of, lift_of, pairing_gap, pairings, past_the_bound
 
 E = GroupRingElement
 R_SYM = (3 - math.sqrt(5)) / 2
@@ -192,12 +195,37 @@ def test_matrix_case_two_by_two():
 
 def test_fundamental_points_do_not_share_the_cached_inverse():
     A = GroupRingMatrix.from_obj([["3 - u1", "1"], ["0", "3 - u1^-1"]])
-    before = [[dict(c) for c in x.nums] for x in fundamental_homoclinic(A)]
+    before = [cells_of(x.nums) for x in fundamental_homoclinic(A)]
     for x in fundamental_homoclinic(A):
-        for comp in x.nums:
-            comp.clear()
-            comp[(99,)] = 7
-    assert [x.nums for x in fundamental_homoclinic(A)] == before
+        x.nums.a[...] = 7
+    assert [cells_of(x.nums) for x in fundamental_homoclinic(A)] == before
+
+
+def test_a_cached_inverse_is_read_only():
+    A = GroupRingMatrix([[parse_element("3 - u1 - u1^-1")]])
+    x, y = group_element(A, 1), group_element(A, parse_element("u1"))
+    assert x.inverse is y.inverse
+    with pytest.raises(ValueError, match="read-only"):
+        x.inverse.nums.a[0, 0, 40] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        x.inverse.nums.a += 1
+    assert cells_of(x.inverse.nums) == cells_of(fundamental_homoclinic(A)[0].inverse.nums)
+
+
+def test_a_box_over_the_memory_cap_is_refused_before_it_is_allocated(monkeypatch):
+    # m = 1 + u1^300 u2^300: the lift's hull is about 381 x 381 sites, past a 1 MB cap
+    A = GroupRingMatrix([[parse_element("5 - u1 - u1^-1 - u2 - u2^-1")]])
+    group_element(A, 1)  # the inverse, 81 x 81 sites, is built (and cached) under the default cap
+    m = parse_element("1 + u1^300*u2^300")
+    shapes = []
+    zeros = np.zeros
+    monkeypatch.setattr(np, "zeros", lambda shape, *args, **kw: shapes.append(shape) or zeros(shape, *args, **kw))
+    monkeypatch.setattr(_sparse, "mem_cap_bytes", lambda: 1 << 20)
+    with pytest.raises(MemoryCapError, match="ALGDYN_MEM_CAP_MB"):
+        group_element(A, m)
+    assert shapes == []
+    monkeypatch.undo()
+    assert group_element(A, m).nums.shape == (381, 381)
 
 
 def test_decay_monotone_tail(A_sym):

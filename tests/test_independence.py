@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from algdyn import _sparse
 from algdyn.entropy import packing_lower_bound
 from algdyn.groupring import GroupRingElement, GroupRingMatrix, ball, norm_sites, parse_element
-from algdyn.homoclinic import _lattice_fold, fundamental_homoclinic, group_element
+from algdyn.homoclinic import _lattice_fold, _triangular_basis, fundamental_homoclinic, group_element
 from algdyn.independence import (
     _direct_violations,
     _first_radius_below,
@@ -226,12 +226,17 @@ def _basis_and_sites(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_basis_and_sites())
-def test_lattice_fold_equals_a_solve_per_site(case):
+@given(_basis_and_sites(), st.integers(-50, 50))
+def test_lattice_fold_lands_each_site_on_its_coset_in_one_box(case, c):
     B, sites = case
-    fold = _lattice_fold(B)
-    for e in sites:
-        assert fold(e) == _fold_by_solve(e, B)
+    d = len(B)
+    corner = tuple(c * (i + 1) for i in range(d))
+    h = [row[j] for j, row in enumerate(_triangular_basis(B))]
+    assert math.prod(h) == abs(round(np.linalg.det(np.array(B, dtype=float))))
+    folded = list(map(tuple, _lattice_fold(B, corner)(np.array(sites, dtype=object).reshape(-1, d)).tolist()))
+    for e, r in zip(sites, folded):
+        assert _fold_by_solve(r, B) == _fold_by_solve(e, B)  # the same coset of B Z^d
+        assert all(0 <= v - c0 < n for v, c0, n in zip(r, corner, h))  # in the box of |det B| sites
 
 
 def _violation_by_pattern(lift, F1, K, code):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from algdyn import _kernels, _sparse, torus
 from algdyn.groupring import GroupRingElement, GroupRingMatrix, ball, parse_element
-from conftest import frac_center, solve_rational
+from conftest import box_of, cells_of, frac_center, solve_rational
 
 
 @st.composite
@@ -49,10 +49,48 @@ def test_conv_matches_fraction_convolution(data, da, db):
 
 
 @settings(max_examples=150, deadline=None)
-@given(int_vectors(), dens)
-def test_l1_matches_fraction_norm(v, den):
+@given(st.data(), dens)
+def test_l1_matches_fraction_norm(data, den):
+    d = data.draw(st.integers(1, 3))
+    v = data.draw(int_vectors(d))
     ref = sum((abs(Fraction(n, den)) for n in v.values()), Fraction(0))
-    assert Fraction(_sparse.l1(v), den) == ref
+    assert Fraction(_sparse.l1(box_of([v], d)), den) == ref
+
+
+def _spatial(v: dict, d: int) -> _sparse.Box:
+    """The dict v as a box with no leading axis."""
+    lo, a = box_of([v], d)
+    return _sparse.Box(lo, a[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_box_conv_matches_conv(data):
+    # the box product against the dict convolution, over every leading index:
+    # negative exponents, numerators past 2^63, empty factors and boxes, and
+    # parts that cancel to zero
+    d = data.draw(st.integers(1, 3))
+    k = data.draw(st.sampled_from([0, 1, 2]))  # no leading axis, or k components
+    lead = (k,) if k else ()
+    parts, expected = [], [{} for _ in range(max(k, 1))]
+    for _ in range(data.draw(st.integers(0, 3))):
+        terms = data.draw(int_vectors(d))
+        dst = (data.draw(st.integers(0, k - 1)),) if k and data.draw(st.booleans()) else ()
+        if k and not dst and data.draw(st.booleans()):  # one cell per component
+            cells = [data.draw(int_vectors(d)) for _ in range(k)]
+            src = box_of(cells, d)
+        else:  # one cell, broadcast over the components dst leaves open
+            cells = [data.draw(int_vectors(d))] * (1 if dst or not k else k)
+            src = _spatial(cells[0], d)
+        copies = 2 if data.draw(st.booleans()) else 1  # the second copy cancels the first
+        for sign in [1, -1][:copies]:
+            parts.append((dst, {e: sign * c for e, c in terms.items()}, src))
+            if copies == 1:
+                for i, cell in zip(dst or range(len(expected)), cells):
+                    _sparse.add_to(expected[i], _sparse.conv(terms, cell))
+    got = _sparse.box_conv(parts, lead, d)
+    assert got.a.ndim == len(lead) + d and got.a.shape[:len(lead)] == lead
+    assert (cells_of(got) if k else cells_of(_sparse.Box(got.lo, got.a[None]))) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -278,7 +316,7 @@ def test_matrix_inverse_equals_fraction_reference():
     tail = float(residual * norm / (1 - residual))
 
     inv = torus.matrix_l1_inverse(A, tol, radius)
-    assert [[_sparse.unscale(cell, inv.den) for cell in row] for row in inv.nums] == G
+    assert [[_sparse.unscale(cell, inv.den) for cell in row] for row in cells_of(inv.nums)] == G
     assert inv.residual == residual
     assert inv.tail_bound == tail
     assert inv.converged == (residual <= tol)
