@@ -19,9 +19,8 @@ gauss_jordan is the one elimination: a fraction-free Gauss-Jordan over
 the Laurent ring Z[Z^d] whose every division goes through exact_div.
 Group-ring determinants, the finite-entropy rank and its kernel witness,
 and int_inverse (a square integer matrix as integers P over one
-denominator D: the inverse of a Peters shift matrix given as a matrix,
-the short vectors of a periodic shadow's lattice) all read their answers
-off its reduced rows.
+denominator D: the inverse of a Peters shift matrix given as a matrix)
+all read their answers off its reduced rows.
 """
 
 from __future__ import annotations

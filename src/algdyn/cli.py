@@ -96,12 +96,14 @@ def _first_point(A: GroupRingMatrix) -> homoclinic.HomoclinicPoint:
 
 def _certificate_chain(inv: torus.MatrixL1Inverse) -> dict:
     """Torus certificate of the presenting matrix plus the residual of the
-    inverse of A* that every downstream verdict rests on."""
+    inverse of A* that every downstream verdict rests on, and the radius
+    it was cut to."""
     return plain({
         "torus_certificate": inv.det_certificate,
         "inverse_residual": inv.residual,
         "inverse_tail_bound": inv.tail_bound,
         "inverse_converged": inv.converged,
+        "inverse_radius": inv.radius,
     })
 
 
@@ -120,7 +122,7 @@ def run_homoclinic(args: argparse.Namespace) -> tuple[dict, int]:
         "point": x.to_obj(),
         "delta1": cert.to_obj(),
         "annihilation_residual": residual,
-        "membership_tolerance": homoclinic.membership_tolerance(A, args.tol),
+        "membership_tolerance": homoclinic.membership_tolerance(x, args.tol),
         "window_size": len(x.support()),
     }, OK
 
@@ -343,7 +345,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_io(sp)
     sp.add_argument("--element", help="group-ring vector m (';'-separated components)")
     sp.add_argument("--tol", type=_pos_float, default=1e-10)
-    sp.add_argument("--radius", type=_nonneg_int, default=40)
+    sp.add_argument("--radius", type=_nonneg_int, default=40,
+                    help="cap on the max-norm radius of the truncated inverse; the float seed's tail picks the radius")
 
     sp = sub.add_parser("ie", help="independence witnesses over a window")
     add_io(sp)

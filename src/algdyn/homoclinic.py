@@ -56,16 +56,18 @@ class LiftedPoint:
     periodic_basis: list[list[int]] | None = field(default=None, kw_only=True)
 
     @classmethod
-    def from_point(cls, x: "LiftedPoint", *args, basis=None) -> "LiftedPoint":
+    def from_point(cls, x: "LiftedPoint", *args, basis=None, lattice=None) -> "LiftedPoint":
         """A cls (with its own fields args) over the lift of x, summed over the cosets of
         B Z^d when a basis B is given (which keeps the l1 tail bound); the box of
         representatives starts at the corner of x's box, so a lift that fits in
-        one period keeps its sites."""
+        one period keeps its sites.  lattice is _triangular_basis(B), when the
+        caller has it; the fold built from it serves every later read."""
         out = cls(x.nums, x.den, x.tail_bound, x.d, *args, periodic_basis=basis)
         if basis is not None:
             lo = x.nums.lo
             idx = x._support()
-            reps = _lattice_fold(basis, lo)(x.nums.sites(idx)) - lo
+            out._fold = _lattice_fold(lattice or _triangular_basis(basis), lo)
+            reps = out._fold(x.nums.sites(idx)) - lo
             out.nums = _sparse.box_zeros((x.k,), lo, [max(c, default=-1) + 1 for c in reps.T])
             np.add.at(out.nums.a, (slice(None), *reps.astype(np.intp).T), x.nums.a[(slice(None), *idx)])
         return out
@@ -76,7 +78,7 @@ class LiftedPoint:
 
     @functools.cached_property
     def _fold(self):
-        return _lattice_fold(self.periodic_basis, self.nums.lo)
+        return _lattice_fold(_triangular_basis(self.periodic_basis), self.nums.lo)
 
     @property
     def k(self) -> int:
@@ -130,19 +132,12 @@ def max_distance(x: LiftedPoint, y: LiftedPoint, sites) -> float:
                default=0) / den
 
 
-def _basis_inverse(B: list[list[int]]) -> tuple[list[list[int]], int]:
-    """B^-1 as an integer matrix P over one denominator D > 0."""
-    try:
-        return _sparse.int_inverse(B)
-    except ValueError:
-        raise ValueError(f"the periodic basis {B} must have full rank") from None
-
-
 def _triangular_basis(B: list[list[int]]) -> list[list[int]]:
     """Generators h_0, ..., h_(d-1) of the lattice B Z^d (spanned by the
     columns of B) with h_j zero on the axes before j and h_j[j] > 0, by
     Euclid's algorithm on the columns; the box [0, h_0[0]) x ... x
-    [0, h_(d-1)[d-1]) then holds exactly one site of each coset."""
+    [0, h_(d-1)[d-1]) then holds exactly one site of each coset.  A basis
+    of lower rank is refused."""
     H = [list(col) for col in zip(*B)]
     for i in range(len(H)):
         for j in range(i + 1, len(H)):
@@ -156,12 +151,13 @@ def _triangular_basis(B: list[list[int]]) -> list[list[int]]:
     return H
 
 
-def _lattice_fold(B: list[list[int]], corner: tuple[int, ...]):
+def _lattice_fold(H: list[list[int]], corner: tuple[int, ...]):
     """The map taking the rows e of an (n, d) site array to their
-    representatives modulo B Z^d in the box corner + [0, h) of
-    _triangular_basis, exactly in Python ints: axis j is reduced by a
-    multiple of h_j, which leaves the axes before j alone."""
-    H = [np.array(h, dtype=object) for h in _triangular_basis(B)]
+    representatives modulo the lattice of the triangular basis H
+    (_triangular_basis) in the box corner + [0, h), exactly in Python ints:
+    axis j is reduced by a multiple of h_j, which leaves the axes before j
+    alone."""
+    H = [np.array(h, dtype=object) for h in H]
 
     def fold(e: np.ndarray) -> np.ndarray:
         e = e.astype(object)
@@ -276,8 +272,9 @@ def annihilation_residual(x: HomoclinicPoint) -> float:
     """Max distance of (lift . A*) from integer vectors; membership check.
 
     A point of the presented system must satisfy lift . A* = 0 mod 1; for a
-    truncated homoclinic lift this residual is controlled by the tail bound
-    times ||A||_1.
+    truncated homoclinic lift this residual is at most ||m||_1 times the
+    inverse's residual (membership_tolerance).  It is the exact maximum
+    rounded once to nearest (an int over an int).
     """
     lo, a = x.nums
     cols = _sparse.box_conv([((j,), e.terms, _sparse.Box(lo, comp))
@@ -285,8 +282,13 @@ def annihilation_residual(x: HomoclinicPoint) -> float:
     return max(np.abs(_sparse.center(cols.a, x.den)).flat, default=0) / x.den
 
 
-def membership_tolerance(A: GroupRingMatrix, tol: float = 1e-10) -> float:
-    return 10.0 * tol * A.l1_norm()
+def membership_tolerance(x: HomoclinicPoint, tol: float = 1e-10) -> float:
+    """||m||_1 tol for the provenance m of x: the bound annihilation_residual(x)
+    meets whenever the inverse of x converged to tol.  The lift times A* is
+    m - m E with E = I - G A*, whose entries have l1 norm at most the
+    inverse's residual.  Both sides are rounded once to nearest from their
+    exact values, so rounding cannot flip the comparison."""
+    return float(sum(comp.l1_norm() for comp in x.provenance) * Fraction(tol))
 
 
 @dataclass

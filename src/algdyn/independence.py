@@ -15,18 +15,17 @@ finite-index subgroup produces an exactly periodic shadow.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, sub
 
 import numpy as np
 
 from . import torus
 from ._report import Report, plain
 from .groupring import GroupRingElement, GroupRingMatrix, as_int, ball, norm_sites
-from .homoclinic import HomoclinicPoint, LiftedPoint, _basis_inverse, _point, max_distance
+from .homoclinic import HomoclinicPoint, LiftedPoint, _point, _triangular_basis, max_distance
 
 
 def greedy_separated_subset(F: list, K: list) -> list[tuple[int, ...]]:
@@ -284,9 +283,9 @@ def shadow(A: GroupRingMatrix, req: ShadowRequest) -> ShadowResult:
     d = A.d
     torus._check_positive("eps", req.eps)
     B = req.basis_matrix(d)
-    inverse = None if B is None else _basis_inverse(B)
+    H = None if B is None else _triangular_basis(B)  # refuses a singular basis
     if not req.blocks:
-        return ShadowResult.from_point(LiftedPoint.zero(A.rows, d), [], 0, req.eps, basis=B)
+        return ShadowResult.from_point(LiftedPoint.zero(A.rows, d), [], 0, req.eps, basis=B, lattice=H)
     inv = req.blocks[0].point.inverse
     for i, b in enumerate(req.blocks):
         if b.point.A != A:
@@ -309,30 +308,24 @@ def shadow(A: GroupRingMatrix, req: ShadowRequest) -> ShadowResult:
         # R of it, and only translates by at most its diameter plus R can.
         all_sites = set().union(*regions)
         reach = max((max(c) - min(c) for c in zip(*all_sites)), default=0) + R
-        for lam in _short_vectors(B, *inverse, reach):
+        for lam in _short_vectors(H, reach):
             shifted = {tuple(map(add, s, lam)) for s in all_sites}
             if _min_distance(all_sites, shifted) <= R:
                 raise ValueError("periodic domain too small for the blocks' gap radius")
 
     m_total = [sum(ps, GroupRingElement.zero(d)) for ps in zip(*(b.point.provenance for b in req.blocks))]
-    result = ShadowResult.from_point(_point(A, inv, m_total), [], R, req.eps, basis=B)
+    result = ShadowResult.from_point(_point(A, inv, m_total), [], R, req.eps, basis=B, lattice=H)
     result.block_errors = [max_distance(result, b.point, norm_sites(b.window, d)) for b in req.blocks]
     return result
 
 
-def _short_vectors(B: list[list[int]], P: list[list[int]], D: int, reach: int) -> list[tuple[int, ...]]:
-    """Every nonzero vector of the subgroup B Z^d with max norm at most reach.
-
-    Such a vector is B z with |z_i| <= sum_j |P_ij| reach / D (B^-1 = P / D);
-    when that box of z is larger than the cube of sites, the cube's sites
-    lam with P lam = 0 mod D are tried instead.
-    """
-    d = len(B)
-    box = [sum(map(abs, row)) * reach // D for row in P]
-    if math.prod(2 * b + 1 for b in box) <= (2 * reach + 1) ** d:
-        cands = (tuple(sum(map(mul, row, z)) for row in B)
-                 for z in itertools.product(*(range(-b, b + 1) for b in box)))
-    else:
-        cands = (lam for lam in itertools.product(range(-reach, reach + 1), repeat=d)
-                 if not any(sum(map(mul, row, lam)) % D for row in P))
-    return [lam for lam in cands if any(lam) and max(map(abs, lam)) <= reach]
+def _short_vectors(H: list[list[int]], reach: int) -> list[tuple[int, ...]]:
+    """Every nonzero vector of the lattice of the triangular basis H
+    (_triangular_basis) with max norm at most reach.  Axis i of sum_j z_j h_j
+    is the partial sum over j < i plus z_i h_i[i], so the z_i that keep axis i
+    within reach are solved for axis by axis, by back-substitution."""
+    vecs = [(0,) * len(H)]
+    for i, h in enumerate(H):
+        vecs = [tuple(a + z * b for a, b in zip(v, h)) for v in vecs
+                for z in range(-((reach + v[i]) // h[i]), (reach - v[i]) // h[i] + 1)]
+    return [v for v in vecs if any(v)]

@@ -13,12 +13,13 @@ l1(Z^d) exactly when its Fourier series f^ has no zero on the d-torus
   point, confirmed in integer cyclotomic arithmetic.  Else it is Unknown.
 
 * l1_inverse produces a finitely supported dyadic approximation g of
-  f^-1 by iterative refinement: floats propose corrections, and the exact
-  residual ||delta - g*f||_1, over one power-of-two denominator like the
-  coefficients, decides.  The coefficients are a dense box of integer
+  f^-1 by iterative refinement: floats propose the radius of the ball g
+  fills (the float seed's own tail, capped) and the corrections, and the
+  exact residual ||delta - g*f||_1, over one power-of-two denominator like
+  the coefficients, decides.  The coefficients are a dense box of integer
   numerators (_sparse.Box), moved to and from the FFT grid by modular
-  index arrays.  The residual yields an a
-  posteriori bound on ||f^-1 - g||_1.
+  index arrays.  The residual yields an a posteriori bound on
+  ||f^-1 - g||_1.
 """
 
 from __future__ import annotations
@@ -94,6 +95,9 @@ class MatrixL1Inverse:
     r ||G||_1 / (1 - r), otherwise inf (no bound certified).
     det_certificate is the certificate of the determinant's invertibility
     the inverse rests on; None for a monomial unit inverted without one.
+    radius is the max-norm radius of the ball the (determinant's) inverse
+    was cut to: at most the radius cap, and for a monomial unit the radius
+    of its one site.
     """
 
     nums: _sparse.Box
@@ -102,6 +106,7 @@ class MatrixL1Inverse:
     converged: bool
     tail_bound: float
     det_certificate: TorusCertificate | None
+    radius: int
 
     def __post_init__(self):
         self.nums.a.flags.writeable = False
@@ -398,6 +403,47 @@ def _grid(nums: _sparse.Box, den: int, m: int, d: int, radius: int) -> np.ndarra
     return arr
 
 
+def _seed_radius(seed: np.ndarray, norm: int, tol: float, radius_cap: int) -> int:
+    """The smallest radius R with norm times the seed's l1 mass between the
+    max-norm radii R and radius_cap, summed sphere by sphere, at most tol / 4
+    (radius_cap qualifies).  The grid's sites past radius_cap, its aliasing
+    and float noise, are cut by every R alike.  Floats only propose R: the
+    exact residual decides."""
+    m = seed.shape[0]
+    axis = np.minimum(np.arange(m), m - np.arange(m))  # |e| of the site e mod m nearest 0
+    mass = np.bincount(functools.reduce(np.maximum, np.ix_(*[axis] * seed.ndim)).ravel(),
+                       weights=np.abs(seed).ravel())[:radius_cap + 1]
+    beyond = np.append(np.cumsum(mass[:0:-1])[::-1], 0.0)  # beyond[R] = sum of mass[R + 1:]
+    return int(np.flatnonzero(norm * beyond <= tol / 4)[0])
+
+
+def _refined(f: GroupRingElement, seed: np.ndarray, radius: int, tol: float) -> tuple[_sparse.Box, int, Fraction]:
+    """The seed cut to the max-norm ball of the radius, then refined as
+    l1_inverse says: (numerators, den, exact residual)."""
+    d = f.d
+    g, den = _dyadic(seed, radius)
+    prod, r = _residual(g, den, f)
+    seed_hat = None
+    while r > tol:
+        if seed_hat is None:  # built once a step runs; r lies within R + deg f, only
+            # its terms within 2R reach the ball, and m > 2R + s keeps g0 r from wrapping
+            s = min(2 * radius, radius + max(max(map(abs, e)) for e in f.terms))
+            mc = 1 << (2 * radius + s + 1).bit_length()
+            _check_grid_memory(mc, d)
+            seed_hat = np.fft.rfftn(_grid(g, den, mc, d, radius))
+        corr = np.fft.irfftn(seed_hat * np.fft.rfftn(_grid(prod, den, mc, d, s)))  # mc is even
+        c, cden = _dyadic(corr, radius, den)
+        e0 = (0,) * d
+        step = _sparse.box_conv([((), {e0: cden // den}, g), ((), {e0: -1}, c)], (), d)
+        step_prod, step_r = _residual(step, cden, f)
+        if 2 * step_r > r:  # the truncation floor
+            if step_r < r:
+                g, den, r = step, cden, step_r
+            break
+        g, den, prod, r = step, cden, step_prod, step_r
+    return g, den, r
+
+
 def l1_inverse(
     f: GroupRingElement,
     tol: float = 1e-10,
@@ -406,13 +452,17 @@ def l1_inverse(
 ) -> MatrixL1Inverse:
     """Truncated inverse of f in l1(Z^d) with an exact residual certificate.
 
-    The seed g0 is the inverse DFT of 1/f^ sampled on a uniform grid, cut
-    to the max-norm ball of the radius.  Each refinement step adds c, the
-    float64 FFT product g0 r cut to the ball, where r = delta - f g is
-    exact.  It stops once ||r||_1 <= tol, or when a step fails to halve
+    The seed g0 is the inverse DFT of 1/f^ sampled on a uniform grid sized
+    from radius_cap.  It is cut to the max-norm ball of radius R, the
+    smallest R <= radius_cap whose seed mass between R and radius_cap,
+    times ||f||_1, is at most tol / 4 (_seed_radius).  Each refinement
+    step adds c, the float64 FFT product g0 r cut to the ball, where
+    r = delta - f g is exact.  It stops once ||r||_1 <= tol, or when a step fails to halve
     ||r||_1 (the truncation floor), keeping the better of the last two
-    iterates; converged=False then says tol was missed.  The result is the
-    1 x 1 MatrixL1Inverse.
+    iterates.  If tol is still missed and R < radius_cap, the whole
+    computation runs once more at radius_cap, so the result converges
+    whenever the cap's computation does; converged=False says tol was
+    missed.  The result is the 1 x 1 MatrixL1Inverse.
     """
     _check_positive("tol", tol)
     if radius_cap < 0:
@@ -421,7 +471,7 @@ def l1_inverse(
         (e, c), = f.terms.items()
         if abs(c) == 1:  # a monomial unit: its inverse is exact
             unit = _sparse.box_conv([((0, 0), {tuple(-x for x in e): c}, _sparse.unit(f.d))], (1, 1), f.d)
-            return MatrixL1Inverse(unit, 1, Fraction(0), True, 0.0, cert)
+            return MatrixL1Inverse(unit, 1, Fraction(0), True, 0.0, cert, max(map(abs, e)))
     if cert is None:
         cert = certify_invertible(f)
     if cert.verdict != INVERTIBLE:
@@ -436,30 +486,15 @@ def l1_inverse(
     _check_grid_memory(m, d)
 
     vals = _kernels.grid_values(*_term_arrays(f), m, 0.0)
-    coef = np.fft.fftn(1.0 / vals) / (m ** d)
-    g, den = _dyadic(coef.real, radius_cap)
-    prod, r = _residual(g, den, f)
-    seed_hat = None
-    while r > tol:
-        if seed_hat is None:  # built once a step runs; r lies within R + deg f, only
-            # its terms within 2R reach the ball, and m > 2R + s keeps g0 r from wrapping
-            s = min(2 * radius_cap, radius_cap + max(max(map(abs, e)) for e in f.terms))
-            mc = 1 << (2 * radius_cap + s + 1).bit_length()
-            _check_grid_memory(mc, d)
-            seed_hat = np.fft.rfftn(_grid(g, den, mc, d, radius_cap))
-        corr = np.fft.irfftn(seed_hat * np.fft.rfftn(_grid(prod, den, mc, d, s)))  # mc is even
-        c, cden = _dyadic(corr, radius_cap, den)
-        e0 = (0,) * d
-        step = _sparse.box_conv([((), {e0: cden // den}, g), ((), {e0: -1}, c)], (), d)
-        step_prod, step_r = _residual(step, cden, f)
-        if 2 * step_r > r:  # the truncation floor
-            if step_r < r:
-                g, den, r = step, cden, step_r
-            break
-        g, den, prod, r = step, cden, step_prod, step_r
+    seed = (np.fft.fftn(1.0 / vals) / (m ** d)).real
+    R = _seed_radius(seed, f.l1_norm(), tol, radius_cap)
+    g, den, r = _refined(f, seed, R, tol)
+    if r > tol and R < radius_cap:  # the proposal fell short: the cap's computation
+        R = radius_cap
+        g, den, r = _refined(f, seed, R, tol)
 
     G = _sparse.Box(g.lo, g.a[None, None])
-    return MatrixL1Inverse(G, den, r, r <= tol, _tail(r, G, den), cert)
+    return MatrixL1Inverse(G, den, r, r <= tol, _tail(r, G, den), cert, R)
 
 
 def matrix_l1_inverse(A: GroupRingMatrix, tol: float = 1e-10, radius_cap: int = 40) -> MatrixL1Inverse:
@@ -489,4 +524,5 @@ def matrix_l1_inverse(A: GroupRingMatrix, tol: float = 1e-10, radius_cap: int = 
     G = _sparse.box_conv([((i, j), e.terms, g) for i, row in enumerate(A.adjugate().entries)
                           for j, e in enumerate(row)], (k, k), A.d)
     residual = k * gdet.residual
-    return MatrixL1Inverse(G, gdet.den, residual, residual <= tol, _tail(residual, G, gdet.den), det_cert)
+    return MatrixL1Inverse(G, gdet.den, residual, residual <= tol, _tail(residual, G, gdet.den), det_cert,
+                           gdet.radius)

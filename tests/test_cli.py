@@ -729,6 +729,30 @@ def test_homoclinic_chain_says_whether_the_inverse_converged(capsys, poly, conve
     assert (rep["annihilation_residual"] <= rep["membership_tolerance"]) is converged
 
 
+@pytest.mark.parametrize("argv, radius", [
+    (["homoclinic", "--poly", "3 - u1 - u1^-1"], 27),  # the seed's tail needs 27 of the cap's 40
+    (["homoclinic", "--poly", "3 - u1 - u1^-1", "--radius", "10"], 10),  # --radius caps it
+    (["homoclinic", "--poly", "3 - u1^7 - u1^-7"], 40),  # the tail never gets below tol / 4
+    (["ie", "--poly", "6 - u1 - u1^-1 - u2 - u2^-1", "--eps", "0.2", "--window", "2"], 20),
+])
+def test_certificate_chain_reports_the_inverse_radius(capsys, argv, radius):
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["certificate_chain"]["inverse_radius"] == radius
+
+
+@pytest.mark.parametrize("element, norm", [("100000000*u1", 10**8), ("100000*u1", 10**5)])
+def test_homoclinic_membership_tolerance_scales_with_the_provenance(capsys, element, norm):
+    # a converged inverse proves annihilation_residual <= ||m||_1 tol; 10 tol ||A||_1
+    # = 5e-9 was below the residual reached from these elements (6.6e-9 and 2.3e-7)
+    code, out = run_cli(capsys, ["homoclinic", "--poly", "3 - u1 - u1^-1", "--element", element])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["certificate_chain"]["inverse_converged"] is True
+    assert rep["membership_tolerance"] == float(norm * Fraction(1e-10))
+    assert rep["annihilation_residual"] <= rep["membership_tolerance"]
+
+
 def test_homoclinic_inverse_refined_below_the_seed_residual(capsys):
     # the float seed leaves residual 1.5e-15; refinement steps reach --tol
     code, out = run_cli(capsys, ["homoclinic", "--poly", "3 - u1 - u1^-1", "--tol", "1e-30", "--radius", "80"])

@@ -172,7 +172,7 @@ def test_inverse_readers_match_the_dict_reference(data):
     k = data.draw(st.integers(1, 2))
     rows = [data.draw(lifts(d, k))[0] for _ in range(k)]
     den = data.draw(st.integers(1, 2**70))
-    inv = MatrixL1Inverse(box_of(rows, d), den, Fraction(0), True, 0.0, None)
+    inv = MatrixL1Inverse(box_of(rows, d), den, Fraction(0), True, 0.0, None, 0)
     assert inv.terms == {e: Fraction(n, den) for e, n in rows[0][0].items() if n}
     expected: dict = {}
     for row in rows:

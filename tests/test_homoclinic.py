@@ -67,7 +67,7 @@ def test_fundamental_identity_trivial():
 
 def test_membership_annihilation(A_sym):
     (x,) = fundamental_homoclinic(A_sym)
-    assert annihilation_residual(x) <= membership_tolerance(A_sym)
+    assert annihilation_residual(x) <= membership_tolerance(x)
 
 
 def test_group_element_zero_and_kernel(A_sym, f_symmetric):
@@ -187,10 +187,10 @@ def test_matrix_case_two_by_two():
     xs = fundamental_homoclinic(A, 1e-10, 40)
     assert len(xs) == 2
     for x in xs:
-        assert annihilation_residual(x) <= membership_tolerance(A)
+        assert annihilation_residual(x) <= membership_tolerance(x)
     m = [parse_element("1"), parse_element("u1")]
     y = group_element(A, m)
-    assert annihilation_residual(y) <= membership_tolerance(A) * 3
+    assert annihilation_residual(y) <= membership_tolerance(y)
 
 
 def test_fundamental_points_do_not_share_the_cached_inverse():
@@ -213,9 +213,9 @@ def test_a_cached_inverse_is_read_only():
 
 
 def test_a_box_over_the_memory_cap_is_refused_before_it_is_allocated(monkeypatch):
-    # m = 1 + u1^300 u2^300: the lift's hull is about 381 x 381 sites, past a 1 MB cap
+    # m = 1 + u1^300 u2^300: the lift's hull is the inverse's box plus 300 sites per axis, past a 1 MB cap
     A = GroupRingMatrix([[parse_element("5 - u1 - u1^-1 - u2 - u2^-1")]])
-    group_element(A, 1)  # the inverse, 81 x 81 sites, is built (and cached) under the default cap
+    inv_shape = group_element(A, 1).inverse.nums.shape  # built (and cached) under the default cap
     m = parse_element("1 + u1^300*u2^300")
     shapes = []
     zeros = np.zeros
@@ -225,7 +225,7 @@ def test_a_box_over_the_memory_cap_is_refused_before_it_is_allocated(monkeypatch
         group_element(A, m)
     assert shapes == []
     monkeypatch.undo()
-    assert group_element(A, m).nums.shape == (381, 381)
+    assert group_element(A, m).nums.shape == tuple(n + 300 for n in inv_shape)
 
 
 def test_decay_monotone_tail(A_sym):

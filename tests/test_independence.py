@@ -1,20 +1,21 @@
 import itertools
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from algdyn import _sparse
+from algdyn import _sparse, homoclinic, independence
 from algdyn.entropy import packing_lower_bound
 from algdyn.groupring import GroupRingElement, GroupRingMatrix, ball, norm_sites, parse_element
 from algdyn.homoclinic import _lattice_fold, _triangular_basis, fundamental_homoclinic, group_element
 from algdyn.independence import (
     _direct_violations,
     _first_radius_below,
+    _short_vectors,
     ShadowBlock,
     ShadowRequest,
     base_digits,
@@ -233,10 +234,39 @@ def test_lattice_fold_lands_each_site_on_its_coset_in_one_box(case, c):
     corner = tuple(c * (i + 1) for i in range(d))
     h = [row[j] for j, row in enumerate(_triangular_basis(B))]
     assert math.prod(h) == abs(round(np.linalg.det(np.array(B, dtype=float))))
-    folded = list(map(tuple, _lattice_fold(B, corner)(np.array(sites, dtype=object).reshape(-1, d)).tolist()))
+    fold = _lattice_fold(_triangular_basis(B), corner)
+    folded = list(map(tuple, fold(np.array(sites, dtype=object).reshape(-1, d)).tolist()))
     for e, r in zip(sites, folded):
         assert _fold_by_solve(r, B) == _fold_by_solve(e, B)  # the same coset of B Z^d
         assert all(0 <= v - c0 < n for v, c0, n in zip(r, corner, h))  # in the box of |det B| sites
+
+
+def _short_vectors_by_inverse(B, reach):
+    """The enumeration shadow made from B^-1 = P / D before it read the
+    triangular basis, kept as the oracle: the lattice vectors B z with
+    |z_i| <= sum_j |P_ij| reach / D, or, when that box of z is larger, the
+    cube's sites lam with P lam = 0 mod D."""
+    P, D = _sparse.int_inverse(B)
+    d = len(B)
+    box = [sum(map(abs, row)) * reach // D for row in P]
+    if math.prod(2 * b + 1 for b in box) <= (2 * reach + 1) ** d:
+        cands = (tuple(sum(map(mul, row, z)) for row in B)
+                 for z in itertools.product(*(range(-b, b + 1) for b in box)))
+    else:
+        cands = (lam for lam in itertools.product(range(-reach, reach + 1), repeat=d)
+                 if not any(sum(map(mul, row, lam)) % D for row in P))
+    return {lam for lam in cands if any(lam) and max(map(abs, lam)) <= reach}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_basis_and_sites(), st.integers(0, 12))
+@example(([[64]], [(0,)]), 70)
+@example(([[1, 0], [0, 1]], [(0, 0)]), 0)
+def test_short_vectors_by_back_substitution_match_the_inverse_enumeration(case, reach):
+    B, _ = case
+    got = _short_vectors(_triangular_basis(B), reach)
+    assert len(got) == len(set(got))
+    assert set(got) == _short_vectors_by_inverse(B, reach)
 
 
 def _violation_by_pattern(lift, F1, K, code):
@@ -325,9 +355,13 @@ def test_shadow_uses_the_inverse_of_its_blocks(A_sym):
 
 @pytest.mark.parametrize("basis", [[64], [[64]]])
 def test_periodic_shadow_inverts_its_basis_once(A_sym, monkeypatch, basis):
+    # the one reduction of the basis, to its triangular form, serves the domain
+    # check and the fold of every later read; no inverse of the basis is taken
     calls = []
-    int_inverse = _sparse.int_inverse
-    monkeypatch.setattr(_sparse, "int_inverse", lambda B: calls.append(B) or int_inverse(B))
+    triangular = homoclinic._triangular_basis
+    for module in (homoclinic, independence):
+        monkeypatch.setattr(module, "_triangular_basis", lambda B: calls.append(B) or triangular(B))
+    monkeypatch.setattr(_sparse, "int_inverse", lambda B: pytest.fail("the basis was inverted"))
     b = ShadowBlock(list(range(0, 5)), group_element(A_sym, parse_element("u1^2")))
     res = shadow(A_sym, ShadowRequest([b], 0.05, basis))
     assert max(res.block_errors) <= 0.05

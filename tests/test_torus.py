@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from algdyn import _sparse, homoclinic, torus
@@ -435,6 +435,71 @@ def test_certified_invertible_implies_inverse_succeeds():
         if not g.converged:
             g2 = l1_inverse(f, 1e-6, 120, cert=cert)
             assert g2.residual < g.residual
+
+
+def _at_cap(f, tol, radius_cap):
+    """The inverse cut at radius_cap whatever the seed's tail: the
+    computation before the radius was read from the seed."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(torus, "_seed_radius", lambda seed, norm, tol, radius_cap: radius_cap)
+        return l1_inverse(f, tol, radius_cap)
+
+
+def _same_inverse(g, h):
+    return (g.nums.lo == h.nums.lo and np.array_equal(g.nums.a, h.nums.a) and g.den == h.den
+            and g.residual == h.residual and g.radius == h.radius)
+
+
+@st.composite
+def _certified_elements(draw):
+    d = draw(st.integers(1, 2))
+    site = st.tuples(*[st.integers(-2, 2)] * d)
+    f = E(d, draw(st.dictionaries(site, st.integers(-3, 3), min_size=1, max_size=4)))
+    f = f + draw(st.integers(-14, 14))
+    assume(f.num_terms() > 1)
+    cert = certify_invertible(f)
+    assume(cert.verdict == INVERTIBLE)
+    return f, cert
+
+
+@settings(max_examples=40, deadline=None)
+@given(_certified_elements(), st.sampled_from([1e-6, 1e-10, 1e-13]), st.integers(0, 40))
+def test_inverse_at_the_seed_radius_converges_whenever_the_cap_does(case, tol, cap):
+    f, cert = case
+    g = l1_inverse(f, tol, cap, cert=cert)
+    full = _at_cap(f, tol, cap)
+    assert g.radius <= cap
+    assert all(-cap <= lo and lo + n - 1 <= cap for lo, n in zip(g.nums.lo, g.nums.shape))
+    assert g.converged == (g.residual <= tol)
+    if full.converged:
+        assert g.converged
+    if not g.converged:  # the proposal fell short, or was the cap: the cap's computation
+        assert _same_inverse(g, full)
+
+
+def test_inverse_two_dimensional_fills_the_radius_its_tail_needs():
+    g = l1_inverse(parse_element("6 - u1 - u1^-1 - u2 - u2^-1"))
+    assert g.converged
+    assert g.radius == 20 and g.nums.shape == (41, 41)
+
+
+@pytest.mark.parametrize("poly, tol, radius", [
+    ("3 - u1^7 - u1^-7", 1e-10, 40),  # the seed's tail never gets below tol / 4
+    ("3 - u1 - u1^-1", 1e-30, 80),  # the float seed's rounding is above tol / 4
+])
+def test_inverse_whose_seed_tail_stays_large_is_the_cap_computation(poly, tol, radius):
+    f = parse_element(poly)
+    g = l1_inverse(f, tol, radius)
+    assert g.radius == radius
+    assert _same_inverse(g, _at_cap(f, tol, radius))
+
+
+def test_inverse_falls_back_to_the_cap_when_the_proposed_radius_misses(monkeypatch, f_symmetric):
+    full = _at_cap(f_symmetric, 1e-10, 40)
+    monkeypatch.setattr(torus, "_seed_radius", lambda seed, norm, tol, radius_cap: 0)
+    g = l1_inverse(f_symmetric, 1e-10, 40)
+    assert g.converged and g.radius == 40
+    assert _same_inverse(g, full)
 
 
 # -- matrix inverse -----------------------------------------------------------
