@@ -218,6 +218,13 @@ def mem_cap_bytes() -> int:
     return mb * 1024 * 1024
 
 
+def charge(need: int, what: str) -> None:
+    """Raise MemoryCapError unless need bytes for what (named with its size) fit
+    in ALGDYN_MEM_CAP_MB; the MB are integers, as a window's n^d can pass floats."""
+    if need > mem_cap_bytes():
+        raise MemoryCapError(f"{what} needs about {(need + 500_000) // 10**6} MB, over ALGDYN_MEM_CAP_MB")
+
+
 BOX_ENTRY_BYTES = 64  # an object pointer and a Python int of about 120 bits, with headroom
 
 
@@ -236,16 +243,6 @@ class Box(NamedTuple):
     @property
     def shape(self) -> tuple[int, ...]:
         return self.a.shape[self.a.ndim - len(self.lo):]
-
-    def at(self, e: tuple[int, ...]) -> list[int]:
-        """The numerators at site e, one per index of the one leading axis."""
-        rel = tuple(map(sub, e, self.lo))
-        if min(rel) >= 0:  # a negative index would count from the end
-            try:
-                return self.a[(Ellipsis, *rel)].tolist()
-            except IndexError:  # past the end of an axis
-                pass
-        return [0] * len(self.a)
 
     def take(self, sites: np.ndarray) -> np.ndarray:
         """The numerators at each row of the (n, d) site array, 0 off the box,
@@ -312,10 +309,7 @@ def box_conv(parts, lead: tuple[int, ...], d: int) -> Box:
 def box_zeros(lead: tuple[int, ...], lo, shape) -> Box:
     """The zero box with leading axes lead over the sites lo + [0, shape),
     allocated only once its size is checked against ALGDYN_MEM_CAP_MB."""
-    need = math.prod((*lead, *shape)) * BOX_ENTRY_BYTES
-    if need > mem_cap_bytes():
-        raise MemoryCapError(f"a box of {math.prod(shape)} sites {tuple(shape)} needs about {need / 1e6:.0f} MB, "
-                             "over ALGDYN_MEM_CAP_MB")
+    charge(math.prod((*lead, *shape)) * BOX_ENTRY_BYTES, f"a box of {math.prod(shape)} sites {tuple(shape)}")
     return Box(tuple(lo), np.zeros((*lead, *shape), dtype=object))
 
 

@@ -19,7 +19,7 @@ import os
 import stat
 import sys
 
-from . import __version__, entropy, expansive, freegroup, homoclinic, independence, torus
+from . import __version__, _sparse, entropy, expansive, freegroup, homoclinic, independence, torus
 from ._report import plain
 from .groupring import CapExceeded, GroupRingMatrix, norm_sites, parse_element
 
@@ -43,7 +43,10 @@ def _input_matrix(args) -> tuple[GroupRingMatrix, dict]:
 
 
 def _window_box(n: int, d: int) -> list:
-    return list(range(n)) if d == 1 else list(itertools.product(range(n), repeat=d))
+    """The window [0, n)^d as site tuples, charged against ALGDYN_MEM_CAP_MB
+    (a list entry and a tuple a site) before it is built."""
+    _sparse.charge(n ** d * (8 + sys.getsizeof((0,) * d)), f"a window of {n}^{d} sites")
+    return list(itertools.product(range(n), repeat=d))
 
 
 # -- subcommand handlers: each takes the parsed arguments of its subcommand ----

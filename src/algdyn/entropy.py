@@ -337,9 +337,14 @@ def packing_lower_bound(
                          "the largest family packing enumerates, on a single site")
     if eps is None:
         eps = 0.5 / x.A.l1_norm()
-    Fw, radius, F1 = separated_window(x, eps, F)
-    if M_levels ** len(F1) > PACKING_FAMILY_CAP:
-        F1 = F1[: max(1, int(math.log(PACKING_FAMILY_CAP, max(2, M_levels))))]
+
+    def used(n1: int) -> int:  # how many of n1 separated sites the family uses
+        cut = max(1, int(math.log(PACKING_FAMILY_CAP, max(2, M_levels))))
+        return n1 if M_levels ** n1 <= PACKING_FAMILY_CAP else cut
+
+    # the family's float values over the window are charged before it is scanned
+    Fw, radius, F1 = separated_window(x, eps, F, lambda n1: M_levels ** used(n1) * len(F) * x.k * 8)
+    F1 = F1[:used(len(F1))]
     nfam = M_levels ** len(F1)
 
     vals = family_values(x, F1, base_digits(np.arange(nfam), M_levels, len(F1)), Fw)

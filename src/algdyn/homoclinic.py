@@ -91,28 +91,28 @@ class LiftedPoint:
     def support(self) -> list[tuple[int, ...]]:
         return list(zip(*self.nums.sites(self._support()).T.tolist()))
 
-    def _at(self, e) -> list[int]:
-        """The numerators at site e, read through the fold."""
-        e = _as_exponent(e, self.d)
-        if self.periodic_basis is not None:
-            e = tuple(self._fold(np.array([e], dtype=object))[0])
-        return self.nums.at(e)
-
-    def lift_at(self, e) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, self.den) for n in self._at(e))
-
-    def value(self, e) -> tuple[float, ...]:
-        """Coordinates at site e, reduced to [-1/2, 1/2)."""
-        den = self.den
-        return tuple(_sparse.center(n, den) / den for n in self._at(e))
-
-    def lift_array(self, sites) -> np.ndarray:
-        """The float lift of component j at each site tuple e (0 off the
-        support, read through the fold), as a (len(sites), k) array."""
+    def _take(self, sites) -> np.ndarray:
+        """The numerators at each site tuple (0 off the support), read through the
+        fold, as a (k, len(sites)) object array: the one read of the storage."""
         sites = np.array(sites, dtype=object).reshape(-1, self.d)
         if self.periodic_basis is not None:
             sites = self._fold(sites)
-        return (self.nums.take(sites).T / self.den).astype(np.float64)
+        return self.nums.take(sites)
+
+    def lift_at(self, e) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self._take([_as_exponent(e, self.d)])[:, 0])
+
+    def value(self, e) -> tuple[float, ...]:
+        """Coordinates at site e, reduced to [-1/2, 1/2)."""
+        return tuple(self.values([_as_exponent(e, self.d)])[0].tolist())
+
+    def lift_array(self, sites) -> np.ndarray:
+        """The float lift at each site tuple, as a (len(sites), k) array."""
+        return (self._take(sites).T / self.den).astype(np.float64)
+
+    def values(self, sites) -> np.ndarray:
+        """The coordinates at each site tuple in [-1/2, 1/2), as a (len(sites), k) array."""
+        return (_sparse.center(self._take(sites), self.den).T / self.den).astype(np.float64)
 
     def distance_by_radius(self) -> tuple[dict[int, int], int]:
         """The torus distance to zero (the max over components) summed over
@@ -127,9 +127,8 @@ def max_distance(x: LiftedPoint, y: LiftedPoint, sites) -> float:
     """The largest torus distance between x and y over the given sites, each
     read through its fold, computed exactly over lcm(den_x, den_y)."""
     den = math.lcm(x.den, y.den)
-    fx, fy = den // x.den, den // y.den
-    return max((abs(_sparse.center(a * fx - b * fy, den)) for e in sites for a, b in zip(x._at(e), y._at(e))),
-               default=0) / den
+    diff = x._take(sites) * (den // x.den) - y._take(sites) * (den // y.den)
+    return max(np.abs(_sparse.center(diff, den)).flat, default=0) / den
 
 
 def _triangular_basis(B: list[list[int]]) -> list[list[int]]:

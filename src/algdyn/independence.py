@@ -22,7 +22,7 @@ from operator import add, sub
 
 import numpy as np
 
-from . import torus
+from . import _sparse, torus
 from ._report import Report, plain
 from .groupring import GroupRingElement, GroupRingMatrix, as_int, ball, norm_sites
 from .homoclinic import HomoclinicPoint, LiftedPoint, _point, _triangular_basis, max_distance
@@ -41,14 +41,7 @@ def greedy_separated_subset(F: list, K: list) -> list[tuple[int, ...]]:
     Kn = set(Kn)
     chosen: list[tuple[int, ...]] = []
     for s in Fn:
-        ok = True
-        for t in chosen:
-            fwd = tuple(a - b for a, b in zip(s, t))
-            bwd = tuple(b - a for a, b in zip(s, t))
-            if fwd in Kn or bwd in Kn:
-                ok = False
-                break
-        if ok:
+        if not any(tuple(map(sub, s, t)) in Kn or tuple(map(sub, t, s)) in Kn for t in chosen):
             chosen.append(s)
     return chosen
 
@@ -70,13 +63,19 @@ def interaction_radius(x: HomoclinicPoint, eps: float, radius_cap: int = 200) ->
     return r
 
 
-def separated_window(x: HomoclinicPoint, eps: float, F: list) -> tuple[list, int, list]:
+def separated_window(x: HomoclinicPoint, eps: float, F: list, family_bytes=None) -> tuple[list, int, list]:
     """(sites, R, F1): the window F as sites, the interaction radius R of x
     at eps, and the greedy subset F1 of F whose differences avoid the
-    conflict ball K - K of radius 2R."""
-    sites = norm_sites(F, x.d)
+    conflict ball K - K of radius 2R.  family_bytes(n1), the memory the
+    caller needs on n1 separated sites, is charged against ALGDYN_MEM_CAP_MB
+    first, at the least n1 the greedy scan guarantees for distinct sites."""
     R = interaction_radius(x, eps)
-    return sites, R, greedy_separated_subset(sites, ball(x.d, 2 * R))
+    conflict = ball(x.d, 2 * R)
+    if family_bytes is not None:
+        n1 = -(-len(F) // (2 * len(conflict) + 1))
+        _sparse.charge(family_bytes(n1), f"the family on at least {n1} separated sites of a window of {len(F)} sites")
+    sites = norm_sites(F, x.d)
+    return sites, R, greedy_separated_subset(sites, conflict)
 
 
 def _first_radius_below(by_radius: dict[int, int], den: int, tail: float, bound: float) -> int | None:
@@ -124,22 +123,23 @@ def family_values(x: LiftedPoint, F1: list, digits: np.ndarray, sites: list) -> 
     return (digits @ cols.reshape(len(F1), -1)).reshape(len(digits), len(sites), x.k)
 
 
-def _direct_violations(value, F1: list, K: list, codes) -> np.ndarray:
+def _direct_violations(values, F1: list, K: list, codes) -> np.ndarray:
     """max_{s,t,j} rho((s y_sigma)_t, target_t) per pattern code (bit b is
-    sigma(F1[b])), for a point read one site at a time through value (a
-    site -> coordinates map).  Independent of the main path: the bits come
-    from the codes' little-endian bytes, each site t - s + s' is formed
-    here, and each (s, t) is one product of the bit matrix with the
-    coordinates of F1 shifted by t - s."""
+    sigma(F1[b])), for a point read through values (n sites -> an (n, k)
+    array).  Independent of the main path: the bits come from the codes'
+    little-endian bytes, each site t - s + s' is formed here and all are read
+    in one batch (the targets in another), and each (s, t) is one product of
+    the bit matrix with the coordinates of F1 shifted by t - s."""
     codes = np.asarray(codes, dtype="<u8")  # little-endian uint64
     bits = np.unpackbits(codes.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
     bits = bits[:, :len(F1)].astype(np.float64)
+    targets = values(K)
+    V = values([tuple(map(add, map(sub, t, s), sp)) for s in F1 for t in K for sp in F1])
+    V = V.reshape(len(F1), len(K), len(F1), targets.shape[1])
     worst = np.zeros(len(codes))
-    for a, s in enumerate(F1):
-        for t in K:
-            u = tuple(map(sub, t, s))
-            V = np.array([value(tuple(map(add, u, sp))) for sp in F1], dtype=np.float64)
-            diff = bits @ V - bits[:, a, None] * np.array(value(t), dtype=np.float64)
+    for a in range(len(F1)):
+        for i, target in enumerate(targets):
+            diff = bits @ V[a, i] - bits[:, a, None] * target
             np.maximum(worst, np.abs(diff - np.round(diff)).max(axis=1), out=worst)
     return worst
 
@@ -168,6 +168,8 @@ def independence_witnesses(
 
     total = 1 << nf1
     subsampled = total > cap
+    n = min(total, cap)  # charged: the codes, their digits, the witness tensor and its distances to the targets
+    _sparse.charge(n * 8 * (1 + nf1 + 2 * nf1 * len(K) * x.k), f"a set of {n} pattern codes on {nf1} separated sites")
     if subsampled:
         rng = np.random.default_rng(seed)
         codes = np.unique(rng.integers(0, total, size=cap, dtype=np.uint64))
@@ -183,7 +185,7 @@ def independence_witnesses(
     max_violation = float(viol.max())
     all_pass = bool((viol <= eps).all())
 
-    if (np.abs(_direct_violations(x.value, F1, K, codes) - viol.max(axis=1)) > 1e-9).any():
+    if (np.abs(_direct_violations(x.values, F1, K, codes) - viol.max(axis=1)) > 1e-9).any():
         raise torus.VerificationError("independent witness re-verification disagrees")
 
     return IndependenceReport(

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import _kernels, _sparse
 from ._report import Report
-from ._sparse import MemoryCapError, mem_cap_bytes
+from ._sparse import MemoryCapError, charge, mem_cap_bytes
 from .groupring import GroupRingElement, GroupRingMatrix
 
 DEFAULT_GRID = {1: 1024, 2: 256, 3: 64}
@@ -261,13 +261,8 @@ def _term_arrays(f: GroupRingElement) -> tuple[np.ndarray, np.ndarray]:
     return e, c
 
 
-def _check_grid_memory(m: int, d: int) -> None:
-    # complex accumulator + phase scratch, with headroom
-    need = (m ** d) * 16 * (d + 2)
-    if need > mem_cap_bytes():
-        raise MemoryCapError(
-            f"grid {m}^{d} needs about {need/1e6:.0f} MB, over ALGDYN_MEM_CAP_MB"
-        )
+def _check_grid_memory(m: int, d: int) -> None:  # complex accumulator + phase scratch, with headroom
+    charge((m ** d) * 16 * (d + 2), f"grid {m}^{d}")
 
 
 def certify_invertible(f: GroupRingElement, m: int | None = None) -> TorusCertificate:

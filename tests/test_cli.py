@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import algdyn
-from algdyn import __version__
+from algdyn import __version__, cli, independence
 from algdyn.cli import _build_parser, main
 
 
@@ -151,11 +153,41 @@ def _lift_array_shifted(monkeypatch):
     monkeypatch.setattr(LiftedPoint, "lift_array", shifted)
 
 
+def _family_value_moved(monkeypatch):
+    # one value of the main path's witness tensor moves by 0.01
+    family_values = independence.family_values
+
+    def moved(*args):
+        vals = family_values(*args)
+        vals[0, 0, 0] += 0.01
+        return vals
+
+    monkeypatch.setattr(independence, "family_values", moved)
+
+
+def _recheck_value_moved(monkeypatch):
+    # the re-check's first read (its targets) sees one value moved by 0.01
+    from algdyn.homoclinic import LiftedPoint
+
+    values, reads = LiftedPoint.values, []
+
+    def moved(x, sites):
+        out = values(x, sites)
+        if not reads:
+            out[0, 0] += 0.01
+        reads.append(len(sites))
+        return out
+
+    monkeypatch.setattr(LiftedPoint, "values", moved)
+
+
 @pytest.mark.parametrize("break_check, argv", [
     (_kernel_witness_off, ["expansive", "--matrix", "singular.json", "--check-entropy"]),
     (_direct_violations_off, ["ie", "--poly", "3 - u1 - u1^-1", "--eps", "0.1", "--window", "5"]),
     (_star_det_off, ["duality", "--poly", "3 - u1 - u1^-1"]),
     (_lift_array_shifted, ["ie", "--poly", "3 - u1 - u1^-1", "--eps", "0.1", "--window", "5"]),
+    (_family_value_moved, ["ie", "--poly", "3 - u1 - u1^-1", "--eps", "0.1", "--window", "30"]),
+    (_recheck_value_moved, ["ie", "--poly", "3 - u1 - u1^-1", "--eps", "0.1", "--window", "30"]),
 ])
 def test_failed_internal_check_exits_one(tmp_path, monkeypatch, capsys, break_check, argv):
     monkeypatch.chdir(tmp_path)
@@ -167,6 +199,36 @@ def test_failed_internal_check_exits_one(tmp_path, monkeypatch, capsys, break_ch
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "verif" in captured.err
+
+
+@pytest.mark.parametrize("argv, what, unreached", [
+    # 4 * 10^8 window sites, refused before any of them is built
+    (["ie", "--poly", "5 - u1 - u1^-1 - u2 - u2^-1", "--eps", "0.1", "--window", "20000"],
+     "a window of 20000^2 sites needs about 25600 MB", "window"),
+    # 10^14 pattern codes on a window of 64 sites, refused before they are drawn
+    (["ie", "--poly", "20 - u1 - u1^-1", "--eps", "0.3", "--window", "64", "--cap", "100000000000000"],
+     "a set of 100000000000000 pattern codes on 64 separated sites needs about", "codes"),
+    # a family of 2^12 members over 5 * 10^6 sites, refused before the window is scanned
+    (["entropy", "--method", "packing", "--poly", "3 - u1 - u1^-1", "--window", "5000000"],
+     "the family on at least 263158 separated sites of a window of 5000000 sites needs about 163840 MB",
+     "scan"),
+    # a window past the float range: its size is still named in integers
+    (["ie", "--poly", "3 - u1 - u1^-1", "--eps", "0.1", "--window", "1" + "0" * 400],
+     f"a window of 1{'0' * 400}^1 sites needs about 56{'0' * 394} MB", "window"),
+])
+def test_oversized_windows_and_caps_are_one_error_line(monkeypatch, capsys, argv, what, unreached):
+    # what each refusal must come before, made to fail if it is reached
+    def unreachable(*args, **kwargs):
+        raise AssertionError(f"the {unreached} was reached")
+
+    monkeypatch.setattr(*{"window": (cli, "itertools", types.SimpleNamespace(product=unreachable)),
+                          "codes": (np.random, "default_rng", unreachable),
+                          "scan": (independence, "greedy_separated_subset", unreachable)}[unreached])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {what}") and captured.err.endswith(" MB, over ALGDYN_MEM_CAP_MB\n")
+    assert captured.err.count("\n") == 1
 
 
 def test_entropy_peters_coefficients_beyond_int64(capsys):

@@ -97,6 +97,15 @@ def test_sum_and_metric_over_the_lcm_match_fraction_reference(data):
     sites = sorted(set().union(*keys)) + [(7,) * d]
     assert max_distance(x, y, sites) == float(
         max(abs(frac_center(a.get(e, 0) - b.get(e, 0))) for a, b in zip(lx, ly) for e in sites))
+    assert max_distance(x, y, []) == 0.0
+
+    # a periodic x is read through its fold, as a periodic shadow is
+    B = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=d, max_size=d), min_size=d, max_size=d))
+    assume(round(np.linalg.det(np.array(B, dtype=float))) != 0)
+    px, ref = LiftedPoint.from_point(x, basis=B), DictLift.of(x).folded(B)
+    sites += [tuple(map(add, e, col)) for e in sites for col in zip(*B)]
+    assert max_distance(px, y, sites) == float(
+        max(abs(frac_center(a - b.get(e, 0))) for e in sites for a, b in zip(ref.lift_at(e), ly)))
 
 
 @settings(max_examples=120, deadline=None)
@@ -135,6 +144,8 @@ def _assert_readers_match(x, ref: DictLift, sites: list) -> None:
         assert x.value(e) == ref.value(e)
         assert x.lift_at(e) == ref.lift_at(e)
     assert x.lift_array(sites).tolist() == ref.lift_array(sites)
+    assert x.values(sites).tolist() == [list(ref.value(e)) for e in sites]
+    assert x.values([]).shape == x.lift_array([]).shape == (0, x.k)
     by_radius, den = x.distance_by_radius()
     assert {r: Fraction(n, den) for r, n in by_radius.items()} == expected
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from algdyn import _sparse, homoclinic, independence
+from algdyn import _sparse, homoclinic, independence, torus
 from algdyn.entropy import packing_lower_bound
 from algdyn.groupring import GroupRingElement, GroupRingMatrix, ball, norm_sites, parse_element
 from algdyn.homoclinic import _lattice_fold, _triangular_basis, fundamental_homoclinic, group_element
@@ -302,8 +302,41 @@ def _witness_case(draw):
           [(-1,), (0,), (2,)], [1 << 44 | 1 << 33 | 5, (1 << 40) - 1, 1 << 32 | 1 << 38, 0]))
 def test_direct_violations_equal_the_per_pattern_sums(case):
     lift, F1, K, codes = case
-    got = _direct_violations(lambda e: tuple(comp.get(e, 0.0) for comp in lift), F1, K, codes)
+    # the re-check reads its sites in one batch, as an (n, k) array even when n is 0
+    got = _direct_violations(lambda sites: np.array([[comp.get(e, 0.0) for comp in lift] for e in sites],
+                                                    dtype=np.float64).reshape(len(sites), len(lift)), F1, K, codes)
     assert list(got) == pytest.approx([_violation_by_pattern(lift, F1, K, c) for c in codes], abs=1e-12)
+
+
+@pytest.mark.parametrize("moved", ["family_values", "targets", "shifted sites"])
+def test_recheck_catches_one_value_moved_by_a_hundredth(monkeypatch, moved):
+    # one value moves by 0.01: in the main path's witness tensor, or in one
+    # of the re-check's two reads of the point (the targets K, then the
+    # sites t - s + s'), over a window with 6 separated sites
+    x = group_element(GroupRingMatrix([[parse_element("3 - u1 - u1^-1")]]), 1)
+    assert len(independence_witnesses(x, 0.1, list(range(30))).F1) == 6
+    if moved == "family_values":
+        family = independence.family_values
+
+        def shifted(*args):
+            vals = family(*args)
+            vals[0, 0, 0] += 0.01
+            return vals
+
+        monkeypatch.setattr(independence, "family_values", shifted)
+    else:
+        values, reads = homoclinic.LiftedPoint.values, []
+
+        def shifted(point, sites):
+            out = values(point, sites)
+            if len(reads) == ["targets", "shifted sites"].index(moved):
+                out[0, 0] += 0.01
+            reads.append(len(sites))
+            return out
+
+        monkeypatch.setattr(homoclinic.LiftedPoint, "values", shifted)
+    with pytest.raises(torus.VerificationError, match="independent witness re-verification disagrees"):
+        independence_witnesses(x, 0.1, list(range(30)))
 
 
 def _member_at(lift, F1, c, w):
