@@ -16,11 +16,18 @@ has m rows.
 Wiener certification and log-Mahler quadrature both scan this grid, and
 only |f^| matters to them.  With integer (real) coefficients
 f^(-theta) = conj f^(theta), and both grids, offset 0 and offset 1/2, are
-closed under theta -> -theta, so grid_abs_values evaluates one point of
-each mirror pair: the first-axis rows j_0 < h (half_rows), cut in that
-axis's table of roots, so every stage writes about half as many values.
+closed under theta -> -theta, so a scan evaluates one point of each
+mirror pair: the first-axis rows j_0 < h (half_rows).  A scan needs only
+a running minimum or a running sum of logs, so grid_abs_values streams
+the half grid in blocks of whole first-axis rows, about BLOCK_VALUES
+values each (for d = 1, runs of m2-table rows, m1 points each): the
+stages before axis 0 run once, axis 0 is cut to the block's rows in its
+table of roots, and the later stages run per block.  A scan is charged
+against ALGDYN_MEM_CAP_MB for one block and the part contracted once,
+O(s m^(d-1)) values, never for m^d.  grid_values, the full grid the
+inverse's FFT seed needs, is the same evaluator with one block.
 grid_error_bound bounds the rounding error of every computed grid value,
-for every m, full grid or half.
+for every m and every block.
 """
 
 from __future__ import annotations
@@ -29,11 +36,14 @@ import math
 
 import numpy as np
 
+from ._sparse import charge
+
 BACKEND = "numpy"  # recorded by the benchmark with each result
 
 EPS = 2.0 ** -53  # unit roundoff of float64
 MU = 4 * EPS  # assumed accuracy of np.exp(i x)
 MAX_GRID = 2 ** 31  # keeps the int64 phase products (n mod M) j below 2^62
+BLOCK_VALUES = 1 << 13  # complex values in one block of a grid scan
 
 
 def _gamma(k: int) -> float:
@@ -76,30 +86,76 @@ def _tau(modulus: int, offset: float, n_max: int) -> float:
 # -- f^ on a uniform grid ----------------------------------------------------
 
 
-def grid_values(exps, coefs, m: int, offset: float = 0.0, rows: int | None = None) -> np.ndarray:
-    """f^(theta) on the grid theta = (j + offset)/m, as a complex (rows, m, ..., m)
-    array: the first-axis rows j_0 < rows, all m of them by default."""
-    exps, coefs, m = _term_input(exps, coefs, m)
-    rows = m if rows is None else rows
-    if exps.shape[1] == 1:
+def _contract(cells: np.ndarray, k: int, table: np.ndarray) -> np.ndarray:
+    """One stage: axis k of cells, over its s_k exponents, against the (rows, s_k) table."""
+    before, s, after = cells.shape[:k], cells.shape[k], cells.shape[k + 1:]
+    if not after:
+        out = cells.reshape(math.prod(before), s) @ table.T
+    elif not before:  # a 2-d product: a stacked one costs more per call on a small block
+        out = table @ cells.reshape(s, math.prod(after))
+    else:
+        out = table @ cells.reshape(math.prod(before), s, math.prod(after))
+    return out.reshape(before + (len(table),) + after)
+
+
+def _blocks(exps, coefs, m: int, offset: float, rows: int, budget: int | None):
+    """Yield (j0, f^ on the first-axis rows j0 <= j_0 < j0 + b) for j0 < rows,
+    as complex (b, m, ..., m) arrays (flat for d = 1).
+
+    A block is as many whole rows as hold budget values, at least one; with
+    budget None it is all rows, and the caller has charged the grid.  Else the
+    working set is charged before anything of its size is built: the part
+    contracted once and its stage input, the root tables, and per row of a
+    block its largest stage output four times (a stage's input and output,
+    the moduli and the caller's temporaries)."""
+    d = exps.shape[1]
+    if d == 1:
         # f^((a + m1 b + offset)/m) = sum_n [c_n w^(n (a + offset))] exp(2 pi i n b/m2)
         n = exps[:, 0]
         m1, m2 = _split(m)
+        units = -(-rows // m1)  # rows b of the m2 table, m1 grid points each
+        fixed, row = (2 * m1 + units) * len(n), m1
+    else:
+        axes = [np.unique(col, return_inverse=True) for col in exps.T]
+        sizes = [len(values) for values, _ in axes]
+        shape = list(sizes)
+        order = sorted(range(d), key=lambda k: (shape[k], k), reverse=True)
+        first = order.index(0)  # the stages before axis 0 run once, the rest per block
+        pre = math.prod(shape)
+        for k in order[:first]:
+            shape[k] = m
+            pre = max(pre, math.prod(shape))
+        shape[0] = 1
+        row = math.prod(shape)
+        for k in order[first + 1:]:
+            shape[k] = m
+            row = max(row, math.prod(shape))
+        fixed, units = 2 * pre + m * sum(sizes), rows
+    step = units if budget is None else min(units, max(1, budget // row))
+    if budget is not None:
+        charge(16 * (fixed + 4 * step * row), f"a scan of grid {m}^{d} in {step}-row blocks")
+    if d == 1:
         scaled = _roots(n, m1, m, offset) * coefs
-        return (_roots(n, -(-rows // m1), m2, 0.0) @ scaled.T).reshape(-1)[:rows]
-    axes = [np.unique(col, return_inverse=True) for col in exps.T]
-    cells = np.zeros([len(values) for values, _ in axes], dtype=np.complex128)
+        table = _roots(n, units, m2, 0.0)
+        for b0 in range(0, units, step):
+            yield b0 * m1, (table[b0:b0 + step] @ scaled.T).reshape(-1)[:rows - b0 * m1]
+        return
+    cells = np.zeros(sizes, dtype=np.complex128)
     np.add.at(cells, tuple(index for _, index in axes), coefs)
-    for k in sorted(range(len(axes)), key=lambda k: (cells.shape[k], k), reverse=True):
-        table = _roots(axes[k][0], rows if k == 0 else m, m, offset)
-        before, s = cells.shape[:k], cells.shape[k]
-        after = cells.shape[k + 1:]
-        if after:
-            cells = table @ cells.reshape(math.prod(before), s, math.prod(after))
-        else:
-            cells = cells.reshape(math.prod(before), s) @ table.T
-        cells = cells.reshape(before + (len(table),) + after)
-    return cells
+    tables = [_roots(values, rows if k == 0 else m, m, offset) for k, (values, _) in enumerate(axes)]
+    for k in order[:first]:
+        cells = _contract(cells, k, tables[k])
+    for j0 in range(0, rows, step):
+        block = _contract(cells, 0, tables[0][j0:j0 + step])
+        for k in order[first + 1:]:
+            block = _contract(block, k, tables[k])
+        yield j0, block
+
+
+def grid_values(exps, coefs, m: int, offset: float = 0.0) -> np.ndarray:
+    """f^(theta) on the grid theta = (j + offset)/m, as a complex (m, ..., m) array."""
+    exps, coefs, m = _term_input(exps, coefs, m)
+    return next(_blocks(exps, coefs, m, offset, m, None))[1]
 
 
 def half_rows(m: int, offset: float) -> int:
@@ -111,18 +167,23 @@ def half_rows(m: int, offset: float) -> int:
     return m // 2 + 1 if offset == 0 else (m + 1) // 2
 
 
-def grid_abs_values(exps, coefs, m: int, offset: float = 0.0) -> np.ndarray:
-    """|f^| on the half grid: theta = (j + offset)/m for the first-axis rows
-    j_0 < half_rows(m, offset), as a real (h, m, ..., m) array.
+def grid_abs_values(exps, coefs, m: int, offset: float = 0.0):
+    """Yield (j0, |f^| on the first-axis rows j0 <= j_0 < j0 + b) over the half
+    grid, theta = (j + offset)/m with j_0 < half_rows(m, offset), as real
+    (b, m, ..., m) arrays (flat for d = 1) in row order, each block about
+    BLOCK_VALUES values; a scan folds each block as it arrives.
 
     |f^(-theta)| = |f^(theta)| for real coefficients, and the offset, 0 or
     1/2, makes the grid closed under theta -> -theta, so the rows cut hold
     a mirror of every value they drop."""
-    return np.abs(grid_values(exps, coefs, m, offset, half_rows(m, offset)))
+    exps, coefs, m = _term_input(exps, coefs, m)
+    for j0, block in _blocks(exps, coefs, m, offset, half_rows(m, offset), BLOCK_VALUES):
+        yield j0, np.abs(block)
 
 
 def grid_error_bound(exps, coefs, m: int, offset: float = 0.0) -> float:
-    """Bound on |computed - exact| for every value of grid_values and grid_abs_values.
+    """Bound on |computed - exact| for every value of grid_values and grid_abs_values,
+    whatever the blocks.
 
     It holds for every grid size m.  Notation: u = 2^-53, gamma_k = k u/(1 - k u),
     T terms, C = sum |c_n|.  Assumptions: np.exp(i x) is within MU = 4u of

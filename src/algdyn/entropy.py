@@ -55,16 +55,16 @@ class EntropyEstimate(Report):
 
 
 def _log_mean(f: GroupRingElement, m: int) -> tuple[float, int]:
-    exps, coefs = torus._term_arrays(f)
-    torus._check_grid_memory(m, f.d)
-    vals = _kernels.grid_abs_values(exps, coefs, m, 0.5)
-    mask = vals >= SINGULARITY_FLOOR
-    logs = np.log(vals, where=mask, out=np.zeros_like(vals))
-    # each half-grid row j_0 stands for itself and its mirror m - 1 - j_0,
-    # but the middle row of an odd m is its own mirror
-    total, kept = 2 * float(logs.sum()), 2 * int(mask.sum())
-    if m % 2:
-        total, kept = total - float(logs[-1].sum()), kept - int(mask[-1].sum())
+    total = kept = 0
+    last = _kernels.half_rows(m, 0.5)
+    for j0, vals in _kernels.grid_abs_values(*torus._term_arrays(f), m, 0.5):
+        mask = vals >= SINGULARITY_FLOOR
+        logs = np.log(vals, where=mask, out=np.zeros_like(vals))
+        # each half-grid row j_0 stands for itself and its mirror m - 1 - j_0,
+        # but the middle row of an odd m, the last one, is its own mirror
+        total, kept = total + 2 * float(logs.sum()), kept + 2 * int(np.count_nonzero(mask))
+        if m % 2 and j0 + len(vals) == last:
+            total, kept = total - float(logs[-1].sum()), kept - int(np.count_nonzero(mask[-1]))
     if not kept:
         raise ValueError("all grid values below the singularity floor")
     return total / kept, m ** f.d - kept
@@ -76,8 +76,9 @@ def mahler_measure(f: GroupRingElement, m: int | None = None) -> EntropyEstimate
     Midpoint rule on an m^d grid, m >= 4.  |f^| is even and the midpoint
     grid is closed under theta -> -theta, so the mean is taken over the
     half grid of _kernels.grid_abs_values, each row weighted for its
-    mirror.  When f^ is nonvanishing the integrand is analytic and the
-    rule converges superalgebraically; the reported error bound is the
+    mirror and each block of rows folded into a running sum.  When f^ is
+    nonvanishing the integrand is analytic and the rule converges
+    superalgebraically; the reported error bound is the
     empirical difference against the strictly coarser grid of m // 2
     points per axis.  Grid points with |f^| below the singularity floor
     are excluded, counted over the full grid and flagged
@@ -343,7 +344,9 @@ def packing_lower_bound(
         return n1 if M_levels ** n1 <= PACKING_FAMILY_CAP else cut
 
     # the family's float values over the window are charged before it is scanned
-    Fw, radius, F1 = separated_window(x, eps, F, lambda n1: M_levels ** used(n1) * len(F) * x.k * 8)
+    Fw, radius, F1 = separated_window(x, eps, F, lambda n1: _sparse.charge(
+        M_levels ** used(n1) * len(F) * x.k * 8,
+        f"the family on at least {n1} separated sites of a window of {len(F)} sites"))
     F1 = F1[:used(len(F1))]
     nfam = M_levels ** len(F1)
 

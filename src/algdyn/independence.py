@@ -63,17 +63,15 @@ def interaction_radius(x: HomoclinicPoint, eps: float, radius_cap: int = 200) ->
     return r
 
 
-def separated_window(x: HomoclinicPoint, eps: float, F: list, family_bytes=None) -> tuple[list, int, list]:
+def separated_window(x: HomoclinicPoint, eps: float, F: list, check) -> tuple[list, int, list]:
     """(sites, R, F1): the window F as sites, the interaction radius R of x
     at eps, and the greedy subset F1 of F whose differences avoid the
-    conflict ball K - K of radius 2R.  family_bytes(n1), the memory the
-    caller needs on n1 separated sites, is charged against ALGDYN_MEM_CAP_MB
-    first, at the least n1 the greedy scan guarantees for distinct sites."""
+    conflict ball K - K of radius 2R.  check(n1) is called first, so that
+    the caller can refuse the window before the scan, at the least
+    n1 = |F| / (2|K - K| + 1) the greedy scan guarantees for distinct sites."""
     R = interaction_radius(x, eps)
     conflict = ball(x.d, 2 * R)
-    if family_bytes is not None:
-        n1 = -(-len(F) // (2 * len(conflict) + 1))
-        _sparse.charge(family_bytes(n1), f"the family on at least {n1} separated sites of a window of {len(F)} sites")
+    check(-(-len(F) // (2 * len(conflict) + 1)))
     sites = norm_sites(F, x.d)
     return sites, R, greedy_separated_subset(sites, conflict)
 
@@ -144,6 +142,12 @@ def _direct_violations(values, F1: list, K: list, codes) -> np.ndarray:
     return worst
 
 
+def _pattern_sites(nf1: int, at_least: str = "") -> None:
+    if nf1 > 64:  # pattern codes are uint64 bit masks
+        raise ValueError(f"F1 has {at_least}{nf1} separated sites, over the 64-site limit of the pattern codes; "
+                         "use a window of at most 64 sites")
+
+
 def independence_witnesses(
     x: HomoclinicPoint,
     eps: float,
@@ -159,12 +163,10 @@ def independence_witnesses(
     ball K around x (pattern 1) or around zero (pattern 0).  Passing
     witnesses are re-verified by an independent direct evaluation.
     """
-    Fn, radius, F1 = separated_window(x, eps, F)
+    Fn, radius, F1 = separated_window(x, eps, F, lambda n1: _pattern_sites(n1, "at least "))
     K = ball(x.d, radius)
     nf1 = len(F1)  # >= 1: F and the conflict ball are nonempty
-    if nf1 > 64:  # pattern codes are uint64 bit masks
-        raise ValueError(f"F1 has {nf1} separated sites, over the 64-site limit of the pattern codes; "
-                         "use a window of at most 64 sites")
+    _pattern_sites(nf1)
 
     total = 1 << nf1
     subsampled = total > cap

@@ -5,7 +5,8 @@ l1(Z^d) exactly when its Fourier series f^ has no zero on the d-torus
 (Wiener's lemma).  This module makes that criterion checkable:
 
 * certify_invertible scans a uniform grid (_kernels.grid_abs_values, one
-  axis at a time, one point of each pair theta, -theta), bounds the
+  axis at a time, one point of each pair theta, -theta, streamed in blocks
+  of rows into a running minimum), bounds the
   variation of f^ between grid points by an explicit Lipschitz constant,
   and returns Invertible when the margin
   exceeds the scan's rounding bound or one term outweighs all others.
@@ -265,6 +266,23 @@ def _check_grid_memory(m: int, d: int) -> None:  # complex accumulator + phase s
     charge((m ** d) * 16 * (d + 2), f"grid {m}^{d}")
 
 
+def _grid_minimum(exps: np.ndarray, coefs: np.ndarray, m: int) -> tuple[float, list[int]]:
+    """The smallest |f^| on the half grid j/m and the grid coordinates of its
+    first occurrence in C order, as np.argmin over the whole half grid finds
+    them.  A block's first minimum replaces the running one only when it is
+    less, or is NaN while the running one is not (np.argmin takes the first
+    NaN as least)."""
+    best = None  # (value, first row of its block, block shape, index in the block)
+    for j0, vals in _kernels.grid_abs_values(exps, coefs, m, 0.0):
+        i = int(np.argmin(vals))
+        if best is None or not (vals.flat[i] >= best[0] or math.isnan(best[0])):
+            best = (vals.flat[i], j0, vals.shape, i)
+    grid_min, j0, shape, i = best
+    coords = [int(c) for c in np.unravel_index(i, shape)]
+    coords[0] += j0
+    return float(grid_min), coords
+
+
 def certify_invertible(f: GroupRingElement, m: int | None = None) -> TorusCertificate:
     """Certified invertibility of f in l1(Z^d) via nonvanishing of f^."""
     if m is None:
@@ -286,11 +304,8 @@ def certify_invertible(f: GroupRingElement, m: int | None = None) -> TorusCertif
             witness=w, note="exact zero at rational point",
         )
 
-    _check_grid_memory(m, f.d)
     exps, coefs = _term_arrays(f)
-    vals = _kernels.grid_abs_values(exps, coefs, m, 0.0)
-    idx = int(np.argmin(vals))
-    grid_min = float(vals.flat[idx])
+    grid_min, coords = _grid_minimum(exps, coefs, m)
     margin = grid_min - lip / (2.0 * m)
     # every grid value is within the bound; the subtraction above rounds once more
     guard = _kernels.grid_error_bound(exps, coefs, m, 0.0) + _kernels.EPS * grid_min
@@ -307,7 +322,6 @@ def certify_invertible(f: GroupRingElement, m: int | None = None) -> TorusCertif
             "is an exact lower bound for |f^| on the torus (Neumann series)"))
 
     # near-zero minimum: try an exact confirmation at a nearby nice rational
-    coords = [int(c) for c in np.unravel_index(idx, vals.shape)]
     near = [[Fraction(c, m).limit_denominator(denom) for c in coords] for denom in (2, 3, 4, 6, 8, 12)]
     w = _exact_zero(f, _off_scan(f.d, near))
     if w is not None:

@@ -449,6 +449,20 @@ def test_ie_past_64_separated_sites_exit_one(capsys, poly, eps, window, nf1):
                             "use a window of at most 64 sites\n")
 
 
+def test_ie_window_sure_to_pass_64_separated_sites_is_refused_before_the_scan(capsys, monkeypatch):
+    # the greedy scan keeps at least 200000 / (2 * 9 + 1) sites of a window
+    # whose conflict ball K - K has 9 sites, so it is not run
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the greedy scan was reached")
+
+    monkeypatch.setattr(independence, "greedy_separated_subset", unreachable)
+    assert main(["ie", "--poly", "3 - u1 - u1^-1", "--eps", "0.1", "--window", "200000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: F1 has at least 10527 separated sites, over the 64-site limit of the pattern codes; "
+                            "use a window of at most 64 sites\n")
+
+
 def test_ie_at_64_separated_sites(capsys):
     code, out = run_cli(capsys, ["ie", "--poly", "3 - u1 - u1^-1", "--eps", "0.9", "--window", "64"])
     assert code == 0

@@ -10,12 +10,20 @@ from algdyn.groupring import GroupRingElement, parse_element
 from algdyn.torus import evaluate
 
 
+def half_grid(exps, coefs, m, offset):
+    """The streamed blocks of grid_abs_values as one (h, m, ..., m) array;
+    each block starts at the row where the one before it ends."""
+    blocks = list(_kernels.grid_abs_values(exps, coefs, m, offset))
+    assert [j0 for j0, _ in blocks] == np.cumsum([0] + [len(b) for _, b in blocks[:-1]]).tolist()
+    return np.concatenate([b for _, b in blocks])
+
+
 def test_grid_matches_direct_evaluation():
     f = parse_element("3 - u1 - u1^-1")
     exps = np.array([[-1], [0], [1]], dtype=np.int64)
     coefs = np.array([-1.0, 3.0, -1.0])
     m = 64
-    vals = _kernels.grid_abs_values(exps, coefs, m, 0.0)
+    vals = half_grid(exps, coefs, m, 0.0)
     # the half grid at offset 0: rows j < m/2 + 1, mirrors of the rest
     assert vals.shape == (m // 2 + 1,)
     for j in range(len(vals)):
@@ -27,7 +35,7 @@ def test_grid_2d_matches_direct_evaluation():
     exps = np.array(sorted(f.terms), dtype=np.int64)
     coefs = np.array([float(f.terms[tuple(e)]) for e in exps])
     m = 16
-    vals = _kernels.grid_abs_values(exps, coefs, m, 0.5)
+    vals = half_grid(exps, coefs, m, 0.5)
     # the half grid at offset 1/2: first-axis rows j1 < m/2, all m columns
     assert vals.shape == (m // 2, m)
     for j1 in range(m // 2):
@@ -83,7 +91,7 @@ def test_grid_values_within_rounding_guard(case, seed):
 
     vals = _kernels.grid_values(exps, coefs, m, offset)
     assert vals.shape == (m,) * d
-    half = _kernels.grid_abs_values(exps, coefs, m, offset)
+    half = half_grid(exps, coefs, m, offset)
     assert half.shape == (_kernels.half_rows(m, offset),) + (m,) * (d - 1)
 
     guard = _kernels.grid_error_bound(exps, coefs, m, offset)
@@ -111,7 +119,7 @@ def test_half_grid_holds_a_mirror_of_every_point(case, odd):
     mirror = (-j0) % m if offset == 0 else m - 1 - j0
     assert np.all((j0 < h) | (mirror < h))
 
-    half = _kernels.grid_abs_values(exps, coefs, m, offset)
+    half = half_grid(exps, coefs, m, offset)
     assert half.shape == (h,) + (m,) * (d - 1)
     full = np.abs(_kernels.grid_values(exps, coefs, m, offset))
     guard = _kernels.grid_error_bound(exps, coefs, m, offset)
@@ -132,6 +140,70 @@ def test_half_grid_holds_a_mirror_of_every_point(case, odd):
     assert excluded == full.size - kept.size
     guard = _kernels.grid_error_bound(*torus._term_arrays(f), m, 0.5)
     assert mean == pytest.approx(np.mean(np.log(kept)), abs=4 * guard / kept.min() + 1e-13)
+
+
+@settings(max_examples=80, deadline=None)
+@given(aliased_polys(), st.booleans(), st.data())
+def test_split_blocks_fold_as_the_whole_half_grid(case, odd, data):
+    exps, coefs, m, offset = case
+    m += odd != m % 2  # both parities of m at every d
+    d = exps.shape[1]
+    terms: dict = {}
+    for e, c in zip(map(tuple, exps.tolist()), coefs.tolist()):
+        terms[e] = terms.get(e, 0) + int(c)
+    f = GroupRingElement(d, terms)
+    if f.is_zero():
+        return
+    exps, coefs = torus._term_arrays(f)
+    h = _kernels.half_rows(m, offset)
+    # up to one row of values makes every block one row; two or three rows leave a partial last block
+    budget = data.draw(st.integers(1, 3 * m ** (d - 1)), label="budget")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "BLOCK_VALUES", budget)
+        half = half_grid(exps, coefs, m, offset)
+        full = np.abs(_kernels.grid_values(exps, coefs, m, offset))[:h]
+        assert half.shape == full.shape
+        assert np.abs(half - full).max() <= _kernels.grid_error_bound(exps, coefs, m, offset)
+
+        # certification keeps the first minimum in C order, as np.argmin does
+        blocks = half_grid(exps, coefs, m, 0.0)
+        grid_min, coords = torus._grid_minimum(exps, coefs, m)
+        first = int(np.argmin(blocks))
+        assert grid_min == blocks.flat[first]
+        assert coords == [int(c) for c in np.unravel_index(first, blocks.shape)]
+
+        # the Mahler mean: each row weighted 2 for its mirror, the middle row of an odd m 1
+        blocks = half_grid(exps, coefs, m, 0.5)
+        weight = np.full(len(blocks), 2.0)
+        weight[-1] -= m % 2
+        weight = weight.reshape((-1,) + (1,) * (d - 1)) * np.ones_like(blocks)
+        mask = blocks >= entropy.SINGULARITY_FLOOR
+        logs = np.log(np.where(mask, blocks, 1.0))
+        kept = int(weight[mask].sum())
+        if not kept:
+            with pytest.raises(ValueError, match="below the singularity floor"):
+                entropy._log_mean(f, m)
+            return
+        mean, excluded = entropy._log_mean(f, m)
+    assert excluded == m ** d - kept
+    scale = float((weight * np.abs(logs)).sum()) / kept
+    assert abs(mean - float((weight * logs).sum()) / kept) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("blocks", [
+    [[[3.0, 1.0], [2.0, 1.0]], [[1.0, 0.5]], [[0.5, 0.5]]],  # ties within and across blocks
+    [[[3.0, 1.0]], [[np.nan, 0.5]], [[0.1, np.nan]]],  # the first NaN is least
+    [[[np.nan, 1.0]], [[0.0, 0.5]]],
+])
+def test_grid_minimum_folds_blocks_as_np_argmin(monkeypatch, blocks):
+    blocks = [np.array(b) for b in blocks]
+    starts = np.cumsum([0] + [len(b) for b in blocks[:-1]]).tolist()
+    monkeypatch.setattr(_kernels, "grid_abs_values", lambda *args: zip(starts, blocks))
+    whole = np.concatenate(blocks)
+    first = int(np.argmin(whole))
+    grid_min, coords = torus._grid_minimum(None, None, 4)
+    assert grid_min == whole.flat[first] or np.isnan(grid_min) and np.isnan(whole.flat[first])
+    assert coords == [int(c) for c in np.unravel_index(first, whole.shape)]
 
 
 @pytest.mark.parametrize("m", [5, 7, 63, 1025])

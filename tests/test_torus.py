@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from algdyn import _sparse, homoclinic, torus
+from algdyn import _kernels, _sparse, entropy, homoclinic, torus
 from algdyn._kernels import grid_error_bound
 from algdyn.groupring import GroupRingElement, GroupRingMatrix, parse_element
 from algdyn.torus import (
@@ -301,11 +302,35 @@ def test_certify_requires_sane_grid(f_symmetric):
         certify_invertible(f_symmetric, 1)
 
 
-def test_certify_memory_cap(monkeypatch, f_harmonic):
-    monkeypatch.setenv("ALGDYN_MEM_CAP_MB", "1")
+def test_certify_under_a_one_mb_cap_streams_its_scan(monkeypatch):
+    # the scan is charged for one block of rows and the part contracted once,
+    # not for the 2048^2 grid, and holds no more than it is charged for
     f = parse_element("7 - u1 - u1^-1 - u2 - u2^-1")  # no exact zero
-    with pytest.raises(MemoryCapError):
-        certify_invertible(f, 2048)
+    exps, coefs = torus._term_arrays(f)
+    half = np.abs(_kernels.grid_values(exps, coefs, 2048, 0.0))[:_kernels.half_rows(2048, 0.0)]
+    reference = certify_invertible(f, 2048)
+    monkeypatch.setenv("ALGDYN_MEM_CAP_MB", "1")
+    tracemalloc.start()
+    try:
+        cert = certify_invertible(f, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert == reference and cert.verdict == INVERTIBLE
+    assert abs(cert.grid_min - half.min()) <= grid_error_bound(exps, coefs, 2048, 0.0)
+    assert peak < _sparse.mem_cap_bytes()
+
+
+@pytest.mark.parametrize("scan", [certify_invertible, entropy.mahler_measure])
+def test_a_scan_whose_one_row_cannot_fit_is_refused_before_any_table(monkeypatch, scan):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a table of roots was built")
+
+    monkeypatch.setenv("ALGDYN_MEM_CAP_MB", "1")
+    monkeypatch.setattr(_kernels, "_roots", unreachable)
+    f = parse_element("7 - u1 - u1^-1 - u2 - u2^-1 - u3 - u3^-1")  # no exact zero
+    with pytest.raises(MemoryCapError, match=r"^a scan of grid 2048\^3 in 1-row blocks needs about \d+ MB"):
+        scan(f, 2048)
 
 
 def test_certify_matrix_fixtures():
