@@ -13,14 +13,15 @@ l1(Z^d) exactly when its Fourier series f^ has no zero on the d-torus
   NotInvertible is only returned with an exact zero witness at a rational
   point, confirmed in integer cyclotomic arithmetic.  Else it is Unknown.
 
-* l1_inverse produces a finitely supported dyadic approximation g of
-  f^-1 by iterative refinement: floats propose the radius of the ball g
-  fills (the float seed's own tail, capped) and the corrections, and the
-  exact residual ||delta - g*f||_1, over one power-of-two denominator like
-  the coefficients, decides.  The coefficients are a dense box of integer
+* matrix_l1_inverse produces a finitely supported dyadic approximation G
+  of A^-1, for a square matrix A over Z[Z^d], by iterative refinement:
+  floats propose the radius of the ball G fills (the tail of the float
+  seed, A^ inverted pointwise on the grid, capped) and the corrections,
+  and the exact residual ||G A - I||_1, over one power-of-two denominator
+  like the entries, decides.  The entries are one dense box of integer
   numerators (_sparse.Box), moved to and from the FFT grid by modular
   index arrays.  The residual yields an a posteriori bound on
-  ||f^-1 - g||_1.
+  ||A^-1 - G||_1.  l1_inverse is its 1 x 1 case.
 """
 
 from __future__ import annotations
@@ -92,13 +93,12 @@ class MatrixL1Inverse:
     inverse is the 1 x 1 case.
 
     tail_bound bounds the l1 mass of the discarded part, derived a
-    posteriori from the exact residual r = ||I - G A||_1: if r < 1 it is
-    r ||G||_1 / (1 - r), otherwise inf (no bound certified).
-    det_certificate is the certificate of the determinant's invertibility
-    the inverse rests on; None for a monomial unit inverted without one.
-    radius is the max-norm radius of the ball the (determinant's) inverse
-    was cut to: at most the radius cap, and for a monomial unit the radius
-    of its one site.
+    posteriori from the exact residual r = ||G A - I||_1, the l1 norms of
+    the entries summed: if r < 1 it is r ||G||_1 / (1 - r), otherwise inf
+    (no bound certified).  det_certificate is the certificate of the
+    determinant's invertibility the inverse rests on.  radius is the
+    max-norm radius of the ball the inverse was cut to: at most the radius
+    cap, and for a monomial unit the radius of its one site.
     """
 
     nums: _sparse.Box
@@ -106,7 +106,7 @@ class MatrixL1Inverse:
     residual: Fraction
     converged: bool
     tail_bound: float
-    det_certificate: TorusCertificate | None
+    det_certificate: TorusCertificate
     radius: int
 
     def __post_init__(self):
@@ -262,8 +262,9 @@ def _term_arrays(f: GroupRingElement) -> tuple[np.ndarray, np.ndarray]:
     return e, c
 
 
-def _check_grid_memory(m: int, d: int) -> None:  # complex accumulator + phase scratch, with headroom
-    charge((m ** d) * 16 * (d + 2), f"grid {m}^{d}")
+def _check_grid_memory(m: int, d: int, k: int) -> None:
+    """Charge k^2 complex m^d grids, each with its phase scratch and headroom."""
+    charge(k * k * (m ** d) * 16 * (d + 2), f"grid {m}^{d}" if k == 1 else f"{k * k} grids {m}^{d}")
 
 
 def _grid_minimum(exps: np.ndarray, coefs: np.ndarray, m: int) -> tuple[float, list[int]]:
@@ -369,10 +370,14 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
-def _residual(g: _sparse.Box, den: int, f: GroupRingElement) -> tuple[_sparse.Box, Fraction]:
-    """(f*g - delta as numerators over den, ||delta - (g/den)*f||_1), exact."""
-    d = f.d
-    prod = _sparse.box_conv([((), f.terms, g), ((), {(0,) * d: -den}, _sparse.unit(d))], (), d)
+def _residual(G: _sparse.Box, den: int, A: GroupRingMatrix) -> tuple[_sparse.Box, Fraction]:
+    """(G A - den I as numerators over den, ||(G/den) A - I||_1 summed over the
+    entries), exact: one product of k^3 + k parts."""
+    k, d = A.rows, A.d
+    parts = [((i, j), A[t, j].terms, _sparse.Box(G.lo, G.a[i, t]))
+             for i in range(k) for j in range(k) for t in range(k)]
+    parts += [((i, i), {(0,) * d: -den}, _sparse.unit(d)) for i in range(k)]
+    prod = _sparse.box_conv(parts, (k, k), d)
     return prod, Fraction(_sparse.l1(prod), den)
 
 
@@ -384,10 +389,11 @@ def _tail(residual: Fraction, nums: _sparse.Box, den: int) -> float:
 
 
 def _dyadic(arr: np.ndarray, radius: int, den: int = 1) -> tuple[_sparse.Box, int]:
-    """arr at e mod m over the max-norm ball of the radius, exactly, as numerators
-    over one power of two, den or above (floats are dyadic)."""
-    idx = np.arange(-radius, radius + 1) % arr.shape[0]
-    v = arr[np.ix_(*[idx] * arr.ndim)]
+    """The (k, k, m, ..., m) arr at e mod m over the max-norm ball of the radius,
+    exactly, as numerators over one power of two, den or above (floats are
+    dyadic)."""
+    idx = np.arange(-radius, radius + 1) % arr.shape[-1]
+    v = arr[(Ellipsis, *np.ix_(*[idx] * (arr.ndim - 2)))]
     if not np.isfinite(v).all():
         raise ValueError("the float inverse is not finite")
     mant, ex = np.frexp(v)
@@ -397,54 +403,59 @@ def _dyadic(arr: np.ndarray, radius: int, den: int = 1) -> tuple[_sparse.Box, in
     e2 = ex - 53 + tz  # v = (M >> tz) 2^e2, an odd integer times a power of two
     shift = max(den.bit_length() - 1, -int(e2[nz].min(initial=0)))
     nums = (M >> tz).astype(object) << np.where(nz, shift + e2, 0).astype(object)
-    return _sparse.Box((-radius,) * arr.ndim, nums), 1 << shift
+    return _sparse.Box((-radius,) * (arr.ndim - 2), nums), 1 << shift
 
 
-def _grid(nums: _sparse.Box, den: int, m: int, d: int, radius: int) -> np.ndarray:
-    """nums / den as floats at e mod m on the m^d grid, for e within the radius
-    (m > 2 radius, so no two of them meet)."""
-    arr = np.zeros((m,) * d)
+def _grid(nums: _sparse.Box, den: int, m: int, radius: int) -> np.ndarray:
+    """The (k, k) entries nums / den as floats at e mod m on the m^d grid, for
+    e within the radius (m > 2 radius, so no two of them meet)."""
+    d = len(nums.lo)
+    arr = np.zeros(nums.a.shape[:2] + (m,) * d)
     lo = [max(l, -radius) for l in nums.lo]
     hi = [min(l + n, radius + 1) for l, n in zip(nums.lo, nums.shape)]
     if all(a < b for a, b in zip(lo, hi)):
         sl = tuple(slice(a - l, b - l) for a, b, l in zip(lo, hi, nums.lo))
-        arr[np.ix_(*(np.arange(a, b) % m for a, b in zip(lo, hi)))] = (nums.a[sl] / den).astype(np.float64)
+        arr[(Ellipsis, *np.ix_(*(np.arange(a, b) % m for a, b in zip(lo, hi))))] = \
+            (nums.a[(Ellipsis, *sl)] / den).astype(np.float64)
     return arr
 
 
 def _seed_radius(seed: np.ndarray, norm: int, tol: float, radius_cap: int) -> int:
     """The smallest radius R with norm times the seed's l1 mass between the
-    max-norm radii R and radius_cap, summed sphere by sphere, at most tol / 4
-    (radius_cap qualifies).  The grid's sites past radius_cap, its aliasing
-    and float noise, are cut by every R alike.  Floats only propose R: the
-    exact residual decides."""
-    m = seed.shape[0]
+    max-norm radii R and radius_cap, summed over the entries and sphere by
+    sphere, at most tol / 4 (radius_cap qualifies).  The grid's sites past
+    radius_cap, its aliasing and float noise, are cut by every R alike.
+    Floats only propose R: the exact residual decides."""
+    m = seed.shape[-1]
     axis = np.minimum(np.arange(m), m - np.arange(m))  # |e| of the site e mod m nearest 0
-    mass = np.bincount(functools.reduce(np.maximum, np.ix_(*[axis] * seed.ndim)).ravel(),
-                       weights=np.abs(seed).ravel())[:radius_cap + 1]
+    mass = np.bincount(functools.reduce(np.maximum, np.ix_(*[axis] * (seed.ndim - 2))).ravel(),
+                       weights=np.abs(seed).sum(axis=(0, 1)).ravel())[:radius_cap + 1]
     beyond = np.append(np.cumsum(mass[:0:-1])[::-1], 0.0)  # beyond[R] = sum of mass[R + 1:]
     return int(np.flatnonzero(norm * beyond <= tol / 4)[0])
 
 
-def _refined(f: GroupRingElement, seed: np.ndarray, radius: int, tol: float) -> tuple[_sparse.Box, int, Fraction]:
+def _refined(A: GroupRingMatrix, seed: np.ndarray, radius: int, tol: float) -> tuple[_sparse.Box, int, Fraction]:
     """The seed cut to the max-norm ball of the radius, then refined as
-    l1_inverse says: (numerators, den, exact residual)."""
-    d = f.d
+    matrix_l1_inverse says: (numerators, den, exact residual)."""
+    k, d = A.rows, A.d
+    axes = tuple(range(2, 2 + d))
     g, den = _dyadic(seed, radius)
-    prod, r = _residual(g, den, f)
+    prod, r = _residual(g, den, A)
     seed_hat = None
     while r > tol:
-        if seed_hat is None:  # built once a step runs; r lies within R + deg f, only
+        if seed_hat is None:  # built once a step runs; r lies within R + deg A, only
             # its terms within 2R reach the ball, and m > 2R + s keeps g0 r from wrapping
-            s = min(2 * radius, radius + max(max(map(abs, e)) for e in f.terms))
+            s = min(2 * radius, radius + max(max(map(abs, e)) for row in A.entries for x in row for e in x.terms))
             mc = 1 << (2 * radius + s + 1).bit_length()
-            _check_grid_memory(mc, d)
-            seed_hat = np.fft.rfftn(_grid(g, den, mc, d, radius))
-        corr = np.fft.irfftn(seed_hat * np.fft.rfftn(_grid(prod, den, mc, d, s)))  # mc is even
-        c, cden = _dyadic(corr, radius, den)
-        e0 = (0,) * d
-        step = _sparse.box_conv([((), {e0: cden // den}, g), ((), {e0: -1}, c)], (), d)
-        step_prod, step_r = _residual(step, cden, f)
+            _check_grid_memory(mc, d, k)
+            seed_hat = np.fft.rfftn(_grid(g, den, mc, radius), axes=axes)
+        prod_hat = np.fft.rfftn(_grid(prod, den, mc, s), axes=axes)
+        corr_hat = seed_hat[0] * prod_hat[:, :1]  # entry (i, l) sums g0[j, l] r[i, j] over j
+        for j in range(1, k):
+            corr_hat += seed_hat[j] * prod_hat[:, j:j + 1]
+        c, cden = _dyadic(np.fft.irfftn(corr_hat, axes=axes), radius, den)  # mc is even
+        step = _sparse.Box(g.lo, g.a * (cden // den) - c.a)
+        step_prod, step_r = _residual(step, cden, A)
         if 2 * step_r > r:  # the truncation floor
             if step_r < r:
                 g, den, r = step, cden, step_r
@@ -459,79 +470,67 @@ def l1_inverse(
     radius_cap: int = 40,
     cert: TorusCertificate | None = None,
 ) -> MatrixL1Inverse:
-    """Truncated inverse of f in l1(Z^d) with an exact residual certificate.
+    """Truncated inverse of f in l1(Z^d): the 1 x 1 matrix_l1_inverse."""
+    return matrix_l1_inverse(GroupRingMatrix([[f]]), tol, radius_cap, cert)
 
-    The seed g0 is the inverse DFT of 1/f^ sampled on a uniform grid sized
-    from radius_cap.  It is cut to the max-norm ball of radius R, the
-    smallest R <= radius_cap whose seed mass between R and radius_cap,
-    times ||f||_1, is at most tol / 4 (_seed_radius).  Each refinement
-    step adds c, the float64 FFT product g0 r cut to the ball, where
-    r = delta - f g is exact.  It stops once ||r||_1 <= tol, or when a step fails to halve
-    ||r||_1 (the truncation floor), keeping the better of the last two
-    iterates.  If tol is still missed and R < radius_cap, the whole
-    computation runs once more at radius_cap, so the result converges
-    whenever the cap's computation does; converged=False says tol was
-    missed.  The result is the 1 x 1 MatrixL1Inverse.
+
+def matrix_l1_inverse(
+    A: GroupRingMatrix,
+    tol: float = 1e-10,
+    radius_cap: int = 40,
+    cert: TorusCertificate | None = None,
+) -> MatrixL1Inverse:
+    """Entrywise truncated inverse of a square k x k matrix over l1(Z^d),
+    with an exact residual certificate.
+
+    A is invertible in M_k(l1) exactly when det A is invertible in l1;
+    cert, the torus certificate of det A, is computed when not given, and
+    must read Invertible.  The seed G0 is the inverse DFT of A^(theta)^-1,
+    inverted pointwise on a uniform grid sized from radius_cap.  It is cut
+    to the max-norm ball of radius R, the smallest R <= radius_cap whose
+    seed mass between R and radius_cap, summed over the entries, times
+    ||A||_1 is at most tol / 4 (_seed_radius); ||.||_1 sums the entries'
+    l1 norms and is submultiplicative.  Each refinement step subtracts
+    (G A - I) G0 cut to the ball, float64 FFT products of the exact
+    residual G A - I.  It stops once r = ||G A - I||_1 <= tol, or when a
+    step fails to halve r (the truncation floor), keeping the better of
+    the last two iterates.  If tol is still missed and R < radius_cap, the
+    whole computation runs once more at radius_cap, so the result
+    converges whenever the cap's computation does; converged=False says
+    tol was missed.  A 1 x 1 monomial unit c u^e is inverted exactly.
     """
     _check_positive("tol", tol)
     if radius_cap < 0:
         raise ValueError(f"radius_cap must be >= 0, got {radius_cap!r}")
-    if f.num_terms() == 1:
-        (e, c), = f.terms.items()
-        if abs(c) == 1:  # a monomial unit: its inverse is exact
-            unit = _sparse.box_conv([((0, 0), {tuple(-x for x in e): c}, _sparse.unit(f.d))], (1, 1), f.d)
-            return MatrixL1Inverse(unit, 1, Fraction(0), True, 0.0, cert, max(map(abs, e)))
+    if not A.is_square():
+        raise ValueError("matrix must be square")
+    k, d = A.rows, A.d
     if cert is None:
-        cert = certify_invertible(f)
+        cert = certify_invertible(A.det())
+    if k == 1 and A[0, 0].num_terms() == 1:
+        (e, c), = A[0, 0].terms.items()
+        if abs(c) == 1:  # a monomial unit: its inverse is exact
+            unit = _sparse.box_conv([((0, 0), {tuple(-x for x in e): c}, _sparse.unit(d))], (1, 1), d)
+            return MatrixL1Inverse(unit, 1, Fraction(0), True, 0.0, cert, max(map(abs, e)))
     if cert.verdict != INVERTIBLE:
-        raise NotInvertibleError(f"input not certified invertible: {cert.verdict}")
+        raise NotInvertibleError(f"determinant not certified invertible: {cert.verdict}")
 
-    d = f.d
     m = 64
     while m < 2 * radius_cap + 2 or (d == 1 and m < 4 * radius_cap):
         m *= 2
-    if d == 3:
-        m = min(m, 128)
-    _check_grid_memory(m, d)
-
-    vals = _kernels.grid_values(*_term_arrays(f), m, 0.0)
-    seed = (np.fft.fftn(1.0 / vals) / (m ** d)).real
-    R = _seed_radius(seed, f.l1_norm(), tol, radius_cap)
-    g, den, r = _refined(f, seed, R, tol)
+    _check_grid_memory(m, d, k)
+    vals = np.empty((k, k) + (m,) * d, dtype=complex)
+    for i, row in enumerate(A.entries):
+        for j, e in enumerate(row):
+            vals[i, j] = _kernels.grid_values(*_term_arrays(e), m, 0.0)
+    if k == 1:  # the reciprocal, which np.linalg.inv does not round alike
+        inv = 1.0 / vals
+    else:
+        inv = np.moveaxis(np.linalg.inv(np.moveaxis(vals, (0, 1), (-2, -1))), (-2, -1), (0, 1))
+    seed = (np.fft.fftn(inv, axes=range(2, 2 + d)) / (m ** d)).real
+    R = _seed_radius(seed, A.l1_norm(), tol, radius_cap)
+    g, den, r = _refined(A, seed, R, tol)
     if r > tol and R < radius_cap:  # the proposal fell short: the cap's computation
         R = radius_cap
-        g, den, r = _refined(f, seed, R, tol)
-
-    G = _sparse.Box(g.lo, g.a[None, None])
-    return MatrixL1Inverse(G, den, r, r <= tol, _tail(r, G, den), cert, R)
-
-
-def matrix_l1_inverse(A: GroupRingMatrix, tol: float = 1e-10, radius_cap: int = 40) -> MatrixL1Inverse:
-    """Entrywise truncated inverse of a square matrix over l1(Z^d).
-
-    Uses the adjugate route G = g_det adj(A) with g_det the truncated
-    inverse of det(A) to tol / k, so every entry shares g_det's
-    denominator.  Since adj(A) A = det(A) I exactly, G A = (g_det det(A)) I
-    and I - G A is the diagonal matrix with every diagonal entry
-    delta - g_det det(A); its sum-of-entries l1 norm is therefore exactly
-    k * r with r = ||delta - g_det det(A)||_1, the residual l1_inverse
-    already computed.  That exact residual is reported; when it exceeds
-    tol the result carries converged=False.  No matrix-level refinement
-    follows.
-    """
-    _check_positive("tol", tol)
-    if not A.is_square():
-        raise ValueError("matrix must be square")
-    k = A.rows
-    det = A.det()
-    det_cert = certify_invertible(det)
-    if det_cert.verdict != INVERTIBLE:
-        raise NotInvertibleError(f"determinant not certified invertible: {det_cert.verdict}")
-
-    gdet = l1_inverse(det, tol / k, radius_cap, cert=det_cert)
-    g = _sparse.Box(gdet.nums.lo, gdet.nums.a[0, 0])
-    G = _sparse.box_conv([((i, j), e.terms, g) for i, row in enumerate(A.adjugate().entries)
-                          for j, e in enumerate(row)], (k, k), A.d)
-    residual = k * gdet.residual
-    return MatrixL1Inverse(G, gdet.den, residual, residual <= tol, _tail(residual, G, gdet.den), det_cert,
-                           gdet.radius)
+        g, den, r = _refined(A, seed, R, tol)
+    return MatrixL1Inverse(g, den, r, r <= tol, _tail(r, g, den), cert, R)

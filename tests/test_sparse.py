@@ -183,35 +183,44 @@ def test_int_inverse_matches_fraction_gauss_jordan(M):
 # -- the l1 inverse against Fraction references ------------------------------
 
 
-def _reference_seed(f, radius_cap):
-    """The float seed of torus.l1_inverse as Fractions: the inverse DFT of
-    1/f^ on the same grid, cut to the max-norm ball of the radius."""
-    d = f.d
+def _reference_seed(A, radius_cap):
+    """The float seed of torus.matrix_l1_inverse as Fractions: the inverse
+    DFT of A^-1 (1/f^ when k = 1), inverted pointwise on the same grid, cut
+    to the max-norm ball of the radius; rows of dicts."""
+    k, d = A.rows, A.d
     m = 64
     while m < 2 * radius_cap + 2 or (d == 1 and m < 4 * radius_cap):
         m *= 2
-    if d == 3:
-        m = min(m, 128)
-    vals = _kernels.grid_values(*torus._term_arrays(f), m, 0.0)
-    coef = np.fft.fftn(1.0 / vals) / (m ** d)
-    g = {}
-    for e in ball(d, radius_cap):
-        v = float(coef[tuple(x % m for x in e)].real)
-        if v != 0.0:
-            g[e] = Fraction(v)
-    return g
+    vals = np.array([[_kernels.grid_values(*torus._term_arrays(e), m, 0.0) for e in row] for row in A.entries])
+    inv = 1.0 / vals if k == 1 else np.moveaxis(np.linalg.inv(np.moveaxis(vals, (0, 1), (-2, -1))), (-2, -1), (0, 1))
+    G = []
+    for i in range(k):
+        G.append([])
+        for j in range(k):
+            coef = np.fft.fftn(inv[i, j]) / (m ** d)
+            vs = {e: float(coef[tuple(x % m for x in e)].real) for e in ball(d, radius_cap)}
+            G[i].append({e: Fraction(v) for e, v in vs.items() if v != 0.0})
+    return G
 
 
-def _reference_residual(g, f):
-    """(f*g - delta, ||delta - f*g||_1) in Fractions."""
-    e0 = (0,) * f.d
-    prod = _frac_conv(g, f.terms)
-    prod[e0] = prod.get(e0, Fraction(0)) - 1
-    return prod, sum((abs(c) for c in prod.values()), Fraction(0))
+def _reference_residual(G, A):
+    """(G A - I, ||G A - I||_1 summed over the entries) in Fractions, for G
+    rows of dicts."""
+    k, e0 = A.rows, (0,) * A.d
+    prod = []
+    for i in range(k):
+        prod.append([])
+        for j in range(k):
+            acc: dict = {e0: -Fraction(i == j)}
+            for t in range(k):
+                for e, c in _frac_conv(G[i][t], A[t, j].terms).items():
+                    acc[e] = acc.get(e, Fraction(0)) + c
+            prod[i].append({e: c for e, c in acc.items() if c})
+    return prod, sum((abs(c) for row in prod for cell in row for c in cell.values()), Fraction(0))
 
 
-def _reference_tail(g, r):
-    norm = sum((abs(c) for c in g.values()), Fraction(0))
+def _reference_tail(G, r):
+    norm = sum((abs(c) for row in G for cell in row for c in cell.values()), Fraction(0))
     return float(r * norm / (1 - r)) if r < 1 else math.inf
 
 
@@ -219,11 +228,12 @@ def _reference_l1_inverse(f, tol=1e-10, radius_cap=40, max_iter=25):
     """Newton's iteration g <- g(2 delta - f g) on Fractions from the same
     seed, requantized to 2^-bits after each step: an independent oracle for
     the convergence verdict.  Also returns the number of steps taken."""
-    g = _reference_seed(f, radius_cap)
+    F = GroupRingMatrix([[f]])
+    g = _reference_seed(F, radius_cap)[0][0]
     e0 = (0,) * f.d
     bits = max(64, 2 * int(math.ceil(-math.log2(max(tol, 1e-300)))) + 16)
     q = 1 << bits
-    best, best_r = g, _reference_residual(g, f)[1]
+    best, best_r = g, _reference_residual([[g]], F)[1]
     it = 0
     while best_r > tol and it < max_iter:
         it += 1
@@ -232,21 +242,22 @@ def _reference_l1_inverse(f, tol=1e-10, radius_cap=40, max_iter=25):
         g = _frac_conv(g, two_minus)
         g = {e: Fraction(round(c * q), q) for e, c in g.items() if max(abs(x) for x in e) <= radius_cap}
         g = {e: c for e, c in g.items() if c}
-        r = _reference_residual(g, f)[1]
+        r = _reference_residual([[g]], F)[1]
         if r < best_r:
             best, best_r = g, r
         else:
             break
-    return best, best_r, _reference_tail(best, best_r), best_r <= tol, it
+    return best, best_r, _reference_tail([[best]], best_r), best_r <= tol, it
 
 
-def _reference_refined_inverse(f, tol=1e-10, radius_cap=40):
-    """The refinement of torus.l1_inverse on Fractions: the same float seed
-    and the same float64 FFT corrections, summed and checked in exact
-    Fractions.  Also returns the number of steps taken."""
-    d, R = f.d, radius_cap
-    g0 = _reference_seed(f, R)
-    s = min(2 * R, R + max(max(map(abs, e)) for e in f.terms))
+def _reference_refined_inverse(A, tol=1e-10, radius_cap=40):
+    """The refinement of torus.matrix_l1_inverse on Fractions: the same float
+    seed G0 and the same float64 FFT corrections, entry (i, l) of (G A - I) G0
+    summed over j in the same order, with the iterates and their residuals
+    in exact Fractions.  Returns (G, residual, tail, converged, steps)."""
+    k, d, R = A.rows, A.d, radius_cap
+    G0 = _reference_seed(A, R)
+    s = min(2 * R, R + max(max(map(abs, e)) for row in A.entries for x in row for e in x.terms))
     mc = 1 << (2 * R + s + 1).bit_length()
 
     def grid(v, radius):
@@ -256,23 +267,32 @@ def _reference_refined_inverse(f, tol=1e-10, radius_cap=40):
                 arr[tuple(x % mc for x in e)] = float(c)
         return arr
 
-    g = g0
-    prod, r = _reference_residual(g, f)
+    seed_hat = [[np.fft.rfftn(grid(cell, R)) for cell in row] for row in G0]
+    G = G0
+    prod, r = _reference_residual(G, A)
     steps = 0
     while r > tol:
         steps += 1
-        corr = np.fft.irfftn(np.fft.rfftn(grid(g0, R)) * np.fft.rfftn(grid(prod, s)))
-        step = dict(g)
-        for e in ball(d, R):
-            step[e] = step.get(e, Fraction(0)) - Fraction(float(corr[tuple(x % mc for x in e)]))
-        step = {e: c for e, c in step.items() if c}
-        step_prod, step_r = _reference_residual(step, f)
+        prod_hat = [[np.fft.rfftn(grid(cell, s)) for cell in row] for row in prod]
+        step = []
+        for i in range(k):
+            step.append([])
+            for l in range(k):
+                corr_hat = seed_hat[0][l] * prod_hat[i][0]
+                for j in range(1, k):
+                    corr_hat = corr_hat + seed_hat[j][l] * prod_hat[i][j]
+                corr = np.fft.irfftn(corr_hat)
+                cell = dict(G[i][l])
+                for e in ball(d, R):
+                    cell[e] = cell.get(e, Fraction(0)) - Fraction(float(corr[tuple(x % mc for x in e)]))
+                step[i].append({e: c for e, c in cell.items() if c})
+        step_prod, step_r = _reference_residual(step, A)
         if 2 * step_r > r:
             if step_r < r:
-                g, r = step, step_r
+                G, r = step, step_r
             break
-        g, prod, r = step, step_prod, step_r
-    return g, r, _reference_tail(g, r), r <= tol, steps
+        G, prod, r = step, step_prod, step_r
+    return G, r, _reference_tail(G, r), r <= tol, steps
 
 
 @pytest.mark.parametrize("poly, tol, radius", [
@@ -283,43 +303,30 @@ def _reference_refined_inverse(f, tol=1e-10, radius_cap=40):
 ])
 def test_inverse_equals_fraction_reference(poly, tol, radius):
     f = parse_element(poly)
-    terms, residual, tail, converged, steps = _reference_refined_inverse(f, tol, radius)
+    (terms,), residual, tail, converged, steps = _reference_refined_inverse(GroupRingMatrix([[f]]), tol, radius)
     assert steps >= 1
     g = torus.l1_inverse(f, tol, radius)
-    assert g.terms == terms
+    assert g.terms == terms[0]
     assert g.residual == residual
     assert g.tail_bound == tail
     assert g.converged == converged
 
 
 def test_matrix_inverse_equals_fraction_reference():
-    A = GroupRingMatrix([
-        [parse_element("4 - u1"), parse_element("1")],
-        [parse_element("u1^-1"), parse_element("5 + u1")],
-    ])
-    tol, radius = 1e-25, 60
-    det = A.det()
-    gdet, _, _, _, steps = _reference_refined_inverse(det, tol / 2, radius)
-    assert steps >= 1
-    adj = A.adjugate()
-    G = [[_frac_conv(gdet, adj.entries[i][j].terms) for j in range(2)] for i in range(2)]
-    residual = Fraction(0)
-    for i in range(2):
-        for j in range(2):
-            acc: dict = {}
-            for t in range(2):
-                for e, c in _frac_conv(G[i][t], A.entries[t][j].terms).items():
-                    acc[e] = acc.get(e, Fraction(0)) + c
-            acc[(0,)] = acc.get((0,), Fraction(0)) - (i == j)
-            residual += sum((abs(c) for c in acc.values()), Fraction(0))
-    norm = sum((abs(c) for row in G for cell in row for c in cell.values()), Fraction(0))
-    tail = float(residual * norm / (1 - residual))
-
-    inv = torus.matrix_l1_inverse(A, tol, radius)
-    assert [[_sparse.unscale(cell, inv.den) for cell in row] for row in cells_of(inv.nums)] == G
-    assert inv.residual == residual
-    assert inv.tail_bound == tail
-    assert inv.converged == (residual <= tol)
+    # each tol is below the float seed's rounding, so the ball is the cap's and a step runs
+    for rows, tol, radius in [
+        ([["4 - u1", "1"], ["u1^-1", "5 + u1"]], 1e-25, 60),
+        ([["6 - u1 - u1^-1", "u2", "0"], ["1", "7 + u2^-1", "u1"], ["u1*u2", "0", "-6 + u2"]], 1e-20, 12),
+    ]:
+        A = GroupRingMatrix.from_obj(rows)
+        G, residual, tail, converged, steps = _reference_refined_inverse(A, tol, radius)
+        assert steps >= 1
+        inv = torus.matrix_l1_inverse(A, tol, radius)
+        assert inv.radius == radius
+        assert [[_sparse.unscale(cell, inv.den) for cell in row] for row in cells_of(inv.nums)] == G
+        assert inv.residual == residual
+        assert inv.tail_bound == tail
+        assert inv.converged == converged
 
 
 @settings(max_examples=40, deadline=None)

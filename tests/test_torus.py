@@ -527,6 +527,45 @@ def test_inverse_falls_back_to_the_cap_when_the_proposed_radius_misses(monkeypat
     assert _same_inverse(g, full)
 
 
+class _Stop(Exception):
+    pass
+
+
+def test_d3_seed_grid_holds_the_whole_ball(monkeypatch):
+    # a cap of 64 or more needs m > 2 cap + 1 at d = 3 too: a grid clamped
+    # to 128 would alias the sites +-(64 ... cap) onto others
+    seen = []
+
+    def spy(exps, coefs, m, offset=0.0):
+        seen.append(m)
+        raise _Stop
+
+    f = parse_element("7 - u1 - u1^-1 - u2 - u2^-1 - u3 - u3^-1")
+    cert = certify_invertible(f)
+    monkeypatch.setenv("ALGDYN_MEM_CAP_MB", "4096")  # the charge is arithmetic: nothing is allocated
+    monkeypatch.setattr(_kernels, "grid_values", spy)
+    with pytest.raises(_Stop):
+        l1_inverse(f, 1e-10, 64, cert=cert)
+    assert seen and seen[0] >= 2 * 64 + 2
+
+
+def test_matrix_seed_grids_are_charged_before_they_are_built(monkeypatch):
+    # k = 4, d = 2, cap 40: 16 grids of 128^2, about 17 MB with scratch, where
+    # one grid (k = 1) takes about 1 MB
+    rows = [[f"{18 if i == j else 0} + u{1 + (i + j) % 2}" for j in range(4)] for i in range(4)]
+    A = GroupRingMatrix.from_obj(rows)
+    cert = certify_matrix_invertible(A)
+    assert cert.verdict == INVERTIBLE
+    built = []
+    grid_values = _kernels.grid_values
+    monkeypatch.setattr(_kernels, "grid_values", lambda *a: built.append(a) or grid_values(*a))
+    monkeypatch.setenv("ALGDYN_MEM_CAP_MB", "4")
+    with pytest.raises(MemoryCapError, match=r"^16 grids 128\^2 needs about \d+ MB"):
+        matrix_l1_inverse(A, 1e-10, 40, cert=cert)
+    assert built == []
+    assert l1_inverse(A[0, 0], 1e-10, 40).converged  # one grid fits the same cap
+
+
 # -- matrix inverse -----------------------------------------------------------
 
 
@@ -570,8 +609,8 @@ def test_matrix_inverse_upper_triangular():
 
 
 def _direct_matrix_residual(G, den, A):
-    """||I - G A||_1 (sum-of-entries l1 norm) for G = nums/den, by the k^3
-    product loop the adjugate identity made unnecessary; kept as the oracle."""
+    """||G A - I||_1 (sum-of-entries l1 norm) for G = nums/den, by a k^3
+    loop of group-ring products: the oracle of the reported residual."""
     k = A.rows
     total = 0
     for i in range(k):
@@ -602,9 +641,35 @@ def _dominant_matrices(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(_dominant_matrices(), st.sampled_from([1e-6, 1e-30]))
-def test_matrix_residual_is_k_times_det_residual(A, tol):
+def test_matrix_residual_is_the_direct_product_residual(A, tol):
     inv = matrix_l1_inverse(A, tol, 4)
     assert inv.residual == _direct_matrix_residual(cells_of(inv.nums), inv.den, A)
+
+
+def _exact_tail(residual, cells, den):
+    """r ||G||_1 / (1 - r) in Fractions, for the entries cells / den."""
+    assert residual < 1
+    return residual * Fraction(sum(abs(c) for row in cells for cell in row for c in cell.values()), den) / (1 - residual)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_dominant_matrices(), st.sampled_from([1e-6, 1e-12]), st.integers(3, 8))
+def test_matrix_inverse_agrees_with_the_adjugate_route(A, tol, cap):
+    # G and H = adj(A) g, g the truncated inverse of det A, are both within
+    # their tails of A^-1, so ||G - H||_1 is at most the sum of the tails
+    inv = matrix_l1_inverse(A, tol, cap)
+    g = l1_inverse(A.det(), tol, cap)
+    g_el = E(A.d, cells_of(g.nums)[0][0])
+    H = [[(g_el * e).terms for e in row] for row in A.adjugate().entries]
+    G = cells_of(inv.nums)
+    h_res = _direct_matrix_residual(H, g.den, A)
+    assume(inv.residual < 1 and h_res < 1)
+    diff = Fraction(0)
+    for i in range(A.rows):
+        for j in range(A.rows):
+            for e in set(G[i][j]) | set(H[i][j]):
+                diff += abs(Fraction(G[i][j].get(e, 0), inv.den) - Fraction(H[i][j].get(e, 0), g.den))
+    assert diff <= _exact_tail(inv.residual, G, inv.den) + _exact_tail(h_res, H, g.den)
 
 
 def test_matrix_inverse_residual_identity(f_symmetric):
