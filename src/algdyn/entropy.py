@@ -18,8 +18,10 @@ on any grid, as |(f*)^(theta)| = |conj f^(theta)| = |f^(theta)| for integer f.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -186,7 +188,86 @@ def _dedupe_int(rows: np.ndarray) -> np.ndarray:
     return rows[keep]
 
 
+def _dedupe_runs(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array of sorted runs, in order: a stable
+    sort in place, which merges the runs, then one adjacent-difference mask."""
+    keys.sort(kind="stable")
+    keep = np.empty(len(keys), dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
 INT64_MAX = 2 ** 63 - 1
+
+
+class _Limbs(NamedTuple):
+    """The box lo + [0, spans) cut into runs [a, b) of consecutive
+    coordinates; each run is one int64 limb sum_j (x_j - lo_j) strides_j."""
+    lo: list
+    spans: list
+    strides: list
+    groups: list
+
+
+def _limbs(lo: list, hi: list, D: int) -> _Limbs | None:
+    """The limbs of the box [lo, hi], first coordinate most significant, each
+    run grown while D times its point count stays at most INT64_MAX, the
+    bound under which D * limb + c, a step's one product, is an int64 for
+    every point of the box.  None when one coordinate's D * span alone
+    passes it.  Limb order is lexicographic order."""
+    spans = [b - a + 1 for a, b in zip(lo, hi)]
+    groups, size = [], 0
+    for j, s in enumerate(spans):
+        if D * s > INT64_MAX:
+            return None
+        if groups and D * size * s <= INT64_MAX:
+            groups[-1][1], size = j + 1, size * s
+        else:
+            groups.append([j, j + 1])
+            size = s
+    strides = [0] * len(spans)
+    for a, b in groups:
+        size = 1
+        for j in range(b - 1, a - 1, -1):
+            strides[j], size = size, size * spans[j]
+    return _Limbs(lo, spans, strides, groups)
+
+
+def _recode(S: np.ndarray, old: _Limbs, new: _Limbs) -> np.ndarray:
+    """The points S, limbs of old, as limbs of new: digits out, limbs in,
+    one coordinate at a time, and the only integer division of the
+    counting.  new's box holds old's, or new is the coordinate rows (lo 0,
+    one coordinate a limb) and old's box lies inside int64."""
+    out = np.empty((len(S), len(new.groups)), dtype=np.int64)
+    out[:] = [sum((a - b) * s for a, b, s in zip(old.lo[u:v], new.lo[u:v], new.strides[u:v]))
+              for u, v in new.groups]
+    limb = [g for g, (u, v) in enumerate(new.groups) for _ in range(u, v)]
+    for g, (a, b) in enumerate(old.groups):
+        for j in range(a, b):
+            if old.spans[j] == 1:  # the digit is 0
+                continue
+            d = S[:, g] if old.strides[j] == 1 else S[:, g] // old.strides[j]
+            if j > a:
+                d = d % old.spans[j]
+            out[:, limb[j]] += d * new.strides[j]
+    return out
+
+
+def _boxes(P: list, D: int, E: list, n_max: int):
+    """(T_n, lo_n, hi_n) for n = 1, ..., n_max: the translates
+    T_n = P^(n-1) E, stepped over the nonzero entries of P (about 2k for a
+    companion inverse), and the box of S_n, lo_n = D lo_(n-1) + min T_n and
+    the same with max."""
+    nonzero = [[(j, p) for j, p in enumerate(row) if p] for row in P]
+    T, lo, hi = [list(b) for b in E], [0] * len(P), [0] * len(P)
+    for n in range(1, n_max + 1):
+        if n > 1:
+            T = [[sum(p * t[j] for j, p in row) for row in nonzero] for t in T]
+        cols = list(zip(*T))
+        lo = [D * a + min(c) for a, c in zip(lo, cols)]
+        hi = [D * b + max(c) for b, c in zip(hi, cols)]
+        yield T, lo, hi
 
 
 def peters_entropy(
@@ -202,22 +283,32 @@ def peters_entropy(
     differences of log|S_n| (the raw quotients log|S_n|/n carry O(1/n)
     corrections; differences converge much faster).  M is inverted
     exactly, in integers, as M^-1 = P/D; in rational mode D may exceed 1,
-    for matrices that are integral but not unimodular.  A series that the
-    memory cap stops before its second term raises MemoryCapError.
+    for matrices that are integral but not unimodular.
 
     The sets are counted exactly.  Scaled by D^(n-1), S_n is the integer
     set S_n = D S_(n-1) + T_n, from S_0 = {0}, with the translates
-    T_n = P^(n-1) E held as Python ints.  As 0 is in E, the box of S_n is
-    exact and known first: lo_n = D lo_(n-1) + min T_n, and the same with
-    max.  While D and the box's point count are at most INT64_MAX, S_n is
-    one sorted array of distinct int64 keys sum_j (x_j - lo_j) s_j, the
-    first coordinate most significant, so key order is lexicographic
-    order; a step rescales the keys into the new box and merges the |E|
-    sorted runs of translates.  From the first larger box on, S_n is a row
-    array kept sorted and distinct by _dedupe_int, int64, and Python ints
-    (dtype object) from the first step whose box or D passes INT64_MAX.
-    The series stops at that switch instead when the Python-int rows of
-    the next set could outgrow the memory cap.
+    T_n = P^(n-1) E held as Python ints.  As 0 is in E, the boxes are
+    nested and known first: lo_n = D lo_(n-1) + min T_n, and the same with
+    max.  The coordinates of a box are cut into limbs (_limbs): runs of
+    consecutive coordinates, first most significant, whose sub-box times D
+    fits in int64, each held as one int64 mixed-radix digit sum.  A phase
+    is a run of steps whose boxes need the same number of limbs L, and it
+    uses the limbs of its last box, looked ahead to; so no step rescales
+    its keys.  For x in the box, each limb of D x + t is D limb(x) + c(t),
+    with no carry between limbs and no division.  A step is one such sum
+    per translate and one dedupe: at L = 1 a merge of the |E| sorted runs
+    (_dedupe_runs), past it _dedupe_int on the L limb columns.  When L
+    grows, S is re-encoded once (_recode).  From the first box where one
+    coordinate's D * span alone passes int64, S_n is an array of coordinate
+    rows, int64, and Python ints (dtype object) from the first step whose
+    box or D passes INT64_MAX.
+
+    Before a step allocates anything it is charged against
+    ALGDYN_MEM_CAP_MB: its |E| |S_(n-1)| candidates at 8 bytes a limb or
+    int64 coordinate, 128 a Python-int coordinate, with their lexsort copy,
+    the sort's permutation, the dedupe mask and the distinct rows, and
+    S_(n-1) with D S_(n-1).  A step over the cap ends the series at n - 1
+    with a partial-series note; before its second term, MemoryCapError.
     """
     if n_max < 2 or diff_window < 1:
         raise ValueError("the estimate needs n_max >= 2 and diff_window >= 1")
@@ -243,48 +334,41 @@ def peters_entropy(
 
     cap = torus.mem_cap_bytes()
     sizes, truncated = [], False
-    T, lo, hi = [list(b) for b in E], [0] * k, [0] * k
-    keys, rows = np.zeros(1, dtype=np.int64), None  # S_0 = {0}
-    for n in range(1, n_max + 1):
-        if n > 1:
-            T = [[sum(p * x for p, x in zip(row, t)) for row in P] for t in T]
-        tmin = [min(col) for col in zip(*T)]
-        old_lo, old_spans = lo, [b - a + 1 for a, b in zip(lo, hi)]
-        lo = [D * a + m for a, m in zip(lo, tmin)]
-        hi = [D * a + max(col) for a, col in zip(hi, zip(*T))]
-        spans = [b - a + 1 for a, b in zip(lo, hi)]
-        old_strides, strides = ([math.prod(s[j + 1:]) for j in range(k)] for s in (old_spans, spans))
-        if keys is not None and max(D, strides[0] * spans[0]) <= INT64_MAX:
-            # the digits of D x are D y_j, so its key is D (key + sum_j y_j (s_j - s'_j))
-            base = keys if D == 1 else keys * D
-            for j in range(k - 1):
-                if old_spans[j] > 1 and strides[j] != old_strides[j]:
-                    digit = keys // old_strides[j]
-                    if j:
-                        digit %= old_spans[j]
-                    base = base + digit * (D * (strides[j] - old_strides[j]))
-            merged = np.empty(len(T) * len(base), dtype=np.int64)
-            for run, t in zip(np.split(merged, len(T)), T):
-                np.add(base, sum((v - m) * s for v, m, s in zip(t, tmin, strides)), out=run)
-            merged.sort(kind="stable")  # a merge of the |E| sorted runs
-            keep = np.ones(len(merged), dtype=bool)
-            np.not_equal(merged[1:], merged[:-1], out=keep[1:])
-            keys = merged[keep]
-            charge = len(keys) * k * 8 * (len(E) + 2)  # as for int64 rows
-        else:
-            if keys is not None:  # the box outgrew the keys: unpack S_(n-1) once
-                digits = [keys // s % t for s, t in zip(old_strides, old_spans)]
-                rows, keys = np.stack(digits, axis=1) + np.array(old_lo, dtype=np.int64), None
-            if rows.dtype != object and max(D, -min(lo), max(hi)) > INT64_MAX:
-                if len(rows) * len(E) * k * 128 > cap:
-                    truncated = True
-                    break
-                rows = rows.astype(object)
-            rows = _dedupe_int(np.concatenate([D * rows + t for t in np.array(T, dtype=rows.dtype)]))
-            charge = len(rows) * k * 128 if rows.dtype == object else rows.nbytes * (len(E) + 2)
-        sizes.append(len(rows if keys is None else keys))
-        if charge > cap:
-            truncated = True
+    lay = _limbs([0] * k, [0] * k, D)  # S_0 = {0}, the one point of its box
+    S = np.zeros((1, k if lay is None else 1), dtype=np.int64)
+    boxes = ((box, _limbs(box[1], box[2], D)) for box in _boxes(P, D, E, n_max))
+    for L, phase in itertools.groupby(boxes, key=lambda b: b[1] and len(b[1].groups)):
+        # a phase of L limbs is read to its end, for the limbs of its last box;
+        # coordinate rows (L None) are stepped one box at a time
+        phase = list(phase) if L else phase
+        new = phase[-1][1] if L else None
+        for (T, lo, hi), _ in phase:
+            big = new is None and (S.dtype == object or max(D, -min(lo), max(hi)) > INT64_MAX)
+            cols = k if new is None else len(new.groups)
+            width = (128 if big else 8) * cols  # bytes of one candidate
+            # held: S_(n-1) and D S_(n-1); per candidate: itself (width), its lexsort
+            # copy and the distinct row it may become (8 bytes a column each), the
+            # sort's permutation (8), the mask and its comparison (cols + 1)
+            if len(S) * (2 * width + len(E) * (width + 17 * cols + 9)) > cap:
+                truncated = True
+                break
+            if lay is not new:  # rows are the limbs of lo = 0, one coordinate a limb
+                rows = _Limbs([0] * k, None, [1] * k, [[j, j + 1] for j in range(k)])
+                S, lay = _recode(S, lay, new or rows), new
+            if big and S.dtype != object:
+                S = S.astype(object)
+            if new is None:
+                offsets = np.array(T, dtype=S.dtype)
+            else:  # limb g of D x + t is D limb_g(x) + sum_{j in g} ((D - 1) lo_j + t_j) s_j
+                offsets = np.array([[sum(((D - 1) * new.lo[j] + t[j]) * new.strides[j] for j in range(a, b))
+                                     for a, b in new.groups] for t in T], dtype=np.int64)
+            base = S if D == 1 else S * D
+            merged = np.empty((len(T) * len(S), S.shape[1]), dtype=S.dtype)
+            for run, c in zip(np.split(merged, len(T)), offsets):
+                np.add(base, c, out=run)
+            S = _dedupe_runs(merged.reshape(-1))[:, None] if S.shape[1] == 1 else _dedupe_int(merged)
+            sizes.append(len(S))
+        if truncated:
             break
 
     if len(sizes) < 2:

@@ -423,8 +423,11 @@ def _grid(nums: _sparse.Box, den: int, m: int, radius: int) -> np.ndarray:
 def _seed_radius(seed: np.ndarray, norm: int, tol: float, radius_cap: int) -> int:
     """The smallest radius R with norm times the seed's l1 mass between the
     max-norm radii R and radius_cap, summed over the entries and sphere by
-    sphere, at most tol / 4 (radius_cap qualifies).  The grid's sites past
-    radius_cap, its aliasing and float noise, are cut by every R alike.
+    sphere, at most tol / 4 (radius_cap qualifies).  norm is A's largest
+    row sum max_t sum_j ||A_tj||_1: the cut T of the seed adds at most
+    ||T A||_1 <= ||T||_1 max_t sum_j ||A_tj||_1 to the residual.  The
+    grid's sites past radius_cap, its aliasing and float noise, are cut by
+    every R alike.
     Floats only propose R: the exact residual decides."""
     m = seed.shape[-1]
     axis = np.minimum(np.arange(m), m - np.arange(m))  # |e| of the site e mod m nearest 0
@@ -489,8 +492,8 @@ def matrix_l1_inverse(
     inverted pointwise on a uniform grid sized from radius_cap.  It is cut
     to the max-norm ball of radius R, the smallest R <= radius_cap whose
     seed mass between R and radius_cap, summed over the entries, times
-    ||A||_1 is at most tol / 4 (_seed_radius); ||.||_1 sums the entries'
-    l1 norms and is submultiplicative.  Each refinement step subtracts
+    A's largest row sum of l1 norms is at most tol / 4 (_seed_radius);
+    ||.||_1 sums the entries' l1 norms.  Each refinement step subtracts
     (G A - I) G0 cut to the ball, float64 FFT products of the exact
     residual G A - I.  It stops once r = ||G A - I||_1 <= tol, or when a
     step fails to halve r (the truncation floor), keeping the better of
@@ -528,7 +531,7 @@ def matrix_l1_inverse(
     else:
         inv = np.moveaxis(np.linalg.inv(np.moveaxis(vals, (0, 1), (-2, -1))), (-2, -1), (0, 1))
     seed = (np.fft.fftn(inv, axes=range(2, 2 + d)) / (m ** d)).real
-    R = _seed_radius(seed, A.l1_norm(), tol, radius_cap)
+    R = _seed_radius(seed, max(sum(e.l1_norm() for e in row) for row in A.entries), tol, radius_cap)
     g, den, r = _refined(A, seed, R, tol)
     if r > tol and R < radius_cap:  # the proposal fell short: the cap's computation
         R = radius_cap

@@ -12,6 +12,7 @@ from algdyn.entropy import (
     PACKING_FAMILY_CAP,
     CompanionModule,
     _dedupe_int,
+    _dedupe_runs,
     duality_check,
     mahler_measure,
     packing_lower_bound,
@@ -248,6 +249,15 @@ def test_dedupe_matches_np_unique(rows):
     assert list(map(tuple, got.tolist())) == sorted(set(map(tuple, big.tolist())))
 
 
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.int64, st.integers(0, 60), elements=st.integers(-3, 3)), st.integers(1, 4))
+def test_dedupe_runs_matches_np_unique(keys, runs):
+    # sorted runs, as a counting step builds them, and the same as one unsorted array
+    parts = [np.sort(part) for part in np.array_split(keys, runs)]
+    assert np.array_equal(_dedupe_runs(np.concatenate(parts)), np.unique(keys))
+    assert np.array_equal(_dedupe_runs(keys.copy()), np.unique(keys))
+
+
 def test_peters_memory_cap(monkeypatch):
     monkeypatch.setenv("ALGDYN_MEM_CAP_MB", "1")
     cm = CompanionModule(parse_element("u1^2 - u1 - 1"))
@@ -328,6 +338,19 @@ def _peters_inputs(draw):
 @example(([[2**22 + 1, 2**22], [2**22, 2**22 - 1]], False, [[0, 0], [1, 0], [0, 1]], 5))
 # D = 2^20: the rows leave int64 at n = 5, by D^(n-1) b
 @example(([[2**20, 1], [0, 1]], True, [[0, 0], [1, 0], [1, 1]], 6))
+# one limb for n <= 3, two limbs from n = 4 (a re-encode mid-series), rows from n = 5
+@example(([[2**16 + 1, 2**16], [2**16, 2**16 - 1]], False, [[0, 0], [1, 0], [0, 1]], 6))
+# D = 2^10: at n = 4 the box fits in int64 but D times it does not, so two
+# limbs, a step before the box itself passes int64
+@example(([[2**10, 1], [0, 1]], True, [[0, 0], [1, 0], [1, 1]], 6))
+# two limbs at n = 3, then a coordinate whose own span passes int64 while its
+# entries fit: int64 coordinate rows at n = 4, Python ints from n = 5
+@example(([[2**20 + 1, 2**20], [2**20, 2**20 - 1]], False, [[0, 0], [1, 0], [0, 1]], 6))
+# D = 2^12 and k = 3: one, two, then three limbs, and rows at n = 6
+@example(([[2**12, 1, 0], [0, 1, 1], [1, 0, 1]], True, [[0, 0, 0], [1, 0, 0], [0, 1, 1]], 6))
+# k = 1 and D = 2^40: one-column rows from n = 2, Python ints from n = 3,
+# each step still a merge of sorted runs
+@example(([[2**40]], True, [[0], [1], [3]], 5))
 def test_peters_counts_equal_a_brute_force_set_oracle(inputs):
     M, rational, E, n_max = inputs
     est = peters_entropy(M, E_seed=E, n_max=n_max, rational=rational)
@@ -380,8 +403,8 @@ def _companion_counts(P, n_max):
 def test_peters_stays_on_int64_while_the_held_entries_allow(monkeypatch):
     # ||M^-1||_inf = 2 > rho(M^-1) = 1: the a-priori bound 2^n passes 2^63 - 1
     # at n = 63, but the entries of S_n grow only linearly, so the box of S_70
-    # holds far fewer than 2^63 points and every step stays on the int64 keys.
-    # Every step on rows, int64 or Python ints, goes through _dedupe_int.
+    # holds far fewer than 2^63 points and every step stays on one limb.
+    # Every step on more limbs or on rows goes through _dedupe_int.
     from algdyn import entropy
 
     def rows_tier(rows):
@@ -394,7 +417,7 @@ def test_peters_stays_on_int64_while_the_held_entries_allow(monkeypatch):
 
 
 # The polynomials of the benchmark's counting workload (coefficients low to
-# high), each with its image f(-x) made monic again.
+# high), each with its image f(-x) made monic again, and the workload's nmax.
 _COUNTING_FIXTURES = [
     [-1, -1, -1, 1], [1, -1, 1, 1],
     [1, 0, -1, 1, 1], [1, 0, -1, -1, 1],
@@ -405,13 +428,85 @@ _COUNTING_FIXTURES = [
     [-1, -2, -1, 0, 1], [-1, 2, -1, 0, 1],
     [1, -2, -2, 1], [-1, -2, 2, 1],
 ]
+_COUNTING_NMAX = [13, 13, 14, 14, 22, 22, 16, 16, 19, 19, 22, 22, 18, 18, 16, 16]
+
+
+def _companion(coeffs):
+    return CompanionModule(E(1, {(i,): c for i, c in enumerate(coeffs) if c}))
 
 
 @pytest.mark.parametrize("coeffs", _COUNTING_FIXTURES)
 def test_peters_counts_the_counting_fixtures_like_the_set_recursion(coeffs):
-    cm = CompanionModule(E(1, {(i,): c for i, c in enumerate(coeffs) if c}))
+    cm = _companion(coeffs)
     est = peters_entropy(cm, n_max=12)
     assert [row["count"] for row in est.series] == _companion_counts(cm.Minv, 12)
+
+
+@pytest.mark.parametrize("coeffs, nmax", zip(_COUNTING_FIXTURES, _COUNTING_NMAX))
+def test_peters_counts_the_counting_fixtures_on_one_limb(coeffs, nmax, monkeypatch):
+    # at the workload's nmax every step is one merge of sorted int64 runs
+    from algdyn import entropy
+
+    def more_limbs(rows):
+        raise AssertionError(f"a step left one limb for {rows.shape[1]} columns")
+
+    monkeypatch.setattr(entropy, "_dedupe_int", more_limbs)
+    est = peters_entropy(_companion(coeffs), n_max=nmax)
+    assert est.parameters["n_reached"] == nmax and est.notes == ""
+
+
+def test_peters_u1_60_counts_on_two_limbs_not_60_coordinates(monkeypatch):
+    # the box of S_20 needs two limbs: _dedupe_int sorts 2 columns, not 60
+    from algdyn import entropy
+
+    widths = []
+
+    def spy(rows):
+        widths.append(rows.shape)
+        return _dedupe_int(rows)
+
+    monkeypatch.setattr(entropy, "_dedupe_int", spy)
+    est = peters_entropy(CompanionModule(parse_element("u1^60 - u1 - 1")), n_max=20)
+    assert [row["count"] for row in est.series] == [2**n for n in range(1, 21)]
+    assert widths == [(2**20, 2)]
+
+
+@pytest.mark.parametrize("inputs", [
+    (CompanionModule(parse_element("u1^2 - u1 - 1")), {}),
+    ([[2**16 + 1, 2**16], [2**16, 2**16 - 1]], {"E_seed": [[0, 0], [1, 0], [0, 1]]}),
+    ([[2**20 + 1, 2**20], [2**20, 2**20 - 1]], {"E_seed": [[0, 0], [1, 0], [0, 1]]}),
+    (CompanionModule(parse_element(f"u1^2 - {2**40}*u1 - 1")), {}),
+])
+def test_peters_charges_a_step_before_it_allocates(inputs, monkeypatch):
+    # one limb, two limbs and coordinate rows (int64 and Python ints): under a
+    # 1 MB cap no candidate array over the cap reaches a dedupe, and the
+    # traced peak of the whole series stays under the cap
+    import tracemalloc
+
+    from algdyn import entropy
+
+    cap = 1 << 20
+    monkeypatch.setenv("ALGDYN_MEM_CAP_MB", "1")
+    seen = []
+
+    def spy(dedupe):
+        def checked(a):
+            seen.append(a.nbytes)
+            assert a.nbytes <= cap
+            return dedupe(a)
+        return checked
+
+    monkeypatch.setattr(entropy, "_dedupe_runs", spy(_dedupe_runs))
+    monkeypatch.setattr(entropy, "_dedupe_int", spy(_dedupe_int))
+    cm, kwargs = inputs
+    tracemalloc.start()
+    try:
+        est = peters_entropy(cm, n_max=60, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.notes == "memory cap reached; partial series"
+    assert len(seen) == est.parameters["n_reached"] and peak <= cap
 
 
 @pytest.mark.parametrize("poly", ["u1^2 - u1 - 1", "u1^3 - 2*u1^2 + u1 - 1", "u1^2 + 1"])
