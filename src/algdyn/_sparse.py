@@ -2,8 +2,8 @@
 
 A finitely supported v: Z^d -> Q is stored as integers together with one
 positive int den, standing for v(e) = nums[e] / den, in one of two forms.
-Every operation below is integer arithmetic; Fraction objects are built
-only by scale and unscale, at the boundary.
+Every operation below is integer arithmetic; a caller that wants rationals
+reads Fraction(n, den) off the numerators itself.
 
 * Sparse: a dict from exponent tuples to nonzero ints.  A group-ring
   element's terms are such a dict with den 1, so conv, vecmat (group-ring
@@ -28,26 +28,10 @@ from __future__ import annotations
 import functools
 import math
 import os
-from fractions import Fraction
 from operator import add, sub
 from typing import NamedTuple
 
 import numpy as np
-
-
-def scale(vectors) -> tuple[list[dict], int]:
-    """Numerators of several rational dicts over their least common denominator."""
-    den = 1
-    for v in vectors:
-        for c in v.values():
-            q = c.denominator
-            if den % q:
-                den = den // math.gcd(den, q) * q
-    return [{e: c.numerator * (den // c.denominator) for e, c in v.items()} for v in vectors], den
-
-
-def unscale(nums: dict, den: int) -> dict:
-    return {e: Fraction(n, den) for e, n in nums.items()}
 
 
 def conv(a: dict, b: dict) -> dict:

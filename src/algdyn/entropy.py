@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -305,7 +306,8 @@ def peters_entropy(
 
     Before a step allocates anything it is charged against
     ALGDYN_MEM_CAP_MB: its |E| |S_(n-1)| candidates at 8 bytes a limb or
-    int64 coordinate, 128 a Python-int coordinate, with their lexsort copy,
+    int64 coordinate, and for a Python-int coordinate 8 plus the size of an
+    int as large as the box's largest coordinate or D, with their lexsort copy,
     the sort's permutation, the dedupe mask and the distinct rows, and
     S_(n-1) with D S_(n-1).  A step over the cap ends the series at n - 1
     with a partial-series note; before its second term, MemoryCapError.
@@ -343,9 +345,11 @@ def peters_entropy(
         phase = list(phase) if L else phase
         new = phase[-1][1] if L else None
         for (T, lo, hi), _ in phase:
-            big = new is None and (S.dtype == object or max(D, -min(lo), max(hi)) > INT64_MAX)
             cols = k if new is None else len(new.groups)
-            width = (128 if big else 8) * cols  # bytes of one candidate
+            top = max(D, -min(lo), max(hi)) if new is None else 0  # coordinate rows only
+            big = S.dtype == object or top > INT64_MAX
+            # bytes of one candidate: a Python-int coordinate is a pointer and an int of top's size
+            width = (8 + sys.getsizeof(top) if big else 8) * cols
             # held: S_(n-1) and D S_(n-1); per candidate: itself (width), its lexsort
             # copy and the distinct row it may become (8 bytes a column each), the
             # sort's permutation (8), the mask and its comparison (cols + 1)

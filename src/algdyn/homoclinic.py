@@ -19,6 +19,7 @@ in [-1/2, 1/2), making the torus distance to zero equal to |value|.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,6 +31,7 @@ from .groupring import (
     GroupRingElement,
     GroupRingMatrix,
     _as_exponent,
+    norm_sites,
 )
 from . import _sparse, torus
 from ._report import Report, plain
@@ -92,19 +94,25 @@ class LiftedPoint:
         return list(zip(*self.nums.sites(self._support()).T.tolist()))
 
     def _take(self, sites) -> np.ndarray:
-        """The numerators at each site tuple (0 off the support), read through the
-        fold, as a (k, len(sites)) object array: the one read of the storage."""
-        sites = np.array(sites, dtype=object).reshape(-1, self.d)
+        """The numerators at each site (0 off the support), read through the
+        fold, as a (k, len(sites)) object array: the one read of the storage,
+        and its one site check, as sites other than d-tuples of ints go
+        through norm_sites."""
+        d = self.d
+        if ({tuple} != set(map(type, sites)) or {d} != set(map(len, sites))
+                or {int} != set(map(type, itertools.chain.from_iterable(sites)))):
+            sites = norm_sites(sites, d)
+        sites = np.array(sites, dtype=object).reshape(-1, d)
         if self.periodic_basis is not None:
             sites = self._fold(sites)
         return self.nums.take(sites)
 
     def lift_at(self, e) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, self.den) for n in self._take([_as_exponent(e, self.d)])[:, 0])
+        return tuple(Fraction(n, self.den) for n in self._take([e])[:, 0])
 
     def value(self, e) -> tuple[float, ...]:
         """Coordinates at site e, reduced to [-1/2, 1/2)."""
-        return tuple(self.values([_as_exponent(e, self.d)])[0].tolist())
+        return tuple(self.values([e])[0].tolist())
 
     def lift_array(self, sites) -> np.ndarray:
         """The float lift at each site tuple, as a (len(sites), k) array."""

@@ -353,16 +353,14 @@ def certify_matrix_invertible(A: GroupRingMatrix, m: int | None = None) -> Torus
 # -- truncated l1 inverses ---------------------------------------------------
 
 
-# Fraction-in, Fraction-out convolutions on the integer core; the package no
-# longer calls them, but perfbench/tracing.py wraps both by name.
+# Fraction dict convolutions: _sparse.conv is exact on Fraction values too.
+# The package no longer calls them, but perfbench/tracing.py wraps both by name.
 def conv_with_element(g: dict[tuple[int, ...], Fraction], f: GroupRingElement) -> dict:
-    (num,), den = _sparse.scale([g])
-    return _sparse.unscale(_sparse.conv(num, f.terms), den)
+    return _sparse.conv(g, f.terms)
 
 
 def conv_frac(a: dict, b: dict) -> dict:
-    (na, nb), den = _sparse.scale([a, b])
-    return _sparse.unscale(_sparse.conv(na, nb), den * den)
+    return _sparse.conv(a, b)
 
 
 def _check_positive(name: str, value: float) -> None:

@@ -76,6 +76,11 @@ def frac_center(v: Fraction) -> Fraction:
     return v - math.floor(v + Fraction(1, 2))
 
 
+def fractions(nums: dict, den: int) -> dict:
+    """The numerator dict nums over den as a dict of Fractions."""
+    return {e: Fraction(n, den) for e, n in nums.items()}
+
+
 def box_of(cells: list, d: int) -> _sparse.Box:
     """A box of numerators holding the dicts cells (a point's components, or
     a list of rows of an inverse's entries) over the hull of their sites,

@@ -53,6 +53,19 @@ def test_expansive_unknown_exit_two(capsys):
     assert json.loads(out)["report"]["verdict"] == "Unknown"
 
 
+def test_expansive_matrix_past_the_det_cap_is_unknown_exit_two(tmp_path, capsys, monkeypatch):
+    from algdyn import groupring
+
+    monkeypatch.setattr(groupring, "DET_TERM_CAP", 2)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps([["2 - u1 + u1^2", "1 + u1"], ["3 + u1^-1", "2 - u1"]]))
+    code, out = run_cli(capsys, ["expansive", "--matrix", str(path)])
+    assert code == 2
+    rep = json.loads(out)["report"]
+    assert rep["verdict"] == "Unknown" and rep["expansive_constant"] is None
+    assert rep["note"] == "an elimination entry of 4 terms exceeds the cap of 2 terms"
+
+
 def test_entropy_mahler(capsys):
     code, out = run_cli(
         capsys, ["entropy", "--method", "mahler", "--poly", "u1 - 2", "--grid", "65536"]

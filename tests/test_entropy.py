@@ -476,6 +476,8 @@ def test_peters_u1_60_counts_on_two_limbs_not_60_coordinates(monkeypatch):
     ([[2**16 + 1, 2**16], [2**16, 2**16 - 1]], {"E_seed": [[0, 0], [1, 0], [0, 1]]}),
     ([[2**20 + 1, 2**20], [2**20, 2**20 - 1]], {"E_seed": [[0, 0], [1, 0], [0, 1]]}),
     (CompanionModule(parse_element(f"u1^2 - {2**40}*u1 - 1")), {}),
+    # coordinates of thousands of digits, charged at their size
+    (CompanionModule(parse_element(f"u1^2 - {10**200}*u1 - 1")), {}),
 ])
 def test_peters_charges_a_step_before_it_allocates(inputs, monkeypatch):
     # one limb, two limbs and coordinate rows (int64 and Python ints): under a

@@ -12,12 +12,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from algdyn import _sparse
 from algdyn.groupring import GroupRingElement, GroupRingMatrix, parse_element
 from algdyn.homoclinic import HomoclinicPoint, LiftedPoint, fundamental_homoclinic, group_element, max_distance
 from algdyn.independence import ShadowBlock, ShadowRequest, greedy_separated_subset, shadow
 from algdyn.torus import MatrixL1Inverse
-from conftest import DictLift, box_of, cells_of, frac_center, lift_of, pairings
+from conftest import DictLift, box_of, cells_of, frac_center, fractions, lift_of, pairings
 from test_independence import specification_read
 
 
@@ -245,7 +244,7 @@ def test_inverse_mass_by_radius_sums_the_entries_by_radius(A):
     expected = {}
     for row in cells_of(inv.nums):
         for cell in row:
-            for e, c in _sparse.unscale(cell, inv.den).items():
+            for e, c in fractions(cell, inv.den).items():
                 expected[max(map(abs, e))] = expected.get(max(map(abs, e)), 0) + abs(c)
     by_radius, den = inv.mass_by_radius()
     assert {r: Fraction(n, den) for r, n in by_radius.items()} == expected

@@ -56,6 +56,31 @@ def test_mul_square_of_symmetric():
     assert f * f == expected
 
 
+def test_pow_is_repeated_product():
+    f = parse_element("2 - u1 + u1^-1*u2")
+    acc = E.one(2)
+    for n in range(6):
+        assert f ** n == acc
+        acc = acc * f
+    assert f ** 0 == E.one(2) and E.zero(1) ** 0 == E.one(1)
+    with pytest.raises(ValueError, match="negative powers"):
+        f ** -1
+
+
+def test_support_is_the_sorted_exponents():
+    assert parse_element("3*u1^2 - u1^-1 + 5").support() == [(-1,), (0,), (2,)]
+    assert parse_element("u1*u2 - u2^-1").support() == [(0, -1), (1, 1)]
+    assert E.zero(3).support() == []
+
+
+def test_matrix_add_is_entrywise():
+    A = GroupRingMatrix.from_obj([["2 - u1", "u1^-1"], ["0", "1 + u1"]])
+    B = GroupRingMatrix.from_obj([["u1", "3"], ["u1^2", "-1 - u1"]])
+    assert A + B == GroupRingMatrix.from_obj([["2", "u1^-1 + 3"], ["u1^2", "0"]])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        A + GroupRingMatrix.from_obj([["1", "u1"]])
+
+
 def test_involution_examples():
     assert (u() - 2).star() == u(-1) - 2
     f = parse_element("3 - u1 - u1^-1")

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from algdyn.homoclinic import (
     delta1_membership,
     fundamental_homoclinic,
     group_element,
+    max_distance,
     membership_tolerance,
 )
 from algdyn.independence import interaction_radius, inverse_tail_radius
@@ -111,6 +113,38 @@ def test_group_element_value_closed_form(A_sym):
     x = group_element(A_sym, parse_element("1 + u1"))
     expected = (1 + R_SYM) / math.sqrt(5)
     assert x.value(0)[0] == pytest.approx(math.remainder(expected, 1.0), abs=1e-9)
+
+
+@pytest.mark.parametrize("site, message", [
+    ((0.7,), "an exponent must be an integer, got 0.7"),
+    ((0, 1), "exponent (0, 1) has length 2, expected 1"),
+    ((True,), "an exponent must be an integer, got True"),
+    ("0", "an exponent must be an integer, got '0'"),
+])
+def test_every_reader_refuses_a_malformed_site(A_sym, site, message):
+    # the batched readers check a site as value and lift_at do, with
+    # norm_sites' errors, rather than truncating 0.7 or splitting (0, 1)
+    (x,) = fundamental_homoclinic(A_sym)
+    readers = [x.values, x.lift_array, lambda s: max_distance(x, x, s),
+               lambda s: x.value(s[-1]), lambda s: x.lift_at(s[-1])]
+    for read in readers:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read([(0,), site])
+
+
+def test_readers_take_bare_ints_in_d1_and_numpy_ints(A_sym):
+    (x,) = fundamental_homoclinic(A_sym)
+    sites = [(n,) for n in range(-3, 4)]
+    for read in (x.values, x.lift_array):
+        ref = read(sites)
+        assert ref.shape == (7, 1)
+        for same in ([n for n, in sites], [(np.int64(n),) for n, in sites], np.arange(-3, 4)[:, None]):
+            assert (read(same) == ref).all()
+    assert x.value(np.int64(2)) == x.value(2) == x.value((2,))
+    (y,) = fundamental_homoclinic(GroupRingMatrix([[parse_element("5 - u1 - u1^-1 - u2 - u2^-1")]]))
+    sites = [(1, -2), (0, 0), (3, 1)]
+    assert (y.values(np.array(sites)) == y.values(sites)).all()
+    assert y.lift_at(np.array([1, -2], dtype=np.int32)) == y.lift_at((1, -2))
 
 
 def test_shift_equivariance_exact(A_sym):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from algdyn import _kernels, _sparse, torus
 from algdyn.groupring import GroupRingElement, GroupRingMatrix, ball, parse_element
-from conftest import box_of, cells_of, frac_center, solve_rational
+from conftest import box_of, cells_of, frac_center, fractions, solve_rational
 
 
 @st.composite
@@ -41,8 +41,8 @@ def test_conv_matches_fraction_convolution(data, da, db):
     d = data.draw(st.integers(1, 3))
     a = data.draw(int_vectors(d))
     b = data.draw(int_vectors(d))
-    fa, fb = _sparse.unscale(a, da), _sparse.unscale(b, db)
-    assert _sparse.unscale(_sparse.conv(a, b), da * db) == _frac_conv(fa, fb)
+    fa, fb = fractions(a, da), fractions(b, db)
+    assert fractions(_sparse.conv(a, b), da * db) == _frac_conv(fa, fb)
     assert all(_sparse.conv(a, b).values())
     assert torus.conv_frac(fa, fb) == _frac_conv(fa, fb)
     assert torus.conv_with_element(fa, GroupRingElement(d, b)) == _frac_conv(fa, b)
@@ -95,11 +95,11 @@ def test_box_conv_matches_conv(data):
 
 @settings(max_examples=150, deadline=None)
 @given(int_vectors(), int_vectors(), dens, dens, st.sampled_from([1, -1]))
-def test_scale_add_unscale_matches_fraction_sum(a, b, da, db, sign):
-    fa, fb = _sparse.unscale(a, da), _sparse.unscale(b, db)
-    (na, nb), den = _sparse.scale([fa, fb])
-    assert _sparse.unscale(na, den) == fa
-    got = _sparse.unscale(_sparse.add_to(dict(na), nb, sign), den)
+def test_add_to_matches_fraction_sum(a, b, da, db, sign):
+    # both numerator dicts over the common denominator da * db, summed in integers
+    fa, fb = fractions(a, da), fractions(b, db)
+    na, nb = ({e: n * m for e, n in v.items()} for v, m in ((a, db), (b, da)))
+    got = fractions(_sparse.add_to(na, nb, sign), da * db)
     ref = {e: fa.get(e, 0) + sign * fb.get(e, 0) for e in set(fa) | set(fb)}
     assert got == {e: c for e, c in ref.items() if c}
 
@@ -323,7 +323,7 @@ def test_matrix_inverse_equals_fraction_reference():
         assert steps >= 1
         inv = torus.matrix_l1_inverse(A, tol, radius)
         assert inv.radius == radius
-        assert [[_sparse.unscale(cell, inv.den) for cell in row] for row in cells_of(inv.nums)] == G
+        assert [[fractions(cell, inv.den) for cell in row] for row in cells_of(inv.nums)] == G
         assert inv.residual == residual
         assert inv.tail_bound == tail
         assert inv.converged == converged

@@ -27,7 +27,7 @@ from algdyn.torus import (
     lipschitz_bound,
     matrix_l1_inverse,
 )
-from conftest import cells_of, random_element
+from conftest import cells_of, fractions, random_element
 
 E = GroupRingElement
 
@@ -571,7 +571,7 @@ def test_matrix_seed_grids_are_charged_before_they_are_built(monkeypatch):
 
 def _entry(inv, i, j):
     """Entry (i, j) of a truncated matrix inverse as a dict of Fractions."""
-    return _sparse.unscale(cells_of(inv.nums)[i][j], inv.den)
+    return fractions(cells_of(inv.nums)[i][j], inv.den)
 
 
 def test_matrix_inverse_identity():
