@@ -125,7 +125,7 @@ def run_homoclinic(args: argparse.Namespace) -> tuple[dict, int]:
         "point": x.to_obj(),
         "delta1": cert.to_obj(),
         "annihilation_residual": residual,
-        "membership_tolerance": homoclinic.membership_tolerance(x, args.tol),
+        "membership_tolerance": homoclinic.membership_tolerance(x),
         "window_size": len(x.support()),
     }, OK
 

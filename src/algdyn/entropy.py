@@ -145,9 +145,9 @@ class CompanionModule:
     M e_j = e_{j+1} for j < k-1 and M e_{k-1} = -(p_0, ..., p_{k-1}), so
     M^-1 e_{j+1} = e_j and M^-1 e_0 = -p_0 (p_1, ..., p_{k-1}, 1), as
     1/p_0 = p_0 for p_0 = +-1: the inverse is written down, not eliminated.
-    M and M^-1 are lists of rows of Python ints.  Both k x k matrices must
-    fit in ALGDYN_MEM_CAP_MB at 8 bytes an entry, counted in whole
-    megabytes, or MemoryCapError is raised before either is built.
+    M and M^-1 are lists of rows of Python ints.  Both k x k matrices, at
+    8 bytes an entry, are charged against ALGDYN_MEM_CAP_MB before either is
+    built (_sparse.charge).
     """
 
     def __init__(self, f: GroupRingElement):
@@ -166,11 +166,7 @@ class CompanionModule:
         c0 = poly.get(0, 0)
         if abs(c0) != 1:
             raise ValueError("constant term not a unit")
-        need_mb = 2 * k * k * 8 >> 20  # M and M^-1 at 8 bytes an entry, in whole MB
-        if need_mb > torus.mem_cap_bytes() >> 20:
-            raise torus.MemoryCapError(
-                f"companion matrices of degree {k} need {need_mb} MB, over ALGDYN_MEM_CAP_MB"
-            )
+        _sparse.charge(2 * k * k * 8, f"companion matrices of degree {k}")
         self.f = f
         self.degree = k
         p = [poly.get(i, 0) for i in range(k)] + [1]
@@ -334,7 +330,7 @@ def peters_entropy(
     if len(E) < 2:
         raise ValueError("seed set must contain a nonzero generator")
 
-    cap = torus.mem_cap_bytes()
+    cap = _sparse.mem_cap_bytes()
     sizes, truncated = [], False
     lay = _limbs([0] * k, [0] * k, D)  # S_0 = {0}, the one point of its box
     S = np.zeros((1, k if lay is None else 1), dtype=np.int64)
@@ -376,7 +372,7 @@ def peters_entropy(
             break
 
     if len(sizes) < 2:
-        raise torus.MemoryCapError(
+        raise _sparse.MemoryCapError(
             "the counting set outgrew ALGDYN_MEM_CAP_MB at n = 1; the estimate needs two terms"
         )
     logs = [math.log(s) for s in sizes]

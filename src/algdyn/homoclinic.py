@@ -289,13 +289,13 @@ def annihilation_residual(x: HomoclinicPoint) -> float:
     return max(np.abs(_sparse.center(cols.a, x.den)).flat, default=0) / x.den
 
 
-def membership_tolerance(x: HomoclinicPoint, tol: float = 1e-10) -> float:
-    """||m||_1 tol for the provenance m of x: the bound annihilation_residual(x)
-    meets whenever the inverse of x converged to tol.  The lift times A* is
-    m - m E with E = I - G A*, whose entries have l1 norm at most the
-    inverse's residual.  Both sides are rounded once to nearest from their
-    exact values, so rounding cannot flip the comparison."""
-    return float(sum(comp.l1_norm() for comp in x.provenance) * Fraction(tol))
+def membership_tolerance(x: HomoclinicPoint) -> float:
+    """||m||_1 tol for the provenance m of x and the tol of its inverse: the
+    bound annihilation_residual(x) meets whenever that inverse converged.  The
+    lift times A* is m - m E with E = I - G A*, whose entries have l1 norm at
+    most the inverse's residual.  Both sides are rounded once to nearest from
+    their exact values, so rounding cannot flip the comparison."""
+    return float(sum(comp.l1_norm() for comp in x.provenance) * Fraction(x.inverse.tol))
 
 
 @dataclass

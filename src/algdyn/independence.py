@@ -4,8 +4,9 @@ Independence: a homoclinic point x with summable decay yields, for every
 window F, a positive-density subset F1 on which all 2^|F1| on/off patterns
 are realized by explicit points y_sigma = sum_{s in F1} sigma(s) (s^-1 x).
 The target neighborhoods are max-metric cylinders of radius eps over the
-interaction ball K of x, and the density guarantee comes from greedy
-selection: |F1| >= |F| / (2|K'|+1) for the conflict set K' = K - K.
+interaction ball K of x, of max-norm radius R.  The conflict set K - K is
+the ball of radius 2R, so greedy selection keeps the sites more than 2R
+apart, and |F1| >= |F| / (2|K - K|+1) for a window of distinct sites.
 
 Shadowing: prescribed homoclinic blocks on separated windows are traced by
 one point, built exactly as (sum of block provenances) (A*)^-1; gaps are
@@ -28,25 +29,23 @@ from .groupring import GroupRingElement, GroupRingMatrix, as_int, ball, norm_sit
 from .homoclinic import HomoclinicPoint, LiftedPoint, _point, _triangular_basis, max_distance
 
 
-def greedy_separated_subset(F: list, K: list) -> list[tuple[int, ...]]:
-    """Greedy maximal subset F1 of F with (F1 - F1) \\ {0} disjoint from K.
+def greedy_separated_subset(F: list, radius: int) -> list[tuple[int, ...]]:
+    """Greedy maximal subset F1 of F whose sites lie pairwise more than radius
+    apart in the max norm: (F1 - F1) \\ {0} avoids the ball K of that radius.
 
-    Scanning F in the given order guarantees |F1| >= |F| / (2|K|+1): every
-    rejected site lies in K + s or -K + s for some chosen s.
+    Scanning F in the given order guarantees |F1| >= |F| / (2|K|+1) for
+    distinct sites: every rejected site lies in K + s for some chosen s.
     """
-    if not F or not K:
-        raise ValueError("F and K must be nonempty")
-    Kn = norm_sites(K)
-    Fn = norm_sites(F, len(Kn[0]))
-    Kn = set(Kn)
+    if not F:
+        raise ValueError("F must be nonempty")
     chosen: list[tuple[int, ...]] = []
-    for s in Fn:
-        if not any(tuple(map(sub, s, t)) in Kn or tuple(map(sub, t, s)) in Kn for t in chosen):
+    for s in norm_sites(F):
+        if all(max(map(abs, map(sub, s, t))) > radius for t in chosen):
             chosen.append(s)
     return chosen
 
 
-def interaction_radius(x: HomoclinicPoint, eps: float, radius_cap: int = 200) -> int:
+def interaction_radius(x: HomoclinicPoint, eps: float) -> int:
     """Smallest max-norm radius whose outside torus-distance mass is < eps.
 
     The mass is the exact sum of per-site distances to zero over the lift
@@ -58,22 +57,19 @@ def interaction_radius(x: HomoclinicPoint, eps: float, radius_cap: int = 200) ->
     r = _first_radius_below(*x.distance_by_radius(), x.tail_bound, eps)
     if r is None:
         raise ValueError("no interaction ball with tail below eps within the support")
-    if r > radius_cap:
-        raise ValueError(f"the interaction ball needs radius {r} > radius_cap = {radius_cap}")
     return r
 
 
 def separated_window(x: HomoclinicPoint, eps: float, F: list, check) -> tuple[list, int, list]:
     """(sites, R, F1): the window F as sites, the interaction radius R of x
-    at eps, and the greedy subset F1 of F whose differences avoid the
-    conflict ball K - K of radius 2R.  check(n1) is called first, so that
-    the caller can refuse the window before the scan, at the least
-    n1 = |F| / (2|K - K| + 1) the greedy scan guarantees for distinct sites."""
+    at eps, and the greedy subset F1 of F whose sites lie more than 2R apart,
+    off the conflict ball K - K of radius 2R.  check(n1) is called first, so
+    that the caller can refuse the window before the scan, at the least
+    n1 = |F| / (2(4R + 1)^d + 1) the greedy scan guarantees for distinct sites."""
     R = interaction_radius(x, eps)
-    conflict = ball(x.d, 2 * R)
-    check(-(-len(F) // (2 * len(conflict) + 1)))
+    check(-(-len(F) // (2 * (4 * R + 1) ** x.d + 1)))
     sites = norm_sites(F, x.d)
-    return sites, R, greedy_separated_subset(sites, conflict)
+    return sites, R, greedy_separated_subset(sites, 2 * R)
 
 
 def _first_radius_below(by_radius: dict[int, int], den: int, tail: float, bound: float) -> int | None:
@@ -165,7 +161,7 @@ def independence_witnesses(
     """
     Fn, radius, F1 = separated_window(x, eps, F, lambda n1: _pattern_sites(n1, "at least "))
     K = ball(x.d, radius)
-    nf1 = len(F1)  # >= 1: F and the conflict ball are nonempty
+    nf1 = len(F1)  # >= 1: F is nonempty
     _pattern_sites(nf1)
 
     total = 1 << nf1

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import _kernels, _sparse
 from ._report import Report
-from ._sparse import MemoryCapError, charge, mem_cap_bytes
+from ._sparse import MemoryCapError, charge
 from .groupring import GroupRingElement, GroupRingMatrix
 
 DEFAULT_GRID = {1: 1024, 2: 256, 3: 64}
@@ -92,9 +92,10 @@ class MatrixL1Inverse:
     point built from it (compare inverses by identity).  An element's
     inverse is the 1 x 1 case.
 
-    tail_bound bounds the l1 mass of the discarded part, derived a
-    posteriori from the exact residual r = ||G A - I||_1, the l1 norms of
-    the entries summed: if r < 1 it is r ||G||_1 / (1 - r), otherwise inf
+    tol is the tolerance the inverse was refined to, and converged says the
+    exact residual r = ||G A - I||_1, the l1 norms of the entries summed,
+    met it.  tail_bound bounds the l1 mass of the discarded part, derived a
+    posteriori from r: if r < 1 it is r ||G||_1 / (1 - r), otherwise inf
     (no bound certified).  det_certificate is the certificate of the
     determinant's invertibility the inverse rests on.  radius is the
     max-norm radius of the ball the inverse was cut to: at most the radius
@@ -104,7 +105,7 @@ class MatrixL1Inverse:
     nums: _sparse.Box
     den: int
     residual: Fraction
-    converged: bool
+    tol: float
     tail_bound: float
     det_certificate: TorusCertificate
     radius: int
@@ -115,6 +116,10 @@ class MatrixL1Inverse:
     @property
     def k(self) -> int:
         return len(self.nums.a)
+
+    @property
+    def converged(self) -> bool:
+        return self.residual <= self.tol
 
     @functools.cached_property
     def terms(self) -> dict[tuple[int, ...], Fraction]:
@@ -512,7 +517,7 @@ def matrix_l1_inverse(
         (e, c), = A[0, 0].terms.items()
         if abs(c) == 1:  # a monomial unit: its inverse is exact
             unit = _sparse.box_conv([((0, 0), {tuple(-x for x in e): c}, _sparse.unit(d))], (1, 1), d)
-            return MatrixL1Inverse(unit, 1, Fraction(0), True, 0.0, cert, max(map(abs, e)))
+            return MatrixL1Inverse(unit, 1, Fraction(0), tol, 0.0, cert, max(map(abs, e)))
     if cert.verdict != INVERTIBLE:
         raise NotInvertibleError(f"determinant not certified invertible: {cert.verdict}")
 
@@ -534,4 +539,4 @@ def matrix_l1_inverse(
     if r > tol and R < radius_cap:  # the proposal fell short: the cap's computation
         R = radius_cap
         g, den, r = _refined(A, seed, R, tol)
-    return MatrixL1Inverse(g, den, r, r <= tol, _tail(r, g, den), cert, R)
+    return MatrixL1Inverse(g, den, r, tol, _tail(r, g, den), cert, R)

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 from fractions import Fraction
+from operator import sub
 
 import numpy as np
 import pytest
@@ -249,6 +250,19 @@ def det_by_minors(A: GroupRingMatrix) -> GroupRingElement:
         return memo[cols]
 
     return minor(tuple(range(k)))
+
+
+def greedy_separated_by_set(F: list, K: list) -> list[tuple[int, ...]]:
+    """Independent oracle of independence.greedy_separated_subset: the greedy
+    scan over the site tuples F that keeps a site unless its difference with
+    a kept site, either way, lies in the set K; for K a max-norm ball it
+    keeps the same sites as a scan by distance."""
+    Kn = set(K)
+    chosen: list[tuple[int, ...]] = []
+    for s in F:
+        if not any(tuple(map(sub, s, t)) in Kn or tuple(map(sub, t, s)) in Kn for t in chosen):
+            chosen.append(s)
+    return chosen
 
 
 @st.composite

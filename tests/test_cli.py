@@ -446,7 +446,7 @@ def test_os_error_exit_one(tmp_path, monkeypatch, capsys, argv):
 def test_ie_empty_window_exit_one(capsys, poly, eps):
     # --window 0 is the empty window, whatever the interaction radius
     assert main(["ie", "--poly", poly, "--eps", eps, "--window", "0"]) == 1
-    assert capsys.readouterr().err == "error: F and K must be nonempty\n"
+    assert capsys.readouterr().err == "error: F must be nonempty\n"
 
 
 @pytest.mark.parametrize("poly,eps,window,nf1", [

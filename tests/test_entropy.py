@@ -266,9 +266,17 @@ def test_peters_memory_cap(monkeypatch):
     assert est.parameters["n_reached"] < 40
 
 
+def test_companion_matrices_are_charged_in_bytes(monkeypatch):
+    # M and M^-1 of degree 300 need 1.44 MB, over a 1 MB cap though under 2 MB
+    monkeypatch.setenv("ALGDYN_MEM_CAP_MB", "1")
+    with pytest.raises(MemoryCapError, match="^companion matrices of degree 300 needs about 1 MB"):
+        CompanionModule(parse_element("u1^300 - u1 - 1"))
+    assert CompanionModule(parse_element("u1^250 - u1 - 1")).degree == 250  # 1.0 MB fits
+
+
 def test_peters_memory_cap_before_two_terms_raises(monkeypatch):
-    monkeypatch.setenv("ALGDYN_MEM_CAP_MB", "0")
     cm = CompanionModule(parse_element("u1^2 - u1 - 1"))
+    monkeypatch.setenv("ALGDYN_MEM_CAP_MB", "0")
     with pytest.raises(MemoryCapError, match="two terms"):
         peters_entropy(cm, n_max=10)
     with pytest.raises(MemoryCapError, match="two terms"):
@@ -531,7 +539,7 @@ def test_companion_module_still_refuses_other_leading_coefficients():
 def test_peters_stops_before_a_set_of_big_ints_outgrows_the_cap(monkeypatch):
     # the entries pass int64 at n = 3; the 8 exact tuples of S_3 would need
     # more than the 1000-byte cap, so the series stops at n = 2
-    monkeypatch.setattr("algdyn.torus.mem_cap_bytes", lambda: 1000)
+    monkeypatch.setattr("algdyn._sparse.mem_cap_bytes", lambda: 1000)
     est = peters_entropy(CompanionModule(parse_element(f"u1^2 - {2**40}*u1 - 1")), n_max=5)
     assert [row["count"] for row in est.series] == [2, 4]
     assert est.notes == "memory cap reached; partial series"

@@ -182,7 +182,7 @@ def test_inverse_readers_match_the_dict_reference(data):
     k = data.draw(st.integers(1, 2))
     rows = [data.draw(lifts(d, k))[0] for _ in range(k)]
     den = data.draw(st.integers(1, 2**70))
-    inv = MatrixL1Inverse(box_of(rows, d), den, Fraction(0), True, 0.0, None, 0)
+    inv = MatrixL1Inverse(box_of(rows, d), den, Fraction(0), 1e-10, 0.0, None, 0)
     assert inv.terms == {e: Fraction(n, den) for e, n in rows[0][0].items() if n}
     expected: dict = {}
     for row in rows:
@@ -204,7 +204,7 @@ def test_wrong_length_sites_are_refused():
     with pytest.raises(ValueError):
         x.value((1, 2))
     with pytest.raises(ValueError):
-        greedy_separated_subset([(0, 5), (1, 7)], [(0,)])
+        greedy_separated_subset([(0, 5), (1,)], 0)  # a window whose sites disagree in length
     # integer sites stand for d=1 sites, and only there
     assert x.value(1) == x.value((1,)) == (0.375,)
     with pytest.raises(ValueError):

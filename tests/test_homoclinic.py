@@ -72,6 +72,15 @@ def test_membership_annihilation(A_sym):
     assert annihilation_residual(x) <= membership_tolerance(x)
 
 
+def test_membership_tolerance_reads_the_tol_of_the_points_inverse(A_sym):
+    # refined to 1e-6 only: the residual is far above the default 1e-10, and
+    # the tolerance is the one the inverse converged to
+    x = group_element(A_sym, [1], tol=1e-6)
+    assert x.inverse.converged and x.inverse.residual > 1e-9
+    assert membership_tolerance(x) == float(Fraction(1e-6))
+    assert annihilation_residual(x) <= membership_tolerance(x)
+
+
 def test_group_element_zero_and_kernel(A_sym, f_symmetric):
     z = group_element(A_sym, E.zero(1))
     assert _distance_to_zero(z) == 0

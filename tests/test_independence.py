@@ -26,7 +26,7 @@ from algdyn.independence import (
     inverse_tail_radius,
     shadow,
 )
-from conftest import lift_of, solve_rational
+from conftest import greedy_separated_by_set, lift_of, solve_rational
 
 E = GroupRingElement
 
@@ -40,19 +40,18 @@ def A_sym(f_symmetric):
 
 
 def test_greedy_example():
-    F1 = greedy_separated_subset(list(range(10)), [(-1,), (0,), (1,)])
+    F1 = greedy_separated_subset(list(range(10)), 1)
     assert F1 == [(0,), (2,), (4,), (6,), (8,)]
 
 
 def test_greedy_everything_conflicts():
     F = list(range(6))
-    K = [(i,) for i in range(-6, 7)]
-    assert greedy_separated_subset(F, K) == [(0,)]
+    assert greedy_separated_subset(F, 6) == [(0,)]
 
 
 def test_greedy_no_conflicts():
     F = list(range(5))
-    assert greedy_separated_subset(F, [(0,)]) == [(i,) for i in range(5)]
+    assert greedy_separated_subset(F, 0) == [(i,) for i in range(5)]
 
 
 def test_greedy_guarantee_500_random():
@@ -62,17 +61,26 @@ def test_greedy_guarantee_500_random():
         nf = int(rng.integers(1, 30))
         F = {tuple(int(v) for v in rng.integers(-12, 13, size=d)) for _ in range(nf)}
         F = sorted(F)
-        nk = int(rng.integers(1, 8))
-        K = {tuple(int(v) for v in rng.integers(-3, 4, size=d)) for _ in range(nk)}
-        K = sorted(K)
-        F1 = greedy_separated_subset(F, K)
-        assert len(F1) * (2 * len(K) + 1) >= len(F)
-        ks = set(K)
+        radius = int(rng.integers(0, 5))
+        F1 = greedy_separated_subset(F, radius)
+        assert len(F1) * (2 * (2 * radius + 1) ** d + 1) >= len(F)
         for i, s in enumerate(F1):
             for t in F1[i + 1 :]:
-                diff = tuple(a - b for a, b in zip(s, t))
-                ndiff = tuple(b - a for a, b in zip(s, t))
-                assert diff not in ks and ndiff not in ks
+                assert max(abs(a - b) for a, b in zip(s, t)) > radius
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_greedy_matches_the_set_oracle(data):
+    # the scan by max-norm distance keeps the sites that the set-based scan
+    # keeps for K the ball of that radius, duplicates included
+    d = data.draw(st.integers(1, 3))
+    radius = data.draw(st.integers(0, 4))
+    site = st.tuples(*[st.integers(-10, 10)] * d)
+    F = data.draw(st.lists(site, min_size=1, max_size=40))
+    F1 = greedy_separated_subset(F, radius)
+    assert F1 == greedy_separated_by_set(F, ball(d, radius))
+    assert len(F1) * (2 * (2 * radius + 1) ** d + 1) >= len(set(F))
 
 
 # -- witnesses --------------------------------------------------------------------
@@ -97,11 +105,9 @@ def test_interaction_radius_fixture(A_sym):
     assert interaction_radius(x, 2.0) == 0
 
 
-def test_interaction_radius_cap_is_named(A_sym):
+def test_interaction_radius_has_no_cap(A_sym):
     x = group_element(A_sym, parse_element("u1^500"))
-    with pytest.raises(ValueError, match="radius 50[0-9] > radius_cap = 200"):
-        interaction_radius(x, 0.1)
-    assert interaction_radius(x, 0.1, radius_cap=600) == 502
+    assert interaction_radius(x, 0.1) == 502
 
 
 @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -0.1])
